@@ -48,7 +48,7 @@ from repro.graphs.properties import diameter as true_diameter
 from repro.graphs.properties import max_degree as true_max_degree
 from repro.sim.engine import Engine, RunResult
 from repro.sim.medium import COLLISION, SILENCE
-from repro.sim.node import Context, Idle, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import IDLE, RECEIVE, Context, Intent, NodeProgram, Transmit
 from repro.emulation.singlehop import ChannelFeedback, SingleHopProtocol
 
 __all__ = ["EmulatedChannelProgram", "run_emulated"]
@@ -80,10 +80,10 @@ class _EpochBroadcaster:
 
     def intent(self, slot_in_subepoch: int, rng) -> Intent:
         if self.message is None or self._phases_done >= self.phases:
-            return Receive()
+            return RECEIVE
         if self._decay is None:
             if slot_in_subepoch % self.k != 0:
-                return Receive()
+                return RECEIVE
             self._decay = DecayProcess(
                 self.k, self.message, rng, p_continue=self.p_continue
             )
@@ -91,7 +91,7 @@ class _EpochBroadcaster:
         if slot_in_subepoch % self.k == self.k - 1:
             self._decay = None
             self._phases_done += 1
-        return Transmit(self.message) if transmit else Receive()
+        return Transmit(self.message) if transmit else RECEIVE
 
 
 class EmulatedChannelProgram(NodeProgram):
@@ -220,14 +220,14 @@ class EmulatedChannelProgram(NodeProgram):
 
     def act(self, ctx: Context) -> Intent:
         if self._done:
-            return Idle()
+            return IDLE
         slot_in_round = ctx.slot % self.round_len
         subepoch = slot_in_round // self.subepoch_len
         slot_in_subepoch = slot_in_round % self.subepoch_len
         if slot_in_subepoch == 0 and subepoch > 0:
             self._end_subepoch(subepoch - 1)
             if self._done:
-                return Idle()
+                return IDLE
             self._begin_subepoch(subepoch)
         intent = self._caster.intent(slot_in_subepoch, ctx.rng)
         if slot_in_round == self.round_len - 1:

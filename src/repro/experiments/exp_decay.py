@@ -32,7 +32,7 @@ from repro.graphs.generators import star
 from repro.parallel import parallel_map
 from repro.rng import spawn
 from repro.sim.engine import Engine
-from repro.sim.node import Context, Idle, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import IDLE, RECEIVE, Context, Intent, NodeProgram, Transmit
 
 __all__ = ["run_theorem1_table", "engine_decay_game", "DEFAULT_DS"]
 
@@ -50,10 +50,10 @@ class _DecayLeaf(NodeProgram):
 
     def act(self, ctx: Context) -> Intent:
         if ctx.slot >= self.k:
-            return Idle()
+            return IDLE
         if self._decay is None:
             self._decay = DecayProcess(self.k, "m", ctx.rng, p_continue=self.p_continue)
-        return Transmit("m") if self._decay.wants_transmit() else Idle()
+        return Transmit("m") if self._decay.wants_transmit() else IDLE
 
     def is_done(self, ctx: Context) -> bool:
         return ctx.slot >= self.k
@@ -66,7 +66,7 @@ class _Hub(NodeProgram):
         self.k = k
 
     def act(self, ctx: Context) -> Intent:
-        return Receive() if ctx.slot < self.k else Idle()
+        return RECEIVE if ctx.slot < self.k else IDLE
 
     def is_done(self, ctx: Context) -> bool:
         return ctx.slot >= self.k

@@ -30,7 +30,7 @@ from repro.protocols.round_robin import make_round_robin_programs
 from repro.rng import spawn
 from repro.sim.engine import Engine
 from repro.sim.medium import COLLISION, SILENCE
-from repro.sim.node import Context, Idle, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import IDLE, RECEIVE, Context, Intent, NodeProgram, Transmit
 
 __all__ = ["ThreeRoundCnProgram", "run_three_round_table", "run_c_star_table"]
 
@@ -54,19 +54,19 @@ class ThreeRoundCnProgram(NodeProgram):
     def act(self, ctx: Context) -> Intent:
         slot = ctx.slot
         if self.role == "source":
-            return Transmit(self.message) if slot == 0 else Idle()
+            return Transmit(self.message) if slot == 0 else IDLE
         if self.role == "sink":
             if slot == 1:
                 return Transmit(("designate", min(ctx.neighbor_ids)))
-            return Receive() if slot in (0, 2) else Idle()
+            return RECEIVE if slot in (0, 2) else IDLE
         # second layer
         if slot == 0:
-            return Receive()
+            return RECEIVE
         if slot == 1:
-            return Receive()
+            return RECEIVE
         if slot == 2 and self._designated == ctx.node and self.message is not None:
             return Transmit(self.message)
-        return Idle()
+        return IDLE
 
     def on_observe(self, ctx: Context, heard: Any) -> None:
         if heard is SILENCE or heard is COLLISION:

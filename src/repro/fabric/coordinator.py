@@ -351,9 +351,17 @@ def run_fabric(config: FabricConfig) -> FabricResult:
             time.sleep(config.poll_interval)
 
         # Campaign complete: drain the stragglers (they also notice
-        # all_done on their own) and collect exit codes.
+        # all_done on their own) and collect exit codes.  Only a worker
+        # inside its claim loop gets SIGTERM: one that has not logged
+        # worker_start sees all_done at its first poll, and one that has
+        # logged worker_exit may already be in interpreter shutdown,
+        # where SIGTERM kills it (exit -15) instead of draining it.
+        after_id, fresh = _forward_events(store, campaign_id, after_id)
+        events.extend(fresh)
+        in_loop = {e["worker"] for e in events if e["kind"] == "worker_start"}
+        in_loop -= {e["worker"] for e in events if e["kind"] == "worker_exit"}
         for worker_id, proc in procs.items():
-            if proc.poll() is None:
+            if worker_id in in_loop and proc.poll() is None:
                 proc.terminate()
         for worker_id, proc in procs.items():
             try:

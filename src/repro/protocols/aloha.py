@@ -20,7 +20,7 @@ from typing import Any, Hashable
 from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
 from repro.sim.medium import COLLISION, SILENCE
-from repro.sim.node import Context, Idle, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import IDLE, RECEIVE, Context, Intent, NodeProgram, Transmit
 
 __all__ = ["AlohaBroadcastProgram", "make_aloha_programs"]
 
@@ -52,19 +52,19 @@ class AlohaBroadcastProgram(NodeProgram):
 
     def act(self, ctx: Context) -> Intent:
         if self._done:
-            return Idle()
+            return IDLE
         if self.message is None:
-            return Receive()
+            return RECEIVE
         if (
             self.active_slots is not None
             and self._informed_slot is not None
             and ctx.slot - self._informed_slot >= self.active_slots
         ):
             self._done = True
-            return Idle()
+            return IDLE
         if ctx.rng.random() < self.p:
             return Transmit(self.message)
-        return Receive()
+        return RECEIVE
 
     def on_observe(self, ctx: Context, heard: Any) -> None:
         if heard is SILENCE or heard is COLLISION:

@@ -44,8 +44,7 @@ def ordered_nodes(nodes) -> list[Node]:
 def all_informed(engine: Engine) -> bool:
     """Stop condition: every non-initiator node has received a message."""
     # Initiators count as informed whether or not they also received.
-    informed = set(engine.metrics.first_reception) | engine.initiators
-    return len(informed) >= engine.graph.num_nodes()
+    return engine.informed_count >= engine.graph.num_nodes()
 
 
 def run_broadcast(

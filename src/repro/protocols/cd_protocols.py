@@ -43,7 +43,7 @@ from typing import Any, Hashable
 from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
 from repro.sim.medium import COLLISION, SILENCE
-from repro.sim.node import Context, Idle, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import IDLE, RECEIVE, Context, Intent, NodeProgram, Transmit
 
 __all__ = [
     "FourSlotCnProgram",
@@ -80,30 +80,30 @@ class FourSlotCnProgram(NodeProgram):
     def act(self, ctx: Context) -> Intent:
         slot = ctx.slot
         if self.role == "source":
-            return Transmit(self.message) if slot == 0 else Idle()
+            return Transmit(self.message) if slot == 0 else IDLE
         if self.role == "layer":
             if slot == 0:
-                return Receive()
+                return RECEIVE
             in_s = self.sink_id in ctx.neighbor_ids
             if slot == 1:
                 if in_s and self.message is not None:
                     return Transmit(self.message)
-                return Receive()
+                return RECEIVE
             if slot == 2:
-                return Receive() if in_s else Idle()
+                return RECEIVE if in_s else IDLE
             if slot == 3:
                 if self._polled == ctx.node and self.message is not None:
                     return Transmit(self.message)
-                return Idle()
-            return Idle()
+                return IDLE
+            return IDLE
         # sink
         if slot in (0, 1):
-            return Receive()
+            return RECEIVE
         if slot == 2 and self._saw_collision and self.message is None:
             return Transmit(("poll", min(ctx.neighbor_ids)))
         if slot == 3 and self.message is None:
-            return Receive()
-        return Idle()
+            return RECEIVE
+        return IDLE
 
     def on_observe(self, ctx: Context, heard: Any) -> None:
         if heard is COLLISION:
@@ -189,11 +189,11 @@ class TreeSplittingProgram(NodeProgram):
 
     def act(self, ctx: Context) -> Intent:
         if not self._stack:
-            return Idle()
+            return IDLE
         contention_slot = ctx.slot % 2 == 0
         if self.is_base:
             if contention_slot:
-                return Receive()
+                return RECEIVE
             feedback = self._classify(self._pending_feedback)
             self._apply_feedback(feedback)
             return Transmit(("fb", feedback))
@@ -203,8 +203,8 @@ class TreeSplittingProgram(NodeProgram):
             self._i_transmitted = mine
             if mine:
                 return Transmit(("msg", ctx.node, self.message))
-            return Receive()
-        return Receive()
+            return RECEIVE
+        return RECEIVE
 
     def on_observe(self, ctx: Context, heard: Any) -> None:
         contention_slot = ctx.slot % 2 == 0

@@ -40,7 +40,7 @@ from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
 from repro.sim.engine import RunResult
 from repro.sim.medium import COLLISION, SILENCE
-from repro.sim.node import Context, Idle, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import IDLE, RECEIVE, Context, Intent, NodeProgram, Transmit
 from repro.protocols.base import run_broadcast
 from repro.telemetry.core import phase as _phase_marker
 
@@ -87,12 +87,12 @@ class DecayBFSProgram(NodeProgram):
 
     def act(self, ctx: Context) -> Intent:
         if self._done:
-            return Idle()
+            return IDLE
         if self.message is None:
-            return Receive()
+            return RECEIVE
         current_superphase = ctx.slot // self.superphase_len
         if current_superphase < self._transmit_superphase:
-            return Receive()  # wait for our superphase to begin
+            return RECEIVE  # wait for our superphase to begin
         if self._decay is None:
             self._decay = DecayProcess(
                 self.k, self.message, ctx.rng, p_continue=self.p_continue
@@ -116,7 +116,7 @@ class DecayBFSProgram(NodeProgram):
             )
             if self._decays_done >= self.decays:
                 self._done = True
-        return Transmit(self.message) if transmit else Receive()
+        return Transmit(self.message) if transmit else RECEIVE
 
     def on_observe(self, ctx: Context, heard: Any) -> None:
         if heard is SILENCE or heard is COLLISION:

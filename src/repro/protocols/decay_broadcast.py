@@ -41,7 +41,7 @@ from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
 from repro.sim.engine import RunResult
 from repro.sim.medium import COLLISION, SILENCE
-from repro.sim.node import Context, Idle, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import IDLE, RECEIVE, Context, Intent, NodeProgram, Transmit
 from repro.protocols.base import run_broadcast
 from repro.telemetry.core import phase as _phase_marker
 
@@ -98,12 +98,12 @@ class DecayBroadcastProgram(NodeProgram):
 
     def act(self, ctx: Context) -> Intent:
         if self._done:
-            return Idle()
+            return IDLE
         if self.message is None:
-            return Receive()  # Wait until receiving a message
+            return RECEIVE  # Wait until receiving a message
         if self._decay is None:
             if self.align_phases and ctx.slot % self.k != 0:
-                return Receive()  # Wait until (Time mod k) = 0
+                return RECEIVE  # Wait until (Time mod k) = 0
             self._decay = DecayProcess(
                 self.k, self.message, ctx.rng, p_continue=self.p_continue
             )
@@ -111,7 +111,7 @@ class DecayBroadcastProgram(NodeProgram):
         if self._decay.wants_transmit():
             intent: Intent = Transmit(self.message)
         else:
-            intent = Receive()
+            intent = RECEIVE
         if self._phase_elapsed(ctx.slot):
             self._finish_phase(ctx)
         return intent

@@ -26,7 +26,7 @@ from typing import Any, Hashable
 from repro.graphs.graph import Graph
 from repro.protocols.base import ordered_nodes
 from repro.sim.medium import COLLISION, SILENCE
-from repro.sim.node import Context, Idle, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import IDLE, RECEIVE, Context, Intent, NodeProgram, Transmit
 
 __all__ = ["DFSBroadcastProgram", "make_dfs_programs"]
 
@@ -53,9 +53,9 @@ class DFSBroadcastProgram(NodeProgram):
 
     def act(self, ctx: Context) -> Intent:
         if self._done:
-            return Idle()
+            return IDLE
         if not self.has_token:
-            return Receive()
+            return RECEIVE
         visited = frozenset(self.visited | {ctx.node})
         unvisited = ordered_nodes(
             nbr for nbr in ctx.neighbor_ids if nbr not in visited
@@ -72,7 +72,7 @@ class DFSBroadcastProgram(NodeProgram):
             return Transmit((_TOKEN, self.parent, visited, ctx.node, self.payload))
         # Source with nothing left to visit: traversal complete.
         self._done = True
-        return Idle()
+        return IDLE
 
     def on_observe(self, ctx: Context, heard: Any) -> None:
         if heard is SILENCE or heard is COLLISION:
@@ -80,7 +80,9 @@ class DFSBroadcastProgram(NodeProgram):
         if not (isinstance(heard, tuple) and heard and heard[0] == _TOKEN):
             return
         _tag, target, visited, sender, _payload = heard
-        self.visited = frozenset(self.visited | visited)
+        # Same set as ``self.visited | visited``; on the common path the
+        # token's set already contains ours, so it is kept, not copied.
+        self.visited = visited if self.visited <= visited else self.visited | visited
         if target == ctx.node:
             self.has_token = True
             self._done = False  # a backtrack returns the token to us

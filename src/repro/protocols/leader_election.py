@@ -49,7 +49,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.properties import max_degree as true_max_degree
 from repro.sim.engine import Engine, RunResult
 from repro.sim.medium import COLLISION, SILENCE
-from repro.sim.node import Context, Idle, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import IDLE, RECEIVE, Context, Intent, NodeProgram, Transmit
 
 __all__ = ["LeaderElectionProgram", "run_leader_election"]
 
@@ -126,7 +126,7 @@ class LeaderElectionProgram(NodeProgram):
 
     def act(self, ctx: Context) -> Intent:
         if self._done:
-            return Idle()
+            return IDLE
         slot_in_epoch = ctx.slot % self.epoch_len
         intent = self._epoch_intent(ctx, slot_in_epoch)
         if slot_in_epoch == self.epoch_len - 1:
@@ -135,10 +135,10 @@ class LeaderElectionProgram(NodeProgram):
 
     def _epoch_intent(self, ctx: Context, slot_in_epoch: int) -> Intent:
         if not self._relaying or self._phases_done >= self.phases:
-            return Receive()
+            return RECEIVE
         if self._decay is None:
             if slot_in_epoch % self.k != 0:
-                return Receive()  # align Decay starts within the epoch
+                return RECEIVE  # align Decay starts within the epoch
             self._decay = DecayProcess(
                 self.k,
                 ("bit", self._bit_probed()),
@@ -149,7 +149,7 @@ class LeaderElectionProgram(NodeProgram):
         if slot_in_epoch % self.k == self.k - 1:
             self._decay = None
             self._phases_done += 1
-        return Transmit(("bit", self._bit_probed())) if transmit else Receive()
+        return Transmit(("bit", self._bit_probed())) if transmit else RECEIVE
 
     def on_observe(self, ctx: Context, heard: Any) -> None:
         if heard is SILENCE or heard is COLLISION:

@@ -34,7 +34,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.properties import max_degree as true_max_degree
 from repro.sim.engine import Engine, RunResult
 from repro.sim.medium import COLLISION, SILENCE
-from repro.sim.node import Context, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import RECEIVE, Context, Intent, NodeProgram, Transmit
 
 __all__ = ["MultiBroadcastProgram", "run_multi_broadcast"]
 
@@ -91,7 +91,7 @@ class MultiBroadcastProgram(NodeProgram):
                 ("multi", self._current, self.payloads[self._current])
             )
         else:
-            intent = Receive()
+            intent = RECEIVE
         if ctx.slot % self.k == self.k - 1:
             self._decay = None
             if self._current is not None:

@@ -25,7 +25,7 @@ from typing import Any, Hashable
 from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
 from repro.sim.medium import COLLISION, SILENCE
-from repro.sim.node import Context, Idle, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import IDLE, RECEIVE, Context, Intent, NodeProgram, Transmit
 
 __all__ = ["RoundRobinProgram", "make_round_robin_programs"]
 
@@ -67,17 +67,17 @@ class RoundRobinProgram(NodeProgram):
 
     def act(self, ctx: Context) -> Intent:
         if self._done:
-            return Idle()
+            return IDLE
         if self.message is None:
-            return Receive()
+            return RECEIVE
         if self.max_frames is not None and self._informed_slot is not None:
             frames_elapsed = (ctx.slot - max(0, self._informed_slot)) // self.frame_size
             if frames_elapsed >= self.max_frames:
                 self._done = True
-                return Idle()
+                return IDLE
         if ctx.slot % self.frame_size == self.slot_index:
             return Transmit(self.message)
-        return Receive()
+        return RECEIVE
 
     def on_observe(self, ctx: Context, heard: Any) -> None:
         if heard is SILENCE or heard is COLLISION:

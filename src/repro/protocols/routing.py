@@ -39,7 +39,7 @@ from repro.graphs.properties import max_degree as true_max_degree
 from repro.protocols.base import ordered_nodes
 from repro.sim.engine import Engine, RunResult
 from repro.sim.medium import COLLISION, SILENCE
-from repro.sim.node import Context, Idle, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import IDLE, RECEIVE, Context, Intent, NodeProgram, Transmit
 
 __all__ = ["RoutingProgram", "run_routing"]
 
@@ -87,18 +87,18 @@ class RoutingProgram(NodeProgram):
 
     def act(self, ctx: Context) -> Intent:
         if self._done or self.label is None:
-            return Receive() if not self._done else Idle()
+            return RECEIVE if not self._done else IDLE
         if self.label == 0:
             # The destination never forwards; it is done on reception.
-            return Receive()
+            return RECEIVE
         if self.payload is None:
-            return Receive()
+            return RECEIVE
         superphase = ctx.slot // self.superphase_len
         if superphase < self._forward_superphase:
-            return Receive()
+            return RECEIVE
         if superphase > self._forward_superphase:
             self._done = True  # our forwarding window has passed
-            return Idle()
+            return IDLE
         if self._decay is None:
             self._decay = DecayProcess(
                 self.k,
@@ -115,7 +115,7 @@ class RoutingProgram(NodeProgram):
         return (
             Transmit(("route", self.label - 1, self.payload))
             if transmit
-            else Receive()
+            else RECEIVE
         )
 
     def on_observe(self, ctx: Context, heard: Any) -> None:

@@ -17,7 +17,7 @@ from typing import Any, Hashable, Sequence
 from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
 from repro.sim.medium import COLLISION, SILENCE
-from repro.sim.node import Context, Idle, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import IDLE, RECEIVE, Context, Intent, NodeProgram, Transmit
 
 __all__ = ["ScheduledProgram", "make_scheduled_programs"]
 
@@ -49,7 +49,7 @@ class ScheduledProgram(NodeProgram):
 
     def act(self, ctx: Context) -> Intent:
         if ctx.slot >= self.schedule_length:
-            return Idle()
+            return IDLE
         if ctx.slot in self.my_slots:
             if self.message is None:
                 raise ProtocolError(
@@ -57,7 +57,7 @@ class ScheduledProgram(NodeProgram):
                     f"{ctx.slot} but was never informed"
                 )
             return Transmit(self.message)
-        return Receive()
+        return RECEIVE
 
     def on_observe(self, ctx: Context, heard: Any) -> None:
         if heard is SILENCE or heard is COLLISION:

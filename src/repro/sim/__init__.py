@@ -38,7 +38,16 @@ from repro.sim.medium import (
     RadioMedium,
 )
 from repro.sim.metrics import RunMetrics
-from repro.sim.node import Context, Idle, Intent, NodeProgram, Receive, Transmit
+from repro.sim.node import (
+    IDLE,
+    RECEIVE,
+    Context,
+    Idle,
+    Intent,
+    NodeProgram,
+    Receive,
+    Transmit,
+)
 from repro.sim.provenance import ProvenanceRecorder, SlotProvenance
 from repro.sim.trace import SlotRecord, Trace
 
@@ -56,6 +65,8 @@ __all__ = [
     "Transmit",
     "Receive",
     "Idle",
+    "RECEIVE",
+    "IDLE",
     "Medium",
     "RadioMedium",
     "CollisionDetectingMedium",

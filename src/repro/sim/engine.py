@@ -19,6 +19,37 @@ The engine implements the execution rules of the paper's Definition 1:
    engine: the engine runs until all programs report done, an optional
    ``stop_when`` predicate fires, or ``max_slots`` is exhausted.
 
+:mod:`repro.sim.spec` states the same rules as a cache-free function of
+one slot; the engine must agree with it slot for slot.
+
+Two slot loops
+--------------
+``Engine.__init__`` chooses the slot loop once, from its inputs:
+
+* the **lean loop** runs when the medium is exactly
+  :class:`~repro.sim.medium.RadioMedium`, the fault schedule is empty,
+  and neither a trace nor provenance is recorded — every fault-free
+  experiment run.  It polls ``is_done`` and calls ``act`` in one pass
+  over the live programs, dispatches intents on their exact type, and
+  resolves a slot with one transmitter (the only case in round-robin
+  and DFS) as membership in that transmitter's hearer set.  With several
+  transmitters it counts energy by scattering from the transmitters
+  when they are no more than the receivers, and intersects each
+  receiver's neighbourhood with the transmitters otherwise.  Once the
+  intents are in, no callback can change what anyone hears, so each
+  receiver is told as soon as it is resolved.
+* the **general loop** runs everything else: crash/recover, edge, jam
+  and link-loss faults, any medium, traces and provenance.  It resolves
+  each receiver from its list of audible transmitters, as the spec
+  does, and delivers the observations after the whole slot resolves.
+
+Both loops rely on two contracts.  ``NodeProgram.is_done`` is monotone
+("True once this node will never act again"), so done-ness is cached in
+a persistent done-set and each live program is polled exactly once per
+slot.  Intents are immutable, so programs may return the shared
+:data:`~repro.sim.node.RECEIVE` and :data:`~repro.sim.node.IDLE`; the
+exact-type dispatch falls back to ``isinstance`` for subclasses.
+
 The engine never copies messages; protocols exchange immutable payloads
 by convention (all protocols in this library send tuples/strings/ints).
 """
@@ -52,6 +83,7 @@ from repro.telemetry.core import Telemetry, get_active
 __all__ = ["Engine", "RunResult"]
 
 Node = Hashable
+Entry = tuple[Node, NodeProgram, Context]
 
 
 @dataclass
@@ -78,20 +110,22 @@ class RunResult:
         return self.broadcast_completion_slot(source=source) is not None
 
 
+def _audible(neighborhood: frozenset[Node], messages: dict[Node, Any]) -> list[Node]:
+    """The transmitters in ``neighborhood``, intersecting from the smaller side."""
+    if len(messages) < len(neighborhood):
+        return [node for node in messages if node in neighborhood]
+    return [node for node in neighborhood if node in messages]
+
+
 class Engine:
     """Drives a set of node programs over a graph, slot by slot.
 
-    Two contracts the hot path relies on:
-
-    * ``NodeProgram.is_done`` is monotone (its docstring: "True once
-      this node will never act again"), so done-ness is cached in a
-      persistent done-set and each live program is polled exactly once
-      per slot.
-    * the ``faults`` schedule is snapshotted at construction; mutating
-      the :class:`FaultSchedule` object after the engine is built has
-      no effect on the run.  Mid-run topology changes always go through
-      the schedule (or mutate ``engine.graph``, whose version counter
-      invalidates the cached audibility map).
+    The ``faults`` schedule is snapshotted at construction; mutating the
+    :class:`FaultSchedule` object after the engine is built has no
+    effect on the run.  Mid-run topology changes always go through the
+    schedule (or mutate ``engine.graph``, whose version counter
+    invalidates the cached audibility map).  See the module docstring
+    for the two slot loops and the contracts they rely on.
     """
 
     def __init__(
@@ -134,8 +168,7 @@ class Engine:
         )
         # Causal slot provenance (see repro.sim.provenance): opt-in per
         # engine or ambiently via REPRO_PROVENANCE=1 (checked once, at
-        # construction).  Off (the default) allocates nothing — the hot
-        # path pays one None check, exactly like tracing.
+        # construction).  Off (the default) allocates nothing.
         if not record_provenance:
             record_provenance = os.environ.get("REPRO_PROVENANCE", "") not in ("", "0")
         self._prov: ProvenanceRecorder | None = (
@@ -145,6 +178,7 @@ class Engine:
         )
         self.slot = 0
         self._crashed: set[Node] = set()
+        # Initiators plus every node delivered a message so far.
         self._has_received: set[Node] = set(self.initiators)
         self._contexts: dict[Node, Context] = {
             node: Context(
@@ -155,25 +189,22 @@ class Engine:
             for node in self.graph.nodes
         }
         self._started = False
-        # Done-set: nodes whose is_done() has returned True.  is_done is
-        # documented as monotone ("True once this node will never act
-        # again"), so each program is asked at most once per slot and
-        # never again after reporting done.  The engine iterates the
-        # pre-bound active list instead of re-filtering programs.
+        # Done-set: nodes whose is_done() has returned True; the live
+        # programs stay pre-bound in the active list.
         self._done: set[Node] = set()
-        self._done_slot = -1  # slot the done-set was last refreshed at
+        self._done_slot = -1  # slot the general loop last refreshed the done-set at
         self._all_done_cached = False
-        self._active: list[tuple[Node, NodeProgram, Context]] = [
+        self._active: list[Entry] = [
             (node, program, self._contexts[node])
             for node, program in self.programs.items()
         ]
         # The fault schedule is snapshotted at construction and indexed
-        # by slot, so fault-free runs pay one attribute check per slot.
+        # by slot.
         self._edge_faults_by_slot, self._crashes_by_slot = self.faults.by_slot()
         self._have_faults = not self.faults.is_empty()
         # Transient crashes: entries pruned from the active list are
         # parked here so recovery can restore them, program state intact.
-        self._crashed_entries: dict[Node, tuple[Node, NodeProgram, Context]] = {}
+        self._crashed_entries: dict[Node, Entry] = {}
         self._awaiting_recovery: set[Node] = set()
         self._recoveries_by_slot: dict[int, list[Node]] = {}
         for crash in self.faults.crash_faults:
@@ -187,13 +218,24 @@ class Engine:
         # and the frozenset that hears it (hearers).  Rebuilt lazily
         # whenever the graph's version moves (edge faults, or any
         # out-of-band mutation of ``self.graph``).
-        self._fast_medium = type(self.medium) is RadioMedium
         self._audible: dict[Node, frozenset[Node]] = {}
         self._hearers: dict[Node, frozenset[Node]] = {}
         self._audible_version = -1
         self._audible_map()
+        self._lean = (
+            type(self.medium) is RadioMedium
+            and not self._have_faults
+            and self.trace is None
+            and self._prov is None
+        )
 
     # -- public API -----------------------------------------------------
+
+    @property
+    def informed_count(self) -> int:
+        """Nodes holding a message: the initiators plus every node
+        delivered one so far (O(1); the engine keeps the set)."""
+        return len(self._has_received)
 
     def run(
         self,
@@ -232,12 +274,20 @@ class Engine:
                 initiators=len(self.initiators),
                 faults=self.faults.counts() if self._have_faults else {},
             )
+        lean = self._lean
+        metrics = self.metrics
         while self.slot < max_slots:
             if stop_when is not None and stop_when(self):
                 break
-            if self._all_done():
+            if lean:
+                if not self._lean_slot():
+                    break
+            elif self._refresh_done():
                 break
-            self.step()
+            else:
+                self._general_slot()
+            self.slot += 1
+            metrics.slots = self.slot
             if tel is not None and self.slot >= next_batch:
                 now = time.perf_counter()
                 dur = now - batch_t0
@@ -263,7 +313,6 @@ class Engine:
         if tel is not None:
             wall = time.perf_counter() - run_t0
             slots_run = self.slot - start_slot
-            metrics = self.metrics
             extra: dict[str, Any] = {}
             if metrics.first_reception:
                 # The slot the last first-reception landed in — when all
@@ -284,7 +333,7 @@ class Engine:
             )
         return RunResult(
             slots=self.slot,
-            metrics=self.metrics,
+            metrics=metrics,
             trace=self.trace,
             programs=self.programs,
             graph=self.graph,
@@ -293,6 +342,116 @@ class Engine:
 
     def step(self) -> None:
         """Execute exactly one time-slot."""
+        if self._lean:
+            self._lean_slot()
+        else:
+            self._general_slot()
+        self.slot += 1
+        self.metrics.slots = self.slot
+
+    # -- the lean loop ----------------------------------------------------
+
+    def _lean_slot(self) -> bool:
+        """One fault-free slot, without advancing the clock.
+
+        Returns False, having resolved nothing, iff every program is done.
+        """
+        slot = self.slot
+        done = self._done
+        live: list[Entry] = []
+        messages: dict[Node, Any] = {}
+        receivers: list[Entry] = []
+        for entry in self._active:
+            node, program, ctx = entry
+            ctx.slot = slot
+            if program.is_done(ctx):
+                done.add(node)
+                continue
+            live.append(entry)
+            intent = program.act(ctx)
+            kind = type(intent)
+            if kind is Receive:
+                receivers.append(entry)
+            elif kind is not Idle:
+                self._admit(entry, intent, messages, receivers)
+        self._active = live
+        if not live:
+            return False
+        if not messages:
+            for _node, program, ctx in receivers:
+                program.on_observe(ctx, SILENCE)
+            return True
+        self._count_transmissions(messages)
+        if not receivers:
+            return True
+
+        # Intents are in, and no callback can change a hearer set or a
+        # message, so every observation is already fixed: each receiver
+        # is told what it heard as soon as it is resolved.
+        metrics = self.metrics
+        first_reception = metrics.first_reception
+        has_received = self._has_received
+        deliveries = 0
+        if len(messages) == 1:
+            [(sender, message)] = messages.items()
+            if self._audible_version != self.graph.version:
+                self._audible_map()
+            hearers = self._hearers[sender]
+            for receiver, program, ctx in receivers:
+                if receiver in hearers:
+                    deliveries += 1
+                    if receiver not in first_reception:
+                        first_reception[receiver] = slot
+                        has_received.add(receiver)
+                    program.on_observe(ctx, message)
+                else:
+                    program.on_observe(ctx, SILENCE)
+            metrics.deliveries += deliveries
+            return True
+
+        audible_map = self._audible_map()
+        # Transmitter-side scatter beats per-receiver intersection when
+        # contention is sparse: the energy counts come from one C-speed
+        # Counter.update pass over Σ deg(transmitter) hearers, then each
+        # receiver is O(1), and the sender is recovered by intersection
+        # only on clean deliveries.
+        scatter = len(messages) <= len(receivers)
+        if scatter:
+            counts: Counter[Node] = Counter()
+            hearers_map = self._hearers
+            for transmitter in messages:
+                counts.update(hearers_map[transmitter])
+            counts_get = counts.get
+        col_per_node = metrics.collisions_per_node
+        collisions = 0
+        for receiver, program, ctx in receivers:
+            if scatter:
+                num_audible = counts_get(receiver, 0)
+                audible = (
+                    _audible(audible_map[receiver], messages) if num_audible == 1 else ()
+                )
+            else:
+                audible = _audible(audible_map[receiver], messages)
+                num_audible = len(audible)
+            if num_audible == 1:
+                deliveries += 1
+                if receiver not in first_reception:
+                    first_reception[receiver] = slot
+                    has_received.add(receiver)
+                program.on_observe(ctx, messages[audible[0]])
+            else:
+                if num_audible:
+                    collisions += 1
+                    col_per_node[receiver] = col_per_node.get(receiver, 0) + 1
+                program.on_observe(ctx, SILENCE)
+        metrics.collisions += collisions
+        metrics.deliveries += deliveries
+        return True
+
+    # -- the general loop -------------------------------------------------
+
+    def _general_slot(self) -> None:
+        """One slot with faults, any medium, traces and provenance."""
         self._apply_faults()
         messages, receivers = self._collect_intents()
         jammed = self._jammed_now
@@ -302,10 +461,6 @@ class Engine:
             for node in jammed:
                 messages[node] = JAMMING
         self._resolve(messages, receivers)
-        self.slot += 1
-        self.metrics.slots = self.slot
-
-    # -- internals --------------------------------------------------------
 
     def _apply_faults(self) -> None:
         if not self._have_faults:
@@ -365,20 +520,6 @@ class Engine:
                 jamming=len(self._jammed_now),
             )
 
-    def _audible_map(self) -> dict[Node, frozenset[Node]]:
-        """Per-node audibility sets, refreshed when the graph changes."""
-        graph = self.graph
-        if self._audible_version != graph.version:
-            audible = graph.audible
-            self._audible = {node: audible(node) for node in graph}
-            if isinstance(graph, DiGraph):
-                hearers = graph.hearers
-                self._hearers = {node: hearers(node) for node in graph}
-            else:
-                self._hearers = self._audible  # symmetric links
-            self._audible_version = graph.version
-        return self._audible
-
     def _refresh_done(self) -> bool:
         """Evaluate ``is_done`` once per live node for the current slot.
 
@@ -392,7 +533,7 @@ class Engine:
         if self._done_slot == slot:
             return self._all_done_cached
         done = self._done
-        active: list[tuple[Node, NodeProgram, Context]] = []
+        active: list[Entry] = []
         for entry in self._active:
             ctx = entry[2]
             ctx.slot = slot
@@ -407,9 +548,7 @@ class Engine:
         self._all_done_cached = not active and not self._awaiting_recovery
         return self._all_done_cached
 
-    def _collect_intents(
-        self,
-    ) -> tuple[dict[Node, Any], list[tuple[Node, NodeProgram, Context]]]:
+    def _collect_intents(self) -> tuple[dict[Node, Any], list[Entry]]:
         """Ask every live, not-done program to act; split the intents.
 
         Returns ``(messages, receivers)``: the map transmitter → payload
@@ -417,202 +556,87 @@ class Engine:
         this slot (idlers appear in neither).
         """
         self._refresh_done()
-        slot = self.slot
-        enforce = self.enforce_no_spontaneous
-        has_received = self._has_received
         messages: dict[Node, Any] = {}
-        receivers: list[tuple[Node, NodeProgram, Context]] = []
+        receivers: list[Entry] = []
         entries = self._active
         jammed = self._jammed_now
         if jammed:
             # A jamming node's program is suspended for the slot; the
-            # noise itself is injected by step() after intents are in.
+            # noise itself is injected after intents are in.
             entries = [entry for entry in entries if entry[0] not in jammed]
         for entry in entries:
             intent = entry[1].act(entry[2])
-            if isinstance(intent, Receive):
+            kind = type(intent)
+            if kind is Receive:
                 receivers.append(entry)
-            elif isinstance(intent, Transmit):
-                node = entry[0]
-                if enforce and node not in has_received:
-                    raise ProtocolError(
-                        f"node {node!r} transmitted spontaneously at slot {slot} "
-                        "(Definition 1, rule 5; pass enforce_no_spontaneous=False to allow)"
-                    )
-                messages[node] = intent.message
-            elif not isinstance(intent, Idle):
-                raise ProtocolError(
-                    f"node {entry[0]!r} returned {intent!r}; expected Transmit/Receive/Idle"
-                )
+            elif kind is not Idle:
+                self._admit(entry, intent, messages, receivers)
         return messages, receivers
 
-    def _resolve(
-        self,
-        messages: dict[Node, Any],
-        receivers: list[tuple[Node, NodeProgram, Context]],
-    ) -> None:
+    def _resolve(self, messages: dict[Node, Any], receivers: list[Entry]) -> None:
+        """Resolve one general-loop slot: each receiver from its audible list."""
+        if messages:
+            self._count_transmissions(messages)
         metrics = self.metrics
-        jammed = self._jammed_now
-        num_transmitters = len(messages)
-        if num_transmitters:
-            if jammed:
-                # Every jammer is a messages key (step() injects them);
-                # noise is metered apart from protocol transmissions.
-                num_jamming = len(jammed)
-                metrics.jam_transmissions += num_jamming
-                metrics.transmissions += num_transmitters - num_jamming
-                per_node = metrics.transmissions_per_node
-                for node in messages:
-                    if node not in jammed:
-                        per_node[node] = per_node.get(node, 0) + 1
-            else:
-                metrics.transmissions += num_transmitters
-                per_node = metrics.transmissions_per_node
-                for node in messages:
-                    per_node[node] = per_node.get(node, 0) + 1
-
         slot = self.slot
+        jammed = self._jammed_now
         tracing = self.trace is not None
-        if not receivers:
-            if tracing:
-                self.trace.append(
-                    SlotRecord(
-                        slot=slot,
-                        transmitters=messages,
-                        receivers=frozenset(),
-                        heard={},
-                        deliveries={},
-                        conflict_counts={},
-                    )
-                )
-            return
-
         audible_map = self._audible_map()
         medium = self.medium
-        fast_medium = self._fast_medium
         prov = self._prov
         first_reception = metrics.first_reception
         col_per_node = metrics.collisions_per_node
-        col_get = col_per_node.get
         has_received = self._has_received
         deliveries: dict[Node, tuple[Node, Any]] = {}
         conflict_counts: dict[Node, int] = {}
         heard: dict[Node, Any] = {}
         collisions = 0
         observations: list[Any] = []
-
-        # Lossy links make audibility receiver-specific, so the shared
-        # scatter counts below would be wrong; such slots take the
-        # per-receiver path with a loss filter.
         losses = self._losses_at(slot) if self._loss_faults else ()
 
-        # Transmitter-side scatter beats per-receiver set intersection
-        # when contention is sparse (the common broadcast regime): the
-        # energy counts come from one C-speed Counter.update pass over
-        # Σ deg(transmitter) hearers, then each receiver is O(1); the
-        # sender is recovered by intersection only on clean deliveries.
-        if fast_medium and not losses and 0 < num_transmitters <= len(receivers):
-            counts: Counter[Node] = Counter()
-            count_hearers = counts.update
-            hearers_map = self._hearers
-            for transmitter in messages:
-                count_hearers(hearers_map[transmitter])
-            counts_get = counts.get
-            for entry in receivers:
-                receiver = entry[0]
-                num_audible = counts_get(receiver, 0)
-                if num_audible == 1:
-                    neighborhood = audible_map[receiver]
-                    if num_transmitters < len(neighborhood):
-                        sender = next(t for t in messages if t in neighborhood)
-                    else:
-                        sender = next(t for t in neighborhood if t in messages)
-                    if jammed and sender in jammed:
-                        observation = SILENCE  # lone jammer: pure noise
-                        if prov is not None:
-                            prov.note(slot, receiver, PROV_FAULT, (sender,),
-                                      detail="jamming")
-                    else:
-                        observation = messages[sender]
-                        metrics.deliveries += 1
-                        if receiver not in first_reception:
-                            first_reception[receiver] = slot
-                        has_received.add(receiver)
-                        if tracing:
-                            deliveries[receiver] = (sender, observation)
-                        if prov is not None:
-                            prov.note(slot, receiver, PROV_DELIVERED, (sender,))
-                else:
-                    observation = SILENCE
-                    if num_audible >= 2:
-                        collisions += 1
-                        col_per_node[receiver] = col_get(receiver, 0) + 1
-                        if prov is not None:
-                            prov.note(
-                                slot, receiver, PROV_COLLISION,
-                                tuple(self._audible_transmitters(receiver, messages)),
-                            )
-                    elif prov is not None:
-                        prov.note(slot, receiver, PROV_SILENCE, ())
-                observations.append(observation)
-                if tracing:
-                    conflict_counts[receiver] = num_audible
-                    heard[receiver] = observation
-        else:
-            for entry in receivers:
-                receiver = entry[0]
-                neighborhood = audible_map[receiver]
-                # Intersect from the smaller side.
-                if num_transmitters < len(neighborhood):
-                    audible = [node for node in messages if node in neighborhood]
-                else:
-                    audible = [node for node in neighborhood if node in messages]
-                audible_pre_loss = audible
-                if losses and audible:
-                    audible = [
-                        node
-                        for node in audible
-                        if not self._erased(losses, slot, node, receiver)
-                    ]
-                num_audible = len(audible)
-                sender = audible[0] if num_audible == 1 else None
-                clean = sender is not None and not (jammed and sender in jammed)
-                if fast_medium:  # inlined RadioMedium.resolve
-                    observation = messages[sender] if clean else SILENCE
-                else:
-                    observation = medium.resolve(receiver, audible, messages)
-                    if sender is not None and not clean:
-                        # A lone jammer is energy without content.
-                        observation = (
-                            COLLISION if medium.detects_collisions else SILENCE
-                        )
-                if clean:
-                    metrics.deliveries += 1
-                    if receiver not in first_reception:
-                        first_reception[receiver] = slot
+        for entry in receivers:
+            receiver = entry[0]
+            audible = audible_pre_loss = _audible(audible_map[receiver], messages)
+            if losses and audible:
+                audible = [
+                    node
+                    for node in audible
+                    if not self._erased(losses, slot, node, receiver)
+                ]
+            num_audible = len(audible)
+            sender = audible[0] if num_audible == 1 else None
+            clean = sender is not None and sender not in jammed
+            observation = medium.resolve(receiver, audible, messages)
+            if sender is not None and not clean:
+                # A lone jammer is energy without content.
+                observation = COLLISION if medium.detects_collisions else SILENCE
+            if clean:
+                metrics.deliveries += 1
+                if receiver not in first_reception:
+                    first_reception[receiver] = slot
                     has_received.add(receiver)
-                    if tracing:
-                        deliveries[receiver] = (sender, messages[sender])
-                elif num_audible >= 2:
-                    collisions += 1
-                    col_per_node[receiver] = col_get(receiver, 0) + 1
-                if prov is not None:
-                    if clean:
-                        prov.note(slot, receiver, PROV_DELIVERED, (sender,))
-                    elif num_audible >= 2:
-                        prov.note(slot, receiver, PROV_COLLISION, tuple(audible))
-                    elif num_audible == 1:  # lone jammer
-                        prov.note(slot, receiver, PROV_FAULT, (sender,),
-                                  detail="jamming")
-                    elif audible_pre_loss:  # all receptions erased by loss faults
-                        prov.note(slot, receiver, PROV_FAULT,
-                                  tuple(audible_pre_loss), detail="link-loss")
-                    else:
-                        prov.note(slot, receiver, PROV_SILENCE, ())
-                observations.append(observation)
                 if tracing:
-                    conflict_counts[receiver] = num_audible
-                    heard[receiver] = observation
+                    deliveries[receiver] = (sender, messages[sender])
+            elif num_audible >= 2:
+                collisions += 1
+                col_per_node[receiver] = col_per_node.get(receiver, 0) + 1
+            if prov is not None:
+                if clean:
+                    prov.note(slot, receiver, PROV_DELIVERED, (sender,))
+                elif num_audible >= 2:
+                    prov.note(slot, receiver, PROV_COLLISION, tuple(audible))
+                elif num_audible == 1:  # lone jammer
+                    prov.note(slot, receiver, PROV_FAULT, (sender,),
+                              detail="jamming")
+                elif audible_pre_loss:  # all receptions erased by loss faults
+                    prov.note(slot, receiver, PROV_FAULT,
+                              tuple(audible_pre_loss), detail="link-loss")
+                else:
+                    prov.note(slot, receiver, PROV_SILENCE, ())
+            observations.append(observation)
+            if tracing:
+                conflict_counts[receiver] = num_audible
+                heard[receiver] = observation
         metrics.collisions += collisions
 
         # Observations are delivered only after the whole slot resolves,
@@ -631,6 +655,61 @@ class Engine:
                     conflict_counts=conflict_counts,
                 )
             )
+
+    # -- shared by both loops -------------------------------------------
+
+    def _admit(
+        self,
+        entry: Entry,
+        intent: Any,
+        messages: dict[Node, Any],
+        receivers: list[Entry],
+    ) -> None:
+        """File an intent the exact-type dispatch did not: a ``Transmit``
+        (checked against rule 5) or a subclass of an intent type."""
+        if isinstance(intent, Receive):
+            receivers.append(entry)
+        elif isinstance(intent, Transmit):
+            node = entry[0]
+            if self.enforce_no_spontaneous and node not in self._has_received:
+                raise ProtocolError(
+                    f"node {node!r} transmitted spontaneously at slot {self.slot} "
+                    "(Definition 1, rule 5; pass enforce_no_spontaneous=False to allow)"
+                )
+            messages[node] = intent.message
+        elif not isinstance(intent, Idle):
+            raise ProtocolError(
+                f"node {entry[0]!r} returned {intent!r}; expected Transmit/Receive/Idle"
+            )
+
+    def _count_transmissions(self, messages: dict[Node, Any]) -> None:
+        """Meter one slot's transmitters; jamming noise is metered apart."""
+        metrics = self.metrics
+        jammed = self._jammed_now
+        per_node = metrics.transmissions_per_node
+        for node in messages:
+            if node not in jammed:
+                per_node[node] = per_node.get(node, 0) + 1
+        # Every live jammer is a messages key (the general loop injects them).
+        metrics.jam_transmissions += len(jammed)
+        metrics.transmissions += len(messages) - len(jammed)
+
+    def _audible_map(self) -> dict[Node, frozenset[Node]]:
+        """Per-node audibility sets, refreshed when the graph changes."""
+        graph = self.graph
+        if self._audible_version != graph.version:
+            audible = graph.audible
+            self._audible = {node: audible(node) for node in graph}
+            if isinstance(graph, DiGraph):
+                hearers = graph.hearers
+                self._hearers = {node: hearers(node) for node in graph}
+            else:
+                self._hearers = self._audible  # symmetric links
+            self._audible_version = graph.version
+        return self._audible
+
+    def _audible_transmitters(self, receiver: Node, messages: dict[Node, Any]) -> list[Node]:
+        return _audible(self._audible_map()[receiver], messages)
 
     def _losses_at(self, slot: int) -> tuple[tuple[int, LinkLossFault], ...]:
         """The (index, fault) pairs of loss windows active this slot."""
@@ -661,12 +740,3 @@ class Engine:
                 if draw / 18446744073709551616.0 < fault.p:  # / 2**64 -> [0, 1)
                     return True
         return False
-
-    def _audible_transmitters(self, receiver: Node, messages: dict[Node, Any]) -> list[Node]:
-        neighborhood = self._audible_map()[receiver]
-        if len(messages) < len(neighborhood):
-            return [node for node in messages if node in neighborhood]
-        return [node for node in neighborhood if node in messages]
-
-    def _all_done(self) -> bool:
-        return self._refresh_done()

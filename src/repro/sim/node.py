@@ -30,7 +30,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-__all__ = ["Transmit", "Receive", "Idle", "Intent", "Context", "NodeProgram"]
+__all__ = [
+    "Transmit",
+    "Receive",
+    "Idle",
+    "RECEIVE",
+    "IDLE",
+    "Intent",
+    "Context",
+    "NodeProgram",
+]
 
 Node = Hashable
 
@@ -53,6 +62,11 @@ class Idle:
 
 
 Intent = Transmit | Receive | Idle
+
+#: Shared intents.  Intents are immutable, so every program may return
+#: these instead of allocating a fresh ``Receive()``/``Idle()`` per slot.
+RECEIVE = Receive()
+IDLE = Idle()
 
 
 @dataclass

@@ -109,6 +109,21 @@ class TestFallback:
         assert set(result.worker_exits.values()) == {-9}
 
 
+class TestCleanShutdown:
+    def test_fault_free_workers_exit_zero(self, tmp_path):
+        """Workers that finished on their own are reaped, never SIGTERMed
+        while they shut down: every exit code is 0 in fault-free runs.
+        Worker telemetry lengthens that shutdown, widening the window."""
+        for seed in range(10):
+            config = FabricConfig(
+                spec="chaos", params={"n": 16, "reps": 4, "master_seed": seed},
+                store=tmp_path / f"f{seed}.db", workers=2, worker_telemetry=True,
+                install_signal_handler=False, timeout=120.0,
+            )
+            result = run_fabric(config)
+            assert result.worker_exits == {"w0": 0, "w1": 0}, (seed, result.worker_exits)
+
+
 class TestGuards:
     def test_unknown_fault_target_rejected_up_front(self, tmp_path):
         from repro.errors import ExperimentError

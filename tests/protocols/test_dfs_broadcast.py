@@ -4,8 +4,9 @@ import pytest
 
 from repro.graphs import Graph, c_n, complete, grid, line, random_gnp, ring, star
 from repro.protocols.base import run_broadcast
-from repro.protocols.dfs_broadcast import make_dfs_programs
+from repro.protocols.dfs_broadcast import DFSBroadcastProgram, make_dfs_programs
 from repro.rng import spawn
+from repro.sim import COLLISION, SILENCE, CrashFault, FaultSchedule, LinkLossFault
 
 
 def run_dfs(g, source=0, max_slots=None):
@@ -116,3 +117,69 @@ class TestTokenSemantics:
                 assert current not in seen
                 seen.add(current)
                 current = parents[current]
+
+
+class CopyingDFS(DFSBroadcastProgram):
+    """The former ``on_observe``, which copied ``visited`` on every token."""
+
+    def on_observe(self, ctx, heard):
+        if heard is SILENCE or heard is COLLISION:
+            return
+        if not (isinstance(heard, tuple) and heard and heard[0] == "dfs-token"):
+            return
+        _tag, target, visited, sender, _payload = heard
+        self.visited = frozenset(self.visited | visited)
+        if target == ctx.node:
+            self.has_token = True
+            self._done = False
+            if self.parent is None and not self.is_source and ctx.node not in visited:
+                self.parent = sender
+
+
+def _faults(g, seed, kind):
+    if kind == "none":
+        return None
+    rng = spawn(seed, "dfs-faults")
+    nodes = sorted(g.nodes)[1:]
+    if kind == "crash":
+        crashes = [
+            CrashFault(node=node, slot=rng.randint(0, 30), until=rng.choice([None, 50]))
+            for node in rng.sample(nodes, 3)
+        ]
+        return FaultSchedule(crash_faults=crashes)
+    return FaultSchedule(link_loss_faults=[LinkLossFault(p=0.25)])
+
+
+class TestVisitedExactness:
+    """``visited`` is exactly the union of every token set a node heard,
+    plus itself once it has sent the token, with or without faults."""
+
+    @pytest.mark.parametrize("kind", ["none", "crash", "loss"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_visited_is_union_of_observed_tokens(self, seed, kind):
+        g = random_gnp(24, 0.2, spawn(seed, "dfs-x"))
+        faults = _faults(g, seed, kind)
+        cap = 4 * g.num_nodes() + 4
+        result = run_broadcast(
+            g, make_dfs_programs(g, 0), initiators={0}, max_slots=cap,
+            stop="terminated", faults=faults, record_trace=True,
+        )
+        expected = {node: set() for node in g.nodes}
+        for record in result.trace:
+            for node, message in record.transmitters.items():
+                expected[node].add(node)
+            for node, heard in record.heard.items():
+                if isinstance(heard, tuple) and heard[0] == "dfs-token":
+                    expected[node] |= heard[2]
+        for node, program in result.programs.items():
+            assert program.visited == expected[node], node
+
+        copying = {
+            node: CopyingDFS(is_source=(node == 0)) for node in g.nodes
+        }
+        reference = run_broadcast(
+            g, copying, initiators={0}, max_slots=cap,
+            stop="terminated", faults=faults, record_trace=True,
+        )
+        assert result.node_results() == reference.node_results()
+        assert result.metrics == reference.metrics

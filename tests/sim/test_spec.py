@@ -1,0 +1,207 @@
+"""Differential tests: the engine's two slot loops against the spec.
+
+:mod:`repro.sim.spec` resolves each slot straight from Definition 1.
+Scripted programs replay random Transmit/Receive/Idle intents on small
+graphs and digraphs; the spec, the lean loop (fault-free
+``RadioMedium``, no trace) and the general loop (forced by
+``record_trace=True``) must agree on every observation and on the
+``RunMetrics``.  A second property checks that trace, provenance and
+telemetry never change a ``RunResult``.
+"""
+
+from typing import Any
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ProtocolError
+from repro.graphs import DiGraph, Graph
+from repro.protocols.decay_broadcast import make_broadcast_programs
+from repro.sim import (
+    COLLISION,
+    IDLE,
+    RECEIVE,
+    SILENCE,
+    CollisionDetectingMedium,
+    Context,
+    CrashFault,
+    EdgeFault,
+    Engine,
+    FaultSchedule,
+    Idle,
+    JamFault,
+    LinkLossFault,
+    NodeProgram,
+    RadioMedium,
+    Receive,
+    Transmit,
+    spec,
+)
+from repro.telemetry.core import Telemetry
+
+SLOTS = 8
+
+
+class Scripted(NodeProgram):
+    """Replays a fixed script of intent codes; done from ``done_at`` on.
+
+    ``T`` transmits once the node holds a message (it is an initiator
+    or has been delivered one) and listens before; ``S`` transmits
+    regardless, which rule 5 may reject; ``R``/``I`` return the shared
+    intents and ``r``/``i`` fresh instances, which take the engine's
+    ``isinstance`` fallback.
+    """
+
+    def __init__(self, codes: str, done_at: int, informed: bool) -> None:
+        self.codes = codes
+        self.done_at = done_at
+        self.informed = informed
+        self.log: list[tuple[int, Any]] = []
+
+    def act(self, ctx: Context) -> Any:
+        code = self.codes[ctx.slot]
+        if code == "S" or (code == "T" and self.informed):
+            return Transmit(("m", ctx.node, ctx.slot))
+        return {"T": RECEIVE, "R": RECEIVE, "I": IDLE, "r": Receive(), "i": Idle()}[code]
+
+    def on_observe(self, ctx: Context, heard: Any) -> None:
+        self.log.append((ctx.slot, heard))
+        if heard is not SILENCE and heard is not COLLISION:
+            self.informed = True
+
+    def is_done(self, ctx: Context) -> bool:
+        return ctx.slot >= self.done_at
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(1, 7))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = (DiGraph if directed else Graph)(nodes=range(n), edges=edges)
+    weights = draw(st.sampled_from(["TTRRI", "TRRRRri", "TTTTRI", "TTRRS"]))
+    codes = st.text(alphabet=weights, min_size=SLOTS, max_size=SLOTS)
+    scripts = {node: draw(codes) for node in range(n)}
+    done_at = {node: draw(st.integers(0, SLOTS + 1)) for node in range(n)}
+    initiators = frozenset(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    enforce = draw(st.booleans())
+    collision_detection = draw(st.booleans())
+    return graph, scripts, done_at, initiators, enforce, collision_detection
+
+
+def _programs(graph, scripts, done_at, initiators):
+    return {
+        node: Scripted(scripts[node], done_at[node], node in initiators)
+        for node in graph.nodes
+    }
+
+
+def _outcome(run):
+    """A run's result, or the ProtocolError message it raised."""
+    try:
+        return run()
+    except ProtocolError as exc:
+        return str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(cases())
+def test_engine_loops_agree_with_spec(case):
+    graph, scripts, done_at, initiators, enforce, collision_detection = case
+
+    def spec_run():
+        programs = _programs(graph, scripts, done_at, initiators)
+        metrics, observed = spec.run(
+            graph,
+            programs,
+            SLOTS,
+            initiators=initiators,
+            enforce_no_spontaneous=enforce,
+            detects_collisions=collision_detection,
+        )
+        return metrics, observed, {node: p.log for node, p in programs.items()}
+
+    def engine_run(record_trace):
+        programs = _programs(graph, scripts, done_at, initiators)
+        medium = CollisionDetectingMedium() if collision_detection else RadioMedium()
+        engine = Engine(
+            graph,
+            programs,
+            medium=medium,
+            initiators=initiators,
+            enforce_no_spontaneous=enforce,
+            record_trace=record_trace,
+        )
+        assert engine._lean is (not record_trace and not collision_detection)
+        result = engine.run(SLOTS)
+        observed = (
+            [dict(record.heard) for record in result.trace] if record_trace else None
+        )
+        return result.metrics, observed, {node: p.log for node, p in programs.items()}
+
+    expected = _outcome(spec_run)
+    lean = _outcome(lambda: engine_run(False))
+    general = _outcome(lambda: engine_run(True))
+    if isinstance(expected, str):
+        assert lean == general == expected
+        return
+    metrics, observed, logs = expected
+    assert lean[0] == metrics and lean[2] == logs
+    assert general[0] == metrics and general[2] == logs
+    assert general[1] == observed
+
+
+@st.composite
+def broadcast_cases(draw):
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    spine = [(node - 1, node) for node in range(1, n)]  # keep it connected
+    edges = spine + draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    graph = Graph(nodes=range(n), edges=edges)
+    faults = FaultSchedule()
+    if draw(st.booleans()):
+        slot = st.integers(0, 30)
+        node = st.integers(1, n - 1)
+        faults = FaultSchedule(
+            edge_faults=[EdgeFault(slot=draw(slot), u=0, v=1)],
+            crash_faults=[CrashFault(node=draw(node), slot=draw(slot), until=40)],
+            jam_faults=[JamFault(node=draw(node), start=draw(slot), end=35)],
+            link_loss_faults=[LinkLossFault(p=0.3, start=0, end=50)],
+        )
+    return graph, faults, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(broadcast_cases())
+def test_instrumentation_never_changes_results(case):
+    graph, faults, seed = case
+
+    def result(trace, provenance, telemetry):
+        programs, _params = make_broadcast_programs(graph, {0})
+        engine = Engine(
+            graph,
+            programs,
+            seed=seed,
+            initiators={0},
+            faults=faults,
+            record_trace=trace,
+            record_provenance=provenance,
+            telemetry=Telemetry() if telemetry else None,
+        )
+        run = engine.run(300)
+        return run.slots, run.metrics, run.node_results(), run.graph
+
+    plain = result(False, False, False)
+    for flags in [(True, False, False), (False, True, False), (False, False, True),
+                  (True, True, True)]:
+        assert result(*flags) == plain, flags
+
+
+def test_spec_rejects_bad_intents():
+    graph = Graph(nodes=[0, 1], edges=[(0, 1)])
+    with pytest.raises(ProtocolError, match="expected Transmit"):
+        spec.resolve_slot(graph, {0: "bogus"}, informed=set())
+    with pytest.raises(ProtocolError, match="rule 5"):
+        spec.resolve_slot(graph, {1: Transmit("x")}, informed={0})
