@@ -24,9 +24,9 @@ Subcommands:
   telemetry logs / bench records into a SQLite run store, ``compare``
   two runs, ``trend`` a metric with a CI regression gate (``--check``),
   ``report`` terminal tables or an HTML dashboard, ``explain``
-  causal slot provenance ("why didn't node v receive in slot t?"),
-  and ``export`` a log as a Chrome/Perfetto trace
-  (``--chrome-trace``).
+  causal slot provenance ("why didn't node v receive in slot t?") or
+  a run's perf plane (``--perf``), and ``export`` a log as a
+  Chrome/Perfetto trace (``--chrome-trace``).
 * ``fabric`` — the crash-safe distributed campaign fabric
   (:mod:`repro.fabric`): ``run`` a registered campaign spec across N
   worker subprocesses coordinating through a shared SQLite lease
@@ -65,9 +65,6 @@ Observability (see :mod:`repro.telemetry`):
   events — engine run spans, protocol phase markers, campaign chunk
   records, progress heartbeats — to ``PATH`` as JSON lines, plus a
   run manifest sidecar at ``PATH.manifest.json``;
-* ``--profile`` (same commands) runs the command under ``cProfile``
-  and prints the top hotspots (also appended to the event stream as a
-  ``profile`` record when ``--telemetry`` is on);
 * ``--log-level LEVEL`` (global, before the subcommand) turns on the
   library's ``logging`` output, e.g. campaign progress heartbeats from
   ``repro.parallel`` and verdict lines from ``repro.chaos``;
@@ -78,9 +75,12 @@ Observability (see :mod:`repro.telemetry`):
   (:mod:`repro.perf`): folded wall-clock stacks plus traced memory
   per span land in the telemetry log as ``perf_profile`` /
   ``perf_span`` events (pool and fabric workers sample themselves via
-  the inherited ``REPRO_PERF`` gate), ``--perf-hz`` tunes the rate and
-  ``--perf-out BASE`` writes ``BASE.folded`` + a flamegraph
-  ``BASE.html``.
+  the inherited ``REPRO_PERF`` gate), the span costs and hottest
+  frames print when the command finishes, ``--perf-hz`` tunes the rate
+  and ``--perf-out BASE`` writes ``BASE.folded`` + a flamegraph
+  ``BASE.html``.  An ingested run's perf plane is read back with
+  ``obs explain --perf`` and gated with ``obs trend --metric perf.*
+  --check``.
 """
 
 from __future__ import annotations
@@ -553,95 +553,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                     print("\n\n".join(t.render() for t in run_tables(store, run)))
                 return 0
 
-            if args.obs_command == "perf":
-                from repro.obs import (
-                    DEFAULT_BASELINE_K,
-                    DEFAULT_THRESHOLD,
-                    perf_overview,
-                )
-
-                if args.metric:
-                    # Cross-run trend + CI gate over one perf.* metric;
-                    # perf metrics default to direction "down" (cost).
-                    points = trend_points(store, args.metric, source="runs")
-                    verdict = detect_regression(
-                        [p.value for p in points],
-                        threshold=(args.threshold if args.threshold is not None
-                                   else DEFAULT_THRESHOLD),
-                        baseline_k=(args.baseline_k
-                                    if args.baseline_k is not None
-                                    else DEFAULT_BASELINE_K),
-                        metric=args.metric,
-                    )
-                    checkable = len(points) >= 2
-                    if args.json:
-                        payload = {
-                            "points": [vars(p) for p in points],
-                            "verdict": verdict,
-                        }
-                        if args.check:
-                            payload["check"] = {
-                                "checked": checkable,
-                                "regressed": bool(verdict["regressed"])
-                                             if checkable else False,
-                            }
-                        print(json.dumps(payload, indent=2, sort_keys=True,
-                                         default=repr))
-                    else:
-                        print(trend_table(args.metric, points, verdict).render())
-                    if args.check and checkable and verdict["regressed"]:
-                        if not args.json:
-                            print(f"perf check [{args.metric}]: "
-                                  f"latest={verdict['latest']:.4g} "
-                                  f"baseline={verdict['baseline']:.4g} "
-                                  f"change={verdict['change']:+.1%} -> "
-                                  f"REGRESSION")
-                        return 1
-                    return 0
-
-                overview = perf_overview(store, args.run)
-                if args.json:
-                    print(json.dumps(overview, indent=2, sort_keys=True,
-                                     default=repr))
-                    return 0
-                run = overview["run"]
-                header = (f"Perf plane — run {run['id']} "
-                          f"({str(run['fingerprint'])[:8]})")
-                if overview["samples"]:
-                    header += (f" — {overview['samples']:g} samples over "
-                               f"{overview['sample_wall_s'] or 0:g}s")
-                print(header)
-                if overview["spans"]:
-                    table = Table(
-                        "Span costs (sampled time + traced memory)",
-                        ["span", "secs", "samples", "peak KiB"],
-                    )
-                    for row in overview["spans"]:
-                        table.add_row(
-                            row["label"],
-                            f"{row.get('secs', 0.0):.3f}",
-                            f"{row.get('samples', 0):g}",
-                            f"{row.get('mem_peak_kb', 0.0):.1f}",
-                        )
-                    print()
-                    print(table.render())
-                if overview["hotspots"]:
-                    table = Table(
-                        "cProfile hotspots (from --profile)",
-                        ["function", "cumtime s", "tottime s"],
-                    )
-                    for row in overview["hotspots"]:
-                        table.add_row(
-                            row["func"],
-                            f"{row.get('cumtime_s', 0.0):.3f}",
-                            f"{row.get('tottime_s', 0.0):.3f}",
-                        )
-                    print()
-                    print(table.render())
-                return 0
-
             if args.obs_command == "explain":
-                if getattr(args, "perf_aggregates", False):
+                if args.perf_aggregates:
                     from repro.obs import perf_overview
 
                     overview = perf_overview(store, args.run)
@@ -658,6 +571,20 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                     for name, value in sorted(overview["metrics"].items()):
                         table.add_row(name, value)
                     print(table.render())
+                    if overview["spans"]:
+                        table = Table(
+                            "Span costs (sampled time + traced memory)",
+                            ["span", "secs", "samples", "peak KiB"],
+                        )
+                        for row in overview["spans"]:
+                            table.add_row(
+                                row["label"],
+                                f"{row.get('secs', 0.0):.3f}",
+                                f"{row.get('samples', 0):g}",
+                                f"{row.get('mem_peak_kb', 0.0):.1f}",
+                            )
+                        print()
+                        print(table.render())
                     return 0
                 if args.fabric:
                     run = store.resolve_run(args.run)
@@ -711,11 +638,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                               + (f" ({entry['detail']})" if entry["detail"] else ""))
                 return 0 if result["found"] else 1
     except ExperimentError as exc:
-        if args.obs_command in ("trend", "perf"):
+        if args.obs_command == "trend" or getattr(args, "perf_aggregates",
+                                                  False):
             # The --check exit-code contract: 0 = checked and clean,
             # 1 = regression detected, 2 = bad invocation (unknown
-            # metric/source, invalid threshold, missing store) — so a
-            # CI gate can never mistake a typo for a verdict.
+            # metric/source, invalid threshold, missing store, a run
+            # with no perf metrics) — so a CI gate can never mistake a
+            # typo for a verdict.
             print(f"obs {args.obs_command}: {exc}", file=sys.stderr)
             return 2
         raise SystemExit(f"obs {args.obs_command}: {exc}")
@@ -734,7 +663,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         diff_folded,
         load_stacks,
         render_flamegraph,
-        top_frames,
     )
     from repro.perf import activate as perf_activate
 
@@ -756,42 +684,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                 code = main(cmd)
             except SystemExit as exc:
                 code = exc.code if isinstance(exc.code, int) else 1
-        base = args.out
-        folded_path = pathlib.Path(f"{base}.folded")
-        folded_path.write_text(session.folded_text(), encoding="utf-8")
-        html_path = pathlib.Path(f"{base}.html")
-        html_path.write_text(
-            render_flamegraph(
-                session.counts,
-                title=f"repro {' '.join(cmd)}",
-                subtitle=(f"{session.sampler.samples} samples @ {hz:g} Hz "
-                          f"over {session.sampler.wall_s:.2f}s"),
-            ),
-            encoding="utf-8",
-        )
-        print(f"\n[perf] {session.sampler.samples} samples @ {hz:g} Hz "
-              f"({len(session.counts)} distinct stacks)")
-        print(f"[perf] wrote {folded_path} and {html_path}")
-        spans = session.span_table()
-        if spans:
-            table = Table(
-                "Span costs (sampled time + traced memory)",
-                ["span", "count", "secs", "samples", "peak KiB"],
-            )
-            for row in spans:
-                table.add_row(row["label"], row["count"],
-                              f"{row['secs']:.3f}", row["samples"],
-                              f"{row['mem_peak_kb']:.1f}")
-            print()
-            print(table.render())
-        frames = top_frames(session.counts, top=10)
-        if frames:
-            table = Table("Hottest frames", ["frame", "self", "total", "share"])
-            for row in frames:
-                table.add_row(row["frame"], row["self"], row["total"],
-                              f"{row['share']:.1%}")
-            print()
-            print(table.render())
+        _report_perf(session, title=f"repro {' '.join(cmd)}", base=args.out)
         return code
 
     if args.perf_command == "flame":
@@ -1256,11 +1149,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "sidecar lands at PATH.manifest.json",
         )
         p.add_argument(
-            "--profile", action="store_true",
-            help="run under cProfile and print the top hotspots "
-                 "(recorded to the event stream too when --telemetry is on)",
-        )
-        p.add_argument(
             "--provenance", action="store_true",
             help="record causal slot provenance (who transmitted into each "
                  "listening node, and why it did/didn't receive); streamed "
@@ -1522,8 +1410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--perf", dest="perf_aggregates",
                            action="store_true",
                            help="print the run's perf-plane aggregates "
-                                "(sampled span costs, cProfile hotspots) "
-                                "instead of slot provenance")
+                                "(perf.* metrics and sampled span costs) "
+                                "instead of slot provenance; exit 2 when "
+                                "the run has no perf metrics")
     p_explain.add_argument("--engine-run", default=None, metavar="TAG",
                            help="engine-run tag within the log (e.g. r3) when "
                                 "a campaign recorded this (node, slot) more "
@@ -1540,30 +1429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--chrome-trace", required=True, metavar="PATH",
                           help="where to write the trace JSON")
 
-    p_obs_perf = obs_sub.add_parser(
-        "perf",
-        help="the perf plane of an ingested run: sampled span costs, "
-             "traced memory, cProfile hotspots, and a cross-run "
-             "regression gate over any perf.* metric",
-    )
-    p_obs_perf.add_argument("db")
-    p_obs_perf.add_argument("--run", default="latest",
-                            help="run id, fingerprint prefix, 'latest' or 'prev'")
-    p_obs_perf.add_argument("--metric", default=None, metavar="NAME",
-                            help="trend this perf.* metric over ordered runs "
-                                 "instead of printing the per-run overview")
-    p_obs_perf.add_argument("--check", action="store_true",
-                            help="with --metric: exit 1 when the latest point "
-                                 "regressed beyond --threshold vs the median "
-                                 "of the last --baseline-k points (CI gate; "
-                                 "exit codes: 0 = checked and clean, 1 = "
-                                 "regression, 2 = bad invocation)")
-    p_obs_perf.add_argument("--threshold", type=float, default=None,
-                            help="relative regression threshold (default 0.2)")
-    p_obs_perf.add_argument("--baseline-k", type=int, default=None,
-                            help="baseline = median of this many prior points "
-                                 "(default 3)")
-    p_obs_perf.add_argument("--json", action="store_true")
     p_obs.set_defaults(func=_cmd_obs)
 
     p_perf = sub.add_parser(
@@ -1904,62 +1769,66 @@ def _manifest_config(args: argparse.Namespace) -> dict:
     config = {
         key: value
         for key, value in vars(args).items()
-        if key not in ("func", "telemetry", "profile", "log_level", "obs_db",
+        if key not in ("func", "telemetry", "log_level", "obs_db",
                        "monitor", "perf", "perf_hz", "perf_out")
         and not callable(value)
     }
     return config
 
 
+def _report_perf(session, *, title: str, base: str | None) -> None:
+    """Print a finished session's span costs and hottest frames, and
+    write ``BASE.folded`` + the ``BASE.html`` flamegraph when ``base``
+    is given (``perf record`` and ``--perf`` share this view)."""
+    import pathlib
+
+    from repro.analysis.tables import Table
+    from repro.perf import render_flamegraph, top_frames
+
+    sampled = (f"{session.sampler.samples} samples @ {session.hz:g} Hz "
+               f"over {session.sampler.wall_s:.2f}s")
+    print(f"\n[perf] {sampled} ({len(session.counts)} distinct stacks)")
+    if base:
+        pathlib.Path(f"{base}.folded").write_text(
+            session.folded_text(), encoding="utf-8"
+        )
+        pathlib.Path(f"{base}.html").write_text(
+            render_flamegraph(session.counts, title=title, subtitle=sampled),
+            encoding="utf-8",
+        )
+        print(f"[perf] wrote {base}.folded and {base}.html")
+    spans = session.span_table()
+    if spans:
+        table = Table(
+            "Span costs (sampled time + traced memory)",
+            ["span", "count", "secs", "samples", "peak KiB"],
+        )
+        for row in spans:
+            table.add_row(row["label"], row["count"], f"{row['secs']:.3f}",
+                          row["samples"], f"{row['mem_peak_kb']:.1f}")
+        print()
+        print(table.render())
+    frames = top_frames(session.counts, top=10)
+    if frames:
+        table = Table("Hottest frames", ["frame", "self", "total", "share"])
+        for row in frames:
+            table.add_row(row["frame"], row["self"], row["total"],
+                          f"{row['share']:.1%}")
+        print()
+        print(table.render())
+
+
 def _finish_perf(args, session, recorder, previous_ambient) -> None:
     """Stop a ``--perf`` session: clear the ambient registry, emit the
     ``perf_*`` records into the telemetry stream (when there is one),
-    and write the ``--perf-out`` artifacts."""
+    and report it (``--perf-out`` artifacts included)."""
     from repro.perf import core as _perf_core
-    from repro.perf import render_flamegraph
 
     session.stop()
     _perf_core.set_active(previous_ambient)
     if recorder is not None:
         session.emit(recorder)
-    print(f"\n[perf] {session.sampler.samples} samples @ {session.hz:g} Hz "
-          f"over {session.sampler.wall_s:.2f}s "
-          f"({len(session.counts)} distinct stacks)")
-    if recorder is None:
-        # Nowhere durable to land the records: show the attribution here.
-        for row in session.span_table():
-            print(f"[perf]   {row['label']}: {row['secs']:.3f}s "
-                  f"({row['samples']} samples, "
-                  f"peak {row['mem_peak_kb']:.1f} KiB)")
-    base = getattr(args, "perf_out", None)
-    if base:
-        import pathlib
-
-        pathlib.Path(f"{base}.folded").write_text(
-            session.folded_text(), encoding="utf-8"
-        )
-        pathlib.Path(f"{base}.html").write_text(
-            render_flamegraph(
-                session.counts,
-                title=f"repro {args.command}",
-                subtitle=(f"{session.sampler.samples} samples @ "
-                          f"{session.hz:g} Hz"),
-            ),
-            encoding="utf-8",
-        )
-        print(f"[perf] wrote {base}.folded and {base}.html")
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    """Run the selected command, honouring ``--profile`` if present."""
-    if getattr(args, "profile", False):
-        from repro.telemetry.profiling import profile_call
-
-        code, report = profile_call(args.func, args)
-        print()
-        print(report.rstrip())
-        return code
-    return args.func(args)
+    _report_perf(session, title=f"repro {args.command}", base=args.perf_out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -2026,7 +1895,7 @@ def main(argv: list[str] | None = None) -> int:
                 config=_manifest_config(args),
             )
             with recorder, activate(recorder):
-                code = _dispatch(args)
+                code = args.func(args)
                 if detach_monitor is not None:
                     monitor_report = detach_monitor()
                 if perf_session is not None:
@@ -2049,7 +1918,7 @@ def main(argv: list[str] | None = None) -> int:
                     result = ingest_log(store, telemetry_path)
                 print(f"[obs] {result.describe()}")
             return code
-        code = _dispatch(args)
+        code = args.func(args)
         if perf_session is not None:
             _finish_perf(args, perf_session, None, perf_previous_ambient)
             perf_session = None

@@ -49,7 +49,6 @@ CLAIMS: dict[str, str] = {
     "ext_routing": "Extension — point-to-point routing ([BII89])",
     "ext_emulation": "Extension — single-hop-CD emulation ([BGI89])",
     "ext_schedule_quality": "Extension — centralized schedule quality ([CW87])",
-    "bench_parallel": "Harness — process-pool backend: serial-identical, speedup",
 }
 
 

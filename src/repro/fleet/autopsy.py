@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ExperimentError
+from repro.monitor.tail import TailReader
 
 __all__ = [
     "ChunkAutopsy",
@@ -315,17 +316,19 @@ def _check_journal(
             "chunks": 0,
             "problems": [f"no journal at {journal_path}"],
         }
-    for line in journal_path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn tail: the journal loader tolerates it too
+    # A torn (unterminated) tail is pending, not a problem: the journal
+    # loader tolerates it too.  A complete line that is not a JSON
+    # object is corruption the loader would refuse to resume from.
+    reader = TailReader(journal_path)
+    for record in reader.poll():
         if record.get("kind") == "header":
             header = record
         elif record.get("kind") == "chunk":
             journal_payloads[int(record["index"])] = str(record["payload"])
+    if reader.invalid:
+        problems.append(
+            f"journal has {reader.invalid} line(s) that are not JSON objects"
+        )
     if header is None:
         problems.append("journal has no header record")
     elif header.get("fingerprint") != fingerprint:
@@ -600,6 +603,25 @@ _HTML_PALETTE = (
 )
 
 
+_HTML_CSS = """
+body { font: 14px/1.5 system-ui, sans-serif; margin: 2em; color: #222; }
+table { border-collapse: collapse; width: 100%; }
+th { text-align: left; padding-right: 1em; white-space: nowrap; }
+td.lane { position: relative; height: 22px; background: #f4f4f4;
+          border: 1px solid #ddd; min-width: 480px; }
+.bar { position: absolute; top: 3px; height: 14px; opacity: .85;
+       border-radius: 2px; }
+.bar.takeover { outline: 2px dashed #e15759; }
+.mark { position: absolute; top: 0; font-weight: bold; }
+.mark.reject { color: #e15759; }
+.mark.commit { color: #2a7d2a; }
+.key i { display: inline-block; width: 10px; height: 10px;
+         margin-right: 4px; }
+.key { margin-right: 1em; }
+.verdict-PASSED { color: #2a7d2a; } .verdict-FAILED { color: #e15759; }
+"""
+
+
 def render_autopsy_html(report: AutopsyReport) -> str:
     """A self-contained HTML timeline dashboard of the autopsy.
 
@@ -609,6 +631,8 @@ def render_autopsy_html(report: AutopsyReport) -> str:
     deterministic HTML+CSS — no scripts, no external assets — so the
     bytes are stable and the file archives well as a CI artifact.
     """
+    from repro.obs.report import page
+
     span = max((e["ts"] for e in report.timeline), default=0.0) or 1.0
     colors = {
         worker: _HTML_PALETTE[i % len(_HTML_PALETTE)]
@@ -673,27 +697,7 @@ def render_autopsy_html(report: AutopsyReport) -> str:
     violations = "".join(
         f"<li>{html.escape(v)}</li>" for v in report.violations
     )
-    return f"""<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<title>fabric autopsy — {html.escape(report.fingerprint[:12])}</title>
-<style>
-body {{ font: 14px/1.5 system-ui, sans-serif; margin: 2em; color: #222; }}
-table {{ border-collapse: collapse; width: 100%; }}
-th {{ text-align: left; padding-right: 1em; white-space: nowrap; }}
-td.lane {{ position: relative; height: 22px; background: #f4f4f4;
-           border: 1px solid #ddd; min-width: 480px; }}
-.bar {{ position: absolute; top: 3px; height: 14px; opacity: .85;
-        border-radius: 2px; }}
-.bar.takeover {{ outline: 2px dashed #e15759; }}
-.mark {{ position: absolute; top: 0; font-weight: bold; }}
-.mark.reject {{ color: #e15759; }}
-.mark.commit {{ color: #2a7d2a; }}
-.key i {{ display: inline-block; width: 10px; height: 10px;
-          margin-right: 4px; }}
-.key {{ margin-right: 1em; }}
-.verdict-PASSED {{ color: #2a7d2a; }} .verdict-FAILED {{ color: #e15759; }}
-</style></head><body>
-<h1>fabric autopsy — campaign {html.escape(report.fingerprint[:12])}</h1>
+    body = f"""
 <p>{report.items} item(s) in {report.chunks} chunk(s) of
 {report.chunksize}; {len(report.workers)} worker(s);
 takeovers {report.takeovers}; fence rejects {report.fence_rejects}.
@@ -706,5 +710,7 @@ Verdict: <strong class="verdict-{verdict}">{verdict}</strong></p>
 <p>Time axis spans t+0.000s to t+{span:.3f}s from the first audit
 event. Dashed outline = takeover grant; &#10003; commit;
 &#10007; fence rejection.</p>
-</body></html>
 """
+    return page(
+        f"fabric autopsy — campaign {report.fingerprint[:12]}", body, css=_HTML_CSS
+    )

@@ -38,8 +38,9 @@ class TailReader:
     lines and decodes them; an unterminated tail stays buffered until a
     later poll completes it.  Lines that are complete but undecodable
     (corrupt bytes, truncated by a crash *and* followed by more data)
-    are counted in :attr:`invalid` and skipped, mirroring the tolerant
-    batch reader in :mod:`repro.telemetry.summary`.
+    are counted in :attr:`invalid` and skipped.  This is the one
+    tolerant JSON-lines reader: telemetry summaries, flamegraph inputs,
+    fabric journals and webhook dead letters are all read through it.
 
     The reader also survives the file being replaced underneath it:
     an in-place truncation (size shrank) or a rotation (same path, new
@@ -67,8 +68,15 @@ class TailReader:
         self.lineno = 0
         self._buffer = b""
 
-    def poll(self) -> list[dict[str, Any]]:
-        """Decode every record completed since the last poll."""
+    def poll_numbered(self) -> list[tuple[int, Any]]:
+        """Every line completed since the last poll, as ``(lineno, value)``.
+
+        ``value`` is the decoded JSON (of any type), or the
+        :class:`json.JSONDecodeError` when the line is not JSON; blank
+        lines are skipped.  :meth:`poll` is the record-only view; the
+        strict schema reader in :mod:`repro.telemetry.summary` uses the
+        line numbers to name the bad line.
+        """
         try:
             stat = self.path.stat()
         except OSError:
@@ -101,18 +109,27 @@ class TailReader:
         data = self._buffer + chunk
         lines = data.split(b"\n")
         self._buffer = lines.pop()  # b"" when data ended on a newline
-        records: list[dict[str, Any]] = []
+        values: list[tuple[int, Any]] = []
         for raw in lines:
             self.lineno += 1
             if not raw.strip():
                 continue
+            # errors="replace": undecodable bytes (a torn binary tail, a
+            # disk hiccup) become U+FFFD and fail JSON decoding for this
+            # line only, so one bad region never aborts the whole read.
             try:
-                record = json.loads(raw.decode("utf-8", errors="replace"))
-            except json.JSONDecodeError:
-                self.invalid += 1
-                continue
-            if isinstance(record, dict):
-                records.append(record)
+                value = json.loads(raw.decode("utf-8", errors="replace"))
+            except json.JSONDecodeError as exc:
+                value = exc
+            values.append((self.lineno, value))
+        return values
+
+    def poll(self) -> list[dict[str, Any]]:
+        """Decode every record completed since the last poll."""
+        records: list[dict[str, Any]] = []
+        for _lineno, value in self.poll_numbered():
+            if isinstance(value, dict):
+                records.append(value)
             else:
                 self.invalid += 1
         return records

@@ -142,9 +142,8 @@ def _aggregate_metrics(summary: dict[str, Any]) -> dict[str, float]:
             metrics[f"fabric.lease.{event}"] = count
     for name, total in fleet.get("metrics_totals", {}).items():
         metrics[f"fleet.{name}"] = total
-    # Performance plane (repro.perf + the cProfile hook): sampled
-    # volume, per-span attributed cost, and `perf.hotspot.*` rows from
-    # `--profile` events (previously dropped on ingest).
+    # Performance plane (repro.perf): sampled volume and per-span
+    # attributed cost.
     perf = summary.get("perf") or {}
     if perf.get("profiles"):
         metrics["perf.samples"] = perf["samples"]
@@ -155,32 +154,7 @@ def _aggregate_metrics(summary: dict[str, Any]) -> dict[str, float]:
         metrics[f"perf.span.{key}.samples"] = entry["samples"]
         if entry.get("mem_peak_kb"):
             metrics[f"perf.span.{key}.mem_peak_kb"] = entry["mem_peak_kb"]
-    hotspots = perf.get("hotspots") or []
-    if hotspots:
-        metrics["perf.hotspot.rows"] = len(hotspots)
-        for row in hotspots[:_HOTSPOT_METRICS]:
-            key = _metric_key(_short_func(str(row.get("func", "?"))))
-            cumtime = row.get("cumtime_s")
-            tottime = row.get("tottime_s")
-            if isinstance(cumtime, (int, float)):
-                metrics[f"perf.hotspot.{key}.cumtime_s"] = float(cumtime)
-            if isinstance(tottime, (int, float)):
-                metrics[f"perf.hotspot.{key}.tottime_s"] = float(tottime)
     return metrics
-
-
-#: How many cProfile hotspot rows become per-run metrics; the rest
-#: stay in the telemetry log (metric-name cardinality is kept bounded).
-_HOTSPOT_METRICS = 5
-
-
-def _short_func(func: str) -> str:
-    """``/long/path/mod.py:42(name)`` -> ``mod.py:42(name)``."""
-    head, _, tail = func.rpartition("(")
-    if tail:
-        head = head.rstrip()
-    base = head.split("/")[-1].split("\\")[-1]
-    return f"{base}({tail}" if tail else base
 
 
 def _metric_key(text: str) -> str:

@@ -185,10 +185,9 @@ def perf_overview(store: RunStore, run: str | int = "latest") -> dict[str, Any]:
     """The performance plane of one run, grouped for display.
 
     Collects the ``perf.*`` aggregates ingest derives from sampling
-    profiler records (``perf.span.<label>.*``) and routed ``--profile``
-    cProfile events (``perf.hotspot.<func>.*``) into span rows and
-    hotspot rows; raises when the run carries no perf metrics at all
-    (the campaign ran without ``--perf``/``--profile``).
+    profiler records (``perf.span.<label>.*``) into span rows; raises
+    when the run carries no perf metrics at all (the campaign ran
+    without ``--perf``).
     """
     run_row = store.resolve_run(run)
     metrics = store.metrics_for(run_row["id"])
@@ -196,29 +195,18 @@ def perf_overview(store: RunStore, run: str | int = "latest") -> dict[str, Any]:
     if not perf:
         raise ExperimentError(
             f"run {run_row['id']} has no perf metrics; re-run with --perf "
-            f"(sampling profiler) or --profile (cProfile) and re-ingest"
+            "and re-ingest"
         )
     spans: dict[str, dict[str, float]] = {}
-    hotspots: dict[str, dict[str, float]] = {}
     for name, value in perf.items():
         if name.startswith("perf.span."):
             label, _, field = name[len("perf.span."):].rpartition(".")
             if label:
                 spans.setdefault(label, {})[field] = value
-        elif name.startswith("perf.hotspot.") and name != "perf.hotspot.rows":
-            func, _, field = name[len("perf.hotspot."):].rpartition(".")
-            if func:
-                hotspots.setdefault(func, {})[field] = value
     span_rows = [
         {"label": label, **fields}
         for label, fields in sorted(
             spans.items(), key=lambda kv: (-kv[1].get("secs", 0.0), kv[0])
-        )
-    ]
-    hotspot_rows = [
-        {"func": func, **fields}
-        for func, fields in sorted(
-            hotspots.items(), key=lambda kv: (-kv[1].get("cumtime_s", 0.0), kv[0])
         )
     ]
     return {
@@ -226,7 +214,6 @@ def perf_overview(store: RunStore, run: str | int = "latest") -> dict[str, Any]:
         "samples": perf.get("perf.samples"),
         "sample_wall_s": perf.get("perf.sample_wall_s"),
         "spans": span_rows,
-        "hotspots": hotspot_rows,
         "metrics": perf,
     }
 

@@ -19,7 +19,10 @@ from repro.obs.query import TrendPoint
 from repro.obs.store import RunStore
 
 __all__ = [
+    "fmt",
+    "page",
     "sparkline",
+    "tile",
     "run_tables",
     "trend_table",
     "render_run_html",
@@ -48,7 +51,8 @@ def sparkline(values: list[float], *, width: int | None = None) -> str:
     return "".join(_BLOCKS[int((v - lo) * scale)] for v in values)
 
 
-def _fmt(value: Any) -> str:
+def fmt(value: Any) -> str:
+    """A table/tile cell: ``-`` for ``None``, floats in table format."""
     if value is None:
         return "-"
     if isinstance(value, float):
@@ -71,11 +75,11 @@ def run_tables(store: RunStore, run: dict[str, Any]) -> list[Table]:
     created = run.get("created")
     ident.add_row(
         str(run["fingerprint"])[:12],
-        _fmt(run.get("seed")),
+        fmt(run.get("seed")),
         (run.get("git_sha") or "-")[:12],
         run.get("host") or "-",
         time.strftime("%Y-%m-%d %H:%M:%S", time.gmtime(created)) if created else "-",
-        _fmt(run.get("records")),
+        fmt(run.get("records")),
         run.get("source_path") or "-",
     )
     tables.append(ident)
@@ -84,7 +88,7 @@ def run_tables(store: RunStore, run: dict[str, Any]) -> list[Table]:
     if metrics:
         metric_table = Table("Aggregates", ["metric", "value"])
         for name, value in sorted(metrics.items()):
-            metric_table.add_row(name, _fmt(value))
+            metric_table.add_row(name, fmt(value))
         tables.append(metric_table)
 
     series = store.series_for(run_id, "slots_per_sec")
@@ -107,8 +111,8 @@ def run_tables(store: RunStore, run: dict[str, Any]) -> list[Table]:
         )
         for row in phases:
             phase_table.add_row(
-                row["proto"], row["idx"], _fmt(row["count"]),
-                _fmt(row["slot_mean"]), _fmt(row["mean_length"]),
+                row["proto"], row["idx"], fmt(row["count"]),
+                fmt(row["slot_mean"]), fmt(row["mean_length"]),
             )
         tables.append(phase_table)
 
@@ -233,19 +237,28 @@ def _svg_line_chart(
     return "".join(parts)
 
 
-def _page(title: str, body: str) -> str:
+def page(title: str, body: str, *, css: str = _CSS) -> str:
+    """One self-contained HTML page around ``body``: inline ``css``, no
+    scripts, no external assets.
+
+    Every HTML artifact the toolkit writes — the obs dashboards, the
+    tower page, flamegraphs and fabric autopsies — is built here with
+    its own stylesheet.  A pure function of its arguments, so a page
+    rendered twice from the same input is byte-identical.
+    """
     return (
-        "<!DOCTYPE html><html lang='en'><head><meta charset='utf-8'>"
-        f"<title>{html_mod.escape(title)}</title><style>{_CSS}</style></head>"
+        "<!doctype html>\n<html lang='en'><head><meta charset='utf-8'>"
+        f"<title>{html_mod.escape(title)}</title><style>{css}</style></head>"
         f"<body><h1>{html_mod.escape(title)}</h1>{body}"
-        "<p class='meta'>generated by python -m repro obs report "
-        "(self-contained, no external assets)</p></body></html>"
+        "<p class='meta'>generated by python -m repro "
+        "(self-contained, no external assets)</p></body></html>\n"
     )
 
 
-def _tile(key: str, value: Any) -> str:
+def tile(key: str, value: Any) -> str:
+    """A headline metric tile (the ``.tile`` class of the default CSS)."""
     return (
-        f"<div class='tile'><div class='v'>{html_mod.escape(_fmt(value))}</div>"
+        f"<div class='tile'><div class='v'>{html_mod.escape(fmt(value))}</div>"
         f"<div class='k'>{html_mod.escape(key)}</div></div>"
     )
 
@@ -276,7 +289,7 @@ def render_run_html(store: RunStore, run: dict[str, Any]) -> str:
     body.append("<div class='tiles'>")
     for key in _TILE_METRICS:
         if key in metrics:
-            body.append(_tile(key, metrics[key]))
+            body.append(tile(key, metrics[key]))
     body.append("</div>")
 
     series = store.series_for(run_id, "slots_per_sec")
@@ -297,7 +310,7 @@ def render_run_html(store: RunStore, run: dict[str, Any]) -> str:
         for row in phases:
             body.append(
                 "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>"
-                .format(*(html_mod.escape(_fmt(v)) for v in (
+                .format(*(html_mod.escape(fmt(v)) for v in (
                     row["proto"], row["idx"], row["count"],
                     row["slot_mean"], row["mean_length"],
                 )))
@@ -310,7 +323,7 @@ def render_run_html(store: RunStore, run: dict[str, Any]) -> str:
                     "<tr><th>metric</th><th>value</th></tr>")
         for name, value in others.items():
             body.append(f"<tr><td>{html_mod.escape(name)}</td>"
-                        f"<td>{html_mod.escape(_fmt(value))}</td></tr>")
+                        f"<td>{html_mod.escape(fmt(value))}</td></tr>")
         body.append("</table>")
 
     prov_count = store.provenance_count(run_id)
@@ -322,7 +335,7 @@ def render_run_html(store: RunStore, run: dict[str, Any]) -> str:
             f"</code></p>"
         )
     title = f"repro run {run_id} — {run.get('command') or 'telemetry log'}"
-    return _page(title, "".join(body))
+    return page(title, "".join(body))
 
 
 def render_trend_html(
@@ -336,12 +349,12 @@ def render_trend_html(
     body: list[str] = []
     values = [p.value for p in points]
     body.append("<div class='tiles'>")
-    body.append(_tile("points", len(points)))
+    body.append(tile("points", len(points)))
     if values:
-        body.append(_tile("latest", values[-1]))
-        body.append(_tile("best", max(values)))
+        body.append(tile("latest", values[-1]))
+        body.append(tile("best", max(values)))
     if verdict is not None and verdict.get("baseline") is not None:
-        body.append(_tile("baseline (median)", verdict["baseline"]))
+        body.append(tile("baseline (median)", verdict["baseline"]))
         status = "REGRESSED" if verdict["regressed"] else "ok"
         cls = "bad" if verdict["regressed"] else "ok"
         body.append(
@@ -372,7 +385,7 @@ def render_trend_html(
         vs = f"{(point.value - prev) / abs(prev) * 100.0:+.1f}%" if prev else "-"
         body.append(
             f"<tr><td>{i + 1}</td><td>{html_mod.escape(point.label)}</td>"
-            f"<td>{html_mod.escape(_fmt(point.value))}</td><td>{vs}</td></tr>"
+            f"<td>{html_mod.escape(fmt(point.value))}</td><td>{vs}</td></tr>"
         )
     body.append("</table>")
     if verdict is not None:
@@ -383,4 +396,4 @@ def render_trend_html(
                 sort_keys=True, default=repr))
             + "</p>"
         )
-    return _page(f"repro trend — {metric} ({source})", "".join(body))
+    return page(f"repro trend — {metric} ({source})", "".join(body))

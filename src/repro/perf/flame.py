@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import html
-import json
 from pathlib import Path
 from typing import Any
 
@@ -135,30 +134,23 @@ def diff_folded(
 def load_stacks(path: str | Path) -> dict[str, int]:
     """Folded stacks from a ``.folded`` file **or** a telemetry JSONL
     log (merging every ``perf_profile`` record's ``stacks``)."""
+    from repro.monitor.tail import read_log_records
+
     text = Path(path).read_text(encoding="utf-8")
-    first = text.lstrip()[:1]
-    if first != "{":
+    if not text.lstrip().startswith("{"):
         return parse_folded(text)
-    profiles: list[dict[str, int]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn tail
-        if isinstance(record, dict) and record.get("kind") == "perf_profile":
-            stacks = record.get("stacks")
-            if isinstance(stacks, dict):
-                profiles.append(
-                    {
-                        str(stack): int(count)
-                        for stack, count in stacks.items()
-                        if isinstance(count, (int, float)) and count > 0
-                    }
-                )
-    return merge_folded(*profiles)
+    return merge_folded(
+        *(
+            {
+                str(stack): int(count)
+                for stack, count in record["stacks"].items()
+                if isinstance(count, (int, float)) and count > 0
+            }
+            for record in read_log_records(path)
+            if record.get("kind") == "perf_profile"
+            and isinstance(record.get("stacks"), dict)
+        )
+    )
 
 
 # -- rendering ----------------------------------------------------------------
@@ -254,15 +246,11 @@ def render_flamegraph(
     Byte-stable: the same ``stacks`` mapping always renders to the same
     bytes (sorted iteration, fixed float precision, no timestamps).
     """
+    from repro.obs.report import page
+
     root = _build_tree(stacks)
     total = root.total
     parts: list[str] = []
-    title_html = html.escape(title)
-    parts.append(
-        "<!doctype html>\n<html><head><meta charset=\"utf-8\">"
-        f"<title>{title_html}</title><style>{_STYLE}</style></head><body>"
-    )
-    parts.append(f"<h1>{title_html}</h1>")
     meta = f"{total} samples · {len(stacks)} distinct stacks"
     if subtitle:
         meta += f" · {html.escape(subtitle)}"
@@ -290,5 +278,4 @@ def render_flamegraph(
             "<details><summary>folded stacks</summary>"
             f"<pre>{html.escape(folded)}</pre></details>"
         )
-    parts.append("</body></html>\n")
-    return "".join(parts)
+    return page(title, "".join(parts), css=_STYLE)

@@ -1,4 +1,4 @@
-"""repro.telemetry — structured run events, timing, and profiling hooks.
+"""repro.telemetry — structured run events and timing.
 
 The paper's claims are *time* claims (Theorem 1's O(log n) conflict
 resolution, Theorem 4's O((D + log n/ε)·log n) broadcast), so the
@@ -17,8 +17,11 @@ is a hierarchical event/metric recorder that four layers feed:
   workers back into the parent stream, and heartbeats campaign
   progress;
 * the **CLI** writes the run manifest (seed, config fingerprint, git
-  SHA, host, package version) and exposes ``--telemetry PATH``,
-  ``--profile``, and ``python -m repro telemetry <log>``.
+  SHA, host, package version) and exposes ``--telemetry PATH`` and
+  ``python -m repro telemetry <log>``.
+
+Profiling is :mod:`repro.perf`'s job: ``--perf`` lands its sampled
+``perf_profile``/``perf_span`` records in this same stream.
 
 Telemetry is **off by default and a strict no-op when off**: the only
 cost instrumented code pays is a module-global load plus a ``None``

@@ -64,8 +64,6 @@ KINDS: dict[str, frozenset[str]] = {
     "alert": frozenset({"rule", "severity", "message"}),
     # fleet metrics registry snapshot (repro.fleet.metrics)
     "metrics": frozenset({"snapshot"}),
-    # profiling hook
-    "profile": frozenset({"top"}),
     # sampling profiler (repro.perf): folded-stack capture + per-span cost
     "perf_profile": frozenset({"samples", "hz", "dur_s", "stacks"}),
     "perf_span": frozenset({"label", "samples", "secs"}),

@@ -18,6 +18,7 @@ from typing import Any
 
 from repro.analysis.tables import Table
 from repro.errors import ExperimentError
+from repro.monitor.tail import TailReader
 from repro.telemetry.schema import validate_line, validate_record
 
 __all__ = [
@@ -33,43 +34,30 @@ __all__ = [
 def read_records(
     path: str | os.PathLike[str], *, strict: bool = False
 ) -> list[dict[str, Any]]:
-    """Decode every JSON line of an event log.
+    """Every schema-valid record of an event log.
 
-    With ``strict=True`` any schema violation raises
-    :class:`ExperimentError`; otherwise invalid lines are skipped (a
-    torn trailing line from a killed campaign is normal).
-
-    A final line with no terminating newline is a record the writer is
-    still mid-flush on (every writer emits ``<json>\\n`` and a reader
-    may race the flush): it is treated as *incomplete* rather than
-    invalid, in strict mode too.  :class:`repro.monitor.tail.TailReader`
-    is the live counterpart that buffers such a tail until its newline
-    arrives.
+    A schema filter over :class:`repro.monitor.tail.TailReader`, the
+    torn-tail-tolerant reader: a final line with no terminating newline
+    is a record the writer is still mid-flush on and is left out, in
+    strict mode too.  With ``strict=True`` any other bad line (not
+    JSON, or a schema violation) raises :class:`ExperimentError` naming
+    its line number; otherwise invalid lines are skipped (a torn line
+    from a killed campaign is normal).
     """
     log = Path(path)
     if not log.exists():
         raise ExperimentError(f"no telemetry log at {log}")
     records: list[dict[str, Any]] = []
-    # errors="replace": undecodable bytes (a torn binary tail, a disk
-    # hiccup) become U+FFFD and fail JSON decoding per-line, so one bad
-    # region never aborts the whole read.
-    with log.open("r", encoding="utf-8", errors="replace") as stream:
-        for number, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
-            if not line.endswith("\n"):
-                break  # partially-written final line: writer mid-flush
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if strict:
-                    raise ExperimentError(f"{log}: line {number}: {exc}") from exc
-                continue
-            errors = validate_record(record)
-            if errors and strict:
-                raise ExperimentError(f"{log}: line {number}: {'; '.join(errors)}")
-            if not errors:
-                records.append(record)
+    for number, value in TailReader(log).poll_numbered():
+        if isinstance(value, json.JSONDecodeError):
+            if strict:
+                raise ExperimentError(f"{log}: line {number}: {value}") from value
+            continue
+        errors = validate_record(value)
+        if errors and strict:
+            raise ExperimentError(f"{log}: line {number}: {'; '.join(errors)}")
+        if not errors:
+            records.append(value)
     return records
 
 
@@ -258,10 +246,9 @@ def summarize(records: list[dict[str, Any]]) -> dict[str, Any]:
         "metrics_totals": dict(sorted(metrics_totals.items())),
     }
 
-    # Performance plane (repro.perf + the cProfile hook): sampled
-    # folded-stack captures, span-attributed cost, and cProfile hotspot
-    # rows, merged across the log (worker captures ship back as extra
-    # perf_profile/perf_span records and sum here).
+    # Performance plane (repro.perf): sampled folded-stack captures and
+    # span-attributed cost, merged across the log (worker captures ship
+    # back as extra perf_profile/perf_span records and sum here).
     perf_profiles = [r for r in records if r["kind"] == "perf_profile"]
     perf_stacks: dict[str, int] = {}
     for record in perf_profiles:
@@ -285,14 +272,6 @@ def summarize(records: list[dict[str, Any]]) -> dict[str, Any]:
         entry["samples"] += record["samples"]
         entry["mem_peak_kb"] = max(entry["mem_peak_kb"], record.get("mem_peak_kb", 0.0))
         entry["mem_net_kb"] += record.get("mem_net_kb", 0.0)
-    profile_events = [r for r in records if r["kind"] == "profile"]
-    hotspot_rows: list[dict[str, Any]] = []
-    for record in profile_events:
-        rows = record.get("top")
-        if isinstance(rows, list):
-            for row in rows:
-                if isinstance(row, dict) and "func" in row:
-                    hotspot_rows.append(row)
     perf = {
         "profiles": len(perf_profiles),
         "samples": sum(r["samples"] for r in perf_profiles),
@@ -300,7 +279,6 @@ def summarize(records: list[dict[str, Any]]) -> dict[str, Any]:
         "hz": perf_profiles[-1]["hz"] if perf_profiles else None,
         "stacks": dict(sorted(perf_stacks.items())),
         "spans": dict(sorted(perf_spans.items())),
-        "hotspots": hotspot_rows,
     }
 
     return {
@@ -452,7 +430,7 @@ def summary_tables(summary: dict[str, Any]) -> list[Table]:
             tables.append(totals_table)
 
     perf = summary.get("perf") or {}
-    if perf.get("profiles") or perf.get("hotspots"):
+    if perf.get("profiles"):
         perf_table = Table(
             "Perf (sampling profiler)",
             ["profiles", "samples", "hz", "sample_wall_s", "distinct_stacks"],
@@ -478,17 +456,6 @@ def summary_tables(summary: dict[str, Any]) -> list[Table]:
                     entry["mem_peak_kb"],
                 )
             tables.append(perf_span_table)
-        hotspots = perf.get("hotspots", [])
-        if hotspots:
-            hot_table = Table(
-                "cProfile hotspots", ["func", "calls", "tottime_s", "cumtime_s"]
-            )
-            for row in hotspots[:15]:
-                hot_table.add_row(
-                    row.get("func", "-"), row.get("calls", "-"),
-                    row.get("tottime_s", "-"), row.get("cumtime_s", "-"),
-                )
-            tables.append(hot_table)
 
     return tables
 

@@ -16,7 +16,7 @@ import html as html_mod
 import time
 from typing import Any
 
-from repro.obs.report import _fmt, _page, _tile, sparkline
+from repro.obs.report import fmt, page, sparkline, tile
 from repro.obs.store import RunStore
 
 __all__ = ["render_dashboard"]
@@ -40,7 +40,7 @@ def _created_text(created: Any) -> str:
 def render_dashboard(store: RunStore | None, *, title: str = "repro tower") -> str:
     """The tower overview page (empty-state page when no store)."""
     if store is None:
-        return _page(
+        return page(
             title,
             "<p class='meta'>no obs store attached — start the tower with "
             "--obs-db to serve run history here</p>",
@@ -49,7 +49,7 @@ def render_dashboard(store: RunStore | None, *, title: str = "repro tower") -> s
     body: list[str] = []
     if not runs:
         body.append("<p class='meta'>the obs store holds no runs yet</p>")
-        return _page(title, "".join(body))
+        return page(title, "".join(body))
 
     latest = runs[-1]
     metrics = store.metrics_for(latest["id"])
@@ -65,7 +65,7 @@ def render_dashboard(store: RunStore | None, *, title: str = "repro tower") -> s
     )
 
     tiles = [
-        _tile(name, metrics[name]) for name in TILE_METRICS if name in metrics
+        tile(name, metrics[name]) for name in TILE_METRICS if name in metrics
     ]
     if tiles:
         body.append("<div class='tiles'>" + "".join(tiles) + "</div>")
@@ -77,7 +77,7 @@ def render_dashboard(store: RunStore | None, *, title: str = "repro tower") -> s
             f"<td>{run['id']}</td>"
             f"<td>{html_mod.escape(str(run.get('fingerprint'))[:12])}</td>"
             f"<td>{html_mod.escape(str(run.get('command') or '-'))}</td>"
-            f"<td>{html_mod.escape(_fmt(run.get('seed')))}</td>"
+            f"<td>{html_mod.escape(fmt(run.get('seed')))}</td>"
             f"<td>{html_mod.escape(_created_text(run.get('created')))}</td>"
             "</tr>"
         )
@@ -101,7 +101,7 @@ def render_dashboard(store: RunStore | None, *, title: str = "repro tower") -> s
             "<tr>"
             f"<td>{html_mod.escape(metric)}</td>"
             f"<td><code>{html_mod.escape(sparkline(series, width=40))}</code></td>"
-            f"<td>{html_mod.escape(_fmt(series[-1]))}</td>"
+            f"<td>{html_mod.escape(fmt(series[-1]))}</td>"
             f"<td>{len(series)}</td>"
             "</tr>"
         )
@@ -116,4 +116,4 @@ def render_dashboard(store: RunStore | None, *, title: str = "repro tower") -> s
         "<p class='meta'>served by python -m repro tower · JSON at /runs, "
         "/trend?metric=… · live events at /stream · Prometheus at /metrics</p>"
     )
-    return _page(title, "".join(body))
+    return page(title, "".join(body))

@@ -26,6 +26,7 @@ from typing import Any
 from urllib.parse import urlsplit
 
 from repro.errors import ExperimentError
+from repro.monitor.tail import read_log_records
 from repro.parallel import backoff_delay
 
 __all__ = ["WebhookDispatcher", "DEFAULT_ATTEMPTS", "DEFAULT_BASE_DELAY"]
@@ -194,16 +195,7 @@ class WebhookDispatcher:
         """
         if self.dead_letter is None or not self.dead_letter.exists():
             return {"redelivered": 0, "remaining": 0}
-        entries: list[dict[str, Any]] = []
-        for line in self.dead_letter.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(entry, dict):
-                entries.append(entry)
+        entries = read_log_records(self.dead_letter)
         remaining: list[dict[str, Any]] = []
         redelivered = 0
         for entry in entries:

@@ -131,6 +131,22 @@ class TestJournalCheck:
         assert any("belongs to campaign" in p
                    for p in report.journal_check["problems"])
 
+    def test_non_object_line_is_a_problem_not_a_crash(self, tmp_path):
+        store, campaign_id = scripted_store(tmp_path)
+        payloads = store.completed_payloads(campaign_id)
+        store.close()
+        journal = write_journal(tmp_path / "fab.journal.jsonl", payloads)
+        header, *chunks = journal.read_text(encoding="utf-8").splitlines(True)
+        journal.write_text("".join([header, "[1, 2]\n", *chunks]),
+                           encoding="utf-8")
+        report = autopsy(tmp_path / "fab.db", journal=journal)
+        assert not report.journal_check["matched"]
+        assert not report.passed
+        assert any("not JSON objects" in p
+                   for p in report.journal_check["problems"])
+        # The good chunk records around the bad line still compare.
+        assert report.journal_check["chunks"] == 2
+
 
 class TestTelemetryCheck:
     def test_disagreeing_metrics_snapshot_is_reported(self, tmp_path):

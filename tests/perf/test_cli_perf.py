@@ -1,5 +1,5 @@
 """The perf plane end-to-end through the CLI: --perf, perf record|flame|diff,
-obs perf, obs explain --perf."""
+obs explain --perf, obs trend --metric perf.* --check."""
 
 import json
 import os
@@ -136,16 +136,17 @@ class TestObsPerf:
         return db
 
     def test_obs_perf_overview(self, ingested, capsys):
-        code = main(["obs", "perf", str(ingested), "--json"])
+        code = main(["obs", "explain", str(ingested), "--perf", "--json"])
         assert code == 0
         overview = json.loads(capsys.readouterr().out)
         assert overview["samples"] is not None
         labels = {row["label"] for row in overview["spans"]}
         assert "engine.run" in labels
+        assert "hotspots" not in overview
 
     def test_obs_perf_metric_trend_gate(self, ingested, capsys):
         # One point: nothing to compare against -> the gate passes.
-        code = main(["obs", "perf", str(ingested),
+        code = main(["obs", "trend", str(ingested),
                      "--metric", "perf.span.engine.run.secs", "--check"])
         assert code == 0
 
@@ -154,6 +155,7 @@ class TestObsPerf:
         assert code == 0
         out = capsys.readouterr().out
         assert "perf.span.engine.run.secs" in out
+        assert "Span costs (sampled time + traced memory)" in out
         # The flag selects what to print; it must NOT profile the
         # explain command itself.
         assert "[perf]" not in out
@@ -166,6 +168,6 @@ class TestObsPerf:
         assert code == 0
         # Bad invocation (no perf data to inspect) is exit code 2 —
         # distinct from 1, the regression verdict of --check.
-        code = main(["obs", "perf", str(db)])
+        code = main(["obs", "explain", str(db), "--perf"])
         assert code == 2
         assert "no perf metrics" in capsys.readouterr().err

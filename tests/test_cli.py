@@ -184,12 +184,13 @@ class TestObservabilityFlags:
         assert main(["telemetry", str(bad), "--validate"]) == 1
         assert "INVALID" in capsys.readouterr().out
 
-    def test_profile_prints_hotspots(self, capsys):
-        code = main(["gap", "--quick", "--reps", "1", "--profile"])
+    def test_perf_prints_span_and_frame_tables(self, capsys):
+        code = main(["gap", "--quick", "--reps", "1", "--perf"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "cumulative" in out
-        assert "function calls" in out
+        assert "Span costs (sampled time + traced memory)" in out
+        assert "engine.run" in out
+        assert "Hottest frames" in out
 
     def test_chaos_telemetry_with_pool(self, capsys, tmp_path):
         log = tmp_path / "chaos.jsonl"
@@ -365,11 +366,11 @@ class TestGateExitCodeContract:
 
     def test_perf_check_bad_threshold_exits_2(self, capsys, tmp_path):
         db = tmp_path / "runs.db"
-        code = main(["obs", "perf", str(db), "--metric", "perf.samples",
+        code = main(["obs", "trend", str(db), "--metric", "perf.samples",
                      "--check", "--threshold", "-1"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "obs perf" in err
+        assert "obs trend" in err
 
     def test_fleet_metrics_without_snapshots_exits_2(self, capsys, tmp_path):
         log = tmp_path / "plain.jsonl"
