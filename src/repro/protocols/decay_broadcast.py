@@ -126,6 +126,16 @@ class DecayBroadcastProgram(NodeProgram):
     def is_done(self, ctx: Context) -> bool:
         return self._done
 
+    def wake(self, ctx: Context) -> int | None:
+        """Uninformed: when a message arrives; waiting for a phase
+        boundary: the next multiple of ``k``; mid-phase (a coin every
+        slot) or done: the next slot."""
+        if self.message is None:
+            return None
+        if self._decay is None and self.align_phases and not self._done:
+            return ctx.slot + self.k - ctx.slot % self.k
+        return ctx.slot + 1
+
     def result(self) -> Any:
         return {
             "informed": self.message is not None,

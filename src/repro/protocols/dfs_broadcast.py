@@ -34,6 +34,27 @@ Node = Hashable
 
 _TOKEN = "dfs-token"
 
+#: ``(mine, theirs, mine | theirs)`` of the last union taken.  Every
+#: hearer of one token usually holds the same ``visited`` set, so the
+#: O(|visited|) subset test runs once per token, not once per hearer.
+#: The memo holds both operands, so neither id can be reused while the
+#: identity test below can still match it.  It is a pure cache: a hit
+#: returns the value the union would, whoever asks, and the memo is read
+#: and replaced as one tuple.
+_union_memo: tuple[Any, Any, frozenset[Node]] = (None, None, frozenset())
+
+
+def _union(mine: frozenset[Node], theirs: frozenset[Node]) -> frozenset[Node]:
+    """``mine | theirs``; on the common path the token's set already
+    contains ours, so it is kept, not copied."""
+    global _union_memo
+    memo = _union_memo
+    if memo[0] is mine and memo[1] is theirs:
+        return memo[2]
+    union = theirs if mine <= theirs else mine | theirs
+    _union_memo = (mine, theirs, union)
+    return union
+
 
 class DFSBroadcastProgram(NodeProgram):
     """Per-node logic of the DFS token traversal.
@@ -80,9 +101,7 @@ class DFSBroadcastProgram(NodeProgram):
         if not (isinstance(heard, tuple) and heard and heard[0] == _TOKEN):
             return
         _tag, target, visited, sender, _payload = heard
-        # Same set as ``self.visited | visited``; on the common path the
-        # token's set already contains ours, so it is kept, not copied.
-        self.visited = visited if self.visited <= visited else self.visited | visited
+        self.visited = _union(self.visited, visited)
         if target == ctx.node:
             self.has_token = True
             self._done = False  # a backtrack returns the token to us
@@ -91,6 +110,11 @@ class DFSBroadcastProgram(NodeProgram):
 
     def is_done(self, ctx: Context) -> bool:
         return self._done
+
+    def wake(self, ctx: Context) -> int | None:
+        """Without the token: only when the token arrives.  (A source
+        that finishes keeps the token, so it is polled done next slot.)"""
+        return ctx.slot + 1 if self.has_token else None
 
     def result(self) -> dict[str, Any]:
         return {"visited_count": len(self.visited), "parent": self.parent}

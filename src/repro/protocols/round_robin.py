@@ -89,6 +89,18 @@ class RoundRobinProgram(NodeProgram):
     def is_done(self, ctx: Context) -> bool:
         return self._done
 
+    def wake(self, ctx: Context) -> int | None:
+        """Uninformed: when a message arrives; informed: my next turn, or
+        the slot ``max_frames`` runs out if that comes first."""
+        if self._done:
+            return ctx.slot + 1
+        if self.message is None:
+            return None
+        turn = ctx.slot + 1 + (self.slot_index - ctx.slot - 1) % self.frame_size
+        if self.max_frames is not None and self._informed_slot is not None:
+            return min(turn, max(0, self._informed_slot) + self.max_frames * self.frame_size)
+        return turn
+
     def result(self) -> dict[str, Any]:
         return {"informed": self.message is not None, "informed_at": self._informed_slot}
 

@@ -37,7 +37,10 @@ Two slot loops
   when they are no more than the receivers, and intersects each
   receiver's neighbourhood with the transmitters otherwise.  Once the
   intents are in, no callback can change what anyone hears, so each
-  receiver is told as soon as it is resolved.
+  receiver is told as soon as it is resolved.  When some program
+  overrides :meth:`~repro.sim.node.NodeProgram.wake` (round robin, DFS
+  and Decay do), the lean loop keeps a wake schedule instead of one
+  pass: see "Sleeping programs" below.
 * the **general loop** runs everything else: crash/recover, edge, jam
   and link-loss faults, any medium, traces and provenance.  It resolves
   each receiver from its list of audible transmitters, as the spec
@@ -45,10 +48,39 @@ Two slot loops
 
 Both loops rely on two contracts.  ``NodeProgram.is_done`` is monotone
 ("True once this node will never act again"), so done-ness is cached in
-a persistent done-set and each live program is polled exactly once per
-slot.  Intents are immutable, so programs may return the shared
-:data:`~repro.sim.node.RECEIVE` and :data:`~repro.sim.node.IDLE`; the
-exact-type dispatch falls back to ``isinstance`` for subclasses.
+a persistent done-set and each live program is polled at most once per
+slot (exactly once unless it sleeps).  Intents are immutable, so
+programs may return the shared :data:`~repro.sim.node.RECEIVE` and
+:data:`~repro.sim.node.IDLE`; the exact-type dispatch falls back to
+``isinstance`` for subclasses.
+
+Sleeping programs
+-----------------
+A program may override ``NodeProgram.wake(ctx)``: the next slot at
+which it must act even if it hears nothing, or ``None`` for "only when
+I hear a message".  The lean loop asks it after the program's ``act``
+returned ``Receive`` or ``Idle`` and after ``on_observe`` delivered it
+a message — never after a ``Transmit``, so a transmitter is due next
+slot.  A program whose answer is a later slot, or ``None``, sleeps
+until then: it is neither polled with ``is_done`` nor asked to act, and
+its ``ctx.slot`` keeps the slot it last ran in.  A sleeping receiver
+still listens — it is delivered every message, with ``ctx.slot`` set to
+that slot, and asked ``wake`` again — but it is never called with
+``SILENCE``, not even in the slot it fell asleep in.  An answer not
+after the current slot means the next one.
+
+The programs due in a slot are polled and act in program order, as in
+the single pass, and every receiver, awake or asleep, is resolved in
+program order too, so ``RunMetrics``' per-node maps, rule-5 errors and
+telemetry come out in the same order.  A run ends when every program is
+done, at the same slot as the single pass: an override promises that
+it would keep its intent and not become done in the slots it sleeps
+through, and a program that becomes done in ``act`` asks for the next
+slot.  The override is found on the instance (``getattr``), so a
+program behind an attribute-forwarding proxy still sleeps.  Programs
+that do not override ``wake`` stay awake; when none does, the lean loop
+is the single pass above, at its cost.  The general loop, the spec
+(:mod:`repro.sim.spec`) and the vectorized backend ignore ``wake``.
 
 The engine never copies messages; protocols exchange immutable payloads
 by convention (all protocols in this library send tuples/strings/ints).
@@ -228,6 +260,7 @@ class Engine:
             and self.trace is None
             and self._prov is None
         )
+        self._sleepy = self._lean and self._init_sleepers()
 
     # -- public API -----------------------------------------------------
 
@@ -275,12 +308,13 @@ class Engine:
                 faults=self.faults.counts() if self._have_faults else {},
             )
         lean = self._lean
+        lean_slot = self._sleepy_slot if self._sleepy else self._lean_slot
         metrics = self.metrics
         while self.slot < max_slots:
             if stop_when is not None and stop_when(self):
                 break
             if lean:
-                if not self._lean_slot():
+                if not lean_slot():
                     break
             elif self._refresh_done():
                 break
@@ -342,7 +376,9 @@ class Engine:
 
     def step(self) -> None:
         """Execute exactly one time-slot."""
-        if self._lean:
+        if self._sleepy:
+            self._sleepy_slot()
+        elif self._lean:
             self._lean_slot()
         else:
             self._general_slot()
@@ -377,17 +413,161 @@ class Engine:
         self._active = live
         if not live:
             return False
+        self._lean_resolve(messages, receivers, False)
+        return True
+
+    def _init_sleepers(self) -> bool:
+        """Set up the wake schedule iff some program overrides ``wake``.
+
+        The override is looked up on the instance, so a program wrapped
+        in an attribute-forwarding proxy still sleeps.
+        """
+        wakes: dict[Node, Callable[[Context], int | None]] = {}
+        for node, program in self.programs.items():
+            wake = getattr(program, "wake", None)
+            if wake is not None and getattr(wake, "__func__", None) is not NodeProgram.wake:
+                wakes[node] = wake
+        if not wakes:
+            return False
+        self._wakes = wakes
+        # (program index, entry): a bucket sorts into program order on
+        # its first field alone.
+        self._keyed: dict[Node, tuple[int, Entry]] = {
+            entry[0]: (index, entry) for index, entry in enumerate(self._active)
+        }
+        self._buckets: dict[int, list[tuple[int, Entry]]] = {
+            self.slot: list(self._keyed.values())
+        }
+        self._due_at: dict[Node, int] = dict.fromkeys(self._keyed, self.slot)
+        # Sleepers whose last act was Receive: they hear, unasked.
+        self._listening: dict[Node, tuple[int, Entry]] = {}
+        self._live = len(self._keyed)
+        return True
+
+    def _sleepy_slot(self) -> bool:
+        """:meth:`_lean_slot` when some programs sleep: only the programs
+        due this slot are polled and act, in program order."""
+        slot = self.slot
+        messages: dict[Node, Any] = {}
+        receivers: list[Entry] = []
+        due = self._buckets.pop(slot, None)
+        if due:
+            if len(due) > 1:
+                due.sort()
+            nxt = slot + 1
+            due_at = self._due_at
+            listening = self._listening
+            wakes = self._wakes
+            done = self._done
+            awake = self._buckets.setdefault(nxt, [])
+            for keyed in due:
+                entry = keyed[1]
+                node, program, ctx = entry
+                if due_at.get(node) != slot:
+                    continue  # rescheduled since it was filed here
+                ctx.slot = slot
+                listening.pop(node, None)
+                if program.is_done(ctx):
+                    done.add(node)
+                    del due_at[node]
+                    self._live -= 1
+                    continue
+                intent = program.act(ctx)
+                kind = type(intent)
+                if kind is not Receive and kind is not Idle:
+                    if isinstance(intent, Receive):
+                        kind = Receive
+                    elif isinstance(intent, Idle):
+                        kind = Idle
+                    else:  # a transmitter stays awake
+                        self._admit(entry, intent, messages, receivers)
+                        due_at[node] = nxt
+                        awake.append(keyed)
+                        continue
+                wake = wakes.get(node)
+                when = nxt if wake is None else wake(ctx)
+                if when is not None and when <= nxt:
+                    due_at[node] = nxt
+                    awake.append(keyed)
+                    if kind is Receive:
+                        receivers.append(entry)
+                else:
+                    if kind is Receive:
+                        listening[node] = keyed
+                    self._schedule(node, when)
+        if not self._live:
+            return False
+        self._lean_resolve(messages, receivers, True)
+        return True
+
+    def _schedule(self, node: Node, when: int | None) -> None:
+        """File a sleeper under the slot its ``wake`` named."""
+        if when is None:
+            self._due_at.pop(node, None)
+            return
+        if when <= self.slot:
+            when = self.slot + 1
+        if self._due_at.get(node) != when:
+            self._due_at[node] = when
+            bucket = self._buckets.get(when)
+            if bucket is None:
+                self._buckets[when] = [self._keyed[node]]
+            else:
+                bucket.append(self._keyed[node])
+
+    def _rewake(self, node: Node, ctx: Context) -> None:
+        """After a delivery: a sleeper keeps listening and is asked anew."""
+        wake = self._wakes.get(node)
+        if wake is not None:
+            self._listening[node] = self._keyed[node]
+            when = wake(ctx)
+            if when is None:
+                self._due_at.pop(node, None)
+            else:
+                self._schedule(node, when)
+
+    def _with_listeners(self, receivers: list[Entry], audible: Any) -> list[Entry]:
+        """``receivers`` plus the sleeping listeners in ``audible``, in
+        program order."""
+        listening = self._listening
+        if len(listening) < len(audible):
+            hits = [keyed for node, keyed in listening.items() if node in audible]
+        else:
+            hits = [keyed for keyed in map(listening.get, audible) if keyed is not None]
+        if not hits:
+            return receivers
+        slot = self.slot
+        for _index, (_node, _program, ctx) in hits:
+            ctx.slot = slot
+        if receivers:
+            keyed = self._keyed
+            hits += [keyed[entry[0]] for entry in receivers]
+        if len(hits) > 1:
+            hits.sort()
+        return [entry for _index, entry in hits]
+
+    def _lean_resolve(
+        self, messages: dict[Node, Any], receivers: list[Entry], sleepy: bool
+    ) -> None:
+        """Resolve a lean-loop slot and tell each receiver what it heard.
+
+        ``receivers`` are the awake programs that chose ``Receive``, in
+        program order; with ``sleepy``, the sleeping listeners hear too,
+        but only deliveries.
+        """
         if not messages:
             for _node, program, ctx in receivers:
                 program.on_observe(ctx, SILENCE)
-            return True
+            return
         self._count_transmissions(messages)
-        if not receivers:
-            return True
+        listening = self._listening if sleepy else None
+        if not receivers and not listening:
+            return
 
         # Intents are in, and no callback can change a hearer set or a
         # message, so every observation is already fixed: each receiver
         # is told what it heard as soon as it is resolved.
+        slot = self.slot
         metrics = self.metrics
         first_reception = metrics.first_reception
         has_received = self._has_received
@@ -397,6 +577,8 @@ class Engine:
             if self._audible_version != self.graph.version:
                 self._audible_map()
             hearers = self._hearers[sender]
+            if listening:
+                receivers = self._with_listeners(receivers, hearers)
             for receiver, program, ctx in receivers:
                 if receiver in hearers:
                     deliveries += 1
@@ -404,24 +586,29 @@ class Engine:
                         first_reception[receiver] = slot
                         has_received.add(receiver)
                     program.on_observe(ctx, message)
+                    if sleepy:
+                        self._rewake(receiver, ctx)
                 else:
                     program.on_observe(ctx, SILENCE)
             metrics.deliveries += deliveries
-            return True
+            return
 
         audible_map = self._audible_map()
         # Transmitter-side scatter beats per-receiver intersection when
         # contention is sparse: the energy counts come from one C-speed
         # Counter.update pass over Σ deg(transmitter) hearers, then each
         # receiver is O(1), and the sender is recovered by intersection
-        # only on clean deliveries.
-        scatter = len(messages) <= len(receivers)
+        # only on clean deliveries.  Sleeping listeners are found in the
+        # counts, so a sleepy slot always scatters.
+        scatter = sleepy or len(messages) <= len(receivers)
         if scatter:
             counts: Counter[Node] = Counter()
             hearers_map = self._hearers
             for transmitter in messages:
                 counts.update(hearers_map[transmitter])
             counts_get = counts.get
+            if listening:
+                receivers = self._with_listeners(receivers, counts)
         col_per_node = metrics.collisions_per_node
         collisions = 0
         for receiver, program, ctx in receivers:
@@ -439,14 +626,16 @@ class Engine:
                     first_reception[receiver] = slot
                     has_received.add(receiver)
                 program.on_observe(ctx, messages[audible[0]])
+                if sleepy:
+                    self._rewake(receiver, ctx)
             else:
                 if num_audible:
                     collisions += 1
                     col_per_node[receiver] = col_per_node.get(receiver, 0) + 1
-                program.on_observe(ctx, SILENCE)
+                if not (sleepy and receiver in listening):
+                    program.on_observe(ctx, SILENCE)
         metrics.collisions += collisions
         metrics.deliveries += deliveries
-        return True
 
     # -- the general loop -------------------------------------------------
 

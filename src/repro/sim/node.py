@@ -11,6 +11,10 @@ cycle every time-slot:
    that chose ``Receive``, the engine calls
    :meth:`NodeProgram.on_observe` with what was heard.
 
+A program that knows when its choice can next change may override
+:meth:`NodeProgram.wake`; the engine's lean loop then skips the slots
+it sleeps through (see :mod:`repro.sim.engine`).
+
 Programs see the world only through their :class:`Context`: their ID,
 their neighbours' IDs (the paper's "initial input"), the global slot
 counter (the model is synchronous, so a common clock is part of the
@@ -121,6 +125,30 @@ class NodeProgram:
     def is_done(self, ctx: Context) -> bool:
         """True once this node will never act again (lets runs end early)."""
         return False
+
+    def wake(self, ctx: Context) -> int | None:
+        """The next slot at which this program must act even if it hears
+        nothing; ``None``: only when it is delivered a message.
+
+        The engine's lean loop asks this after ``act`` returned
+        ``Receive`` or ``Idle``, and after ``on_observe`` delivered a
+        message; it never asks after a ``Transmit``.  Unless the answer
+        is the next slot, the program then *sleeps* until the slot it
+        names: it keeps the intent of its last ``act``, so a sleeping
+        receiver is still delivered every message (and asked again), but
+        it is not called with ``SILENCE`` — not even in the slot it fell
+        asleep in — nor polled with ``is_done``, and its ``ctx.slot``
+        keeps the slot it last ran in.  A slot not after ``ctx.slot``
+        means the next one.
+
+        An override promises that, were it called in the slots it
+        sleeps through, ``act`` would return the same intent, ``is_done``
+        would stay False and ``on_observe(SILENCE)`` would change
+        nothing; so a program that has just become done returns the
+        next slot.  The default, the next slot, keeps the program
+        awake; the general loop and the spec ignore this method.
+        """
+        return ctx.slot + 1
 
     # -- reporting ------------------------------------------------------
 

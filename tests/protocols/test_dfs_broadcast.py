@@ -3,6 +3,7 @@
 import pytest
 
 from repro.graphs import Graph, c_n, complete, grid, line, random_gnp, ring, star
+from repro.protocols import dfs_broadcast
 from repro.protocols.base import run_broadcast
 from repro.protocols.dfs_broadcast import DFSBroadcastProgram, make_dfs_programs
 from repro.rng import spawn
@@ -183,3 +184,35 @@ class TestVisitedExactness:
         )
         assert result.node_results() == reference.node_results()
         assert result.metrics == reference.metrics
+
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_token_chains_match_copying_oracle(self, seed, record_trace, monkeypatch):
+        """Two sources start two token chains, so hearers hold different
+        ``visited`` sets (the memo misses) and some token sets lack
+        nodes a hearer holds (the union branch)."""
+        g = random_gnp(24, 0.2, spawn(seed, "dfs-x"))
+        sources = {0, 2}
+        cap = 4 * g.num_nodes() + 4
+        unions = []
+        union = dfs_broadcast._union
+
+        def counting_union(mine, theirs):
+            unions.append(not mine <= theirs)
+            return union(mine, theirs)
+
+        monkeypatch.setattr(dfs_broadcast, "_union", counting_union)
+
+        def run(cls, trace):
+            programs = {node: cls(is_source=node in sources) for node in g.nodes}
+            return run_broadcast(
+                g, programs, initiators=sources, max_slots=cap,
+                stop="terminated", record_trace=trace,
+            )
+
+        result = run(DFSBroadcastProgram, record_trace)
+        reference = run(CopyingDFS, True)
+        assert any(unions)
+        assert result.node_results() == reference.node_results()
+        assert result.metrics == reference.metrics
+        assert result.slots == reference.slots

@@ -5,10 +5,13 @@ Scripted programs replay random Transmit/Receive/Idle intents on small
 graphs and digraphs; the spec, the lean loop (fault-free
 ``RadioMedium``, no trace) and the general loop (forced by
 ``record_trace=True``) must agree on every observation and on the
-``RunMetrics``.  A second property checks that trace, provenance and
-telemetry never change a ``RunResult``.
+``RunMetrics``.  Sleeping programs, which override ``NodeProgram.wake``
+with honest random schedules, must leave the lean loop equal to both.
+A second property checks that trace, provenance and telemetry never
+change a ``RunResult``.
 """
 
+import random
 from typing import Any
 
 import pytest
@@ -151,6 +154,103 @@ def test_engine_loops_agree_with_spec(case):
     assert lean[0] == metrics and lean[2] == logs
     assert general[0] == metrics and general[2] == logs
     assert general[1] == observed
+
+
+class Sleeper(Scripted):
+    """A :class:`Scripted` program that sleeps.
+
+    After ``act`` and after a delivery, ``wake`` names a random slot no
+    later than the first at which the program could act differently
+    than its last intent, given what it has heard: a transmission, a
+    switch between listening and idling, or ``done_at``.  When nothing
+    changes before the script ends, any answer is honest, ``None``
+    included.
+    """
+
+    def __init__(self, codes: str, done_at: int, informed: bool, seed: int) -> None:
+        super().__init__(codes, done_at, informed)
+        self.rng = random.Random(seed)
+        self.listening = True
+
+    def act(self, ctx: Context) -> Any:
+        intent = super().act(ctx)
+        self.listening = isinstance(intent, Receive)
+        return intent
+
+    def _next_change(self, slot: int) -> int | None:
+        for later in range(slot + 1, SLOTS):
+            code = self.codes[later]
+            if later >= self.done_at or code == "S" or (code == "T" and self.informed):
+                return later
+            if (code in "Ii") is self.listening:
+                return later
+        return None
+
+    def wake(self, ctx: Context) -> int | None:
+        bound = self._next_change(ctx.slot)
+        if bound is None:
+            return self.rng.choice([None, ctx.slot + self.rng.randint(-1, SLOTS)])
+        if self.rng.random() < 0.5:
+            return bound
+        return self.rng.randint(ctx.slot - 1, bound)
+
+
+@st.composite
+def sleepy_cases(draw):
+    graph, scripts, done_at, initiators, enforce, _cd = draw(cases())
+    sleepers = {node: draw(st.integers(0, 2**16)) for node in graph.nodes
+                if draw(st.integers(0, 3))}
+    return graph, scripts, done_at, initiators, enforce, sleepers
+
+
+def _heard(programs):
+    """Each program's deliveries (sleepers are not told of silence)."""
+    return {
+        node: [(slot, heard) for slot, heard in p.log if heard is not SILENCE]
+        for node, p in programs.items()
+    }
+
+
+def _ordered(metrics):
+    """The metrics with their per-node maps in insertion order."""
+    return metrics, [
+        list(d.items())
+        for d in (metrics.first_reception, metrics.transmissions_per_node,
+                  metrics.collisions_per_node)
+    ]
+
+
+@settings(max_examples=250, deadline=None)
+@given(sleepy_cases())
+def test_sleeping_programs_keep_the_lean_loop_equal_to_spec(case):
+    graph, scripts, done_at, initiators, enforce, sleepers = case
+
+    def programs():
+        return {
+            node: Sleeper(scripts[node], done_at[node], node in initiators, sleepers[node])
+            if node in sleepers
+            else Scripted(scripts[node], done_at[node], node in initiators)
+            for node in graph.nodes
+        }
+
+    def spec_run():
+        progs = programs()
+        metrics, _observed = spec.run(
+            graph, progs, SLOTS, initiators=initiators, enforce_no_spontaneous=enforce
+        )
+        return _ordered(metrics), _heard(progs)
+
+    def engine_run(record_trace):
+        progs = programs()
+        engine = Engine(graph, progs, initiators=initiators,
+                        enforce_no_spontaneous=enforce, record_trace=record_trace)
+        assert engine._sleepy is (not record_trace and bool(sleepers))
+        result = engine.run(SLOTS)
+        return _ordered(result.metrics), _heard(progs)
+
+    expected = _outcome(spec_run)
+    assert _outcome(lambda: engine_run(False)) == expected
+    assert _outcome(lambda: engine_run(True)) == expected
 
 
 @st.composite
