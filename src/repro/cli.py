@@ -19,7 +19,9 @@ Subcommands:
 * ``monitor`` — stream a telemetry log through the live conformance
   checkers (:mod:`repro.monitor`): the paper's bounds as runtime SLOs,
   a live status board, ``--follow`` for campaigns still running, and
-  ``--gate`` to exit nonzero when any alert fires (CI).
+  ``--gate`` to exit nonzero when any alert fires (CI).  Given a fabric
+  lease store, it follows the store's newest campaign plus its worker
+  logs and adds per-worker health lanes to the board.
 * ``obs`` — cross-run observability (:mod:`repro.obs`): ``ingest``
   telemetry logs / bench records into a SQLite run store, ``compare``
   two runs, ``trend`` a metric with a CI regression gate (``--check``),
@@ -43,9 +45,7 @@ Subcommands:
   ``flame`` renders a ``.folded`` file or a telemetry log's
   ``perf_profile`` records, and ``diff`` reports per-frame share
   drift between two profiles.
-* ``fleet`` — fleet observability (:mod:`repro.fleet`): ``board``
-  follows the lease store plus every worker's telemetry log with
-  per-worker health lanes under the conformance SLO gates, ``trace``
+* ``fleet`` — fleet observability (:mod:`repro.fleet`): ``trace``
   merges coordinator + worker logs into one Chrome/Perfetto trace
   with a process lane per worker, and ``metrics`` reconstructs the
   campaign's metrics registry from ``metrics`` snapshot records and
@@ -341,7 +341,13 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         validate_chrome_trace,
         write_chrome_trace,
     )
+    from repro.monitor.live import is_sqlite_file
 
+    if args.chrome_trace and is_sqlite_file(args.log):
+        print(f"monitor: {args.log} is a lease store; export a fabric "
+              "campaign's trace with 'fleet trace' over its telemetry logs",
+              file=sys.stderr)
+        return 2
     config = MonitorConfig(
         epsilon=args.epsilon,
         alpha=args.alpha,
@@ -376,16 +382,24 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         if not args.json:
             print(f"wrote {args.chrome_trace} "
                   f"({len(trace['traceEvents'])} trace events)")
+    # A gate over zero records checked nothing: exit 2 (no data), not 0.
+    unchecked = args.gate and report.records == 0
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True, default=repr))
     else:
-        _print_monitor_verdict(report, gate=args.gate)
+        _print_monitor_verdict(report, gate=args.gate and not unchecked)
+    if unchecked:
+        print(f"monitor: --gate checked nothing: no records in {args.log}",
+              file=sys.stderr)
+        return 2
     return 1 if (args.gate and report.gate_failed) else 0
 
 
 def _print_monitor_verdict(report, gate: bool) -> None:
     """Human-readable close-out after the status board's final paint."""
     print()
+    for line in report.fleet_lines:
+        print(line)
     if report.alerts:
         print(f"{len(report.alerts)} conformance alert(s) fired:")
         for alert in report.alerts:
@@ -773,87 +787,13 @@ def _fleet_stream_label(path) -> str:
     return ""
 
 
-def _resolve_store_campaign(store_path, prefix: str | None) -> str | None:
-    """Expand a campaign fingerprint prefix against the lease store.
-
-    Returns the full fingerprint, or ``None`` when it cannot be
-    resolved unambiguously (caller decides whether that is fatal).
-    """
-    if not store_path.exists():
-        return None
-    from repro.fabric.store import LeaseStore
-
-    lease_store = LeaseStore(store_path)
-    try:
-        rows = lease_store.conn.execute(
-            "SELECT fingerprint FROM campaigns ORDER BY id"
-        ).fetchall()
-    finally:
-        lease_store.close()
-    fingerprints = [str(row["fingerprint"]) for row in rows]
-    if prefix is None:
-        return fingerprints[0] if len(fingerprints) == 1 else None
-    matches = [f for f in fingerprints if f.startswith(prefix)]
-    return matches[0] if len(matches) == 1 else prefix
-
-
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Dispatch ``fleet board|trace|metrics``."""
+    """Dispatch ``fleet trace|metrics``."""
     import json
-    from pathlib import Path
 
     from repro.errors import ExperimentError
 
     try:
-        if args.fleet_command == "board":
-            from repro.fleet.board import FleetBoard, follow_fleet
-            from repro.monitor import BoardRenderer, MonitorConfig
-            from repro.monitor.live import LiveMonitor
-
-            store_path = Path(args.store)
-            campaign = _resolve_store_campaign(store_path, args.campaign)
-            if campaign is None:
-                raise SystemExit(
-                    "fleet board: pass --campaign (the store is missing, "
-                    "empty, or holds several campaigns)"
-                )
-            logs = [Path(p) for p in args.log]
-            if not args.no_auto_logs:
-                parent = store_path.parent or Path(".")
-                for found in sorted(
-                    parent.glob(f"{store_path.name}.*.telemetry.jsonl")
-                ):
-                    if found not in logs:
-                        logs.append(found)
-            renderer_factory = None
-            if not args.json:
-                renderer_factory = lambda board: BoardRenderer(  # noqa: E731
-                    board, interval=args.interval,
-                    plain=True if args.plain else None,
-                )
-            live = LiveMonitor(
-                MonitorConfig(epsilon=args.epsilon),
-                board=FleetBoard(),
-                renderer_factory=renderer_factory,
-            )
-            for record in follow_fleet(
-                args.store, campaign, logs=logs, idle_timeout=args.idle_timeout
-            ):
-                live.ingest(record)
-            report = live.finish()
-            if args.json:
-                print(json.dumps(report.to_json(), indent=2, sort_keys=True,
-                                 default=repr))
-            else:
-                print()
-                for line in live.board.lines():
-                    print(line)
-                if report.alerts:
-                    print(f"{len(report.alerts)} conformance alert(s) fired:")
-                    for alert in report.alerts:
-                        print(f"  ! {alert.describe()}")
-            return 1 if (args.gate and report.gate_failed) else 0
-
         if args.fleet_command == "trace":
             from repro.monitor.chrome_trace import (
                 merge_records,
@@ -1030,17 +970,9 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
             or chrome_trace
         )
         config.prom = getattr(args, "prom", None)
-        config.tower_port = getattr(args, "tower", None)
-        if config.tower_port is not None:
-            # The tower follows <store>.<worker>.telemetry.jsonl logs;
-            # make sure the workers actually write them.
-            config.worker_telemetry = True
 
         result = run_fabric(config)
         print(result.summary())
-        if result.tower_port is not None:
-            print(f"tower: served on http://127.0.0.1:{result.tower_port} "
-                  f"(drained)")
         spec = resolve_spec(config.spec, config.params)
         code = 0
         if spec.summarize is not None:
@@ -1083,31 +1015,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         return code
     except ExperimentError as exc:
         raise SystemExit(f"fabric {args.fabric_command}: {exc}")
-
-
-def _cmd_tower(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.errors import ExperimentError
-    from repro.tower import TowerConfig, run_tower
-
-    try:
-        config = TowerConfig(
-            host=args.host,
-            port=args.port,
-            obs_db=args.tower_obs_db,
-            follow=[Path(p) for p in args.follow],
-            follow_pattern=args.pattern,
-            webhooks=list(args.webhook),
-            dead_letter=args.dead_letter,
-            queue_size=args.queue_size,
-            heartbeat=args.heartbeat,
-            poll_interval=args.poll_interval,
-            port_file=args.port_file,
-        )
-        return run_tower(config)
-    except ExperimentError as exc:
-        raise SystemExit(f"tower: {exc}")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1288,12 +1195,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream a telemetry log through the live conformance checkers "
              "(theorem-bound SLOs, status board, alert gate)",
     )
-    p_mon.add_argument("log", help="JSON-lines event log written by --telemetry")
+    p_mon.add_argument("log",
+                       help="JSON-lines event log written by --telemetry, "
+                            "or a fabric lease store (its newest campaign "
+                            "and <store>.<worker>.telemetry.jsonl logs)")
     p_mon.add_argument("--follow", action="store_true",
                        help="keep tailing the log as the campaign appends to "
-                            "it (torn trailing lines are buffered, not errors)")
+                            "it (torn trailing lines are buffered, not "
+                            "errors); a store is tailed until every chunk "
+                            "is committed")
     p_mon.add_argument("--gate", action="store_true",
-                       help="exit 1 if any conformance alert fires (CI gate)")
+                       help="exit 1 if any conformance alert fires, 2 if "
+                            "there were no records to check (CI gate)")
     p_mon.add_argument("--epsilon", type=float, default=None,
                        help="failure budget the SLOs assume (default: the "
                             "log manifest's epsilon, else 0.1)")
@@ -1538,14 +1451,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "telemetry logs into one Chrome/Perfetto "
                                 "trace with a process lane per worker "
                                 "(implies --worker-telemetry)")
-    p_fab_run.add_argument("--tower", type=int, default=None, nargs="?",
-                           const=0, metavar="PORT",
-                           help="serve a live observability tower for the "
-                                "campaign's lifetime: SSE /stream over the "
-                                "coordinator bus + worker logs, Prometheus "
-                                "/metrics, /dashboard (PORT omitted or 0 = "
-                                "ephemeral; the bound port lands in "
-                                "<store>.tower.port)")
     p_fab_run.add_argument("--worker-telemetry", action="store_true",
                            help="give each worker its own telemetry log at "
                                 "<store>.<worker>.telemetry.jsonl, stamped "
@@ -1631,47 +1536,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fleet = sub.add_parser(
         "fleet",
-        help="fleet observability for fabric campaigns: live multi-process "
-             "board, merged Chrome traces, metrics registry exposition",
+        help="fleet observability for fabric campaigns: merged Chrome "
+             "traces, metrics registry exposition",
     )
     fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
-
-    p_fleet_board = fleet_sub.add_parser(
-        "board",
-        help="follow the lease store plus every worker telemetry log and "
-             "render per-worker health lanes under the live status board",
-    )
-    p_fleet_board.add_argument("--store", default="fabric.db", metavar="DB",
-                               help="the campaign's SQLite lease store")
-    p_fleet_board.add_argument("--campaign", default=None, metavar="PREFIX",
-                               help="campaign fingerprint prefix (default: "
-                                    "the store's only campaign)")
-    p_fleet_board.add_argument("--log", action="append", default=[],
-                               metavar="PATH",
-                               help="telemetry log to tail alongside the "
-                                    "store (repeatable)")
-    p_fleet_board.add_argument("--no-auto-logs", action="store_true",
-                               help="do not auto-discover "
-                                    "<store>.<worker>.telemetry.jsonl logs "
-                                    "next to the store")
-    p_fleet_board.add_argument("--epsilon", type=float, default=None,
-                               help="failure budget the conformance SLOs "
-                                    "assume (default: from the stream's "
-                                    "manifest)")
-    p_fleet_board.add_argument("--idle-timeout", type=float, default=10.0,
-                               help="stop after this many seconds without "
-                                    "new records (default 10)")
-    p_fleet_board.add_argument("--interval", type=float, default=0.5,
-                               help="status-board refresh interval in seconds")
-    p_fleet_board.add_argument("--plain", action="store_true",
-                               help="plain status lines instead of the "
-                                    "in-place TTY board")
-    p_fleet_board.add_argument("--gate", action="store_true",
-                               help="exit 1 if any conformance alert fires")
-    p_fleet_board.add_argument("--json", action="store_true",
-                               help="emit the final board + monitor report "
-                                    "as JSON")
-    p_fleet_board.set_defaults(func=_cmd_fleet)
 
     p_fleet_trace = fleet_sub.add_parser(
         "trace",
@@ -1702,57 +1570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet_metrics.add_argument("--json", action="store_true",
                                  help="emit the merged snapshot as JSON")
     p_fleet_metrics.set_defaults(func=_cmd_fleet)
-
-    p_tower = sub.add_parser(
-        "tower",
-        help="long-running observability gateway: live telemetry over SSE, "
-             "Prometheus /metrics, run history + dashboard from an obs "
-             "store, and alert webhooks with a dead-letter journal",
-    )
-    p_tower.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    p_tower.add_argument("--port", type=int, default=0,
-                         help="bind port (default 0 = ephemeral; the bound "
-                              "port is printed and written to --port-file)")
-    p_tower.add_argument("--port-file", default=None, metavar="PATH",
-                         help="write the bound port here once listening")
-    # dest dodges the global --obs-db/--telemetry pairing in main():
-    # the tower reads the store, it does not ingest a log into it.
-    p_tower.add_argument("--obs-db", dest="tower_obs_db", default=None,
-                         metavar="DB",
-                         help="obs store backing /runs, /trend and "
-                              "/dashboard (read-only, WAL-safe alongside "
-                              "concurrent ingests)")
-    p_tower.add_argument("--follow", action="append", default=[],
-                         metavar="PATH",
-                         help="telemetry log or directory of logs to tail "
-                              "into /stream (repeatable; directories are "
-                              "rescanned live, so worker logs that appear "
-                              "later are picked up)")
-    p_tower.add_argument("--pattern", default="*.jsonl", metavar="GLOB",
-                         help="log filename glob for --follow directories "
-                              "(default *.jsonl)")
-    p_tower.add_argument("--webhook", action="append", default=[],
-                         metavar="URL",
-                         help="POST every alert record to this http:// URL "
-                              "(repeatable; seeded-jitter retries, failures "
-                              "land in the dead-letter journal)")
-    p_tower.add_argument("--dead-letter", default=None, metavar="PATH",
-                         help="JSONL journal for alerts that exhausted "
-                              "their webhook retries (replayed by POST "
-                              "/webhooks/drain)")
-    p_tower.add_argument("--queue-size", type=int, default=256,
-                         help="per-client SSE queue bound; a slower "
-                              "consumer drops records (with an in-stream "
-                              "gap marker) instead of stalling anyone "
-                              "(default 256)")
-    p_tower.add_argument("--heartbeat", type=float, default=15.0,
-                         help="idle seconds between SSE keepalive comments "
-                              "(default 15)")
-    p_tower.add_argument("--poll-interval", type=float, default=0.2,
-                         help="--follow tail poll interval in seconds "
-                              "(default 0.2)")
-    p_tower.set_defaults(func=_cmd_tower)
 
     p_game = sub.add_parser("game", help="foil a hitting-game strategy")
     add_common(p_game)

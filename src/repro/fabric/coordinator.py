@@ -46,9 +46,8 @@ from repro.fabric.splice import (
     make_chunks,
     splice,
 )
-from repro.fabric.store import LeaseStore
+from repro.fabric.store import LEASE_EVENT_KINDS, LeaseStore, store_event_record
 from repro.fabric.worker import WorkerConfig, run_worker, worker_argv
-from repro.fleet.board import store_event_record
 from repro.fleet.metrics import MetricsRegistry, get_registry, set_registry
 from repro.fleet.metrics import counter as metric_count
 from repro.fleet.metrics import gauge as metric_gauge
@@ -59,9 +58,6 @@ from repro.telemetry import get_active
 __all__ = ["FabricConfig", "FabricResult", "run_fabric"]
 
 logger = logging.getLogger("repro.fabric.coordinator")
-
-#: Store event kinds forwarded to telemetry as ``lease`` records.
-_LEASE_EVENT_KINDS = frozenset({"claim", "takeover", "commit", "fence_reject"})
 
 
 @dataclass
@@ -92,12 +88,6 @@ class FabricConfig:
     #: Write the coordinator registry's Prometheus text exposition here
     #: after the campaign.
     prom: str | os.PathLike[str] | None = None
-    #: Serve a :mod:`repro.tower` gateway for the campaign's lifetime on
-    #: this port (0 = ephemeral).  The tower bridges the coordinator's
-    #: recorder bus and tail-follows every worker telemetry log, so the
-    #: campaign is watchable live (SSE, Prometheus, dashboard) from any
-    #: other process.  ``None`` = no tower.
-    tower_port: int | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -122,7 +112,6 @@ class FabricResult:
     trace_id: str | None = None
     worker_logs: dict[str, Path] = field(default_factory=dict)
     prom: Path | None = None
-    tower_port: int | None = None
 
     def summary(self) -> str:
         return (
@@ -154,12 +143,12 @@ def _forward_events(
     recorder = get_active()
     for event in fresh:
         after_id = max(after_id, int(event["id"]))
-        if event["kind"] in _LEASE_EVENT_KINDS:
+        if event["kind"] in LEASE_EVENT_KINDS:
             metric_count(f"{event['kind']}_total", worker=str(event["worker"] or ""))
         if recorder is None:
             continue
-        # One shared translation (the fleet board uses the same one),
-        # so the live view and the forwarded log can never drift.
+        # One shared translation (the monitor's store input uses the
+        # same one), so the live view and the forwarded log never drift.
         record = store_event_record(event)
         kind = record.pop("kind")
         record["store_ts"] = record.pop("ts")
@@ -221,28 +210,6 @@ def run_fabric(config: FabricConfig) -> FabricResult:
             chunksize=chunksize,
             fingerprint=fingerprint,
             fault_plan=config.fault_plan.spec() or None,
-        )
-
-    # Live observability gateway: serves this campaign's bus + worker
-    # logs over HTTP for the duration of the run.  The bound port lands
-    # in <store>.tower.port so other processes can discover it.
-    tower_thread = None
-    tower_port: int | None = None
-    if config.tower_port is not None:
-        from repro.tower import TowerConfig, TowerThread
-
-        tower_thread = TowerThread(
-            TowerConfig(
-                port=config.tower_port,
-                recorder=recorder,
-                follow=[store_path.parent],
-                follow_pattern=f"{store_path.name}.*.telemetry.jsonl",
-                port_file=store_path.with_name(f"{store_path.name}.tower.port"),
-            )
-        )
-        tower_port = tower_thread.start()
-        logger.info(
-            "fabric tower serving campaign at http://127.0.0.1:%d", tower_port
         )
 
     drain = threading.Event()
@@ -427,13 +394,8 @@ def run_fabric(config: FabricConfig) -> FabricResult:
             trace_id=trace.trace_id,
             worker_logs=worker_logs,
             prom=prom_path,
-            tower_port=tower_port,
         )
     finally:
-        if tower_thread is not None:
-            # Drain before teardown: attached SSE clients get the
-            # campaign's final records and an eof frame, not a reset.
-            tower_thread.stop()
         for proc in procs.values():
             if proc.poll() is None:
                 proc.kill()

@@ -22,8 +22,9 @@ Crash safety rests on two rules, both enforced *inside* single
 
 Every grant, commit, rejection, and worker lifecycle transition is
 appended to an ``events`` table, which the coordinator drains into
-telemetry (``lease``/``worker`` records) and the verification harness
-audits for fencing violations.
+telemetry (``lease``/``worker`` records, translated by
+:func:`store_event_record`) and the verification harness audits for
+fencing violations.
 """
 
 from __future__ import annotations
@@ -35,11 +36,18 @@ import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
 from repro.errors import ExperimentError
 
-__all__ = ["LEASE_SCHEMA_VERSION", "Lease", "LeaseStore", "DEFAULT_BUSY_TIMEOUT_MS"]
+__all__ = [
+    "LEASE_SCHEMA_VERSION",
+    "LEASE_EVENT_KINDS",
+    "Lease",
+    "LeaseStore",
+    "DEFAULT_BUSY_TIMEOUT_MS",
+    "store_event_record",
+]
 
 #: Bumped whenever the table layout changes incompatibly.
 LEASE_SCHEMA_VERSION = 1
@@ -86,6 +94,40 @@ CREATE TABLE IF NOT EXISTS events (
 );
 CREATE INDEX IF NOT EXISTS events_campaign ON events(campaign_id, id);
 """
+
+#: ``events.kind`` values that describe a lease transition; every other
+#: kind (``worker_start``, ``worker_exit``, ``fault``) is worker life.
+LEASE_EVENT_KINDS = frozenset({"claim", "takeover", "commit", "fence_reject"})
+
+
+def store_event_record(event: Mapping[str, Any]) -> dict[str, Any]:
+    """One ``events`` row as a schema-valid telemetry record.
+
+    Lease transitions become ``lease`` records (``event`` + required
+    ``index``); everything else becomes a ``worker`` record.  The
+    store's own timestamp and row id ride along (``ts``, ``store_id``)
+    so merged streams sort and dedupe on the store's ordering, not the
+    reader's.  The coordinator's event forwarding and the monitor's
+    store input share this one translation.
+    """
+    kind = str(event.get("kind", ""))
+    record: dict[str, Any] = {"ts": float(event.get("ts") or 0.0)}
+    if event.get("id") is not None:
+        record["store_id"] = int(event["id"])
+    for key in ("worker", "fence", "detail"):
+        if event.get(key) is not None:
+            record[key] = event[key]
+    if kind in LEASE_EVENT_KINDS:
+        record["kind"] = "lease"
+        record["event"] = kind
+        record["index"] = int(event["idx"]) if event.get("idx") is not None else -1
+    else:
+        record["kind"] = "worker"
+        record["event"] = kind
+        record.setdefault("worker", str(event.get("worker") or "?"))
+        if event.get("idx") is not None:
+            record["index"] = int(event["idx"])
+    return record
 
 
 @dataclass(frozen=True)
@@ -229,6 +271,13 @@ class LeaseStore:
         if row is not None and row["params"]:
             row["params"] = json.loads(row["params"])
         return row
+
+    def newest_campaign(self) -> dict[str, Any] | None:
+        """The most recently registered campaign, or ``None``."""
+        row = self.conn.execute(
+            "SELECT id FROM campaigns ORDER BY id DESC LIMIT 1"
+        ).fetchone()
+        return self.campaign_by_id(int(row["id"])) if row is not None else None
 
     def campaign_by_id(self, campaign_id: int) -> dict[str, Any] | None:
         row = self.conn.execute(

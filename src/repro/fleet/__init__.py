@@ -15,10 +15,6 @@ package lifts the stack to that fleet:
   exposition and JSONL snapshots riding the telemetry stream.  Like
   the telemetry recorder it is strictly zero-cost when no registry is
   active — one module-global load plus a ``None`` check;
-* :mod:`~repro.fleet.board` — the **live fleet board**: follow the
-  lease store's audit log plus every worker's telemetry log
-  concurrently, render per-worker health lanes, and feed the merged
-  stream through the existing conformance SLO gates;
 * :mod:`~repro.fleet.autopsy` — **campaign autopsy**: reconstruct the
   full lease/fence/takeover timeline of a finished (or crashed) fabric
   campaign from the store's audit events, cross-check it against the
@@ -26,8 +22,10 @@ package lifts the stack to that fleet:
   fenced holder), and render it as text, JSON, obs-store rows, or an
   HTML timeline dashboard.
 
-Front ends: ``python -m repro fleet board|trace|metrics`` and
-``python -m repro fabric autopsy``.
+Front ends: ``python -m repro fleet trace|metrics`` and
+``python -m repro fabric autopsy``.  The live view of a fabric campaign
+is ``python -m repro monitor <store>``: the monitor's status board shows
+per-worker health lanes whenever its input is a lease store.
 """
 
 from __future__ import annotations
@@ -45,16 +43,13 @@ __all__ = [
     "get_registry",
     "set_registry",
     "activate_metrics",
-    "FleetBoard",
-    "follow_fleet",
-    "store_event_record",
     "AutopsyReport",
     "autopsy",
     "land_autopsy",
     "render_autopsy_html",
 ]
 
-# Lazy exports (PEP 562), mirroring repro.fabric: board/autopsy import
+# Lazy exports (PEP 562), mirroring repro.fabric: autopsy imports
 # fabric modules which must stay import-light for worker subprocesses.
 _EXPORTS = {
     "TraceContext": "repro.fleet.tracectx",
@@ -67,9 +62,6 @@ _EXPORTS = {
     "get_registry": "repro.fleet.metrics",
     "set_registry": "repro.fleet.metrics",
     "activate_metrics": "repro.fleet.metrics",
-    "FleetBoard": "repro.fleet.board",
-    "follow_fleet": "repro.fleet.board",
-    "store_event_record": "repro.fleet.board",
     "AutopsyReport": "repro.fleet.autopsy",
     "autopsy": "repro.fleet.autopsy",
     "land_autopsy": "repro.fleet.autopsy",

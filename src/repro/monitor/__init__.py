@@ -10,11 +10,13 @@ JSON-lines log — and holds what it sees to the theory:
   harness's property-3 invariants; violations become structured
   ``alert`` events in the telemetry schema.
 * :mod:`repro.monitor.tail` — torn-write-tolerant JSON-lines tailing.
-* :mod:`repro.monitor.board` — the live TTY status board.
+* :mod:`repro.monitor.board` — the live TTY status board, with
+  per-worker health lanes for fabric campaigns.
 * :mod:`repro.monitor.chrome_trace` — Chrome trace-event export
   (open the result in ``chrome://tracing`` or Perfetto).
 * :mod:`repro.monitor.live` — the orchestration layer behind
-  ``python -m repro monitor`` and the ``--monitor`` campaign flag.
+  ``python -m repro monitor`` (a telemetry log, or a fabric lease store
+  followed with its worker logs) and the ``--monitor`` campaign flag.
 """
 
 from repro.monitor.board import BoardRenderer, StatusBoard
@@ -38,7 +40,13 @@ from repro.monitor.conformance import (
     RunIndex,
     default_checkers,
 )
-from repro.monitor.live import LiveMonitor, MonitorReport, attach_monitor, monitor_log
+from repro.monitor.live import (
+    LiveMonitor,
+    MonitorReport,
+    attach_monitor,
+    follow_fleet,
+    monitor_log,
+)
 from repro.monitor.tail import TailReader, follow_records, read_log_records
 
 __all__ = [
@@ -62,6 +70,7 @@ __all__ = [
     "chrome_trace",
     "chrome_trace_events",
     "default_checkers",
+    "follow_fleet",
     "follow_records",
     "monitor_log",
     "read_log_records",

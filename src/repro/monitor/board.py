@@ -6,17 +6,65 @@ open alerts); :class:`BoardRenderer` paints it.  On a real terminal the
 board redraws in place with ANSI cursor movement; when stdout is a pipe
 (CI, ``| tee``) it degrades to plain status lines emitted at most once
 per refresh interval, so logs stay readable and diffable.
+
+A fabric campaign's stream also carries ``lease``/``worker``/``fabric_*``
+records (the coordinator log, or a lease store followed by
+:func:`repro.monitor.live.follow_fleet`).  The first such record turns on
+the board's **fleet** block: one :class:`WorkerLane` of health counters
+per worker plus campaign-wide chunk, takeover and fence-reject totals.
+A stream without them renders exactly as it would without the block.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from dataclasses import asdict, dataclass
 from typing import Any, TextIO
 
 from repro.monitor.conformance import Alert
 
-__all__ = ["StatusBoard", "BoardRenderer"]
+__all__ = ["StatusBoard", "BoardRenderer", "WorkerLane"]
+
+#: Record kinds that describe a fabric campaign (they switch the fleet
+#: block on).
+FLEET_KINDS = frozenset({"lease", "worker", "fabric_begin", "fabric_end"})
+
+
+@dataclass
+class WorkerLane:
+    """Rolling health of one fabric worker, fed from merged records."""
+
+    worker: str
+    state: str = "unknown"  # unknown -> live -> exited (or killed)
+    claims: int = 0
+    commits: int = 0
+    takeovers: int = 0
+    fence_rejects: int = 0
+    faults: int = 0
+    holding: int | None = None  # chunk index currently leased
+    last_fault: str | None = None
+    exit_detail: str | None = None
+
+    def snapshot(self) -> dict[str, Any]:
+        return asdict(self)
+
+    def describe(self) -> str:
+        parts = [
+            f"{self.worker:<12.12}",
+            f"{self.state:<7}",
+            f"claims {self.claims}",
+            f"commits {self.commits}",
+        ]
+        if self.takeovers:
+            parts.append(f"takeovers {self.takeovers}")
+        if self.fence_rejects:
+            parts.append(f"REJECTS {self.fence_rejects}")
+        if self.holding is not None:
+            parts.append(f"chunk {self.holding}")
+        if self.last_fault:
+            parts.append(f"fault: {self.last_fault}")
+        return "  ".join(parts)
 
 
 class StatusBoard:
@@ -40,11 +88,31 @@ class StatusBoard:
         self.progress_total: int | None = None
         self.last_run: str | None = None
         self._nodes: dict[tuple[Any, Any], float] = {}
+        # The fleet block: off until the stream shows a fabric campaign.
+        self.fleet = False
+        self.lanes: dict[str, WorkerLane] = {}
+        self.chunks_total: int | None = None
+        self.chunks_committed: set[int] = set()
+        self.fabric_done = False
+        self.takeovers = 0
+        self.fence_rejects = 0
 
     def update(self, record: dict[str, Any]) -> None:
         self.records += 1
         kind = record.get("kind")
-        if kind == "manifest":
+        if kind in FLEET_KINDS:
+            self.fleet = True
+        if kind == "lease":
+            self._update_lease(record)
+        elif kind == "worker":
+            self._update_worker(record)
+        elif kind == "fabric_begin":
+            chunks = record.get("chunks")
+            if isinstance(chunks, int) and not isinstance(chunks, bool):
+                self.chunks_total = chunks
+        elif kind == "fabric_end":
+            self.fabric_done = True
+        elif kind == "manifest":
             command = record.get("command")
             if isinstance(command, str):
                 self.command = command
@@ -92,6 +160,68 @@ class StatusBoard:
     def note_alert(self, alert: Alert) -> None:
         self.alerts.append(alert)
 
+    def note_campaign(self, chunks_total: int, done: bool) -> None:
+        """Pin the campaign's size and completion (read from its lease
+        store, which carries no ``fabric_begin``/``fabric_end``)."""
+        self.fleet = True
+        self.chunks_total = chunks_total
+        self.fabric_done = done
+
+    def _lane(self, worker: Any) -> WorkerLane | None:
+        if not isinstance(worker, str) or not worker:
+            return None
+        lane = self.lanes.get(worker)
+        if lane is None:
+            lane = self.lanes[worker] = WorkerLane(worker)
+        return lane
+
+    def _update_lease(self, record: dict[str, Any]) -> None:
+        event = record.get("event")
+        index = record.get("index")
+        held = index if isinstance(index, int) else None
+        lane = self._lane(record.get("worker"))
+        if lane is not None and lane.state == "unknown":
+            lane.state = "live"
+        if event == "claim":
+            if lane is not None:
+                lane.claims += 1
+                lane.holding = held
+        elif event == "takeover":
+            self.takeovers += 1
+            if lane is not None:
+                lane.claims += 1
+                lane.takeovers += 1
+                lane.holding = held
+        elif event == "commit":
+            if held is not None and not isinstance(held, bool):
+                self.chunks_committed.add(held)
+            if lane is not None:
+                lane.commits += 1
+                lane.holding = None
+        elif event == "fence_reject":
+            self.fence_rejects += 1
+            if lane is not None:
+                lane.fence_rejects += 1
+                lane.holding = None
+
+    def _update_worker(self, record: dict[str, Any]) -> None:
+        lane = self._lane(record.get("worker"))
+        if lane is None:
+            return
+        event = record.get("event")
+        detail = record.get("detail")
+        if event == "worker_start":
+            lane.state = "live"
+        elif event == "worker_exit":
+            lane.state = "exited"
+            lane.exit_detail = detail if isinstance(detail, str) else None
+            lane.holding = None
+        elif event == "fault":
+            lane.faults += 1
+            lane.last_fault = detail if isinstance(detail, str) else str(event)
+            if isinstance(detail, str) and detail.startswith("kill"):
+                lane.state = "killed"
+
     @property
     def slots_per_sec(self) -> float:
         return self.slots / self.wall_s if self.wall_s > 0 else 0.0
@@ -108,7 +238,7 @@ class StatusBoard:
 
     def snapshot(self) -> dict[str, Any]:
         """Machine-readable board state (the ``--json`` report embeds it)."""
-        return {
+        out: dict[str, Any] = {
             "records": self.records,
             "command": self.command,
             "runs": {
@@ -128,6 +258,19 @@ class StatusBoard:
             },
             "alerts": [alert.record_fields() for alert in self.alerts],
         }
+        if self.fleet:
+            out["fleet"] = {
+                "workers": {
+                    worker: lane.snapshot()
+                    for worker, lane in sorted(self.lanes.items())
+                },
+                "chunks_total": self.chunks_total,
+                "chunks_committed": len(self.chunks_committed),
+                "takeovers": self.takeovers,
+                "fence_rejects": self.fence_rejects,
+                "fabric_done": self.fabric_done,
+            }
+        return out
 
     # -- text rendering ---------------------------------------------------
 
@@ -159,7 +302,24 @@ class StatusBoard:
         lines = [header, run_line, engine_line, alert_line]
         for alert in self.alerts[-3:]:
             lines.append(f"  ! {alert.describe()}")
+        return lines + self.fleet_lines()
+
+    def fleet_lines(self) -> list[str]:
+        """The fleet block: campaign totals, then one line per worker."""
+        if not self.fleet:
+            return []
+        lines = [
+            f"fleet: chunks {len(self.chunks_committed)}/{self._total()}  "
+            f"takeovers {self.takeovers}  "
+            f"fence rejects {self.fence_rejects}"
+            + ("  [done]" if self.fabric_done else "")
+        ]
+        for worker in sorted(self.lanes):
+            lines.append("  " + self.lanes[worker].describe())
         return lines
+
+    def _total(self) -> int | str:
+        return self.chunks_total if self.chunks_total is not None else "?"
 
     def status_line(self) -> str:
         """One-line form for the plain (non-TTY) renderer."""
@@ -172,6 +332,14 @@ class StatusBoard:
         if self.chaos_trials:
             parts.append(f"chaos {self.chaos_trials}")
         parts.append(f"alerts {len(self.alerts)}")
+        if self.fleet:
+            live = sum(
+                1 for lane in self.lanes.values() if lane.state in ("live", "unknown")
+            )
+            parts.append(f"workers {live}/{len(self.lanes)}")
+            parts.append(f"chunks {len(self.chunks_committed)}/{self._total()}")
+            if self.fence_rejects:
+                parts.append(f"rejects {self.fence_rejects}")
         return "monitor: " + "  ".join(parts)
 
 

@@ -528,11 +528,11 @@ class FleetLeaseChecker(ConformanceChecker):
 
     A takeover is the fabric working as designed — a chunk whose owner
     stopped heartbeating got rescued — but it always means a worker
-    died, stalled past its lease TTL, or lost its machine, so operators
-    watching the relay (``python -m repro tower``'s ``/stream``,
-    webhook receivers) want it pushed, not discovered in a post-mortem
-    autopsy.  Fires once per takeover event, not latched: three dead
-    workers are three alerts.
+    died, stalled past its lease TTL, or lost its machine, so whoever
+    watches the campaign (``python -m repro monitor <store>``, or
+    ``--monitor`` on the coordinator) wants it flagged live, not
+    discovered in a post-mortem autopsy.  Fires once per takeover
+    event, not latched: three dead workers are three alerts.
     """
 
     rule = "fleet-takeover"

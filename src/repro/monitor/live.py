@@ -4,16 +4,20 @@ Two ways in:
 
 * :func:`monitor_log` — out-of-process: read (or ``--follow``) a
   JSON-lines telemetry log and stream it through the checkers.  This is
-  what ``python -m repro monitor`` runs.
+  what ``python -m repro monitor`` runs.  Given a fabric lease store
+  instead (detected by the SQLite file magic), it follows the store's
+  newest campaign plus its ``<store>.<worker>.telemetry.jsonl`` worker
+  logs through :func:`follow_fleet`, and the board grows worker lanes.
 * :func:`attach_monitor` — in-process: subscribe a :class:`LiveMonitor`
   to the active :class:`~repro.telemetry.core.Telemetry` recorder, so
   ``--monitor`` on ``gap``/``experiment``/``chaos`` checks conformance
   *while the campaign runs* with zero extra file I/O.
 
-Fired alerts are appended to the monitored log as schema-valid
-``alert`` records (tagged ``source="monitor"`` with a monotone ``seq``),
-so they survive for ``obs ingest``/``telemetry`` and a later monitor
-pass can read the same log without double-counting its own output.
+Fired alerts are appended to a monitored log as schema-valid ``alert``
+records (tagged ``source="monitor"`` with a monotone ``seq``), so they
+survive for ``obs ingest``/``telemetry`` and a later monitor pass can
+read the same log without double-counting its own output.  A lease
+store is only ever read.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro.errors import ExperimentError
 from repro.monitor.board import BoardRenderer, StatusBoard
 from repro.monitor.conformance import (
     Alert,
@@ -32,10 +37,20 @@ from repro.monitor.conformance import (
     MonitorConfig,
     default_checkers,
 )
-from repro.monitor.tail import follow_records, read_log_records
+from repro.monitor.tail import TailReader, follow_records, read_log_records
 from repro.telemetry.core import Telemetry
 
-__all__ = ["MonitorReport", "LiveMonitor", "monitor_log", "attach_monitor"]
+__all__ = [
+    "MonitorReport",
+    "LiveMonitor",
+    "monitor_log",
+    "attach_monitor",
+    "follow_fleet",
+    "is_sqlite_file",
+]
+
+#: The first 16 bytes of every SQLite database file.
+SQLITE_MAGIC = b"SQLite format 3\x00"
 
 
 @dataclass
@@ -46,6 +61,8 @@ class MonitorReport:
     alerts: list[Alert] = field(default_factory=list)
     board: dict[str, Any] = field(default_factory=dict)
     log: str | None = None
+    #: The board's fleet block as text (empty without fabric records).
+    fleet_lines: list[str] = field(default_factory=list)
 
     @property
     def gate_failed(self) -> bool:
@@ -68,14 +85,11 @@ class LiveMonitor:
         self,
         config: MonitorConfig,
         *,
-        board: StatusBoard | None = None,
         renderer_factory: Callable[[StatusBoard], BoardRenderer] | None = None,
         emit_alert: Callable[[Alert], None] | None = None,
     ) -> None:
         self.config = config
-        # An injected board lets the fleet front end reuse the same SLO
-        # gates with per-worker lanes (repro.fleet.board.FleetBoard).
-        self.board = board if board is not None else StatusBoard()
+        self.board = StatusBoard()
         self.renderer = renderer_factory(self.board) if renderer_factory else None
         self._emit_alert = emit_alert
         # Epsilon pinned on the CLI wins; otherwise the stream's own
@@ -124,6 +138,7 @@ class LiveMonitor:
             records=self.monitor.records_seen,
             alerts=list(self.monitor.alerts),
             board=self.board.snapshot(),
+            fleet_lines=self.board.fleet_lines(),
         )
 
 
@@ -162,31 +177,167 @@ def monitor_log(
     renderer_factory: Callable[[StatusBoard], BoardRenderer] | None = None,
     write_alerts: bool = True,
 ) -> MonitorReport:
-    """Run a conformance pass over a telemetry log on disk.
+    """Run a conformance pass over a telemetry log or lease store on disk.
 
-    A ``KeyboardInterrupt`` while following ends the pass cleanly: the
-    checkers finish and the report covers everything seen so far.
+    A lease store is read once, or with ``follow`` tailed until every
+    chunk is committed (see :func:`_ingest_store`); alerts are never
+    written into it.  A ``KeyboardInterrupt`` while following ends the
+    pass cleanly: the checkers finish and the report covers everything
+    seen so far.
     """
     log = Path(path)
-    emit = _AlertWriter(log) if write_alerts else None
+    store = is_sqlite_file(log)
+    emit = _AlertWriter(log) if write_alerts and not store else None
     live = LiveMonitor(
         config or MonitorConfig(), renderer_factory=renderer_factory, emit_alert=emit
     )
-    records: Iterable[dict[str, Any]]
-    if follow:
-        records = follow_records(
-            log, poll_interval=poll_interval, idle_timeout=idle_timeout, stop=stop
-        )
-    else:
-        records = read_log_records(log)
     try:
-        for record in records:
-            live.ingest(record)
+        if store:
+            _ingest_store(
+                live, log, follow=follow, poll_interval=poll_interval,
+                idle_timeout=idle_timeout, stop=stop,
+            )
+        else:
+            records: Iterable[dict[str, Any]]
+            if follow:
+                records = follow_records(
+                    log, poll_interval=poll_interval,
+                    idle_timeout=idle_timeout, stop=stop,
+                )
+            else:
+                records = read_log_records(log)
+            for record in records:
+                live.ingest(record)
     except KeyboardInterrupt:
         pass
     report = live.finish()
     report.log = str(log)
     return report
+
+
+def is_sqlite_file(path: str | os.PathLike[str]) -> bool:
+    """True when ``path`` is a SQLite database (a fabric lease store)."""
+    try:
+        with open(path, "rb") as stream:
+            return stream.read(len(SQLITE_MAGIC)) == SQLITE_MAGIC
+    except OSError:
+        return False
+
+
+def _ingest_store(
+    live: LiveMonitor,
+    store_path: Path,
+    *,
+    follow: bool,
+    poll_interval: float,
+    idle_timeout: float | None,
+    stop: Callable[[], bool] | None,
+) -> None:
+    """Feed a lease store's newest campaign, plus the worker logs next to
+    it, through ``live``; pin the campaign's size and completion on the
+    board from the store itself."""
+    from repro.fabric.store import LeaseStore
+
+    with LeaseStore(store_path) as lease_store:
+        campaign = lease_store.newest_campaign()
+        if campaign is None:
+            raise ExperimentError(f"lease store {store_path} holds no campaign")
+        campaign_id = int(campaign["id"])
+        total = sum(lease_store.counts(campaign_id).values())
+        live.board.note_campaign(total, lease_store.all_done(campaign_id))
+        logs = sorted(
+            store_path.parent.glob(f"{store_path.name}.*.telemetry.jsonl")
+        )
+        try:
+            for record in follow_fleet(
+                store_path,
+                campaign["fingerprint"],
+                logs=logs,
+                poll_interval=poll_interval,
+                idle_timeout=idle_timeout,
+                stop=stop if follow else lambda: True,
+            ):
+                live.ingest(record)
+        finally:
+            live.board.note_campaign(total, lease_store.all_done(campaign_id))
+
+
+def follow_fleet(
+    store: str | os.PathLike[str],
+    campaign: str,
+    *,
+    logs: Sequence[str | os.PathLike[str]] = (),
+    poll_interval: float = 0.2,
+    idle_timeout: float | None = None,
+    stop: Callable[[], bool] | None = None,
+) -> Iterator[dict[str, Any]]:
+    """Yield one merged, ts-ordered record stream for a fabric campaign.
+
+    Tails the lease store's audit log (translated through
+    :func:`repro.fabric.store.store_event_record`) and every telemetry
+    log in ``logs`` concurrently.  Each poll cycle's harvest is sorted by
+    ``ts`` before yielding, so the board and the conformance checkers
+    see per-cycle causal order without waiting for the campaign to end.
+
+    Ends when ``stop()`` turns true; when the store reports every chunk
+    committed (after one final drain); or when no process has produced
+    anything for ``idle_timeout`` seconds.
+    """
+    from repro.fabric.store import LeaseStore, store_event_record
+
+    store_path = Path(store)
+    readers = [TailReader(path) for path in logs]
+    lease_store: Any = None
+    campaign_id: int | None = None
+    after_id = 0
+    last_data = time.monotonic()
+
+    def harvest() -> list[dict[str, Any]]:
+        nonlocal lease_store, campaign_id, after_id
+        batch: list[dict[str, Any]] = []
+        if lease_store is None and store_path.exists():
+            lease_store = LeaseStore(store_path)
+        if lease_store is not None and campaign_id is None:
+            row = lease_store.campaign(campaign)
+            campaign_id = int(row["id"]) if row is not None else None
+        if campaign_id is not None:
+            for event in lease_store.events(campaign_id, after_id=after_id):
+                after_id = max(after_id, int(event["id"]))
+                batch.append(store_event_record(event))
+        for reader in readers:
+            batch.extend(reader.poll())
+        batch.sort(
+            key=lambda r: (
+                float(ts)
+                if isinstance(ts := r.get("ts"), (int, float))
+                and not isinstance(ts, bool)
+                else 0.0
+            )
+        )
+        return batch
+
+    try:
+        while True:
+            batch = harvest()
+            if batch:
+                last_data = time.monotonic()
+                yield from batch
+            if stop is not None and stop():
+                yield from harvest()  # drain what raced the stop signal
+                return
+            if campaign_id is not None and lease_store.all_done(campaign_id):
+                yield from harvest()
+                return
+            if not batch:
+                if (
+                    idle_timeout is not None
+                    and time.monotonic() - last_data >= idle_timeout
+                ):
+                    return
+                time.sleep(poll_interval)
+    finally:
+        if lease_store is not None:
+            lease_store.close()
 
 
 def attach_monitor(

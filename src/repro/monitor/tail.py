@@ -39,8 +39,8 @@ class TailReader:
     later poll completes it.  Lines that are complete but undecodable
     (corrupt bytes, truncated by a crash *and* followed by more data)
     are counted in :attr:`invalid` and skipped.  This is the one
-    tolerant JSON-lines reader: telemetry summaries, flamegraph inputs,
-    fabric journals and webhook dead letters are all read through it.
+    tolerant JSON-lines reader: telemetry summaries, flamegraph inputs
+    and fabric journals are all read through it.
 
     The reader also survives the file being replaced underneath it:
     an in-place truncation (size shrank) or a rotation (same path, new

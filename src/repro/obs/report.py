@@ -19,10 +19,8 @@ from repro.obs.query import TrendPoint
 from repro.obs.store import RunStore
 
 __all__ = [
-    "fmt",
     "page",
     "sparkline",
-    "tile",
     "run_tables",
     "trend_table",
     "render_run_html",
@@ -51,7 +49,7 @@ def sparkline(values: list[float], *, width: int | None = None) -> str:
     return "".join(_BLOCKS[int((v - lo) * scale)] for v in values)
 
 
-def fmt(value: Any) -> str:
+def _fmt(value: Any) -> str:
     """A table/tile cell: ``-`` for ``None``, floats in table format."""
     if value is None:
         return "-"
@@ -75,11 +73,11 @@ def run_tables(store: RunStore, run: dict[str, Any]) -> list[Table]:
     created = run.get("created")
     ident.add_row(
         str(run["fingerprint"])[:12],
-        fmt(run.get("seed")),
+        _fmt(run.get("seed")),
         (run.get("git_sha") or "-")[:12],
         run.get("host") or "-",
         time.strftime("%Y-%m-%d %H:%M:%S", time.gmtime(created)) if created else "-",
-        fmt(run.get("records")),
+        _fmt(run.get("records")),
         run.get("source_path") or "-",
     )
     tables.append(ident)
@@ -88,7 +86,7 @@ def run_tables(store: RunStore, run: dict[str, Any]) -> list[Table]:
     if metrics:
         metric_table = Table("Aggregates", ["metric", "value"])
         for name, value in sorted(metrics.items()):
-            metric_table.add_row(name, fmt(value))
+            metric_table.add_row(name, _fmt(value))
         tables.append(metric_table)
 
     series = store.series_for(run_id, "slots_per_sec")
@@ -111,8 +109,8 @@ def run_tables(store: RunStore, run: dict[str, Any]) -> list[Table]:
         )
         for row in phases:
             phase_table.add_row(
-                row["proto"], row["idx"], fmt(row["count"]),
-                fmt(row["slot_mean"]), fmt(row["mean_length"]),
+                row["proto"], row["idx"], _fmt(row["count"]),
+                _fmt(row["slot_mean"]), _fmt(row["mean_length"]),
             )
         tables.append(phase_table)
 
@@ -241,8 +239,8 @@ def page(title: str, body: str, *, css: str = _CSS) -> str:
     """One self-contained HTML page around ``body``: inline ``css``, no
     scripts, no external assets.
 
-    Every HTML artifact the toolkit writes — the obs dashboards, the
-    tower page, flamegraphs and fabric autopsies — is built here with
+    Every HTML artifact the toolkit writes — the obs dashboards,
+    flamegraphs and fabric autopsies — is built here with
     its own stylesheet.  A pure function of its arguments, so a page
     rendered twice from the same input is byte-identical.
     """
@@ -255,10 +253,10 @@ def page(title: str, body: str, *, css: str = _CSS) -> str:
     )
 
 
-def tile(key: str, value: Any) -> str:
+def _tile(key: str, value: Any) -> str:
     """A headline metric tile (the ``.tile`` class of the default CSS)."""
     return (
-        f"<div class='tile'><div class='v'>{html_mod.escape(fmt(value))}</div>"
+        f"<div class='tile'><div class='v'>{html_mod.escape(_fmt(value))}</div>"
         f"<div class='k'>{html_mod.escape(key)}</div></div>"
     )
 
@@ -289,7 +287,7 @@ def render_run_html(store: RunStore, run: dict[str, Any]) -> str:
     body.append("<div class='tiles'>")
     for key in _TILE_METRICS:
         if key in metrics:
-            body.append(tile(key, metrics[key]))
+            body.append(_tile(key, metrics[key]))
     body.append("</div>")
 
     series = store.series_for(run_id, "slots_per_sec")
@@ -310,7 +308,7 @@ def render_run_html(store: RunStore, run: dict[str, Any]) -> str:
         for row in phases:
             body.append(
                 "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>"
-                .format(*(html_mod.escape(fmt(v)) for v in (
+                .format(*(html_mod.escape(_fmt(v)) for v in (
                     row["proto"], row["idx"], row["count"],
                     row["slot_mean"], row["mean_length"],
                 )))
@@ -323,7 +321,7 @@ def render_run_html(store: RunStore, run: dict[str, Any]) -> str:
                     "<tr><th>metric</th><th>value</th></tr>")
         for name, value in others.items():
             body.append(f"<tr><td>{html_mod.escape(name)}</td>"
-                        f"<td>{html_mod.escape(fmt(value))}</td></tr>")
+                        f"<td>{html_mod.escape(_fmt(value))}</td></tr>")
         body.append("</table>")
 
     prov_count = store.provenance_count(run_id)
@@ -349,12 +347,12 @@ def render_trend_html(
     body: list[str] = []
     values = [p.value for p in points]
     body.append("<div class='tiles'>")
-    body.append(tile("points", len(points)))
+    body.append(_tile("points", len(points)))
     if values:
-        body.append(tile("latest", values[-1]))
-        body.append(tile("best", max(values)))
+        body.append(_tile("latest", values[-1]))
+        body.append(_tile("best", max(values)))
     if verdict is not None and verdict.get("baseline") is not None:
-        body.append(tile("baseline (median)", verdict["baseline"]))
+        body.append(_tile("baseline (median)", verdict["baseline"]))
         status = "REGRESSED" if verdict["regressed"] else "ok"
         cls = "bad" if verdict["regressed"] else "ok"
         body.append(
@@ -385,7 +383,7 @@ def render_trend_html(
         vs = f"{(point.value - prev) / abs(prev) * 100.0:+.1f}%" if prev else "-"
         body.append(
             f"<tr><td>{i + 1}</td><td>{html_mod.escape(point.label)}</td>"
-            f"<td>{html_mod.escape(fmt(point.value))}</td><td>{vs}</td></tr>"
+            f"<td>{html_mod.escape(_fmt(point.value))}</td><td>{vs}</td></tr>"
         )
     body.append("</table>")
     if verdict is not None:

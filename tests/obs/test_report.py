@@ -8,6 +8,7 @@ from repro.obs import (
     render_trend_html,
     run_tables,
     sparkline,
+    trend_points,
     trend_table,
 )
 
@@ -95,3 +96,26 @@ class TestHtml:
         assert "REGRESSED" in html
         assert "floor" in html  # the tripwire line is drawn and labelled
         assert "https://" not in html
+
+    def test_pages_are_byte_identical_across_renders(self, tmp_path):
+        # Two renders from one store must agree byte for byte, so a
+        # page can be diffed or cached as a CI artifact.
+        store, run = _seeded_store(tmp_path)
+        store.upsert_run("fp1beef1", {
+            "command": "gap", "seed": 4, "created": 20.0, "records": 9,
+            "ingested_at": 21.0, "source_path": "h.jsonl",
+        })
+        store.add_metrics(store.resolve_run("fp1beef1")["id"],
+                          {"slots_per_sec": 1100.0})
+        points = trend_points(store, "slots_per_sec")
+        assert len(points) == 2
+        verdict = detect_regression([p.value for p in points],
+                                    metric="slots_per_sec")
+        run_pages = [render_run_html(store, run).encode() for _ in range(2)]
+        trend_pages = [
+            render_trend_html("slots_per_sec", points, verdict).encode()
+            for _ in range(2)
+        ]
+        assert run_pages[0] == run_pages[1]
+        assert trend_pages[0] == trend_pages[1]
+        assert b"<svg" in run_pages[0] and b"<svg" in trend_pages[0]

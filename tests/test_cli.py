@@ -506,10 +506,9 @@ class TestFleetCommands:
 
         assert validate_chrome_trace(trace) == []
 
-    def test_fleet_board_reports_store_activity(self, tmp_path, capsys):
+    def test_monitor_reports_store_activity(self, tmp_path, capsys):
         db = self._scripted(tmp_path)
-        code = main(["fleet", "board", "--store", str(db), "--plain",
-                     "--idle-timeout", "0.5", "--json"])
+        code = main(["monitor", str(db), "--plain", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         fleet = payload["board"]["fleet"]
