@@ -110,6 +110,34 @@ def test_aloha_parity_with_active_slots_bound(schedule):
         assert vec.node_results() == ref.node_results()
 
 
+# Long enough that every stream of an informed node crosses the ends of
+# its first and second 312-coin blocks, at slots that differ by node.
+LONG_ALOHA = dict(p=0.3, slots=720)
+
+
+@pytest.mark.parametrize("schedule", ["none", "combined"])
+def test_aloha_parity_across_coin_blocks(schedule):
+    graph = TOPOLOGIES["gnp-16"]()
+    faults = SCHEDULES[schedule]
+    seeds = _seeds("aloha-long", schedule, count=4)
+    batch = run_aloha_batch(graph, 0, seeds, faults=faults, **LONG_ALOHA)
+    for seed, vec in zip(seeds, batch):
+        ref = _reference_aloha(graph, seed, faults=faults, **LONG_ALOHA)
+        assert_metrics_equal(ref.metrics, vec.metrics)
+        assert vec.node_results() == ref.node_results()
+
+
+def test_decay_parity_on_a_grid_of_256_nodes():
+    graph = grid(16, 16)
+    seeds = _seeds("decay-grid-16", count=8)
+    batch = run_decay_broadcast_batch(graph, 0, seeds)
+    for seed, vec in zip(seeds, batch):
+        ref = run_decay_broadcast(graph, 0, seed=seed)
+        assert_metrics_equal(ref.metrics, vec.metrics)
+        assert vec.slots == ref.slots
+        assert vec.node_results() == ref.node_results()
+
+
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
 @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 def test_decay_parity(topology, schedule):
@@ -162,6 +190,12 @@ def test_batch_size_never_changes_results():
     full = run_decay_broadcast_batch(graph, 0, seeds)
     for batch_size in (1, 2, 3, len(seeds)):
         chunked = run_decay_broadcast_batch(graph, 0, seeds, batch_size=batch_size)
+        for a, b in zip(full, chunked):
+            assert_metrics_equal(a.metrics, b.metrics)
+            assert a.node_results() == b.node_results()
+    full = run_aloha_batch(graph, 0, seeds, **LONG_ALOHA)
+    for batch_size in (1, 2, 3, len(seeds)):
+        chunked = run_aloha_batch(graph, 0, seeds, batch_size=batch_size, **LONG_ALOHA)
         for a, b in zip(full, chunked):
             assert_metrics_equal(a.metrics, b.metrics)
             assert a.node_results() == b.node_results()
