@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "derive_seed",
     "derive_node_seeds",
+    "seed_deriver",
     "spawn",
     "spawn_for_node",
     "seed_sequence",
@@ -73,11 +74,31 @@ def derive_seed(master_seed: int, *tags: object) -> int:
     return _seed_of(_tag_hasher(master_seed, *tags))
 
 
+def seed_deriver(master_seed: int, *tags: object) -> Callable[..., int]:
+    """``derive(*more)`` equal to ``derive_seed(master_seed, *tags, *more)``.
+
+    The shared prefix ``(master_seed, *tags)`` is hashed once; each call
+    continues from a copy of that hasher state, so deriving many seeds
+    under one prefix costs one short hash each.
+    """
+    prefix = _tag_hasher(master_seed, *tags)
+
+    def derive(*more: object) -> int:
+        hasher = prefix.copy()
+        for tag in more:
+            _add_tag(hasher, tag)
+        return _seed_of(hasher)
+
+    return derive
+
+
 def derive_node_seeds(run_seed: int, nodes: Iterable[object]) -> list[int]:
     """``[derive_seed(run_seed, "node", v) for v in nodes]``, faster.
 
     The tag path's shared prefix is hashed once and each node's seed
-    continues from a copy of that hasher state.
+    continues from a copy of that hasher state.  (:func:`seed_deriver`
+    does the same per call; this loop skips its call overhead, which
+    is measurable on the NumPy backend's 8k-stream batches.)
     """
     prefix = _tag_hasher(run_seed, "node")
     seeds = []

@@ -88,7 +88,9 @@ by convention (all protocols in this library send tuples/strings/ints).
 
 from __future__ import annotations
 
+import functools
 import os
+import random
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -147,6 +149,31 @@ def _audible(neighborhood: frozenset[Node], messages: dict[Node, Any]) -> list[N
     if len(messages) < len(neighborhood):
         return [node for node in messages if node in neighborhood]
     return [node for node in neighborhood if node in messages]
+
+
+class _EngineContext(Context):
+    """A :class:`Context` whose coin stream is created on first read.
+
+    ``rng`` is ``rng.spawn_for_node(seed, node)``, so every drawn bit is
+    what an eagerly seeded context would give; a program that never
+    reads it (round robin, DFS) never seeds a Mersenne Twister.
+    ``spawn_for_node`` is looked up on the module at call time, so a
+    patched one sees every stream that is created.  ``cached_property``
+    is a non-data descriptor: after the first read the stream is a plain
+    instance attribute, so copies and pickles carry it, and one taken
+    before the first read creates the same stream anew.
+    """
+
+    def __init__(self, node: Node, neighbor_ids: frozenset[Node], seed: int) -> None:
+        self.node = node
+        self.neighbor_ids = neighbor_ids
+        self.slot = 0
+        self.extras = {}
+        self._seed = seed
+
+    @functools.cached_property
+    def rng(self) -> random.Random:  # type: ignore[override]
+        return rng_mod.spawn_for_node(self._seed, self.node)
 
 
 class Engine:
@@ -212,13 +239,9 @@ class Engine:
         self._crashed: set[Node] = set()
         # Initiators plus every node delivered a message so far.
         self._has_received: set[Node] = set(self.initiators)
+        neighbors = self.graph.neighbors
         self._contexts: dict[Node, Context] = {
-            node: Context(
-                node=node,
-                neighbor_ids=self.graph.neighbors(node),
-                rng=rng_mod.spawn_for_node(seed, node),
-            )
-            for node in self.graph.nodes
+            node: _EngineContext(node, neighbors(node), seed) for node in self.graph.nodes
         }
         self._started = False
         # Done-set: nodes whose is_done() has returned True; the live
@@ -516,7 +539,11 @@ class Engine:
                 bucket.append(self._keyed[node])
 
     def _rewake(self, node: Node, ctx: Context) -> None:
-        """After a delivery: a sleeper keeps listening and is asked anew."""
+        """After a delivery: a sleeper keeps listening and is asked anew.
+
+        :meth:`_lean_resolve`'s one-transmitter branch inlines these
+        steps (it carries every DFS token delivery); keep the two alike.
+        """
         wake = self._wakes.get(node)
         if wake is not None:
             self._listening[node] = self._keyed[node]
@@ -577,8 +604,14 @@ class Engine:
             if self._audible_version != self.graph.version:
                 self._audible_map()
             hearers = self._hearers[sender]
-            if listening:
-                receivers = self._with_listeners(receivers, hearers)
+            if sleepy:
+                if listening:
+                    receivers = self._with_listeners(receivers, hearers)
+                # _rewake, inlined: every DFS token hearer comes this way.
+                wakes_get = self._wakes.get
+                keyed = self._keyed
+                due_pop = self._due_at.pop
+                schedule = self._schedule
             for receiver, program, ctx in receivers:
                 if receiver in hearers:
                     deliveries += 1
@@ -587,7 +620,14 @@ class Engine:
                         has_received.add(receiver)
                     program.on_observe(ctx, message)
                     if sleepy:
-                        self._rewake(receiver, ctx)
+                        wake = wakes_get(receiver)
+                        if wake is not None:
+                            listening[receiver] = keyed[receiver]
+                            when = wake(ctx)
+                            if when is None:
+                                due_pop(receiver, None)
+                            else:
+                                schedule(receiver, when)
                 else:
                     program.on_observe(ctx, SILENCE)
             metrics.deliveries += deliveries
@@ -790,7 +830,7 @@ class Engine:
                 audible = [
                     node
                     for node in audible
-                    if not self._erased(losses, slot, node, receiver)
+                    if not self._erased(losses, node, receiver)
                 ]
             num_audible = len(audible)
             sender = audible[0] if num_audible == 1 else None
@@ -900,32 +940,31 @@ class Engine:
     def _audible_transmitters(self, receiver: Node, messages: dict[Node, Any]) -> list[Node]:
         return _audible(self._audible_map()[receiver], messages)
 
-    def _losses_at(self, slot: int) -> tuple[tuple[int, LinkLossFault], ...]:
-        """The (index, fault) pairs of loss windows active this slot."""
+    def _losses_at(self, slot: int) -> tuple[tuple[LinkLossFault, Callable[..., int]], ...]:
+        """The loss windows active this slot, each with its coin deriver:
+        ``(engine seed, "link-loss", fault index, slot)`` hashed once."""
         return tuple(
-            (index, fault)
+            (fault, rng_mod.seed_deriver(self.seed, "link-loss", index, slot))
             for index, fault in enumerate(self._loss_faults)
             if fault.active_at(slot)
         )
 
+    @staticmethod
     def _erased(
-        self,
-        losses: tuple[tuple[int, LinkLossFault], ...],
-        slot: int,
+        losses: tuple[tuple[LinkLossFault, Callable[..., int]], ...],
         transmitter: Node,
         receiver: Node,
     ) -> bool:
         """Whether this directed reception is erased by an active loss fault.
 
-        The erasure coin is a pure function of (engine seed, fault
-        index, slot, transmitter, receiver), so loss patterns replay
-        identically across runs, processes and iteration orders.
+        The erasure coin is ``derive_seed(engine seed, "link-loss", fault
+        index, slot, transmitter, receiver)``, a pure function of those,
+        so loss patterns replay identically across runs, processes and
+        iteration orders.
         """
-        for index, fault in losses:
+        for fault, derive in losses:
             if fault.covers(transmitter, receiver):
-                draw = rng_mod.derive_seed(
-                    self.seed, "link-loss", index, slot, transmitter, receiver
-                )
+                draw = derive(transmitter, receiver)
                 if draw / 18446744073709551616.0 < fault.p:  # / 2**64 -> [0, 1)
                     return True
         return False

@@ -86,7 +86,8 @@ class Context:
         paper's initial input.  Randomized (ID-oblivious) protocols
         must not read it; deterministic protocols may.
     rng:
-        This processor's private coin-flip stream.
+        This processor's private coin-flip stream.  The engine's
+        contexts create it on first read (same stream, same draws).
     slot:
         The current global time-slot number (updated by the engine).
     """

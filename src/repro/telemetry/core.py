@@ -110,6 +110,9 @@ class Telemetry:
         # tear the log.  Reentrant because a subscriber may emit back
         # into this recorder (the monitor writing `alert` records).
         self._write_lock = threading.RLock()
+        # json.dumps(record, default=repr) builds a new encoder per call
+        # (default= is not the default); one per recorder, same bytes.
+        self._encode = json.JSONEncoder(default=repr).encode
 
     # -- constructors ---------------------------------------------------
 
@@ -190,7 +193,7 @@ class Telemetry:
                 self._records.append(record)
             else:
                 assert self._stream is not None
-                self._stream.write(json.dumps(record, default=repr) + "\n")
+                self._stream.write(self._encode(record) + "\n")
                 self._stream.flush()
             if self._subscribers:
                 self._dispatch(record)

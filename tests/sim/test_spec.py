@@ -6,7 +6,8 @@ graphs and digraphs; the spec, the lean loop (fault-free
 ``RadioMedium``, no trace) and the general loop (forced by
 ``record_trace=True``) must agree on every observation and on the
 ``RunMetrics``.  Sleeping programs, which override ``NodeProgram.wake``
-with honest random schedules, must leave the lean loop equal to both.
+with honest random schedules, must leave the lean loop equal to both,
+and so must programs that pick their intents from ``ctx.rng`` coins.
 A second property checks that trace, provenance and telemetry never
 change a ``RunResult``.
 """
@@ -247,6 +248,116 @@ def test_sleeping_programs_keep_the_lean_loop_equal_to_spec(case):
         assert engine._sleepy is (not record_trace and bool(sleepers))
         result = engine.run(SLOTS)
         return _ordered(result.metrics), _heard(progs)
+
+    expected = _outcome(spec_run)
+    assert _outcome(lambda: engine_run(False)) == expected
+    assert _outcome(lambda: engine_run(True)) == expected
+
+
+class Gambler(NodeProgram):
+    """Picks its intents from coins drawn out of ``ctx.rng``.
+
+    In a slot where ``plan`` asks for ``k > 0`` coins and no earlier
+    draw still holds, it draws ``k``: the last picks transmit (once
+    informed; listen before), receive or idle, and the first how many
+    slots that choice holds.  With no coins due it follows ``codes``.
+    Draws happen only in ``act``, so the spec (eager streams) and both
+    loops (streams created on first read) must draw the same coins.
+    """
+
+    def __init__(self, plan: list[int], codes: str, done_at: int, informed: bool) -> None:
+        self.plan = plan
+        self.codes = codes
+        self.done_at = done_at
+        self.informed = informed
+        self.code = "R"
+        self.until = 0  # the slot from which act chooses anew
+        self.coins: list[tuple[int, list[float]]] = []
+        self.log: list[tuple[int, Any]] = []
+
+    def act(self, ctx: Context) -> Any:
+        slot = ctx.slot
+        if slot >= self.until:
+            self.until = slot + 1
+            coins = [ctx.rng.random() for _ in range(self.plan[slot])]
+            if coins:
+                self.coins.append((slot, coins))
+                self.code = "TRI"[int(coins[-1] * 3)]
+                self.until += int(coins[0] * 4)
+            else:
+                self.code = self.codes[slot]
+        if self.code == "T" and self.informed:
+            return Transmit(("m", ctx.node, slot))
+        return IDLE if self.code == "I" else RECEIVE
+
+    def on_observe(self, ctx: Context, heard: Any) -> None:
+        self.log.append((ctx.slot, heard))
+        if heard is not SILENCE:
+            self.informed = True
+
+    def is_done(self, ctx: Context) -> bool:
+        return ctx.slot >= self.done_at
+
+
+class SleepingGambler(Gambler):
+    """A :class:`Gambler` whose ``wake`` names the slot its hold ends.
+
+    That is honest: nothing it does changes before then, unless a
+    delivery informs a would-be transmitter, and ``wake`` is asked
+    again after every delivery.
+    """
+
+    def wake(self, ctx: Context) -> int | None:
+        if self.code == "T" and self.informed:
+            return ctx.slot + 1
+        return min(self.until, self.done_at)
+
+
+@st.composite
+def gambling_cases(draw):
+    graph, scripts, done_at, initiators, enforce, _cd = draw(cases())
+    gamblers = draw(st.sets(st.sampled_from(sorted(graph.nodes))))
+    plans = {
+        node: draw(st.lists(st.integers(0, 3), min_size=SLOTS, max_size=SLOTS))
+        if node in gamblers
+        else [0] * SLOTS
+        for node in graph.nodes
+    }
+    seed = draw(st.integers(-(2**40), 2**40))
+    return graph, scripts, done_at, initiators, enforce, plans, seed
+
+
+@pytest.mark.parametrize("sleepy", [False, True], ids=["awake", "sleeping"])
+@settings(max_examples=150, deadline=None)
+@given(case=gambling_cases())
+def test_coin_drawing_programs_keep_both_loops_equal_to_spec(sleepy, case):
+    graph, scripts, done_at, initiators, enforce, plans, seed = case
+
+    def programs():
+        kind = SleepingGambler if sleepy else Gambler
+        return {
+            node: kind(plans[node], scripts[node], done_at[node], node in initiators)
+            for node in graph.nodes
+        }
+
+    def observed(progs):
+        heard = _heard(progs) if sleepy else {n: p.log for n, p in progs.items()}
+        return heard, {node: p.coins for node, p in progs.items()}
+
+    def spec_run():
+        progs = programs()
+        metrics, _observed = spec.run(graph, progs, SLOTS, seed=seed,
+                                      initiators=initiators, enforce_no_spontaneous=enforce)
+        return _ordered(metrics), observed(progs)
+
+    def engine_run(record_trace):
+        progs = programs()
+        engine = Engine(graph, progs, seed=seed, initiators=initiators,
+                        enforce_no_spontaneous=enforce, record_trace=record_trace)
+        assert engine._lean is not record_trace
+        assert engine._sleepy is (sleepy and not record_trace)
+        result = engine.run(SLOTS)
+        return _ordered(result.metrics), observed(progs)
 
     expected = _outcome(spec_run)
     assert _outcome(lambda: engine_run(False)) == expected

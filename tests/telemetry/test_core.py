@@ -1,5 +1,6 @@
 """Tests for the telemetry recorder and the ambient registry."""
 
+import io
 import json
 import os
 
@@ -107,6 +108,20 @@ class TestFileRecorder:
             rec.emit("counter", name="x", value=1, payload=object())
         record = json.loads(log.read_text())
         assert record["payload"].startswith("<object object")
+
+    def test_lines_are_json_dumps_with_repr_fallback(self):
+        records = [
+            {"kind": "phase", "payload": object(), "value": float("nan")},
+            {"kind": "event", "name": "zürich → 東京", "nested": (1, ("a", [2.5, None]))},
+            {"kind": "gauge", "inf": float("-inf"), "set": {3}},
+        ]
+        stream = io.StringIO()
+        rec = Telemetry(stream)
+        for record in records:
+            rec.write_record(record)
+        assert stream.getvalue() == "".join(
+            json.dumps(record, default=repr) + "\n" for record in records
+        )
 
     def test_manifest_record_and_sidecar(self, tmp_path):
         log = tmp_path / "events.jsonl"

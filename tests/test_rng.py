@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import rng
 
@@ -78,3 +80,37 @@ class TestSeedSequence:
 @pytest.mark.parametrize("master", [0, 1, -1, 2**70])
 def test_derive_seed_handles_extreme_masters(master):
     assert isinstance(rng.derive_seed(master, "t"), int)
+
+
+_node_labels = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.text(max_size=6),
+    st.tuples(st.integers(-5, 5), st.text(max_size=3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    master=st.integers(-(2**70), 2**70),
+    prefix=st.lists(st.one_of(st.integers(), st.text(max_size=4)), max_size=4),
+    tail=st.lists(_node_labels, max_size=3),
+)
+def test_seed_deriver_equals_derive_seed(master, prefix, tail):
+    derive = rng.seed_deriver(master, *prefix)
+    assert derive(*tail) == rng.derive_seed(master, *prefix, *tail)
+    assert derive(*tail) == derive(*tail)  # the shared prefix is not consumed
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(-(2**70), 2**70),
+    index=st.integers(0, 3),
+    slot=st.integers(0, 10**6),
+    transmitter=_node_labels,
+    receiver=_node_labels,
+)
+def test_link_loss_coin_is_derive_seed(seed, index, slot, transmitter, receiver):
+    derive = rng.seed_deriver(seed, "link-loss", index, slot)
+    assert derive(transmitter, receiver) == rng.derive_seed(
+        seed, "link-loss", index, slot, transmitter, receiver
+    )
