@@ -17,6 +17,8 @@ Public surface (see README for a guided tour):
 * ``repro.experiments`` — one module per reproduced result (E1–E12).
 * ``repro.parallel`` — the process-pool backend for Monte-Carlo
   repetition (``ExperimentConfig(jobs=N)`` / ``REPRO_JOBS``).
+* ``repro.campaign`` — what a campaign is for the pool and the
+  ``repro.fabric`` workers alike: its plan, journal and splice.
 
 Quick start::
 

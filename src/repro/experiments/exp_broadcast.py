@@ -31,7 +31,7 @@ from repro.experiments.runner import ExperimentConfig
 from repro.graphs.generators import layered_random, line, random_gnp, unit_disk
 from repro.graphs.graph import Graph
 from repro.graphs.properties import diameter, max_degree
-from repro.parallel import parallel_map
+from repro.parallel import resilient_map
 from repro.protocols.decay_broadcast import run_decay_broadcast
 from repro.rng import spawn
 
@@ -89,14 +89,17 @@ def _completion_once(
 
 
 def _measure(
-    g: Graph, epsilon: float, seeds: list[int], *, jobs: int | None = None
+    g: Graph, epsilon: float, seeds: list[int], config: ExperimentConfig
 ) -> tuple[list[int], int, int, int]:
     """Run broadcast per seed; return (completion slots, failures, D, Δ)."""
     d = diameter(g)
     delta = max_degree(g)
     bound = theorem4_slot_bound(g.num_nodes(), d, delta, epsilon)
-    slots = parallel_map(
-        partial(_completion_once, g, epsilon, bound * 8), seeds, jobs=jobs
+    slots = resilient_map(
+        partial(_completion_once, g, epsilon, bound * 8),
+        seeds,
+        jobs=config.effective_jobs(),
+        task_timeout=config.task_timeout,
     )
     completions = [slot for slot in slots if slot is not None]
     failures = sum(1 for slot in slots if slot is None)
@@ -134,9 +137,7 @@ def run_broadcast_time_table(
         for n in sizes:
             g = broadcast_family(family, n, config.master_seed)
             seeds = config.seeds("bcast", family, n)
-            completions, failures, d, delta = _measure(
-                g, epsilon, seeds, jobs=config.effective_jobs()
-            )
+            completions, failures, d, delta = _measure(g, epsilon, seeds, config)
             bound = theorem4_slot_bound(g.num_nodes(), d, delta, epsilon)
             total = len(seeds)
             within = sum(1 for s in completions if s <= bound)
@@ -174,7 +175,7 @@ def run_success_rate_table(
     )
     for epsilon in epsilons:
         seeds = config.seeds("success", family, n, epsilon)
-        _, failures, _, _ = _measure(g, epsilon, seeds, jobs=config.effective_jobs())
+        _, failures, _, _ = _measure(g, epsilon, seeds, config)
         rate = failures / len(seeds)
         _lo, hi = wilson_interval(failures, len(seeds))
         table.add_row(epsilon, len(seeds), failures, rate, hi, rate <= epsilon)
@@ -213,10 +214,11 @@ def run_upper_bound_sensitivity_table(
     )
     baseline_mean: float | None = None
     for big_n in bounds:
-        outcomes = parallel_map(
+        outcomes = resilient_map(
             partial(_nbound_once, g, epsilon, big_n),
             config.seeds("nbound", big_n),
             jobs=config.effective_jobs(),
+            task_timeout=config.task_timeout,
         )
         slots = [slot for slot in outcomes if slot is not None]
         failures = sum(1 for slot in outcomes if slot is None)
@@ -256,9 +258,7 @@ def run_diameter_scaling_table(
         rng = spawn(config.master_seed, "layered-scaling", depth)
         g = layered_random([width] * depth, 0.5, rng)
         seeds = config.seeds("depth", depth)
-        completions, _failures, d, _delta = _measure(
-            g, epsilon, seeds, jobs=config.effective_jobs()
-        )
+        completions, _failures, d, _delta = _measure(g, epsilon, seeds, config)
         mean_slots = sum(completions) / len(completions) if completions else float("nan")
         table.add_row(depth, g.num_nodes(), d, mean_slots, mean_slots / max(1, d))
     return table

@@ -29,7 +29,7 @@ from repro.core.bounds import decay_phase_length, p_exact, p_infinity
 from repro.core.decay import DecayProcess, simulate_decay_game
 from repro.experiments.runner import ExperimentConfig
 from repro.graphs.generators import star
-from repro.parallel import parallel_map
+from repro.parallel import resilient_map
 from repro.rng import spawn
 from repro.sim.engine import Engine
 from repro.sim.node import IDLE, RECEIVE, Context, Intent, NodeProgram, Transmit
@@ -116,18 +116,27 @@ def run_theorem1_table(config: ExperimentConfig | None = None) -> Table:
         ],
     )
     jobs = config.effective_jobs()
+    timeout = config.task_timeout
     for d in ds:
         k = decay_phase_length(d)
         exact = p_exact(k, d)
         markov_hits = sum(
-            parallel_map(
-                partial(_markov_decay_hit, d, k), config.seeds("markov", d), jobs=jobs
+            resilient_map(
+                partial(_markov_decay_hit, d, k),
+                config.seeds("markov", d),
+                jobs=jobs,
+                task_timeout=timeout,
             )
         )
         engine_reps = max(60, config.reps // 2)  # engine runs are pricier but need signal
         engine_seeds = config.seeds("engine", d)[:engine_reps]
         engine_hits = sum(
-            parallel_map(partial(engine_decay_game, d, k), engine_seeds, jobs=jobs)
+            resilient_map(
+                partial(engine_decay_game, d, k),
+                engine_seeds,
+                jobs=jobs,
+                task_timeout=timeout,
+            )
         )
         lo, hi = wilson_interval(markov_hits, config.reps)
         p_inf = p_infinity(d)

@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro import rng as rng_mod
 from repro.errors import ExperimentError
-from repro.parallel import resilient_map, resilient_starmap, resolve_jobs
+from repro.parallel import _apply_args, resilient_map, resolve_jobs
 
 __all__ = ["ExperimentConfig", "repeat_runs", "sweep"]
 
@@ -108,9 +108,9 @@ def sweep(
     dispatched through the same resilient process-pool backend as
     :func:`repeat_runs`; results come back in point order regardless.
     """
-    tasks = [(point, config.seeds("sweep", point)) for point in points]
-    return resilient_starmap(
-        run_point,
+    tasks = [(run_point, (point, config.seeds("sweep", point))) for point in points]
+    return resilient_map(
+        _apply_args,
         tasks,
         jobs=config.effective_jobs(),
         task_timeout=config.task_timeout,

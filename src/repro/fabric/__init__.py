@@ -1,10 +1,11 @@
 """Crash-safe distributed campaign fabric.
 
-``repro.parallel`` hardens one process pool; this package lifts the
-same chunk checkpoint/resume machinery to a *multi-worker fabric*:
-independent worker processes claim chunk **leases** from a shared
-SQLite store, **heartbeat** while computing, and splice their results
-back **byte-identically** into the existing campaign-journal format.
+``repro.parallel`` runs a campaign on one process pool; this package
+runs the same campaigns — same plan, journal and splice, from
+:mod:`repro.campaign` — on a *multi-worker fabric*: independent worker
+processes claim chunk **leases** from a shared SQLite store,
+**heartbeat** while computing, and splice their results back
+**byte-identically** into the campaign-journal format.
 Correctness under crashes rests on three mechanisms:
 
 * **Lease expiry + takeover** — a worker that stops heartbeating
@@ -23,71 +24,5 @@ partitions real worker subprocesses and forces stale-commit attempts,
 and :mod:`~repro.fabric.verify` asserts that *any* fault plan yields
 results byte-identical to the serial run with zero fencing violations.
 
-Front ends: ``python -m repro fabric run|worker|chaos``.
+Front ends: ``python -m repro fabric run|worker|chaos|autopsy``.
 """
-
-from __future__ import annotations
-
-from typing import Any
-
-__all__ = [
-    "LeaseStore",
-    "Lease",
-    "FaultPlan",
-    "FaultAction",
-    "FabricSpec",
-    "resolve_spec",
-    "register_spec",
-    "WorkerConfig",
-    "run_worker",
-    "FabricConfig",
-    "FabricResult",
-    "run_fabric",
-    "FabricVerifyReport",
-    "verify_fabric",
-    "campaign_fingerprint",
-    "default_chunksize",
-    "make_chunks",
-    "splice",
-    "encode_chunk",
-    "decode_chunk",
-]
-
-# Lazy exports (PEP 562): repro.parallel imports repro.fabric.splice,
-# so the package __init__ must not eagerly pull in modules that import
-# repro.parallel back (coordinator, worker, verify).
-_EXPORTS = {
-    "LeaseStore": "repro.fabric.store",
-    "Lease": "repro.fabric.store",
-    "FaultPlan": "repro.fabric.faultplan",
-    "FaultAction": "repro.fabric.faultplan",
-    "FabricSpec": "repro.fabric.specs",
-    "resolve_spec": "repro.fabric.specs",
-    "register_spec": "repro.fabric.specs",
-    "WorkerConfig": "repro.fabric.worker",
-    "run_worker": "repro.fabric.worker",
-    "FabricConfig": "repro.fabric.coordinator",
-    "FabricResult": "repro.fabric.coordinator",
-    "run_fabric": "repro.fabric.coordinator",
-    "FabricVerifyReport": "repro.fabric.verify",
-    "verify_fabric": "repro.fabric.verify",
-    "campaign_fingerprint": "repro.fabric.splice",
-    "default_chunksize": "repro.fabric.splice",
-    "make_chunks": "repro.fabric.splice",
-    "splice": "repro.fabric.splice",
-    "encode_chunk": "repro.fabric.splice",
-    "decode_chunk": "repro.fabric.splice",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))

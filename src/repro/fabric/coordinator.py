@@ -36,20 +36,14 @@ from pathlib import Path
 from typing import Any
 
 import repro
+from repro.campaign import CampaignJournal, decode_chunk, plan_campaign, splice
 from repro.errors import ExperimentError
 from repro.fabric.faultplan import FaultPlan
 from repro.fabric.specs import FabricSpec, resolve_spec
-from repro.fabric.splice import (
-    campaign_fingerprint,
-    decode_chunk,
-    default_chunksize,
-    make_chunks,
-    splice,
-)
 from repro.fabric.store import LEASE_EVENT_KINDS, LeaseStore, store_event_record
 from repro.fabric.worker import WorkerConfig, run_worker, worker_argv
-from repro.fleet.metrics import MetricsRegistry, get_registry, set_registry
 from repro.fleet.metrics import counter as metric_count
+from repro.fleet.metrics import fleet_scope, get_registry
 from repro.fleet.metrics import gauge as metric_gauge
 from repro.fleet.tracectx import TraceContext
 from repro.perf import core as perf_core
@@ -63,7 +57,8 @@ logger = logging.getLogger("repro.fabric.coordinator")
 @dataclass
 class FabricConfig:
     """One fabric campaign: what to run, with how many workers, and
-    which harness faults to inject while it runs."""
+    which harness faults to inject while it runs.  Each worker's
+    stdout/stderr goes to ``<store>.<worker>.log``."""
 
     spec: str
     params: dict[str, Any] = field(default_factory=dict)
@@ -77,8 +72,6 @@ class FabricConfig:
     journal: str | os.PathLike[str] | None = None
     #: Overall campaign deadline (seconds); exceeded ⇒ terminate + raise.
     timeout: float = 300.0
-    #: Capture each worker's stderr/stdout to ``<store>.<worker>.log``.
-    capture_logs: bool = True
     install_signal_handler: bool = True
     #: Give each worker its own telemetry log
     #: (``<store>.<worker>.telemetry.jsonl``), stamped with the
@@ -160,11 +153,11 @@ def run_fabric(config: FabricConfig) -> FabricResult:
     """Run one campaign across worker subprocesses; return the splice."""
     started = time.perf_counter()
     spec: FabricSpec = resolve_spec(config.spec, config.params)
-    fingerprint = campaign_fingerprint(spec.fn, spec.items)
-    chunksize = config.chunksize or default_chunksize(
-        len(spec.items), max(1, config.workers)
+    plan = plan_campaign(
+        spec.fn, spec.items, jobs=max(1, config.workers), chunksize=config.chunksize
     )
-    num_chunks = len(make_chunks(spec.items, chunksize))
+    fingerprint = plan.fingerprint
+    num_chunks = len(plan.chunks)
     worker_ids = _worker_ids(config.workers)
 
     planned = config.fault_plan.faulted_workers()
@@ -182,7 +175,7 @@ def run_fabric(config: FabricConfig) -> FabricResult:
         spec=config.spec,
         params=config.params,
         items=len(spec.items),
-        chunksize=chunksize,
+        chunksize=plan.chunksize,
     )
 
     # Fleet wiring: one campaign = one trace, rooted at the coordinator
@@ -191,218 +184,204 @@ def run_fabric(config: FabricConfig) -> FabricResult:
     # All of it is inert when telemetry is off.
     recorder = get_active()
     trace = TraceContext.root(fingerprint)
-    trace_installed = False
-    previous_trace: Any = None
-    own_registry: MetricsRegistry | None = None
-    if recorder is not None:
-        if recorder.trace is None:
-            previous_trace = recorder.set_trace(trace)
-            trace_installed = True
-        if get_registry() is None:
-            own_registry = MetricsRegistry()
-            set_registry(own_registry)
-    if recorder is not None:
-        recorder.emit(
-            "fabric_begin",
-            spec=config.spec,
-            workers=config.workers,
-            chunks=num_chunks,
-            chunksize=chunksize,
-            fingerprint=fingerprint,
-            fault_plan=config.fault_plan.spec() or None,
-        )
-
-    drain = threading.Event()
-    if config.install_signal_handler:
-        try:
-            signal.signal(signal.SIGTERM, lambda *_: drain.set())
-        except ValueError:  # not the main thread
-            pass
-
-    procs: dict[str, subprocess.Popen] = {}
-    log_handles: list[Any] = []
-    exits: dict[str, int | None] = {}
-    worker_logs: dict[str, Path] = {}
-    env = _child_env()
-    trace.to_env(env)
-    # Performance plane: a session activated programmatically (not via
-    # the CLI's REPRO_PERF env save/restore) still reaches the workers —
-    # each samples itself and ships perf records via its telemetry log.
-    perf_session = perf_core.get_active()
-    if perf_session is not None:
-        perf_session.to_env(env)
-    for worker_id in worker_ids:
-        worker_config = WorkerConfig(
-            store=store_path,
-            campaign=fingerprint,
-            worker_id=worker_id,
-            lease_ttl=config.lease_ttl,
-            poll_interval=config.poll_interval,
-            fault_plan=config.fault_plan,
-            stale_timeout=config.stale_timeout,
-        )
-        if config.worker_telemetry:
-            worker_config.telemetry = store_path.with_name(
-                f"{store_path.name}.{worker_id}.telemetry.jsonl"
-            )
-            worker_logs[worker_id] = Path(worker_config.telemetry)
-        if config.capture_logs:
-            handle = store_path.with_name(
-                f"{store_path.name}.{worker_id}.log"
-            ).open("w", encoding="utf-8")
-            log_handles.append(handle)
-        else:
-            handle = subprocess.DEVNULL
-        procs[worker_id] = subprocess.Popen(
-            worker_argv(worker_config),
-            env=env,
-            stdout=handle,
-            stderr=subprocess.STDOUT,
-        )
-
-    after_id = 0
-    events: list[dict[str, Any]] = []
-    deadline = time.monotonic() + config.timeout
-    fallback_ran = False
-    try:
-        while True:
-            after_id, fresh = _forward_events(store, campaign_id, after_id)
-            events.extend(fresh)
-            if store.all_done(campaign_id):
-                break
-            if drain.is_set():
-                for proc in procs.values():
-                    if proc.poll() is None:
-                        proc.terminate()
-                raise ExperimentError(
-                    "fabric drained (SIGTERM) before the campaign completed; "
-                    f"chunk states: {store.counts(campaign_id)}"
-                )
-            if time.monotonic() > deadline:
-                raise ExperimentError(
-                    f"fabric campaign exceeded its {config.timeout:g}s "
-                    f"deadline; chunk states: {store.counts(campaign_id)}"
-                )
-            for worker_id, proc in procs.items():
-                code = proc.poll()
-                if code is not None and worker_id not in exits:
-                    exits[worker_id] = code
-                    logger.info("fabric worker %s exited with %d", worker_id, code)
-            live = [w for w, p in procs.items() if p.poll() is None]
-            metric_gauge("workers_live", float(len(live)))
-            metric_gauge(
-                "chunks_committed",
-                float(sum(1 for e in events if e["kind"] == "commit")),
-            )
-            if not live and not store.all_done(campaign_id):
-                # Every subprocess is gone with work still open.  The
-                # campaign must still finish: run the worker loop right
-                # here (no faults — the plan addressed the dead ones).
-                logger.warning(
-                    "all %d fabric worker(s) exited with chunks open; "
-                    "finishing in-process",
-                    len(procs) or 0,
-                )
-                fallback_ran = True
-                run_worker(
-                    WorkerConfig(
-                        store=store_path,
-                        campaign=fingerprint,
-                        worker_id="coordinator",
-                        lease_ttl=config.lease_ttl,
-                        poll_interval=config.poll_interval,
-                        install_signal_handler=False,
-                    )
-                )
-                continue
-            time.sleep(config.poll_interval)
-
-        # Campaign complete: drain the stragglers (they also notice
-        # all_done on their own) and collect exit codes.  Only a worker
-        # inside its claim loop gets SIGTERM: one that has not logged
-        # worker_start sees all_done at its first poll, and one that has
-        # logged worker_exit may already be in interpreter shutdown,
-        # where SIGTERM kills it (exit -15) instead of draining it.
-        after_id, fresh = _forward_events(store, campaign_id, after_id)
-        events.extend(fresh)
-        in_loop = {e["worker"] for e in events if e["kind"] == "worker_start"}
-        in_loop -= {e["worker"] for e in events if e["kind"] == "worker_exit"}
-        for worker_id, proc in procs.items():
-            if worker_id in in_loop and proc.poll() is None:
-                proc.terminate()
-        for worker_id, proc in procs.items():
-            try:
-                exits[worker_id] = proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                exits[worker_id] = proc.wait()
-        after_id, fresh = _forward_events(store, campaign_id, after_id)
-        events.extend(fresh)
-
-        payloads = store.completed_payloads(campaign_id)
-        chunk_results = {
-            index: decode_chunk(payload) for index, payload in payloads.items()
-        }
-        results = splice(
-            num_chunks, chunk_results, where=f"fabric campaign {fingerprint[:12]}"
-        )
-
-        journal_path: Path | None = None
-        if config.journal is not None:
-            # Replay the commits through the pool's journal writer so
-            # the file is byte-identical to a resilient_map checkpoint.
-            from repro.parallel import CampaignJournal
-
-            journal = CampaignJournal(config.journal)
-            journal.start(fingerprint, len(spec.items), chunksize, resume=False)
-            for index in range(num_chunks):
-                journal.record_chunk(index, chunk_results[index])
-            journal_path = journal.path
-
-        takeovers = sum(1 for e in events if e["kind"] == "takeover")
-        fence_rejects = sum(1 for e in events if e["kind"] == "fence_reject")
-        wall_s = time.perf_counter() - started
+    with fleet_scope(recorder, trace):
         if recorder is not None:
             recorder.emit(
-                "fabric_end",
+                "fabric_begin",
+                spec=config.spec,
+                workers=config.workers,
                 chunks=num_chunks,
+                chunksize=plan.chunksize,
+                fingerprint=fingerprint,
+                fault_plan=config.fault_plan.spec() or None,
+            )
+
+        drain = threading.Event()
+        if config.install_signal_handler:
+            try:
+                signal.signal(signal.SIGTERM, lambda *_: drain.set())
+            except ValueError:  # not the main thread
+                pass
+
+        procs: dict[str, subprocess.Popen] = {}
+        log_handles: list[Any] = []
+        exits: dict[str, int | None] = {}
+        worker_logs: dict[str, Path] = {}
+        env = _child_env()
+        trace.to_env(env)
+        # Performance plane: a session activated programmatically (not
+        # via the CLI's REPRO_PERF env save/restore) still reaches the
+        # workers — each samples itself and ships perf records via its
+        # telemetry log.
+        perf_session = perf_core.get_active()
+        if perf_session is not None:
+            perf_session.to_env(env)
+        try:
+            for worker_id in worker_ids:
+                worker_config = WorkerConfig(
+                    store=store_path,
+                    campaign=fingerprint,
+                    worker_id=worker_id,
+                    lease_ttl=config.lease_ttl,
+                    poll_interval=config.poll_interval,
+                    fault_plan=config.fault_plan,
+                    stale_timeout=config.stale_timeout,
+                )
+                if config.worker_telemetry:
+                    worker_config.telemetry = store_path.with_name(
+                        f"{store_path.name}.{worker_id}.telemetry.jsonl"
+                    )
+                    worker_logs[worker_id] = Path(worker_config.telemetry)
+                handle = store_path.with_name(
+                    f"{store_path.name}.{worker_id}.log"
+                ).open("w", encoding="utf-8")
+                log_handles.append(handle)
+                procs[worker_id] = subprocess.Popen(
+                    worker_argv(worker_config),
+                    env=env,
+                    stdout=handle,
+                    stderr=subprocess.STDOUT,
+                )
+            after_id = 0
+            events: list[dict[str, Any]] = []
+            deadline = time.monotonic() + config.timeout
+            fallback_ran = False
+            while True:
+                after_id, fresh = _forward_events(store, campaign_id, after_id)
+                events.extend(fresh)
+                if store.all_done(campaign_id):
+                    break
+                if drain.is_set():
+                    for proc in procs.values():
+                        if proc.poll() is None:
+                            proc.terminate()
+                    raise ExperimentError(
+                        "fabric drained (SIGTERM) before the campaign completed; "
+                        f"chunk states: {store.counts(campaign_id)}"
+                    )
+                if time.monotonic() > deadline:
+                    raise ExperimentError(
+                        f"fabric campaign exceeded its {config.timeout:g}s "
+                        f"deadline; chunk states: {store.counts(campaign_id)}"
+                    )
+                for worker_id, proc in procs.items():
+                    code = proc.poll()
+                    if code is not None and worker_id not in exits:
+                        exits[worker_id] = code
+                        logger.info("fabric worker %s exited with %d", worker_id, code)
+                live = [w for w, p in procs.items() if p.poll() is None]
+                metric_gauge("workers_live", float(len(live)))
+                metric_gauge(
+                    "chunks_committed",
+                    float(sum(1 for e in events if e["kind"] == "commit")),
+                )
+                if not live and not store.all_done(campaign_id):
+                    # Every subprocess is gone with work still open.  The
+                    # campaign must still finish: run the worker loop
+                    # right here (no faults — the plan addressed the
+                    # dead ones).
+                    logger.warning(
+                        "all %d fabric worker(s) exited with chunks open; "
+                        "finishing in-process",
+                        len(procs) or 0,
+                    )
+                    fallback_ran = True
+                    run_worker(
+                        WorkerConfig(
+                            store=store_path,
+                            campaign=fingerprint,
+                            worker_id="coordinator",
+                            lease_ttl=config.lease_ttl,
+                            poll_interval=config.poll_interval,
+                            install_signal_handler=False,
+                        )
+                    )
+                    continue
+                time.sleep(config.poll_interval)
+
+            # Campaign complete: drain the stragglers (they also notice
+            # all_done on their own) and collect exit codes.  Only a
+            # worker inside its claim loop gets SIGTERM: one that has not
+            # logged worker_start sees all_done at its first poll, and
+            # one that has logged worker_exit may already be in
+            # interpreter shutdown, where SIGTERM kills it (exit -15)
+            # instead of draining it.
+            after_id, fresh = _forward_events(store, campaign_id, after_id)
+            events.extend(fresh)
+            in_loop = {e["worker"] for e in events if e["kind"] == "worker_start"}
+            in_loop -= {e["worker"] for e in events if e["kind"] == "worker_exit"}
+            for worker_id, proc in procs.items():
+                if worker_id in in_loop and proc.poll() is None:
+                    proc.terminate()
+            for worker_id, proc in procs.items():
+                try:
+                    exits[worker_id] = proc.wait(timeout=10.0)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    exits[worker_id] = proc.wait()
+            after_id, fresh = _forward_events(store, campaign_id, after_id)
+            events.extend(fresh)
+
+            payloads = store.completed_payloads(campaign_id)
+            chunk_results = {
+                index: decode_chunk(payload) for index, payload in payloads.items()
+            }
+            results = splice(
+                num_chunks, chunk_results, where=f"fabric campaign {fingerprint[:12]}"
+            )
+
+            journal_path: Path | None = None
+            if config.journal is not None:
+                # Replay the commits through the campaign journal so the
+                # file is byte-identical to a resilient_map checkpoint.
+                journal = CampaignJournal(config.journal)
+                journal.start(
+                    fingerprint, len(spec.items), plan.chunksize, resume=False
+                )
+                for index in range(num_chunks):
+                    journal.record_chunk(index, chunk_results[index])
+                journal_path = journal.path
+
+            takeovers = sum(1 for e in events if e["kind"] == "takeover")
+            fence_rejects = sum(1 for e in events if e["kind"] == "fence_reject")
+            wall_s = time.perf_counter() - started
+            if recorder is not None:
+                recorder.emit(
+                    "fabric_end",
+                    chunks=num_chunks,
+                    wall_s=wall_s,
+                    takeovers=takeovers,
+                    fence_rejects=fence_rejects,
+                    fallback=fallback_ran,
+                )
+            prom_path: Path | None = None
+            registry = get_registry()
+            if registry is not None:
+                metric_gauge("chunks_committed", float(num_chunks))
+                registry.emit(recorder)
+                if config.prom is not None:
+                    registry.write_prometheus(config.prom)
+                    prom_path = Path(config.prom)
+            return FabricResult(
+                results=results,
+                fingerprint=fingerprint,
+                chunks=num_chunks,
+                chunksize=plan.chunksize,
+                workers=worker_ids + (["coordinator"] if fallback_ran else []),
                 wall_s=wall_s,
                 takeovers=takeovers,
                 fence_rejects=fence_rejects,
-                fallback=fallback_ran,
+                worker_exits=exits,
+                events=events,
+                journal=journal_path,
+                trace_id=trace.trace_id,
+                worker_logs=worker_logs,
+                prom=prom_path,
             )
-        prom_path: Path | None = None
-        registry = get_registry()
-        if registry is not None:
-            metric_gauge("chunks_committed", float(num_chunks))
-            registry.emit(recorder)
-            if config.prom is not None:
-                registry.write_prometheus(config.prom)
-                prom_path = Path(config.prom)
-        return FabricResult(
-            results=results,
-            fingerprint=fingerprint,
-            chunks=num_chunks,
-            chunksize=chunksize,
-            workers=worker_ids + (["coordinator"] if fallback_ran else []),
-            wall_s=wall_s,
-            takeovers=takeovers,
-            fence_rejects=fence_rejects,
-            worker_exits=exits,
-            events=events,
-            journal=journal_path,
-            trace_id=trace.trace_id,
-            worker_logs=worker_logs,
-            prom=prom_path,
-        )
-    finally:
-        for proc in procs.values():
-            if proc.poll() is None:
-                proc.kill()
-        for handle in log_handles:
-            handle.close()
-        if own_registry is not None:
-            set_registry(None)
-        if trace_installed and recorder is not None:
-            recorder.set_trace(previous_trace)
-        store.close()
+        finally:
+            for proc in procs.values():
+                if proc.poll() is None:
+                    proc.kill()
+            for handle in log_handles:
+                handle.close()
+            store.close()

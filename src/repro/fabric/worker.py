@@ -35,17 +35,16 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.campaign import backoff_delay, encode_chunk, plan_campaign, run_chunk
 from repro.errors import ExperimentError
 from repro.fabric.faultplan import FaultAction, FaultPlan
 from repro.fabric.specs import resolve_spec
-from repro.fabric.splice import encode_chunk, make_chunks
 from repro.fabric.store import Lease, LeaseStore
-from repro.fleet.metrics import MetricsRegistry, get_registry, set_registry
 from repro.fleet.metrics import counter as metric_count
+from repro.fleet.metrics import fleet_scope
 from repro.fleet.metrics import gauge as metric_gauge
 from repro.fleet.metrics import observe as metric_observe
 from repro.fleet.tracectx import TraceContext
-from repro.parallel import backoff_delay
 from repro.perf import core as perf_core
 from repro.rng import derive_seed
 from repro.telemetry import get_active
@@ -53,6 +52,11 @@ from repro.telemetry import get_active
 __all__ = ["WorkerConfig", "run_worker"]
 
 logger = logging.getLogger("repro.fabric.worker")
+
+#: Idle re-poll backoff when peers hold every open lease: seconds before
+#: the first re-poll (doubling, seeded jitter), and the ceiling.
+_IDLE_BACKOFF_BASE = 0.05
+_IDLE_BACKOFF_CAP = 1.0
 
 
 @dataclass
@@ -62,11 +66,9 @@ class WorkerConfig:
     store: str | os.PathLike[str]
     campaign: str  # campaign fingerprint in the lease store
     worker_id: str
+    #: Heartbeats extend the lease every ``lease_ttl / 3`` seconds.
     lease_ttl: float = 5.0
     poll_interval: float = 0.1
-    backoff_base: float = 0.05
-    backoff_cap: float = 1.0
-    heartbeat_interval: float | None = None  # default: lease_ttl / 3
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
     stale_timeout: float = 30.0
     campaign_wait: float = 10.0
@@ -178,236 +180,208 @@ def run_worker(config: WorkerConfig) -> int:
 
     campaign_id = int(campaign["id"])
     spec = resolve_spec(campaign["spec"], campaign["params"])
-    chunks = make_chunks(spec.items, int(campaign["chunksize"]))
+    chunks = plan_campaign(
+        spec.fn, spec.items, chunksize=int(campaign["chunksize"])
+    ).chunks
     if len(chunks) != int(campaign["chunks"]):
         raise ExperimentError(
             f"worker {config.worker_id}: spec resolves to {len(chunks)} chunks "
             f"but the store registered {campaign['chunks']} — spec and store "
             "disagree about the campaign"
         )
-    heartbeat_interval = (
-        config.heartbeat_interval
-        if config.heartbeat_interval is not None
-        else config.lease_ttl / 3.0
-    )
     my_plan = config.fault_plan.for_worker(config.worker_id)
     jitter_stream = derive_seed(0, "fabric-idle", config.worker_id) % (2**31)
 
     # Fleet wiring: adopt the coordinator's trace (propagated through
     # the environment) and make sure a metrics registry is ambient, so
-    # the instrumentation below lands somewhere.  Both are strict
-    # no-ops when this worker runs without telemetry.
+    # the instrumentation below lands somewhere.  Performance plane: the
+    # coordinator propagates REPRO_PERF=<hz> when sampling is on, so the
+    # worker profiles itself for its whole lifetime and writes the perf
+    # records, tagged with its id, to its own telemetry log on exit.
+    # All of it is a strict no-op when this worker runs without either.
     recorder = get_active()
-    own_registry: MetricsRegistry | None = None
-    if recorder is not None:
-        if recorder.trace is None:
-            context = TraceContext.from_env(f"worker:{config.worker_id}")
-            if context is not None:
-                recorder.set_trace(context)
-        if get_registry() is None:
-            own_registry = MetricsRegistry()
-            set_registry(own_registry)
-
-    # Performance plane: the coordinator propagates REPRO_PERF=<hz>
-    # when sampling is on, so each worker profiles itself for its whole
-    # lifetime under a "fabric.worker:<id>" span; the perf records land
-    # in the worker's own telemetry log on exit, tagged with the worker
-    # id, and the obs layer aggregates them like any other record.
-    perf_session = None
-    perf_hz = perf_core.hz_from_env()
-    if perf_hz is not None and perf_core.get_active() is None:
-        perf_session = perf_core.PerfSession(
-            perf_hz, memory=True, tag=f"worker:{config.worker_id}"
-        )
-        perf_core.set_active(perf_session)
-        perf_session.start()
-        perf_session.span_push(f"fabric.worker:{config.worker_id}")
-
-    store.log_worker_event(
-        campaign_id, config.worker_id, "worker_start", detail=f"pid={os.getpid()}"
-    )
-    if recorder is not None:
-        recorder.emit(
-            "worker",
-            worker=config.worker_id,
-            event="worker_start",
-            pid=os.getpid(),
-            campaign=config.campaign[:16],
-        )
-    ordinal = 0  # chunks claimed by THIS worker (fault-plan address)
-    committed = 0
-    idle_attempts = 0
-    exit_reason = "done"
-    try:
-        while True:
-            if drain.is_set():
-                exit_reason = "drained"
-                break
-            if store.all_done(campaign_id):
-                break
-            lease = store.claim(
-                campaign_id, config.worker_id, ttl=config.lease_ttl
-            )
-            if lease is None:
-                # Nothing claimable: peers hold live leases.  Back off
-                # with seeded jitter and re-poll (they may yet die).
-                idle_attempts += 1
-                delay = min(
-                    config.backoff_cap,
-                    backoff_delay(
-                        config.backoff_base, idle_attempts, chunk_index=jitter_stream
-                    ),
-                )
-                time.sleep(max(config.poll_interval, delay))
-                continue
-            idle_attempts = 0
-            metric_count("claim_total", worker=config.worker_id)
-            metric_gauge("leases_held", 1.0, worker=config.worker_id)
-            actions = my_plan.at(config.worker_id, ordinal)
-            ordinal += 1
-            if _fault(actions, "kill") is not None:
-                store.log_worker_event(
-                    campaign_id,
-                    config.worker_id,
-                    "fault",
-                    idx=lease.index,
-                    fence=lease.fence,
-                    detail="kill",
-                )
-                os.kill(os.getpid(), signal.SIGKILL)  # never returns
-
-            heartbeat = _Heartbeat(
-                Path(config.store),
-                lease,
-                config.worker_id,
-                interval=heartbeat_interval,
-                ttl=config.lease_ttl,
-            )
-            heartbeat.start()
-            try:
-                partition = _fault(actions, "partition")
-                if partition is not None:
-                    heartbeat.suppress_until = time.time() + partition.duration
-                    store.log_worker_event(
-                        campaign_id,
-                        config.worker_id,
-                        "fault",
-                        idx=lease.index,
-                        fence=lease.fence,
-                        detail=f"partition {partition.duration:g}s",
-                    )
-                stall = _fault(actions, "stall")
-                if stall is not None:
-                    store.log_worker_event(
-                        campaign_id,
-                        config.worker_id,
-                        "fault",
-                        idx=lease.index,
-                        fence=lease.fence,
-                        detail=f"stall {stall.duration:g}s",
-                    )
-                    heartbeat.suppress_until = time.time() + stall.duration
-                    time.sleep(stall.duration)
-
-                chunk_started = time.perf_counter()
-                perf_core.span_push("fabric.chunk")
-                try:
-                    results = [spec.fn(item) for item in chunks[lease.index]]
-                finally:
-                    perf_core.span_pop()
-                payload = encode_chunk(results)
-                chunk_wall = time.perf_counter() - chunk_started
-
-                stale = _fault(actions, "stale")
-                if stale is not None:
-                    # The canonical fencing drill: stop heartbeating,
-                    # wait until someone supersedes our lease, and only
-                    # then attempt the commit.  The store MUST reject it.
-                    heartbeat.stop()
-                    store.log_worker_event(
-                        campaign_id,
-                        config.worker_id,
-                        "fault",
-                        idx=lease.index,
-                        fence=lease.fence,
-                        detail="stale-commit: waiting to be superseded",
-                    )
-                    stale_deadline = time.monotonic() + config.stale_timeout
-                    while time.monotonic() < stale_deadline and not drain.is_set():
-                        current = store.chunk_state(campaign_id, lease.index)
-                        if int(current["fence"]) > lease.fence:
-                            break
-                        time.sleep(config.poll_interval)
-                if partition is not None:
-                    # No store traffic until the partition heals.
-                    remaining = heartbeat.suppress_until - time.time()
-                    if remaining > 0:
-                        time.sleep(remaining)
-
-                accepted = store.commit(lease, config.worker_id, payload)
-                metric_gauge("leases_held", 0.0, worker=config.worker_id)
-                metric_observe("chunk_seconds", chunk_wall, worker=config.worker_id)
-                if accepted:
-                    committed += 1
-                    metric_count("commit_total", worker=config.worker_id)
-                    metric_count(
-                        "splice_bytes_total",
-                        float(len(payload)),
-                        worker=config.worker_id,
-                    )
-                    if chunk_wall > 0:
-                        metric_gauge(
-                            "slots_per_second",
-                            len(chunks[lease.index]) / chunk_wall,
-                            worker=config.worker_id,
-                        )
-                else:
-                    metric_count("fence_reject_total", worker=config.worker_id)
-                    logger.warning(
-                        "worker %s: commit of chunk %d rejected (stale fence %d)",
-                        config.worker_id,
-                        lease.index,
-                        lease.fence,
-                    )
-                if recorder is not None:
-                    recorder.emit(
-                        "chunk",
-                        index=lease.index,
-                        size=len(chunks[lease.index]),
-                        wall_s=chunk_wall,
-                        worker=config.worker_id,
-                        fence=lease.fence,
-                        accepted=accepted,
-                        bytes=len(payload),
-                    )
-            finally:
-                heartbeat.stop()
-                heartbeat.join(timeout=2.0)
-    finally:
+    with fleet_scope(
+        recorder, TraceContext.from_env(f"worker:{config.worker_id}")
+    ) as own_registry, perf_core.self_profiled(
+        f"fabric.worker:{config.worker_id}",
+        recorder,
+        tag=f"worker:{config.worker_id}",
+        worker=config.worker_id,
+    ):
         store.log_worker_event(
-            campaign_id,
-            config.worker_id,
-            "worker_exit",
-            detail=f"{exit_reason}, committed={committed}",
+            campaign_id, config.worker_id, "worker_start", detail=f"pid={os.getpid()}"
         )
-        if perf_session is not None:
-            perf_session.span_pop()
-            perf_session.stop()
-            perf_core.set_active(None)
-            if recorder is not None:
-                perf_session.emit(recorder, worker=config.worker_id)
         if recorder is not None:
             recorder.emit(
                 "worker",
                 worker=config.worker_id,
-                event="worker_exit",
+                event="worker_start",
+                pid=os.getpid(),
+                campaign=config.campaign[:16],
+            )
+        ordinal = 0  # chunks claimed by THIS worker (fault-plan address)
+        committed = 0
+        idle_attempts = 0
+        exit_reason = "done"
+        try:
+            while True:
+                if drain.is_set():
+                    exit_reason = "drained"
+                    break
+                if store.all_done(campaign_id):
+                    break
+                lease = store.claim(
+                    campaign_id, config.worker_id, ttl=config.lease_ttl
+                )
+                if lease is None:
+                    # Nothing claimable: peers hold live leases.  Back off
+                    # with seeded jitter and re-poll (they may yet die).
+                    idle_attempts += 1
+                    delay = min(
+                        _IDLE_BACKOFF_CAP,
+                        backoff_delay(
+                            _IDLE_BACKOFF_BASE, idle_attempts, chunk_index=jitter_stream
+                        ),
+                    )
+                    time.sleep(max(config.poll_interval, delay))
+                    continue
+                idle_attempts = 0
+                metric_count("claim_total", worker=config.worker_id)
+                metric_gauge("leases_held", 1.0, worker=config.worker_id)
+                actions = my_plan.at(config.worker_id, ordinal)
+                ordinal += 1
+                if _fault(actions, "kill") is not None:
+                    store.log_worker_event(
+                        campaign_id,
+                        config.worker_id,
+                        "fault",
+                        idx=lease.index,
+                        fence=lease.fence,
+                        detail="kill",
+                    )
+                    os.kill(os.getpid(), signal.SIGKILL)  # never returns
+
+                heartbeat = _Heartbeat(
+                    Path(config.store),
+                    lease,
+                    config.worker_id,
+                    interval=config.lease_ttl / 3.0,
+                    ttl=config.lease_ttl,
+                )
+                heartbeat.start()
+                try:
+                    partition = _fault(actions, "partition")
+                    if partition is not None:
+                        heartbeat.suppress_until = time.time() + partition.duration
+                        store.log_worker_event(
+                            campaign_id,
+                            config.worker_id,
+                            "fault",
+                            idx=lease.index,
+                            fence=lease.fence,
+                            detail=f"partition {partition.duration:g}s",
+                        )
+                    stall = _fault(actions, "stall")
+                    if stall is not None:
+                        store.log_worker_event(
+                            campaign_id,
+                            config.worker_id,
+                            "fault",
+                            idx=lease.index,
+                            fence=lease.fence,
+                            detail=f"stall {stall.duration:g}s",
+                        )
+                        heartbeat.suppress_until = time.time() + stall.duration
+                        time.sleep(stall.duration)
+
+                    chunk_started = time.perf_counter()
+                    with perf_core.perf_span("fabric.chunk"):
+                        results = run_chunk(spec.fn, chunks[lease.index])
+                    payload = encode_chunk(results)
+                    chunk_wall = time.perf_counter() - chunk_started
+
+                    stale = _fault(actions, "stale")
+                    if stale is not None:
+                        # The canonical fencing drill: stop heartbeating,
+                        # wait until someone supersedes our lease, and only
+                        # then attempt the commit.  The store MUST reject it.
+                        heartbeat.stop()
+                        store.log_worker_event(
+                            campaign_id,
+                            config.worker_id,
+                            "fault",
+                            idx=lease.index,
+                            fence=lease.fence,
+                            detail="stale-commit: waiting to be superseded",
+                        )
+                        stale_deadline = time.monotonic() + config.stale_timeout
+                        while time.monotonic() < stale_deadline and not drain.is_set():
+                            current = store.chunk_state(campaign_id, lease.index)
+                            if int(current["fence"]) > lease.fence:
+                                break
+                            time.sleep(config.poll_interval)
+                    if partition is not None:
+                        # No store traffic until the partition heals.
+                        remaining = heartbeat.suppress_until - time.time()
+                        if remaining > 0:
+                            time.sleep(remaining)
+
+                    accepted = store.commit(lease, config.worker_id, payload)
+                    metric_gauge("leases_held", 0.0, worker=config.worker_id)
+                    metric_observe("chunk_seconds", chunk_wall, worker=config.worker_id)
+                    if accepted:
+                        committed += 1
+                        metric_count("commit_total", worker=config.worker_id)
+                        metric_count(
+                            "splice_bytes_total",
+                            float(len(payload)),
+                            worker=config.worker_id,
+                        )
+                        if chunk_wall > 0:
+                            metric_gauge(
+                                "slots_per_second",
+                                len(chunks[lease.index]) / chunk_wall,
+                                worker=config.worker_id,
+                            )
+                    else:
+                        metric_count("fence_reject_total", worker=config.worker_id)
+                        logger.warning(
+                            "worker %s: commit of chunk %d rejected (stale fence %d)",
+                            config.worker_id,
+                            lease.index,
+                            lease.fence,
+                        )
+                    if recorder is not None:
+                        recorder.emit(
+                            "chunk",
+                            index=lease.index,
+                            size=len(chunks[lease.index]),
+                            wall_s=chunk_wall,
+                            worker=config.worker_id,
+                            fence=lease.fence,
+                            accepted=accepted,
+                            bytes=len(payload),
+                        )
+                finally:
+                    heartbeat.stop()
+                    heartbeat.join(timeout=2.0)
+        finally:
+            store.log_worker_event(
+                campaign_id,
+                config.worker_id,
+                "worker_exit",
                 detail=f"{exit_reason}, committed={committed}",
             )
-            if own_registry is not None:
-                own_registry.emit(recorder, worker=config.worker_id)
-        if own_registry is not None:
-            set_registry(None)
-        store.close()
+            if recorder is not None:
+                recorder.emit(
+                    "worker",
+                    worker=config.worker_id,
+                    event="worker_exit",
+                    detail=f"{exit_reason}, committed={committed}",
+                )
+                if own_registry is not None:
+                    own_registry.emit(recorder, worker=config.worker_id)
+            store.close()
     return 0
 
 

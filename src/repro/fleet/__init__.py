@@ -43,6 +43,7 @@ __all__ = [
     "get_registry",
     "set_registry",
     "activate_metrics",
+    "fleet_scope",
     "AutopsyReport",
     "autopsy",
     "land_autopsy",
@@ -62,6 +63,7 @@ _EXPORTS = {
     "get_registry": "repro.fleet.metrics",
     "set_registry": "repro.fleet.metrics",
     "activate_metrics": "repro.fleet.metrics",
+    "fleet_scope": "repro.fleet.metrics",
     "AutopsyReport": "repro.fleet.autopsy",
     "autopsy": "repro.fleet.autopsy",
     "land_autopsy": "repro.fleet.autopsy",

@@ -43,6 +43,7 @@ __all__ = [
     "get_registry",
     "set_registry",
     "activate_metrics",
+    "fleet_scope",
     "counter",
     "gauge",
     "observe",
@@ -455,6 +456,34 @@ def activate_metrics(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
         yield registry
     finally:
         set_registry(previous)
+
+
+@contextlib.contextmanager
+def fleet_scope(recorder: Any, trace: Any) -> Iterator[MetricsRegistry | None]:
+    """Wire one fabric process (coordinator or worker) into the fleet.
+
+    With a telemetry ``recorder``: adopt ``trace`` (a
+    :class:`~repro.fleet.tracectx.TraceContext`, or ``None``) unless the
+    recorder already carries one, and make a fresh registry ambient
+    unless one already is; both are put back when the block ends.
+    Yields the registry this scope installed, or ``None``.  A strict
+    no-op without a recorder.
+    """
+    if recorder is None:
+        yield None
+        return
+    adopt = recorder.trace is None and trace is not None
+    previous_trace = recorder.set_trace(trace) if adopt else None
+    own = MetricsRegistry() if _ACTIVE is None else None
+    if own is not None:
+        set_registry(own)
+    try:
+        yield own
+    finally:
+        if own is not None:
+            set_registry(None)
+        if adopt:
+            recorder.set_trace(previous_trace)
 
 
 # -- fast helpers (one global load + None check when disabled) ------------

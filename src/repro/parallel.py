@@ -9,42 +9,55 @@ construction, which makes them embarrassingly parallel: executing
 element the same results as a serial loop (a property the test suite
 enforces for the flagship experiments).
 
+:func:`resilient_map` is the one front end.  It plans, journals and
+splices through :mod:`repro.campaign` — the same plan, journal and
+splice the multi-worker :mod:`repro.fabric` uses, so the two
+transports' checkpoints are interchangeable.
+
 Knobs
 -----
-* ``ExperimentConfig(jobs=N)`` — per-experiment worker count;
-* ``REPRO_JOBS`` environment variable — fleet-wide default when the
-  config leaves ``jobs`` unset;
-* ``jobs=1`` (the default) — serial execution, no pool, no pickling;
-* ``jobs=0`` — one worker per available CPU.
+* ``jobs`` (``ExperimentConfig(jobs=N)``, ``--jobs``) — worker count:
+  ``1`` runs the chunks in-process, with no pool and no pickling;
+  ``N > 1`` uses a pool of N processes; ``0`` uses every CPU;
+* ``REPRO_JOBS`` environment variable — the default when ``jobs`` is
+  unset (itself defaulting to 1);
+* ``chunksize`` — items per chunk; by default a few chunks per worker,
+  so per-task IPC overhead amortises across many cheap repetitions.
+  Anything below 1 is rejected;
+* ``task_timeout`` (``--task-timeout``) — seconds per item before a
+  pooled chunk counts as hung;
+* ``journal``/``resume`` — the checkpoint file, and whether to continue
+  it;
+* ``batch_fn`` — runs a whole chunk in one call (the vectorized
+  backend's hook).
 
-Work is dispatched in contiguous chunks (a few chunks per worker) so
-per-task IPC overhead amortises across many cheap repetitions.  The
-callable and a sample item must be picklable to cross the process
-boundary; when they are not (e.g. an experiment passes a local
-closure), execution falls back to the serial path — results are
-identical either way, only wall-clock time differs — and a
-``RuntimeWarning`` plus a log record explain why the pool was skipped.
+The callable, the first item and ``batch_fn`` must be picklable to
+cross the process boundary; when one is not (e.g. an experiment passes
+a local closure), execution falls back to the in-process path —
+results are identical either way, only wall-clock time differs — and a
+``RuntimeWarning`` plus a log record name the object that failed.
 
 Resilience
 ----------
-:func:`resilient_map` is the hardened front end long campaigns use.
-On top of :func:`parallel_map`'s equivalence guarantee it adds:
+On top of the serial-equivalence guarantee the pool adds:
 
 * **retry with exponential backoff** when a worker process dies
   (``BrokenProcessPool``): the pool is rebuilt and the affected chunks
   are resubmitted — exact, because chunk inputs are re-derived seeds,
-  not consumed stream state.  After ``max_retries`` pool attempts the
-  blamed chunk is executed in-process, so one poisoned worker cannot
-  sink a campaign;
+  not consumed stream state.  Once :data:`MAX_RETRIES` retries have
+  failed too, the blamed chunk is executed in-process, so one poisoned
+  worker cannot sink a campaign (a chunk that keeps timing out aborts
+  the campaign instead).  The first retry waits about
+  :data:`BACKOFF_BASE` seconds, with seeded jitter;
 * **per-task timeouts** (``task_timeout`` seconds): a chunk that takes
   longer than ``task_timeout × len(chunk)`` is treated as hung, its
   workers are terminated, and it is retried like a crash;
-* **chunk-level checkpoint/resume** via :class:`CampaignJournal`: each
-  completed chunk is appended to a journal file, and
-  ``resume=True`` restarts a killed campaign from the last completed
-  chunk — final results are byte-identical to an uninterrupted run
-  because the journal stores the actual chunk results and fixes the
-  chunk geometry.
+* **chunk-level checkpoint/resume** via
+  :class:`~repro.campaign.CampaignJournal`: each completed chunk is
+  appended to a journal file, and ``resume=True`` restarts a killed
+  campaign from the last completed chunk — final results are
+  byte-identical to an uninterrupted run because the journal stores the
+  actual chunk results and fixes the chunk geometry.
 
 Observability
 -------------
@@ -65,46 +78,34 @@ journals store exactly the chunk results, with or without it.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import pickle
 import time
 import warnings
-from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
-from repro.errors import ExperimentError
-from repro.fabric.splice import (
-    CHUNKS_PER_WORKER as _CHUNKS_PER_WORKER,
-)
-from repro.fabric.splice import (
-    campaign_fingerprint,
-    decode_chunk,
-    encode_chunk,
+from repro.campaign import (
+    CampaignJournal,
+    backoff_delay,
+    plan_campaign,
+    run_chunk,
     splice,
 )
-from repro.fabric.splice import (
-    default_chunksize as _default_chunksize,
-)
-from repro.rng import spawn
+from repro.errors import ExperimentError
 from repro.telemetry.core import Telemetry, activate, get_active
 
-__all__ = [
-    "resolve_jobs",
-    "parallel_map",
-    "parallel_starmap",
-    "resilient_map",
-    "resilient_starmap",
-    "CampaignJournal",
-    "backoff_delay",
-    "default_chunksize",
-]
+__all__ = ["BACKOFF_BASE", "MAX_RETRIES", "resilient_map", "resolve_jobs"]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 logger = logging.getLogger("repro.parallel")
+
+#: Pool retries per chunk before it runs in-process instead.
+MAX_RETRIES = 3
+#: Seconds before the first retry; doubles per further attempt.
+BACKOFF_BASE = 0.25
 
 #: Environment override for the progress-heartbeat interval (seconds).
 _PROGRESS_INTERVAL_ENV = "REPRO_PROGRESS_SECS"
@@ -209,256 +210,41 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return jobs
 
 
-def _picklable(*objects: Any) -> bool:
-    try:
-        for obj in objects:
+def _qualname(obj: Any) -> str:
+    return getattr(obj, "__qualname__", repr(obj))
+
+
+def _unpicklable(
+    fn: Callable[..., Any], item: Any, batch_fn: Callable[..., Any] | None
+) -> str | None:
+    """Name whatever keeps the pool from shipping this campaign."""
+    candidates = [(fn, _qualname(fn)), (item, "the first item")]
+    if batch_fn is not None:
+        candidates.append((batch_fn, _qualname(batch_fn)))
+    for obj, name in candidates:
+        try:
             pickle.dumps(obj)
-    except Exception:
-        return False
-    return True
+        except Exception:
+            return name
+    return None
 
 
-def _warn_serial_fallback(fn: Callable[..., Any]) -> None:
+def _warn_serial_fallback(name: str) -> None:
     """Announce (warning + log) that a requested pool was skipped."""
-    name = getattr(fn, "__qualname__", repr(fn))
     message = (
-        f"parallel execution requested but {name} (or its items) is not "
-        "picklable — e.g. a local closure or lambda; running serially "
-        "instead.  Results are identical, but the requested speed-up is "
-        "lost.  Move the callable to module level to enable the pool."
+        f"parallel execution requested but {name} is not picklable — e.g. "
+        "a local closure or lambda; running serially instead.  Results are "
+        "identical, but the requested speed-up is lost.  Move it to module "
+        "level to enable the pool."
     )
     warnings.warn(message, RuntimeWarning, stacklevel=4)
     logger.warning(message)
 
 
-def default_chunksize(num_items: int, jobs: int) -> int:
-    """Contiguous chunk length for dispatching ``num_items`` tasks.
-
-    Shared with the multi-worker fabric (see
-    :mod:`repro.fabric.splice`) so both execution layers cut a campaign
-    into the same chunks and journals stay interchangeable.
-    """
-    return _default_chunksize(num_items, jobs, chunks_per_worker=_CHUNKS_PER_WORKER)
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    jobs: int | None = None,
-    chunksize: int | None = None,
-) -> list[R]:
-    """``[fn(item) for item in items]``, optionally across processes.
-
-    Results are returned in input order, so the output is identical to
-    the serial list comprehension whenever ``fn`` is deterministic per
-    item — which every seeded repetition in this library is.  Worker
-    exceptions propagate to the caller.
-    """
-    items = list(items)
-    jobs = min(resolve_jobs(jobs), len(items))
-    if jobs > 1 and not _picklable(fn, items[0]):
-        _warn_serial_fallback(fn)
-        jobs = 1
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    if chunksize is None:
-        chunksize = default_chunksize(len(items), jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
-
-
 def _apply_args(task: tuple[Callable[..., Any], Sequence[Any]]) -> Any:
+    """``fn(*args)`` for one ``(fn, args)`` task (what ``sweep`` maps)."""
     fn, args = task
     return fn(*args)
-
-
-def parallel_starmap(
-    fn: Callable[..., R],
-    argument_tuples: Iterable[Sequence[Any]],
-    *,
-    jobs: int | None = None,
-    chunksize: int | None = None,
-) -> list[R]:
-    """``[fn(*args) for args in argument_tuples]`` with pool support."""
-    tasks = [(fn, tuple(args)) for args in argument_tuples]
-    return parallel_map(_apply_args, tasks, jobs=jobs, chunksize=chunksize)
-
-
-# -- campaign journal ----------------------------------------------------
-
-
-class CampaignJournal:
-    """Chunk-level checkpoint file for :func:`resilient_map` campaigns.
-
-    The journal is a JSON-lines file: a header record pinning the
-    campaign identity (a fingerprint of the callable and its items),
-    the chunk geometry, and then one record per completed chunk with
-    its pickled results.  Appends are flushed per chunk, so a killed
-    campaign loses at most the chunk in flight; a truncated trailing
-    line (torn write — a crash mid-:meth:`record_chunk`) is truncated
-    away on load, like :class:`repro.monitor.tail.TailReader` does, so
-    subsequent appends never concatenate onto the torn prefix.
-    Corruption *before* the final line is a real error and raises.
-
-    Resuming re-runs only the missing chunks and fixes ``chunksize``
-    from the header, so the final result list is byte-identical to an
-    uninterrupted run even if the worker count changed in between.
-    """
-
-    VERSION = 1
-
-    def __init__(self, path: str | os.PathLike[str]) -> None:
-        self.path = Path(path)
-        self._chunksize: int | None = None
-
-    # -- identity -----------------------------------------------------
-
-    @staticmethod
-    def fingerprint(fn: Callable[..., Any], items: Sequence[Any]) -> str:
-        """A stable digest of *which campaign this is*.
-
-        Delegates to :func:`repro.fabric.splice.campaign_fingerprint`
-        so the pool and the distributed fabric agree on campaign
-        identity (their journals are interchangeable).
-        """
-        return campaign_fingerprint(fn, items)
-
-    # -- lifecycle ----------------------------------------------------
-
-    def start(
-        self,
-        fingerprint: str,
-        num_items: int,
-        chunksize: int,
-        *,
-        resume: bool,
-    ) -> dict[int, list[Any]]:
-        """Open the journal; return the chunks already completed.
-
-        With ``resume=False`` any existing file is replaced by a fresh
-        header.  With ``resume=True`` the existing journal is loaded,
-        its identity is checked against ``fingerprint``/``num_items``
-        (mismatch raises :class:`ExperimentError`), the recorded chunk
-        geometry is adopted, and completed chunk results are returned.
-        """
-        if resume and self.path.exists():
-            header, completed = self._load()
-            if header["fingerprint"] != fingerprint or header["items"] != num_items:
-                raise ExperimentError(
-                    f"journal {self.path} belongs to a different campaign "
-                    "(fingerprint/items mismatch); refusing to resume"
-                )
-            self._chunksize = int(header["chunksize"])
-            return completed
-        self._chunksize = chunksize
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        header = {
-            "kind": "header",
-            "version": self.VERSION,
-            "fingerprint": fingerprint,
-            "items": num_items,
-            "chunksize": chunksize,
-        }
-        self.path.write_text(json.dumps(header) + "\n", encoding="utf-8")
-        return {}
-
-    @property
-    def chunksize(self) -> int:
-        if self._chunksize is None:
-            raise ExperimentError("journal not started")
-        return self._chunksize
-
-    def record_chunk(self, index: int, results: list[Any]) -> None:
-        """Append one completed chunk (flushed immediately)."""
-        record = {"kind": "chunk", "index": index, "payload": encode_chunk(results)}
-        with self.path.open("a", encoding="utf-8") as stream:
-            stream.write(json.dumps(record) + "\n")
-            stream.flush()
-            os.fsync(stream.fileno())
-
-    # -- internals ----------------------------------------------------
-
-    def _load(self) -> tuple[dict[str, Any], dict[int, list[Any]]]:
-        """Parse the journal, truncating a torn final line in place.
-
-        A crash mid-:meth:`record_chunk` leaves an unterminated (or
-        otherwise undecodable) final line.  That line is *expected*
-        debris, not corruption: it is logged, the file is truncated to
-        the last good record, and the campaign resumes — so later
-        appends start on a clean line instead of concatenating onto the
-        torn prefix.  Undecodable lines with complete records *after*
-        them cannot be explained by a torn write and raise.
-        """
-        data = self.path.read_bytes()
-        lines = data.split(b"\n")
-        tail = lines.pop()  # b"" when the file ends on a newline
-        good_bytes = 0
-        header: dict[str, Any] | None = None
-        completed: dict[int, list[Any]] = {}
-        parsed: list[tuple[int, dict[str, Any]]] = []
-        torn_at: int | None = None
-        for line_number, raw in enumerate(lines, start=1):
-            try:
-                record = json.loads(raw)
-                if not isinstance(record, dict):
-                    raise ValueError("record is not an object")
-                if record.get("kind") == "chunk":
-                    # Decode eagerly: a torn payload is torn debris too.
-                    record["_results"] = decode_chunk(record["payload"])
-            except Exception:
-                torn_at = line_number
-                break
-            parsed.append((line_number, record))
-            good_bytes += len(raw) + 1
-        if torn_at is not None and torn_at < len(lines):
-            raise ExperimentError(
-                f"journal {self.path} is corrupt at line {torn_at} with "
-                "complete records after it; this is not a torn tail — "
-                "refusing to guess (restart without --resume)"
-            )
-        if torn_at is not None or tail:
-            logger.warning(
-                "journal %s: truncating torn final line (crash mid-append); "
-                "resuming from the last complete chunk",
-                self.path,
-            )
-            with self.path.open("r+b") as stream:
-                stream.truncate(good_bytes)
-        for line_number, record in parsed:
-            if record.get("kind") == "header":
-                if record.get("version") != self.VERSION:
-                    raise ExperimentError(
-                        f"journal {self.path} has unsupported version "
-                        f"{record.get('version')!r}"
-                    )
-                header = record
-            elif record.get("kind") == "chunk":
-                completed[int(record["index"])] = record["_results"]
-        if header is None:
-            raise ExperimentError(f"journal {self.path} has no header record")
-        return header, completed
-
-
-# -- resilient execution -------------------------------------------------
-
-
-def _run_chunk(
-    fn: Callable[[T], R],
-    chunk: list[T],
-    batch_fn: Callable[[list[T]], list[R]] | None = None,
-) -> list[R]:
-    if batch_fn is None:
-        return [fn(item) for item in chunk]
-    results = list(batch_fn(chunk))
-    if len(results) != len(chunk):
-        raise ExperimentError(
-            f"batch_fn returned {len(results)} results for a chunk of "
-            f"{len(chunk)} items; it must return exactly one per item"
-        )
-    return results
 
 
 def _run_chunk_timed(
@@ -472,68 +258,23 @@ def _run_chunk_timed(
     repetitions emit (engine run spans, protocol phase markers, ...)
     is buffered and shipped back to the parent with the results; the
     parent merges the events into its stream.  The results list is
-    exactly what :func:`_run_chunk` would have produced.
-
-    When the parent asked for profiling (``REPRO_PERF=<hz>`` in the
-    inherited environment — see :mod:`repro.perf`), the chunk also runs
-    under its own sampling-profiler session labelled ``pool.chunk``;
-    the resulting ``perf_profile``/``perf_span`` records ride the same
-    ship-back and are merged chunk-tagged like every other worker
-    event, so the parent's log attributes samples per chunk.
+    exactly what :func:`~repro.campaign.run_chunk` would have produced.
+    When the parent samples (``REPRO_PERF``, see :mod:`repro.perf`),
+    the chunk's ``pool.chunk`` profile rides the same ship-back.
     """
     from repro.perf import core as perf_core
 
     recorder = Telemetry.buffered()
-    # An ambient session means this chunk runs *in the parent process*
-    # (serial fallback / jobs=1): label it there instead of racing a
-    # second sampler.  Otherwise honour the env gate a parent set for
-    # its subprocess pool.
-    ambient = perf_core.get_active()
-    perf_session = None
-    previous = None
-    if ambient is not None:
-        ambient.span_push("pool.chunk")
-    else:
-        perf_hz = perf_core.hz_from_env()
-        if perf_hz is not None:
-            perf_session = perf_core.PerfSession(perf_hz, memory=True)
-            previous = perf_core.set_active(perf_session)
-            perf_session.start()
-            perf_session.span_push("pool.chunk")
-    start = time.perf_counter()
-    try:
+    with perf_core.self_profiled("pool.chunk", recorder):
+        start = time.perf_counter()
         with activate(recorder):
-            results = _run_chunk(fn, chunk, batch_fn)
-    finally:
-        if ambient is not None:
-            ambient.span_pop()
-        elif perf_session is not None:
-            perf_session.span_pop()
-            perf_session.stop()
-            perf_core.set_active(previous)
-            perf_session.emit(recorder)
+            results = run_chunk(fn, chunk, batch_fn)
     return {
         "results": results,
         "wall_s": time.perf_counter() - start,
         "pid": os.getpid(),
         "events": recorder.drain(),
     }
-
-
-def backoff_delay(base: float, attempt: int, *, chunk_index: int = 0) -> float:
-    """Exponential backoff with *seeded*, deterministic jitter.
-
-    ``base * 2**(attempt-1)`` scaled by a factor in ``[0.5, 1.5)``
-    drawn from a stream derived from ``(chunk_index, attempt)`` — the
-    same chunk retried the same number of times always sleeps the same
-    amount, so resilience behaviour is replayable, while distinct
-    chunks/attempts decorrelate (no thundering-herd resubmission when
-    many campaigns share a host).
-    """
-    if attempt < 1:
-        return 0.0
-    jitter = 0.5 + spawn(chunk_index, "retry-backoff", attempt).random()
-    return base * (2 ** (attempt - 1)) * jitter
 
 
 def _terminate_workers(executor: Any) -> None:
@@ -560,20 +301,19 @@ def resilient_map(
     jobs: int | None = None,
     chunksize: int | None = None,
     task_timeout: float | None = None,
-    max_retries: int = 3,
-    backoff_base: float = 0.25,
     journal: str | os.PathLike[str] | CampaignJournal | None = None,
     resume: bool = False,
     batch_fn: Callable[[list[T]], list[R]] | None = None,
 ) -> list[R]:
-    """:func:`parallel_map` hardened for long campaigns (see module docs).
+    """``[fn(item) for item in items]``, chunked, journaled and pooled.
 
-    Equivalent to ``[fn(item) for item in items]`` in value, with worker
-    death retried (exponential backoff, serial fallback after
-    ``max_retries``), hung chunks timed out after ``task_timeout``
-    seconds per task, and completed chunks checkpointed to ``journal``.
-    Exceptions raised by ``fn`` itself are deterministic and propagate
-    immediately — only infrastructure failures are retried.
+    Equivalent in value to the list comprehension, with worker death
+    retried (exponential backoff, in-process fallback after
+    :data:`MAX_RETRIES`), hung chunks timed out after ``task_timeout``
+    seconds per task, and completed chunks checkpointed to ``journal``
+    (see the module docs).  Exceptions raised by ``fn`` itself are
+    deterministic and propagate immediately — only infrastructure
+    failures are retried.
 
     ``batch_fn``, when given, runs a whole chunk in one call instead of
     ``fn`` item by item — the hook the vectorized backend uses to
@@ -586,27 +326,22 @@ def resilient_map(
     items = list(items)
     if task_timeout is not None and task_timeout <= 0:
         raise ExperimentError(f"task_timeout must be positive, got {task_timeout}")
-    if max_retries < 0:
-        raise ExperimentError(f"max_retries must be >= 0, got {max_retries}")
     jobs = min(resolve_jobs(jobs), len(items)) if items else 1
-    if chunksize is None:
-        chunksize = default_chunksize(len(items), max(1, jobs))
+    plan = plan_campaign(fn, items, jobs=jobs, chunksize=chunksize)
 
-    journal_obj: CampaignJournal | None
-    if journal is None:
-        journal_obj = None
-        completed: dict[int, list[Any]] = {}
-    else:
+    journal_obj: CampaignJournal | None = None
+    completed: dict[int, list[Any]] = {}
+    if journal is not None:
         journal_obj = (
             journal if isinstance(journal, CampaignJournal) else CampaignJournal(journal)
         )
-        fingerprint = CampaignJournal.fingerprint(fn, items)
         completed = journal_obj.start(
-            fingerprint, len(items), chunksize, resume=resume
+            plan.fingerprint, len(items), plan.chunksize, resume=resume
         )
-        chunksize = journal_obj.chunksize  # resumed geometry wins
+        if journal_obj.chunksize != plan.chunksize:  # resumed geometry wins
+            plan = plan_campaign(fn, plan.items, chunksize=journal_obj.chunksize)
 
-    chunks = [items[i : i + chunksize] for i in range(0, len(items), chunksize)]
+    chunks = plan.chunks
     results: dict[int, list[Any]] = {
         index: chunk_results
         for index, chunk_results in completed.items()
@@ -620,12 +355,11 @@ def resilient_map(
             "campaign_begin",
             items=len(items),
             chunks=len(chunks),
-            chunksize=chunksize,
+            chunksize=plan.chunksize,
             jobs=jobs,
             resumed_chunks=len(results),
         )
     campaign_t0 = time.perf_counter()
-    stats = {"retries": 0, "timeouts": 0}
     progress = _ProgressReporter(
         len(chunks),
         len(items),
@@ -633,49 +367,67 @@ def resilient_map(
         chunks_done=len(results),
         items_done=sum(len(chunks[index]) for index in results),
     )
+    totals = {"retries": 0, "timeouts": 0}
+
+    def complete(
+        index: int,
+        chunk_results: list[Any],
+        *,
+        mode: str,
+        wall_s: float,
+        pid: int,
+        queue_s: float | None = None,
+        retries: int = 0,
+        timeouts: int = 0,
+    ) -> None:
+        """Store, journal, report and count one finished chunk."""
+        results[index] = chunk_results
+        if journal_obj is not None:
+            journal_obj.record_chunk(index, chunk_results)
+        totals["retries"] += retries
+        totals["timeouts"] += timeouts
+        if telemetry is not None:
+            timing = {"wall_s": wall_s}
+            if queue_s is not None:
+                timing["queue_s"] = queue_s
+            telemetry.emit(
+                "chunk",
+                index=index,
+                size=len(chunks[index]),
+                **timing,
+                pid=pid,
+                retries=retries,
+                timeouts=timeouts,
+                mode=mode,
+            )
+        progress.note(len(chunks[index]))
 
     if remaining:
-        use_pool = (
-            jobs > 1
-            and _picklable(fn, items[0])
-            and (batch_fn is None or _picklable(batch_fn))
-        )
-        if jobs > 1 and not use_pool:
-            _warn_serial_fallback(fn)
-        if not use_pool:
-            for index in remaining:
-                chunk_t0 = time.perf_counter()
-                chunk_results = _run_chunk(fn, chunks[index], batch_fn)
-                results[index] = chunk_results
-                if journal_obj is not None:
-                    journal_obj.record_chunk(index, chunk_results)
-                if telemetry is not None:
-                    telemetry.emit(
-                        "chunk",
-                        index=index,
-                        size=len(chunks[index]),
-                        wall_s=time.perf_counter() - chunk_t0,
-                        retries=0,
-                        timeouts=0,
-                        pid=os.getpid(),
-                        mode="serial",
-                    )
-                progress.note(len(chunks[index]))
-        else:
-            stats = _resilient_pool_run(
+        blocker = _unpicklable(fn, items[0], batch_fn) if jobs > 1 else None
+        if blocker is not None:
+            _warn_serial_fallback(blocker)
+        if jobs > 1 and blocker is None:
+            _pool_run(
                 fn,
                 chunks,
                 remaining,
-                results,
+                complete,
                 jobs=jobs,
                 task_timeout=task_timeout,
-                max_retries=max_retries,
-                backoff_base=backoff_base,
-                journal_obj=journal_obj,
                 telemetry=telemetry,
-                progress=progress,
                 batch_fn=batch_fn,
             )
+        else:
+            for index in remaining:
+                chunk_t0 = time.perf_counter()
+                chunk_results = run_chunk(fn, chunks[index], batch_fn)
+                complete(
+                    index,
+                    chunk_results,
+                    mode="serial",
+                    wall_s=time.perf_counter() - chunk_t0,
+                    pid=os.getpid(),
+                )
 
     if telemetry is not None:
         telemetry.emit(
@@ -683,82 +435,53 @@ def resilient_map(
             chunks=len(chunks),
             items=len(items),
             wall_s=time.perf_counter() - campaign_t0,
-            retries=stats["retries"],
-            timeouts=stats["timeouts"],
+            retries=totals["retries"],
+            timeouts=totals["timeouts"],
         )
-    return splice(len(chunks), results, where=f"journal {journal!r}" if journal else "campaign")
+    return splice(
+        len(chunks), results, where=f"journal {journal!r}" if journal else "campaign"
+    )
 
 
-def _resilient_pool_run(
+def _pool_run(
     fn: Callable[[T], R],
     chunks: list[list[T]],
     remaining: list[int],
-    results: dict[int, list[Any]],
+    complete: Callable[..., None],
     *,
     jobs: int,
     task_timeout: float | None,
-    max_retries: int,
-    backoff_base: float,
-    journal_obj: CampaignJournal | None,
-    telemetry: "Telemetry | None" = None,
-    progress: "_ProgressReporter | None" = None,
-    batch_fn: Callable[[list[T]], list[R]] | None = None,
-) -> dict[str, int]:
+    telemetry: Telemetry | None,
+    batch_fn: Callable[[list[T]], list[R]] | None,
+) -> None:
     """Drive the pending chunks through a pool, surviving worker failures.
 
-    Returns campaign-level resilience stats (total retries/timeouts).
-    With a live ``telemetry`` recorder, chunks run via
-    :func:`_run_chunk_timed`: each chunk ships back its worker-side
-    events (merged into the parent's stream tagged with the chunk
-    index) plus wall time, from which queue wait is derived.
+    Each finished chunk goes to ``complete``.  With a live
+    ``telemetry`` recorder, chunks run via :func:`_run_chunk_timed`: each
+    ships back its worker-side events, merged into the parent's stream
+    tagged with the chunk index, plus wall time, from which queue wait
+    is derived.
     """
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures import TimeoutError as FutureTimeout
     from concurrent.futures.process import BrokenProcessPool
 
-    runner = _run_chunk_timed if telemetry is not None else _run_chunk
+    runner = _run_chunk_timed if telemetry is not None else run_chunk
     attempts = {index: 0 for index in remaining}
     timeouts = {index: 0 for index in remaining}
     submit_ts: dict[int, float] = {}
-    executor = ProcessPoolExecutor(max_workers=jobs)
-    futures = {}
-    for index in remaining:
-        futures[index] = executor.submit(runner, fn, chunks[index], batch_fn)
-        submit_ts[index] = time.perf_counter()
+    executor: Any = None
+    futures: dict[int, Any] = {}
 
-    def _record_chunk(index: int, payload: Any, *, fallback: bool = False) -> list[Any]:
-        """Unwrap a finished chunk, merging worker telemetry if present."""
-        if telemetry is None:
-            return payload
-        if fallback:
-            # In-process fallback ran _run_chunk under the parent's
-            # ambient recorder; events already streamed directly.
-            chunk_results = payload
-            wall_s = 0.0
-            queue_s = 0.0
-            pid = os.getpid()
-        else:
-            chunk_results = payload["results"]
-            wall_s = payload["wall_s"]
-            pid = payload["pid"]
-            waited = time.perf_counter() - submit_ts[index]
-            queue_s = max(0.0, waited - wall_s)
-            for event in payload["events"]:
-                event["chunk"] = index
-                telemetry.write_record(event)
-        telemetry.emit(
-            "chunk",
-            index=index,
-            size=len(chunks[index]),
-            wall_s=wall_s,
-            queue_s=queue_s,
-            pid=pid,
-            retries=attempts[index],
-            timeouts=timeouts[index],
-            mode="fallback" if fallback else "pool",
-        )
-        return chunk_results
+    def submit_all(indices: list[int]) -> None:
+        nonlocal executor
+        executor = ProcessPoolExecutor(max_workers=jobs)
+        futures.clear()
+        for index in indices:
+            futures[index] = executor.submit(runner, fn, chunks[index], batch_fn)
+            submit_ts[index] = time.perf_counter()
 
+    submit_all(remaining)
     position = 0
     try:
         while position < len(remaining):
@@ -768,7 +491,6 @@ def _resilient_pool_run(
             )
             try:
                 payload = futures[index].result(timeout=allowance)
-                chunk_results = _record_chunk(index, payload)
             except (BrokenProcessPool, FutureTimeout) as exc:
                 # Infrastructure failure: the worker died or the chunk
                 # hung.  Blame the chunk at the head of the line; later
@@ -778,56 +500,67 @@ def _resilient_pool_run(
                 if isinstance(exc, FutureTimeout):
                     timeouts[index] += 1
                 _terminate_workers(executor)
-                still_pending = remaining[position:]
-                if attempts[index] > max_retries:
-                    if isinstance(exc, FutureTimeout):
-                        raise ExperimentError(
-                            f"chunk {index} ({len(chunks[index])} tasks) timed "
-                            f"out after {attempts[index]} attempts of "
-                            f"{allowance:.1f}s each; aborting the campaign"
-                        ) from exc
-                    logger.warning(
-                        "chunk %d killed its worker %d times; running it "
-                        "in-process (exact: inputs are re-derived seeds)",
-                        index,
-                        attempts[index],
-                    )
-                    chunk_results = _record_chunk(
-                        index, _run_chunk(fn, chunks[index], batch_fn), fallback=True
-                    )
-                    executor = ProcessPoolExecutor(max_workers=jobs)
-                    futures = {}
-                    for later in still_pending[1:]:
-                        futures[later] = executor.submit(
-                            runner, fn, chunks[later], batch_fn
-                        )
-                        submit_ts[later] = time.perf_counter()
-                else:
+                if attempts[index] <= MAX_RETRIES:
                     delay = backoff_delay(
-                        backoff_base, attempts[index], chunk_index=index
+                        BACKOFF_BASE, attempts[index], chunk_index=index
                     )
                     logger.warning(
                         "%s on chunk %d; retry %d/%d after %.2fs backoff",
                         type(exc).__name__,
                         index,
                         attempts[index],
-                        max_retries,
+                        MAX_RETRIES,
                         delay,
                     )
                     time.sleep(delay)
-                    executor = ProcessPoolExecutor(max_workers=jobs)
-                    futures = {}
-                    for pending in still_pending:
-                        futures[pending] = executor.submit(
-                            runner, fn, chunks[pending], batch_fn
-                        )
-                        submit_ts[pending] = time.perf_counter()
+                    submit_all(remaining[position:])
                     continue
-            results[index] = chunk_results
-            if journal_obj is not None:
-                journal_obj.record_chunk(index, chunk_results)
-            if progress is not None:
-                progress.note(len(chunks[index]))
+                if isinstance(exc, FutureTimeout):
+                    raise ExperimentError(
+                        f"chunk {index} ({len(chunks[index])} tasks) timed "
+                        f"out after {attempts[index]} attempts of "
+                        f"{allowance:.1f}s each; aborting the campaign"
+                    ) from exc
+                logger.warning(
+                    "chunk %d killed its worker %d times; running it "
+                    "in-process (exact: inputs are re-derived seeds)",
+                    index,
+                    attempts[index],
+                )
+                # Under the parent's ambient recorder: its events stream
+                # directly, so there is nothing to ship back or time.
+                chunk_results = run_chunk(fn, chunks[index], batch_fn)
+                complete(
+                    index,
+                    chunk_results,
+                    mode="fallback",
+                    wall_s=0.0,
+                    queue_s=0.0,
+                    pid=os.getpid(),
+                    retries=attempts[index],
+                    timeouts=timeouts[index],
+                )
+                submit_all(remaining[position + 1 :])
+            else:
+                chunk_results, wall_s, queue_s, pid = payload, 0.0, 0.0, 0
+                if telemetry is not None:
+                    for event in payload["events"]:
+                        event["chunk"] = index
+                        telemetry.write_record(event)
+                    chunk_results = payload["results"]
+                    wall_s, pid = payload["wall_s"], payload["pid"]
+                    waited = time.perf_counter() - submit_ts[index]
+                    queue_s = max(0.0, waited - wall_s)
+                complete(
+                    index,
+                    chunk_results,
+                    mode="pool",
+                    wall_s=wall_s,
+                    queue_s=queue_s,
+                    pid=pid,
+                    retries=attempts[index],
+                    timeouts=timeouts[index],
+                )
             position += 1
     except KeyboardInterrupt:
         # Re-raise promptly, but never leave orphaned children behind:
@@ -839,34 +572,3 @@ def _resilient_pool_run(
         raise
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
-    return {
-        "retries": sum(attempts.values()),
-        "timeouts": sum(timeouts.values()),
-    }
-
-
-def resilient_starmap(
-    fn: Callable[..., R],
-    argument_tuples: Iterable[Sequence[Any]],
-    *,
-    jobs: int | None = None,
-    chunksize: int | None = None,
-    task_timeout: float | None = None,
-    max_retries: int = 3,
-    backoff_base: float = 0.25,
-    journal: str | os.PathLike[str] | CampaignJournal | None = None,
-    resume: bool = False,
-) -> list[R]:
-    """``[fn(*args) for args in argument_tuples]`` with full resilience."""
-    tasks = [(fn, tuple(args)) for args in argument_tuples]
-    return resilient_map(
-        _apply_args,
-        tasks,
-        jobs=jobs,
-        chunksize=chunksize,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        backoff_base=backoff_base,
-        journal=journal,
-        resume=resume,
-    )

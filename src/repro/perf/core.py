@@ -45,6 +45,7 @@ __all__ = [
     "get_active",
     "hz_from_env",
     "perf_span",
+    "self_profiled",
     "set_active",
     "span_push",
     "span_pop",
@@ -342,3 +343,36 @@ def perf_span(label: str) -> Iterator[None]:
         yield
     finally:
         session.span_pop()
+
+
+@contextlib.contextmanager
+def self_profiled(
+    label: str, recorder: Any, *, tag: str | None = None, **extra: Any
+) -> Iterator[None]:
+    """Attribute the block to ``label`` in whichever session profiles
+    this process.
+
+    Under an ambient session this is :func:`perf_span`.  Without one,
+    when :data:`ENV_VAR` asks this process to profile itself (a pool or
+    fabric worker whose parent samples), the block runs under a fresh
+    session labelled ``label``, which writes its ``perf_profile``/
+    ``perf_span`` records (plus ``extra`` fields) to ``recorder`` when
+    the block ends.  Otherwise a no-op.
+    """
+    hz = hz_from_env() if _ACTIVE is None else None
+    if hz is None:
+        with perf_span(label):
+            yield
+        return
+    session = PerfSession(hz, memory=True, tag=tag)
+    previous = set_active(session)
+    session.start()
+    session.span_push(label)
+    try:
+        yield
+    finally:
+        session.span_pop()
+        session.stop()
+        set_active(previous)
+        if recorder is not None:
+            session.emit(recorder, **extra)

@@ -8,22 +8,14 @@ experiment tables are checked byte-for-byte here.
 
 import pytest
 
+from repro.campaign import default_chunksize
 from repro.errors import ExperimentError
 from repro.experiments.runner import ExperimentConfig, repeat_runs, sweep
-from repro.parallel import (
-    default_chunksize,
-    parallel_map,
-    parallel_starmap,
-    resolve_jobs,
-)
+from repro.parallel import resolve_jobs
 
 
 def _square(x):
     return x * x
-
-
-def _add(a, b):
-    return a + b
 
 
 def _seed_echo(seed):
@@ -32,10 +24,6 @@ def _seed_echo(seed):
 
 def _point_sum(point, seeds):
     return (point, sum(seeds))
-
-
-def _explode(x):
-    raise ValueError(f"boom {x}")
 
 
 class TestResolveJobs:
@@ -81,38 +69,6 @@ class TestDefaultChunksize:
         assert default_chunksize(0, 8) == 1
 
 
-class TestParallelMap:
-    def test_matches_serial_and_preserves_order(self):
-        items = list(range(50))
-        serial = [_square(x) for x in items]
-        assert parallel_map(_square, items, jobs=1) == serial
-        assert parallel_map(_square, items, jobs=4) == serial
-
-    def test_empty_items(self):
-        assert parallel_map(_square, [], jobs=4) == []
-
-    def test_unpicklable_fn_falls_back_to_serial(self):
-        seen = []
-
-        def record(x):  # closure: unpicklable, must run in-process
-            seen.append(x)
-            return x
-
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            assert parallel_map(record, [1, 2, 3], jobs=4) == [1, 2, 3]
-        assert seen == [1, 2, 3]
-
-    def test_worker_exceptions_propagate(self):
-        with pytest.raises(ValueError, match="boom"):
-            parallel_map(_explode, [1, 2, 3, 4], jobs=2)
-
-    def test_starmap_matches_serial(self):
-        tasks = [(a, a + 1) for a in range(20)]
-        serial = [_add(a, b) for a, b in tasks]
-        assert parallel_starmap(_add, tasks, jobs=1) == serial
-        assert parallel_starmap(_add, tasks, jobs=3) == serial
-
-
 class TestHarnessEquivalence:
     def test_repeat_runs_identical_across_jobs(self):
         serial = repeat_runs(
@@ -125,8 +81,11 @@ class TestHarnessEquivalence:
 
     def test_sweep_identical_across_jobs(self):
         points = ["a", "b", "c"]
-        serial = sweep(ExperimentConfig(reps=3, jobs=1), points, _point_sum)
+        config = ExperimentConfig(reps=3, jobs=1)
+        expected = [_point_sum(p, config.seeds("sweep", p)) for p in points]
+        serial = sweep(config, points, _point_sum)
         pooled = sweep(ExperimentConfig(reps=3, jobs=4), points, _point_sum)
+        assert serial == expected
         assert pooled == serial
 
 
@@ -163,15 +122,21 @@ class TestBackendJournalParity:
     per-item path and the batched (vectorized-backend) path produce
     interchangeable, byte-identical journals and splices."""
 
-    def test_fingerprint_ignores_batch_fn(self):
-        from repro.parallel import CampaignJournal
+    def test_fingerprint_ignores_batch_fn(self, tmp_path):
+        import json
+
+        from repro.campaign import campaign_fingerprint
+        from repro.parallel import resilient_map
 
         items = list(range(12))
-        # The fingerprint is a function of (fn, items) only — there is
-        # no batch_fn input to it at all; assert the journals agree.
-        assert CampaignJournal.fingerprint(_square, items) == (
-            CampaignJournal.fingerprint(_square, items)
-        )
+        headers = []
+        for name, batch_fn in (("plain", None), ("batched", _square_batch)):
+            journal = tmp_path / f"{name}.jsonl"
+            resilient_map(_square, items, jobs=1, journal=journal, batch_fn=batch_fn)
+            headers.append(json.loads(journal.read_text().splitlines()[0]))
+        # The fingerprint is a function of (fn, items) only.
+        assert headers[0]["fingerprint"] == headers[1]["fingerprint"]
+        assert headers[0]["fingerprint"] == campaign_fingerprint(_square, items)
 
     def test_journal_bytes_identical_across_backends(self, tmp_path):
         import pickle
@@ -217,7 +182,7 @@ class TestBackendJournalParity:
         # a journal append would have written.
         import json
 
-        from repro.fabric.splice import encode_chunk
+        from repro.campaign import encode_chunk
         from repro.parallel import resilient_map
 
         items = list(range(6))
@@ -230,3 +195,108 @@ class TestBackendJournalParity:
             start = record["index"] * 3
             chunk = items[start : start + 3]
             assert record["payload"] == encode_chunk([x * x for x in chunk])
+
+
+def _transport_journals(tmp_path, chunksize):
+    """The ``squares`` campaign (n = 20) journaled by every transport."""
+    from repro.fabric.coordinator import FabricConfig, run_fabric
+    from repro.fabric.specs import resolve_spec
+    from repro.parallel import resilient_map
+
+    spec = resolve_spec("squares", {"n": 20})
+    journals = {}
+    for jobs in (1, 2):
+        journals[f"pool-jobs{jobs}"] = tmp_path / f"pool-jobs{jobs}.jsonl"
+        resilient_map(
+            spec.fn, spec.items, jobs=jobs, chunksize=chunksize,
+            journal=journals[f"pool-jobs{jobs}"],
+        )
+    for workers in (0, 2):
+        journals[f"fabric-w{workers}"] = tmp_path / f"fabric-w{workers}.jsonl"
+        run_fabric(FabricConfig(
+            spec="squares", params={"n": 20}, store=tmp_path / f"f{workers}.db",
+            workers=workers, chunksize=chunksize, lease_ttl=1.0,
+            journal=journals[f"fabric-w{workers}"], install_signal_handler=False,
+            timeout=120.0,
+        ))
+    return spec, journals
+
+
+class TestOnDiskContract:
+    """Journals are the campaign's on-disk contract: every transport
+    writes the same bytes, and any of them resumes under any other."""
+
+    @pytest.mark.parametrize("chunksize", [1, 3, 7])
+    def test_journal_bytes_identical_across_transports(self, tmp_path, chunksize):
+        import pickle
+
+        from repro.parallel import resilient_map
+
+        spec, journals = _transport_journals(tmp_path, chunksize)
+        reference = journals["pool-jobs1"].read_bytes()
+        for name, path in journals.items():
+            assert path.read_bytes() == reference, name
+
+        expected = pickle.dumps([x * x for x in range(20)])
+        for name, path in journals.items():
+            # Cut after the second chunk (header + two records), resume.
+            lines = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(b"".join(lines[:3]))
+            resumed = resilient_map(
+                spec.fn, spec.items, jobs=1, journal=path, resume=True
+            )
+            assert pickle.dumps(resumed) == expected, name
+            assert path.read_bytes() == reference, name
+
+    @pytest.mark.parametrize(
+        "module, qualname, items",
+        [
+            ("repro.chaos", "_run_chaos_trial", [("decay", 1), ("control", 2)]),
+            ("repro.fabric.specs", "_square", list(range(5))),
+            ("repro.fabric.specs", "_slow_square", [(0, 0.1), (1, 0.1)]),
+            ("repro.parallel", "_apply_args", [(print, (1,))]),
+        ],
+    )
+    def test_fingerprint_recomputed_independently(self, module, qualname, items):
+        import hashlib
+        import importlib
+        import pickle
+
+        from repro.campaign import campaign_fingerprint
+
+        fn = getattr(importlib.import_module(module), qualname)
+        expected = hashlib.sha256(
+            module.encode() + b"\x1f" + qualname.encode() + b"\x1f"
+            + pickle.dumps(items)
+        ).hexdigest()
+        assert campaign_fingerprint(fn, items) == expected
+
+    @pytest.mark.skipif(
+        __import__("pickle").DEFAULT_PROTOCOL != 4,
+        reason="these journal bytes were written under pickle protocol 4",
+    )
+    def test_earlier_journal_resumes_without_recomputing(self, tmp_path):
+        from repro.fabric import specs
+        from repro.parallel import resilient_map
+
+        earlier = (
+            '{"kind": "header", "version": 1, "fingerprint": '
+            '"97ad18d7bd6dac013a2db37e060566e67d4f1513a274e8968ff4584e7d5ccb47", '
+            '"items": 5, "chunksize": 2}\n'
+            '{"kind": "chunk", "index": 0, "payload": "gASVCQAAAAAAAABdlChLAEsBZS4="}\n'
+            '{"kind": "chunk", "index": 1, "payload": "gASVCQAAAAAAAABdlChLBEsJZS4="}\n'
+            '{"kind": "chunk", "index": 2, "payload": "gASVBgAAAAAAAABdlEsQYS4="}\n'
+        )
+        journal = tmp_path / "earlier.jsonl"
+        journal.write_text(earlier)
+        got = resilient_map(
+            specs._square, list(range(5)), jobs=1, journal=journal, resume=True,
+            batch_fn=_refuse_batch,
+        )
+        assert got == [0, 1, 4, 9, 16]
+        assert journal.read_text() == earlier
+
+
+def _refuse_batch(chunk):
+    raise AssertionError(f"chunk {chunk} was recomputed")
+

@@ -16,14 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from repro import parallel
+from repro.campaign import backoff_delay, campaign_fingerprint
 from repro.errors import ExperimentError
-from repro.parallel import (
-    CampaignJournal,
-    backoff_delay,
-    parallel_map,
-    resilient_map,
-    resilient_starmap,
-)
+from repro.parallel import resilient_map
 
 
 def _square(x):
@@ -32,6 +28,16 @@ def _square(x):
 
 def _add(a, b):
     return a + b
+
+
+def _explode(x):
+    raise ValueError(f"boom {x}")
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Retry almost at once: these tests count retries, not wait them."""
+    monkeypatch.setattr(parallel, "BACKOFF_BASE", 0.01)
 
 
 def _kill_worker_once(task):
@@ -80,95 +86,93 @@ class TestResilientMapBasics:
     def test_empty_items(self):
         assert resilient_map(_square, [], jobs=4) == []
 
-    def test_starmap_matches_serial(self):
-        tasks = [(a, a + 1) for a in range(12)]
-        serial = [_add(a, b) for a, b in tasks]
-        assert resilient_starmap(_add, tasks, jobs=3) == serial
-
     def test_fn_exceptions_propagate_not_retried(self):
-        def boom(x):
-            raise ValueError(f"boom {x}")
-
-        with pytest.raises(ValueError, match="boom"):
-            resilient_map(boom, [1, 2], jobs=1)
+        # In-process and from a pool worker alike.
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="boom"):
+                resilient_map(_explode, [1, 2, 3, 4], jobs=jobs)
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ExperimentError, match="task_timeout"):
             resilient_map(_square, [1], jobs=1, task_timeout=0)
-        with pytest.raises(ExperimentError, match="max_retries"):
-            resilient_map(_square, [1], jobs=1, max_retries=-1)
+
+    @pytest.mark.parametrize("chunksize", [0, -1])
+    @pytest.mark.parametrize("transport", ["serial", "pool", "fabric"])
+    def test_chunksize_below_one_rejected(self, tmp_path, transport, chunksize):
+        from repro.fabric.coordinator import FabricConfig, run_fabric
+
+        with pytest.raises(ExperimentError, match="chunksize must be >= 1"):
+            if transport == "fabric":
+                run_fabric(FabricConfig(
+                    spec="squares", params={"n": 10}, store=tmp_path / "f.db",
+                    workers=0, chunksize=chunksize, timeout=60.0,
+                ))
+            else:
+                resilient_map(
+                    _square, range(10), jobs=1 if transport == "serial" else 2,
+                    chunksize=chunksize,
+                )
 
     def test_unpicklable_fallback_warns(self):
-        def local(x):  # closure: unpicklable
+        seen = []
+
+        def local(x):  # closure: unpicklable, must run in-process
+            seen.append(x)
             return x + 1
 
         with pytest.warns(RuntimeWarning, match="not picklable"):
             assert resilient_map(local, [1, 2], jobs=2) == [2, 3]
+        assert seen == [1, 2]
 
-    def test_parallel_map_fallback_warns_too(self):
-        def local(x):
-            return x + 1
-
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            assert parallel_map(local, [1, 2], jobs=2) == [2, 3]
+    def test_fallback_warning_names_the_unpicklable_batch_fn(self):
+        with pytest.warns(RuntimeWarning, match="not picklable") as caught:
+            got = resilient_map(
+                _square, [1, 2, 3], jobs=2,
+                batch_fn=lambda chunk: [x * x for x in chunk],
+            )
+        assert got == [1, 4, 9]
+        message = str(caught[0].message)
+        assert "<lambda>" in message
+        assert "_square" not in message
 
 
 class TestWorkerDeathRetry:
-    def test_killed_worker_retried_to_identical_results(self, tmp_path):
+    def test_killed_worker_retried_to_identical_results(self, tmp_path, fast_backoff):
         # One poison task SIGKILLs its worker on first execution; the
         # retry recomputes from re-derived inputs, so the final table is
         # byte-identical to the serial run.
         flag = tmp_path / "killed-once"
         items = [(x, str(flag) if x == 5 else "") for x in range(10)]
         expected = [x * x for x in range(10)]
-        got = resilient_map(
-            _kill_worker_once, items, jobs=2, chunksize=2, backoff_base=0.01
-        )
+        got = resilient_map(_kill_worker_once, items, jobs=2, chunksize=2)
         assert got == expected
         assert pickle.dumps(got) == pickle.dumps(expected)
         assert flag.exists()  # the kill really happened
 
-    def test_persistent_killer_falls_back_in_process(self):
-        # Every pool attempt dies; after max_retries the blamed chunk
+    def test_persistent_killer_falls_back_in_process(self, monkeypatch, fast_backoff):
+        # Every pool attempt dies; after MAX_RETRIES the blamed chunk
         # runs in-process, where the task completes normally.
+        monkeypatch.setattr(parallel, "MAX_RETRIES", 1)
         items = [(x, os.getpid()) for x in range(4)]
-        got = resilient_map(
-            _die_in_any_worker,
-            items,
-            jobs=2,
-            chunksize=4,
-            max_retries=1,
-            backoff_base=0.01,
-        )
+        got = resilient_map(_die_in_any_worker, items, jobs=2, chunksize=4)
         assert got == [x * x for x in range(4)]
 
 
 class TestTaskTimeout:
-    def test_hung_chunk_retried(self, tmp_path):
+    def test_hung_chunk_retried(self, tmp_path, fast_backoff):
         flag = tmp_path / "hung-once"
         items = [(x, str(flag)) for x in range(2)]
-        got = resilient_map(
-            _hang_once,
-            items,
-            jobs=2,
-            chunksize=2,
-            task_timeout=0.5,
-            backoff_base=0.01,
-        )
+        got = resilient_map(_hang_once, items, jobs=2, chunksize=2, task_timeout=0.5)
         assert got == [0, 1]
         assert flag.exists()
 
-    def test_persistent_hang_aborts_with_clear_error(self):
+    def test_persistent_hang_aborts_with_clear_error(self, monkeypatch):
         # Two items: a single item would clamp jobs to 1 and take the
         # serial path, where timeouts don't apply.
+        monkeypatch.setattr(parallel, "MAX_RETRIES", 0)
         with pytest.raises(ExperimentError, match="timed out"):
             resilient_map(
-                _hang_forever,
-                [1, 2],
-                jobs=2,
-                chunksize=1,
-                task_timeout=0.25,
-                max_retries=0,
+                _hang_forever, [1, 2], jobs=2, chunksize=1, task_timeout=0.25
             )
 
 
@@ -243,12 +247,9 @@ class TestCampaignJournal:
         assert journal.exists()
 
     def test_fingerprint_distinguishes_fn_and_items(self):
-        assert CampaignJournal.fingerprint(_square, [1, 2]) != CampaignJournal.fingerprint(
-            _square, [1, 3]
-        )
-        assert CampaignJournal.fingerprint(_square, [1, 2]) != CampaignJournal.fingerprint(
-            _add, [1, 2]
-        )
+        base = campaign_fingerprint(_square, [1, 2])
+        assert campaign_fingerprint(_square, [1, 3]) != base
+        assert campaign_fingerprint(_add, [1, 2]) != base
 
     def test_pooled_run_with_journal_matches_serial(self, tmp_path):
         items = list(range(20))

@@ -1,9 +1,8 @@
-"""Tests for the shared chunk/splice vocabulary (:mod:`repro.fabric.splice`)."""
+"""Tests for the campaign plan, payload and splice (:mod:`repro.campaign`)."""
 
 import pytest
 
-from repro.errors import ExperimentError
-from repro.fabric.splice import (
+from repro.campaign import (
     campaign_fingerprint,
     decode_chunk,
     default_chunksize,
@@ -11,7 +10,7 @@ from repro.fabric.splice import (
     make_chunks,
     splice,
 )
-from repro.parallel import CampaignJournal
+from repro.errors import ExperimentError
 
 
 def _square(x):
@@ -67,9 +66,14 @@ class TestFingerprint:
         assert campaign_fingerprint(_other, [1, 2, 3]) != base
         assert campaign_fingerprint(_square, [1, 2]) != base
 
-    def test_journal_fingerprint_delegates_here(self):
+    def test_journal_fingerprint_delegates_here(self, tmp_path):
         # The pool and the fabric must agree on campaign identity, or
         # their journals stop being interchangeable.
-        assert CampaignJournal.fingerprint(_square, [5, 6]) == campaign_fingerprint(
-            _square, [5, 6]
-        )
+        import json
+
+        from repro.parallel import resilient_map
+
+        journal = tmp_path / "campaign.jsonl"
+        resilient_map(_square, [5, 6], jobs=1, journal=journal)
+        header = json.loads(journal.read_text().splitlines()[0])
+        assert header["fingerprint"] == campaign_fingerprint(_square, [5, 6])

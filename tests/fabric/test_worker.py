@@ -7,12 +7,11 @@ heartbeat/commit and the fault hooks without process overhead.
 
 import threading
 
-from repro.fabric.splice import decode_chunk
+from repro.campaign import campaign_fingerprint, decode_chunk
+from repro.fabric.faultplan import FaultPlan
+from repro.fabric.specs import resolve_spec
 from repro.fabric.store import LeaseStore
 from repro.fabric.worker import WorkerConfig, run_worker
-from repro.fabric.faultplan import FaultPlan
-from repro.fabric.splice import campaign_fingerprint
-from repro.fabric.specs import resolve_spec
 
 
 def _register(store_path, *, n=12, chunksize=3):

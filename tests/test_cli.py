@@ -422,6 +422,30 @@ class TestTelemetryValidateRobustness:
         assert "INVALID (3 errors)" in out
 
 
+class TestFabricCommand:
+    def test_run_journal_resumes_under_resilient_map(self, tmp_path, capsys):
+        import signal
+
+        from repro.fabric.specs import resolve_spec
+        from repro.parallel import resilient_map
+
+        journal = tmp_path / "fabric-journal.jsonl"
+        previous = signal.getsignal(signal.SIGTERM)
+        try:
+            code = main(["fabric", "run", "--spec", "squares", "--param", "n=24",
+                         "--workers", "2", "--lease-ttl", "1.0",
+                         "--store", str(tmp_path / "fabric-run.db"),
+                         "--journal", str(journal)])
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert code == 0
+        assert "resumable by resilient_map" in capsys.readouterr().out
+        spec = resolve_spec("squares", {"n": 24})
+        resumed = resilient_map(spec.fn, spec.items, jobs=1, journal=journal,
+                                resume=True)
+        assert resumed == [x * x for x in range(24)]
+
+
 class TestFleetCommands:
     """The fleet/autopsy front ends over a scripted lease store."""
 
