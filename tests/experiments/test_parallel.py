@@ -11,11 +11,15 @@ import pytest
 from repro.campaign import default_chunksize
 from repro.errors import ExperimentError
 from repro.experiments.runner import ExperimentConfig, repeat_runs, sweep
-from repro.parallel import resolve_jobs
+from repro.parallel import _apply_args, resilient_map, resolve_jobs
 
 
 def _square(x):
     return x * x
+
+
+def _add(a, b):
+    return a + b
 
 
 def _seed_echo(seed):
@@ -24,6 +28,10 @@ def _seed_echo(seed):
 
 def _point_sum(point, seeds):
     return (point, sum(seeds))
+
+
+def _explode(x):
+    raise ValueError(f"boom {x}")
 
 
 class TestResolveJobs:
@@ -67,6 +75,43 @@ class TestDefaultChunksize:
     def test_never_below_one(self):
         assert default_chunksize(1, 8) == 1
         assert default_chunksize(0, 8) == 1
+
+
+class TestParallelMap:
+    """The map front end, :func:`resilient_map`, as its callers use it."""
+
+    def test_matches_serial_and_preserves_order(self):
+        items = list(range(50))
+        serial = [_square(x) for x in items]
+        assert resilient_map(_square, items, jobs=1) == serial
+        assert resilient_map(_square, items, jobs=4) == serial
+        assert resilient_map(_square, items, jobs=4, chunksize=3) == serial
+
+    def test_empty_items(self):
+        for jobs in (1, 4):
+            assert resilient_map(_square, [], jobs=jobs) == []
+
+    def test_unpicklable_fn_falls_back_to_serial(self):
+        seen = []
+
+        def record(x):  # closure: unpicklable, must run in-process
+            seen.append(x)
+            return x
+
+        with pytest.warns(RuntimeWarning, match="not picklable"):
+            assert resilient_map(record, [1, 2, 3], jobs=4) == [1, 2, 3]
+        assert seen == [1, 2, 3]
+
+    def test_worker_exceptions_propagate(self):
+        with pytest.raises(ValueError, match="boom"):
+            resilient_map(_explode, [1, 2, 3, 4], jobs=2)
+
+    def test_starmap_matches_serial(self):
+        # ``fn(*args)`` tasks, the shape ``sweep`` maps through ``_apply_args``.
+        tasks = [(_add, (a, a + 1)) for a in range(20)]
+        serial = [_add(a, a + 1) for a in range(20)]
+        assert resilient_map(_apply_args, tasks, jobs=1) == serial
+        assert resilient_map(_apply_args, tasks, jobs=3) == serial
 
 
 class TestHarnessEquivalence:

@@ -19,7 +19,8 @@ import pytest
 from repro import parallel
 from repro.campaign import backoff_delay, campaign_fingerprint
 from repro.errors import ExperimentError
-from repro.parallel import resilient_map
+from repro.experiments.runner import ExperimentConfig, sweep
+from repro.parallel import _apply_args, resilient_map
 
 
 def _square(x):
@@ -86,6 +87,11 @@ class TestResilientMapBasics:
     def test_empty_items(self):
         assert resilient_map(_square, [], jobs=4) == []
 
+    def test_starmap_matches_serial(self):
+        tasks = [(_add, (a, a + 1)) for a in range(12)]
+        serial = [_add(a, a + 1) for a in range(12)]
+        assert resilient_map(_apply_args, tasks, jobs=3) == serial
+
     def test_fn_exceptions_propagate_not_retried(self):
         # In-process and from a pool worker alike.
         for jobs in (1, 2):
@@ -123,6 +129,15 @@ class TestResilientMapBasics:
         with pytest.warns(RuntimeWarning, match="not picklable"):
             assert resilient_map(local, [1, 2], jobs=2) == [2, 3]
         assert seen == [1, 2]
+
+    def test_parallel_map_fallback_warns_too(self):
+        # The experiment harness maps through the same front end, so an
+        # unpicklable sweep point function warns and runs in-process too.
+        def local(point, seeds):
+            return point + 1
+
+        with pytest.warns(RuntimeWarning, match="not picklable"):
+            assert sweep(ExperimentConfig(reps=2, jobs=2), [1, 2], local) == [2, 3]
 
     def test_fallback_warning_names_the_unpicklable_batch_fn(self):
         with pytest.warns(RuntimeWarning, match="not picklable") as caught:
