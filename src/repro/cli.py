@@ -21,7 +21,9 @@ Subcommands:
   a live status board, ``--follow`` for campaigns still running, and
   ``--gate`` to exit nonzero when any alert fires (CI).  Given a fabric
   lease store, it follows the store's newest campaign plus its worker
-  logs and adds per-worker health lanes to the board.
+  logs and adds per-worker health lanes to the board; ``--chrome-trace``
+  then merges the store's events and the worker logs into one
+  Chrome/Perfetto trace with a process lane per worker.
 * ``obs`` — cross-run observability (:mod:`repro.obs`): ``ingest``
   telemetry logs / bench records into a SQLite run store, ``compare``
   two runs, ``trend`` a metric with a CI regression gate (``--check``),
@@ -45,11 +47,6 @@ Subcommands:
   ``flame`` renders a ``.folded`` file or a telemetry log's
   ``perf_profile`` records, and ``diff`` reports per-frame share
   drift between two profiles.
-* ``fleet`` — fleet observability (:mod:`repro.fleet`): ``trace``
-  merges coordinator + worker logs into one Chrome/Perfetto trace
-  with a process lane per worker, and ``metrics`` reconstructs the
-  campaign's metrics registry from ``metrics`` snapshot records and
-  prints the Prometheus text exposition.
 
 Every command takes ``--seed`` and is fully reproducible.  The
 experiment-style commands additionally take ``--jobs N`` (or honour
@@ -338,16 +335,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         MonitorConfig,
         monitor_log,
         read_log_records,
-        validate_chrome_trace,
-        write_chrome_trace,
     )
-    from repro.monitor.live import is_sqlite_file
+    from repro.monitor.live import fleet_records, is_sqlite_file
 
-    if args.chrome_trace and is_sqlite_file(args.log):
-        print(f"monitor: {args.log} is a lease store; export a fabric "
-              "campaign's trace with 'fleet trace' over its telemetry logs",
-              file=sys.stderr)
-        return 2
     config = MonitorConfig(
         epsilon=args.epsilon,
         alpha=args.alpha,
@@ -373,12 +363,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     except ExperimentError as exc:
         raise SystemExit(f"monitor: {exc}")
     if args.chrome_trace:
-        trace = write_chrome_trace(read_log_records(args.log), args.chrome_trace)
-        errors = validate_chrome_trace(trace)
-        if errors:
-            raise SystemExit(
-                f"monitor: exported trace failed validation: {errors[0]}"
-            )
+        read = fleet_records if is_sqlite_file(args.log) else read_log_records
+        trace = _write_trace("monitor", read(args.log), args.chrome_trace)
         if not args.json:
             print(f"wrote {args.chrome_trace} "
                   f"({len(trace['traceEvents'])} trace events)")
@@ -433,22 +419,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     if args.obs_command == "export":
         # Pure log -> trace translation; no run store involved.
-        from repro.monitor import (
-            read_log_records,
-            validate_chrome_trace,
-            write_chrome_trace,
-        )
+        from repro.monitor import read_log_records
 
         try:
             records = read_log_records(args.log)
         except ExperimentError as exc:
             raise SystemExit(f"obs export: {exc}")
-        trace = write_chrome_trace(records, args.chrome_trace)
-        trace_errors = validate_chrome_trace(trace)
-        if trace_errors:
-            raise SystemExit(
-                f"obs export: trace failed validation: {trace_errors[0]}"
-            )
+        trace = _write_trace("obs export", records, args.chrome_trace)
         print(f"wrote {args.chrome_trace} ({len(trace['traceEvents'])} trace "
               f"events from {len(records)} records)")
         return 0
@@ -776,80 +753,15 @@ def _fabric_fault_plan(args: argparse.Namespace, worker_ids: list[str]):
     return FaultPlan()
 
 
-def _fleet_stream_label(path) -> str:
-    """Worker id from a ``<store>.<worker>.telemetry.jsonl`` name, else
-    ``""`` (the coordinator lane)."""
-    from pathlib import Path
+def _write_trace(command: str, records: list, path) -> dict:
+    """Write ``records`` as a validated Chrome trace at ``path``."""
+    from repro.monitor.chrome_trace import validate_chrome_trace, write_chrome_trace
 
-    parts = Path(path).name.split(".")
-    if len(parts) >= 4 and parts[-2:] == ["telemetry", "jsonl"]:
-        return parts[-3]
-    return ""
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Dispatch ``fleet trace|metrics``."""
-    import json
-
-    from repro.errors import ExperimentError
-
-    try:
-        if args.fleet_command == "trace":
-            from repro.monitor.chrome_trace import (
-                merge_records,
-                validate_chrome_trace,
-                write_chrome_trace,
-            )
-            from repro.monitor.tail import read_log_records
-
-            streams: dict[str, list] = {}
-            for path in args.logs:
-                label = _fleet_stream_label(path)
-                streams.setdefault(label, []).extend(read_log_records(path))
-            trace = write_chrome_trace(merge_records(streams), args.out)
-            errors = validate_chrome_trace(trace)
-            if errors:
-                raise SystemExit(
-                    f"fleet trace: merged trace failed validation: {errors[0]}"
-                )
-            print(f"wrote {args.out} ({len(trace['traceEvents'])} trace "
-                  f"events from {len(args.logs)} log(s))")
-            return 0
-
-        if args.fleet_command == "metrics":
-            from repro.fleet.metrics import MetricsRegistry, registry_from_snapshot
-            from repro.monitor.tail import read_log_records
-
-            registry = MetricsRegistry()
-            snapshots = 0
-            for path in args.logs:
-                for record in read_log_records(path):
-                    if record.get("kind") == "metrics" and isinstance(
-                        record.get("snapshot"), dict
-                    ):
-                        registry_from_snapshot(record["snapshot"], into=registry)
-                        snapshots += 1
-            if not snapshots:
-                # Bad invocation (wrong logs), not a metrics verdict:
-                # exit 2, same contract as obs trend/perf --check.
-                print(
-                    "fleet metrics: no 'metrics' snapshot records in the "
-                    "given log(s)",
-                    file=sys.stderr,
-                )
-                raise SystemExit(2)
-            if args.prom:
-                registry.write_prometheus(args.prom)
-                print(f"wrote {args.prom} ({snapshots} snapshot(s) merged)")
-            if args.json:
-                print(json.dumps(registry.snapshot(), indent=2, sort_keys=True,
-                                 default=repr))
-            elif not args.prom:
-                print(registry.prometheus_text(), end="")
-            return 0
-    except ExperimentError as exc:
-        raise SystemExit(f"fleet {args.fleet_command}: {exc}")
-    raise SystemExit(f"unknown fleet subcommand {args.fleet_command!r}")
+    trace = write_chrome_trace(records, path)
+    errors = validate_chrome_trace(trace)
+    if errors:
+        raise SystemExit(f"{command}: exported trace failed validation: {errors[0]}")
+    return trace
 
 
 def _cmd_fabric(args: argparse.Namespace) -> int:
@@ -861,7 +773,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         if args.fabric_command == "autopsy":
             from pathlib import Path
 
-            from repro.fleet.autopsy import (
+            from repro.fabric.autopsy import (
                 autopsy,
                 land_autopsy,
                 render_autopsy_html,
@@ -961,15 +873,13 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
 
         chrome_trace = getattr(args, "chrome_trace", None)
         telemetry_path = getattr(args, "telemetry", None)
-        # Fleet mode: per-worker telemetry logs feed the merged trace
-        # and the autopsy cross-check; on automatically whenever any
-        # fleet output is requested.
+        # Per-worker telemetry logs feed the merged trace; on
+        # automatically whenever telemetry or a trace is requested.
         config.worker_telemetry = bool(
             getattr(args, "worker_telemetry", False)
             or telemetry_path
             or chrome_trace
         )
-        config.prom = getattr(args, "prom", None)
 
         result = run_fabric(config)
         print(result.summary())
@@ -984,34 +894,13 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
             print(f"journal: {result.journal} (resumable by resilient_map)")
         if result.trace_id is not None and (telemetry_path or chrome_trace):
             print(f"trace: {result.trace_id}")
-        if result.prom is not None:
-            print(f"prometheus: {result.prom}")
         if chrome_trace:
-            from pathlib import Path
+            from repro.monitor.live import fleet_records
 
-            from repro.monitor.chrome_trace import (
-                merge_records,
-                validate_chrome_trace,
-                write_chrome_trace,
-            )
-            from repro.monitor.tail import read_log_records
-
-            streams: dict[str, list] = {}
-            if telemetry_path:
-                streams[""] = read_log_records(telemetry_path)
-            for worker_id, log in sorted(result.worker_logs.items()):
-                if Path(log).exists():
-                    streams[worker_id] = read_log_records(log)
-            trace = write_chrome_trace(merge_records(streams), chrome_trace)
-            trace_errors = validate_chrome_trace(trace)
-            if trace_errors:
-                raise SystemExit(
-                    f"fabric run: merged trace failed validation: "
-                    f"{trace_errors[0]}"
-                )
+            records = fleet_records(config.store, result.fingerprint)
+            trace = _write_trace("fabric run", records, chrome_trace)
             print(f"chrome trace: {chrome_trace} "
-                  f"({len(trace['traceEvents'])} events merged from "
-                  f"{len(streams)} process stream(s))")
+                  f"({len(trace['traceEvents'])} trace events)")
         return code
     except ExperimentError as exc:
         raise SystemExit(f"fabric {args.fabric_command}: {exc}")
@@ -1239,7 +1128,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "board (automatic when stdout is not a TTY)")
     p_mon.add_argument("--chrome-trace", default=None, metavar="PATH",
                        help="also export the log as a Chrome/Perfetto "
-                            "trace-event file after the pass")
+                            "trace-event file after the pass (a lease "
+                            "store: its events merged with the worker "
+                            "logs, one process lane per worker)")
     p_mon.add_argument("--json", action="store_true",
                        help="emit the machine-readable monitor report "
                             "instead of the board")
@@ -1316,8 +1207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--slot", default=None, type=int)
     p_explain.add_argument("--fabric", action="store_true",
                            help="print the run's fabric/fleet aggregates "
-                                "(lease audit counts, registry totals) "
-                                "instead of slot provenance")
+                                "(lease audit counts) instead of slot "
+                                "provenance")
     # dest avoids main()'s --perf session wiring: this flag selects what
     # to print, it does not ask to profile the explain command itself.
     p_explain.add_argument("--perf", dest="perf_aggregates",
@@ -1443,14 +1334,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also write the spliced results as a "
                                 "resilient_map campaign journal "
                                 "(byte-identical, resumable)")
-    p_fab_run.add_argument("--prom", default=None, metavar="PATH",
-                           help="write the campaign's metrics registry as a "
-                                "Prometheus text exposition when it finishes")
     p_fab_run.add_argument("--chrome-trace", default=None, metavar="PATH",
-                           help="merge the coordinator and per-worker "
-                                "telemetry logs into one Chrome/Perfetto "
-                                "trace with a process lane per worker "
-                                "(implies --worker-telemetry)")
+                           help="merge the lease store's events and the "
+                                "per-worker telemetry logs into one "
+                                "Chrome/Perfetto trace with a process lane "
+                                "per worker (implies --worker-telemetry)")
     p_fab_run.add_argument("--worker-telemetry", action="store_true",
                            help="give each worker its own telemetry log at "
                                 "<store>.<worker>.telemetry.jsonl, stamped "
@@ -1519,8 +1407,9 @@ def build_parser() -> argparse.ArgumentParser:
                                     "campaign journal byte-for-byte")
     p_fab_autopsy.add_argument("--telemetry-log", default=None, metavar="PATH",
                                help="cross-check the store's audit trail "
-                                    "against this telemetry log (coverage + "
-                                    "final metrics snapshot reconciliation)")
+                                    "against this telemetry log's lease "
+                                    "records (same takeovers, rejections, "
+                                    "holders and commit fences)")
     p_fab_autopsy.add_argument("--html", default=None, metavar="PATH",
                                help="write a self-contained HTML timeline "
                                     "dashboard (one lane per chunk)")
@@ -1533,43 +1422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fab_autopsy.add_argument("--json", action="store_true",
                                help="emit the machine-readable report")
     p_fab_autopsy.set_defaults(func=_cmd_fabric)
-
-    p_fleet = sub.add_parser(
-        "fleet",
-        help="fleet observability for fabric campaigns: merged Chrome "
-             "traces, metrics registry exposition",
-    )
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
-
-    p_fleet_trace = fleet_sub.add_parser(
-        "trace",
-        help="merge coordinator + per-worker telemetry logs into one "
-             "Chrome/Perfetto trace with a process lane per worker",
-    )
-    p_fleet_trace.add_argument("logs", nargs="+",
-                               help="telemetry logs; worker ids are parsed "
-                                    "from <store>.<worker>.telemetry.jsonl "
-                                    "names, other logs land on the "
-                                    "coordinator lane")
-    p_fleet_trace.add_argument("--out", required=True, metavar="PATH",
-                               help="where to write the merged trace JSON")
-    p_fleet_trace.set_defaults(func=_cmd_fleet)
-
-    p_fleet_metrics = fleet_sub.add_parser(
-        "metrics",
-        help="reconstruct the metrics registry from 'metrics' snapshot "
-             "records and print the Prometheus text exposition",
-    )
-    p_fleet_metrics.add_argument("logs", nargs="+",
-                                 help="telemetry logs holding 'metrics' "
-                                      "snapshot records (later snapshots "
-                                      "overwrite earlier series)")
-    p_fleet_metrics.add_argument("--prom", default=None, metavar="PATH",
-                                 help="write the exposition to PATH instead "
-                                      "of stdout")
-    p_fleet_metrics.add_argument("--json", action="store_true",
-                                 help="emit the merged snapshot as JSON")
-    p_fleet_metrics.set_defaults(func=_cmd_fleet)
 
     p_game = sub.add_parser("game", help="foil a hitting-game strategy")
     add_common(p_game)

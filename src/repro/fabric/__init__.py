@@ -24,5 +24,9 @@ partitions real worker subprocesses and forces stale-commit attempts,
 and :mod:`~repro.fabric.verify` asserts that *any* fault plan yields
 results byte-identical to the serial run with zero fencing violations.
 
+Observability: :mod:`~repro.fabric.tracectx` gives a campaign one trace
+across its processes; :mod:`~repro.fabric.autopsy` reconstructs a
+campaign from the store's audit log; ``monitor <store>`` is its live view.
+
 Front ends: ``python -m repro fabric run|worker|chaos|autopsy``.
 """

@@ -40,12 +40,9 @@ from repro.campaign import CampaignJournal, decode_chunk, plan_campaign, splice
 from repro.errors import ExperimentError
 from repro.fabric.faultplan import FaultPlan
 from repro.fabric.specs import FabricSpec, resolve_spec
-from repro.fabric.store import LEASE_EVENT_KINDS, LeaseStore, store_event_record
+from repro.fabric.store import LeaseReplay, LeaseStore, store_event_record
 from repro.fabric.worker import WorkerConfig, run_worker, worker_argv
-from repro.fleet.metrics import counter as metric_count
-from repro.fleet.metrics import fleet_scope, get_registry
-from repro.fleet.metrics import gauge as metric_gauge
-from repro.fleet.tracectx import TraceContext
+from repro.fabric.tracectx import TraceContext, traced
 from repro.perf import core as perf_core
 from repro.telemetry import get_active
 
@@ -75,12 +72,9 @@ class FabricConfig:
     install_signal_handler: bool = True
     #: Give each worker its own telemetry log
     #: (``<store>.<worker>.telemetry.jsonl``), stamped with the
-    #: campaign's trace context — the fleet-mode input for the merged
-    #: Chrome trace and the autopsy cross-check.
+    #: campaign's trace context — the worker lanes of the merged
+    #: Chrome trace.
     worker_telemetry: bool = False
-    #: Write the coordinator registry's Prometheus text exposition here
-    #: after the campaign.
-    prom: str | os.PathLike[str] | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -104,7 +98,6 @@ class FabricResult:
     journal: Path | None = None
     trace_id: str | None = None
     worker_logs: dict[str, Path] = field(default_factory=dict)
-    prom: Path | None = None
 
     def summary(self) -> str:
         return (
@@ -128,25 +121,23 @@ def _child_env() -> dict[str, str]:
 
 
 def _forward_events(
-    store: LeaseStore, campaign_id: int, after_id: int
-) -> tuple[int, list[dict[str, Any]]]:
-    """Drain new store events; mirror them into active telemetry and
-    count lease transitions in the ambient metrics registry."""
+    store: LeaseStore, campaign_id: int, events: list[dict[str, Any]]
+) -> None:
+    """Drain new store events into ``events`` (ordered by id) and mirror
+    them into active telemetry."""
+    after_id = int(events[-1]["id"]) if events else 0
     fresh = store.events(campaign_id, after_id=after_id)
+    events.extend(fresh)
     recorder = get_active()
+    if recorder is None:
+        return
     for event in fresh:
-        after_id = max(after_id, int(event["id"]))
-        if event["kind"] in LEASE_EVENT_KINDS:
-            metric_count(f"{event['kind']}_total", worker=str(event["worker"] or ""))
-        if recorder is None:
-            continue
         # One shared translation (the monitor's store input uses the
         # same one), so the live view and the forwarded log never drift.
         record = store_event_record(event)
         kind = record.pop("kind")
         record["store_ts"] = record.pop("ts")
         recorder.emit(kind, **record)
-    return after_id, fresh
 
 
 def run_fabric(config: FabricConfig) -> FabricResult:
@@ -178,13 +169,12 @@ def run_fabric(config: FabricConfig) -> FabricResult:
         chunksize=plan.chunksize,
     )
 
-    # Fleet wiring: one campaign = one trace, rooted at the coordinator
-    # and propagated to every worker through the environment; counters
-    # for the store's audit events accumulate in an ambient registry.
-    # All of it is inert when telemetry is off.
+    # One campaign = one trace, rooted at the coordinator and propagated
+    # to every worker through the environment.  Inert when telemetry is
+    # off.
     recorder = get_active()
     trace = TraceContext.root(fingerprint)
-    with fleet_scope(recorder, trace):
+    with traced(recorder, trace):
         if recorder is not None:
             recorder.emit(
                 "fabric_begin",
@@ -242,13 +232,11 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                     stdout=handle,
                     stderr=subprocess.STDOUT,
                 )
-            after_id = 0
             events: list[dict[str, Any]] = []
             deadline = time.monotonic() + config.timeout
             fallback_ran = False
             while True:
-                after_id, fresh = _forward_events(store, campaign_id, after_id)
-                events.extend(fresh)
+                _forward_events(store, campaign_id, events)
                 if store.all_done(campaign_id):
                     break
                 if drain.is_set():
@@ -270,11 +258,6 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                         exits[worker_id] = code
                         logger.info("fabric worker %s exited with %d", worker_id, code)
                 live = [w for w, p in procs.items() if p.poll() is None]
-                metric_gauge("workers_live", float(len(live)))
-                metric_gauge(
-                    "chunks_committed",
-                    float(sum(1 for e in events if e["kind"] == "commit")),
-                )
                 if not live and not store.all_done(campaign_id):
                     # Every subprocess is gone with work still open.  The
                     # campaign must still finish: run the worker loop
@@ -306,8 +289,7 @@ def run_fabric(config: FabricConfig) -> FabricResult:
             # one that has logged worker_exit may already be in
             # interpreter shutdown, where SIGTERM kills it (exit -15)
             # instead of draining it.
-            after_id, fresh = _forward_events(store, campaign_id, after_id)
-            events.extend(fresh)
+            _forward_events(store, campaign_id, events)
             in_loop = {e["worker"] for e in events if e["kind"] == "worker_start"}
             in_loop -= {e["worker"] for e in events if e["kind"] == "worker_exit"}
             for worker_id, proc in procs.items():
@@ -319,8 +301,7 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     exits[worker_id] = proc.wait()
-            after_id, fresh = _forward_events(store, campaign_id, after_id)
-            events.extend(fresh)
+            _forward_events(store, campaign_id, events)
 
             payloads = store.completed_payloads(campaign_id)
             chunk_results = {
@@ -342,26 +323,17 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                     journal.record_chunk(index, chunk_results[index])
                 journal_path = journal.path
 
-            takeovers = sum(1 for e in events if e["kind"] == "takeover")
-            fence_rejects = sum(1 for e in events if e["kind"] == "fence_reject")
+            replay = LeaseReplay.of_events(events)
             wall_s = time.perf_counter() - started
             if recorder is not None:
                 recorder.emit(
                     "fabric_end",
                     chunks=num_chunks,
                     wall_s=wall_s,
-                    takeovers=takeovers,
-                    fence_rejects=fence_rejects,
+                    takeovers=replay.takeovers,
+                    fence_rejects=replay.fence_rejects,
                     fallback=fallback_ran,
                 )
-            prom_path: Path | None = None
-            registry = get_registry()
-            if registry is not None:
-                metric_gauge("chunks_committed", float(num_chunks))
-                registry.emit(recorder)
-                if config.prom is not None:
-                    registry.write_prometheus(config.prom)
-                    prom_path = Path(config.prom)
             return FabricResult(
                 results=results,
                 fingerprint=fingerprint,
@@ -369,14 +341,13 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                 chunksize=plan.chunksize,
                 workers=worker_ids + (["coordinator"] if fallback_ran else []),
                 wall_s=wall_s,
-                takeovers=takeovers,
-                fence_rejects=fence_rejects,
+                takeovers=replay.takeovers,
+                fence_rejects=replay.fence_rejects,
                 worker_exits=exits,
                 events=events,
                 journal=journal_path,
                 trace_id=trace.trace_id,
                 worker_logs=worker_logs,
-                prom=prom_path,
             )
         finally:
             for proc in procs.values():

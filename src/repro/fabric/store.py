@@ -23,8 +23,10 @@ Crash safety rests on two rules, both enforced *inside* single
 Every grant, commit, rejection, and worker lifecycle transition is
 appended to an ``events`` table, which the coordinator drains into
 telemetry (``lease``/``worker`` records, translated by
-:func:`store_event_record`) and the verification harness audits for
-fencing violations.
+:func:`store_event_record`).  :class:`LeaseReplay` is the one reader of
+that audit trail: the verification harness, the autopsy, the
+coordinator's counts, the monitor's worker lanes and the telemetry
+summary all read it through the replay.
 """
 
 from __future__ import annotations
@@ -34,18 +36,21 @@ import json
 import os
 import sqlite3
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import ExperimentError
 
 __all__ = [
     "LEASE_SCHEMA_VERSION",
     "LEASE_EVENT_KINDS",
+    "ChunkLedger",
     "Lease",
+    "LeaseReplay",
     "LeaseStore",
     "DEFAULT_BUSY_TIMEOUT_MS",
+    "WorkerLedger",
     "store_event_record",
 ]
 
@@ -128,6 +133,146 @@ def store_event_record(event: Mapping[str, Any]) -> dict[str, Any]:
         if event.get("idx") is not None:
             record["index"] = int(event["idx"])
     return record
+
+
+@dataclass
+class ChunkLedger:
+    """What the audit trail says happened to one chunk.  ``grants``,
+    ``commit`` and ``rejects`` hold the ``lease`` records as fed."""
+
+    index: int
+    grants: list[Mapping[str, Any]] = field(default_factory=list)
+    #: Fence of the latest grant (0 before the first).
+    fence: int = 0
+    #: Worker of the latest grant: the chunk's current lease holder.
+    holder: str | None = None
+    commit: Mapping[str, Any] | None = None
+    rejects: list[Mapping[str, Any]] = field(default_factory=list)
+
+
+@dataclass
+class WorkerLedger:
+    """One worker's lease history.  ``claims`` counts every grant,
+    takeovers included."""
+
+    claims: int = 0
+    takeovers: int = 0
+    commits: int = 0
+    fence_rejects: int = 0
+    #: The chunk this worker holds a live grant on, if any.
+    holding: int | None = None
+
+
+class LeaseReplay:
+    """Fold ``lease`` records (the :func:`store_event_record` shape), one
+    at a time, into per-chunk and per-worker ledgers, and check the
+    fencing contract as they arrive.
+
+    The fence model: every claim/takeover bumps its chunk's fence by
+    exactly one, and a commit is legitimate iff it carries the fence of
+    the chunk's *latest* grant.  Each break of that model is appended to
+    :attr:`violations`: a fence jump, a re-grant after commit, a commit
+    under a stale fence, a second commit, and a rejected commit under
+    the current fence.  Records of any other kind are ignored, so a
+    merged telemetry stream can be fed whole.
+    """
+
+    def __init__(self) -> None:
+        self.chunks: dict[int, ChunkLedger] = {}
+        self.workers: dict[str, WorkerLedger] = {}
+        #: ``lease`` records seen, by ``event``.
+        self.events: dict[str, int] = {}
+        self.violations: list[str] = []
+
+    @classmethod
+    def of_events(cls, events: Iterable[Mapping[str, Any]]) -> "LeaseReplay":
+        """Replay raw ``events`` rows (as :meth:`LeaseStore.events` returns
+        them)."""
+        replay = cls()
+        for event in events:
+            replay.feed(store_event_record(event))
+        return replay
+
+    @property
+    def takeovers(self) -> int:
+        return self.events.get("takeover", 0)
+
+    @property
+    def fence_rejects(self) -> int:
+        return self.events.get("fence_reject", 0)
+
+    def committed(self) -> int:
+        """How many chunks have a commit."""
+        return sum(1 for chunk in self.chunks.values() if chunk.commit is not None)
+
+    def uncommitted(self, total: int) -> list[int]:
+        """Indices below ``total`` that no commit has landed on."""
+        done = {index for index, chunk in self.chunks.items() if chunk.commit}
+        return [index for index in range(total) if index not in done]
+
+    def feed(self, record: Mapping[str, Any]) -> None:
+        if record.get("kind") != "lease":
+            return
+        event = str(record.get("event"))
+        self.events[event] = self.events.get(event, 0) + 1
+        if event not in LEASE_EVENT_KINDS:
+            return
+        name = record.get("worker")
+        named = isinstance(name, str) and bool(name)
+        # An anonymous record counts in the totals only.
+        worker = self.workers.setdefault(name, WorkerLedger()) if named else WorkerLedger()
+        index = record.get("index")
+        if isinstance(index, bool) or not isinstance(index, int) or index < 0:
+            index = None
+        grant = event in ("claim", "takeover")
+        worker.claims += grant
+        worker.takeovers += event == "takeover"
+        worker.commits += event == "commit"
+        worker.fence_rejects += event == "fence_reject"
+        if not grant and worker.holding == index:
+            worker.holding = None
+        if index is None:
+            return
+        chunk = self.chunks.setdefault(index, ChunkLedger(index))
+        fence = int(record.get("fence") or 0)
+        if grant:
+            if fence != chunk.fence + 1:
+                self.violations.append(
+                    f"chunk {index}: grant fence jumped {chunk.fence} -> {fence} "
+                    "(fences must be monotonic by exactly 1)"
+                )
+            if chunk.commit is not None:
+                self.violations.append(
+                    f"chunk {index}: re-granted (fence {fence}) after it was "
+                    f"already committed at fence {chunk.commit.get('fence')}"
+                )
+            previous = self.workers.get(chunk.holder)
+            if previous is not None and previous.holding == index:
+                previous.holding = None
+            chunk.grants.append(record)
+            chunk.fence = fence
+            chunk.holder = name if named else None
+            worker.holding = index
+        elif event == "commit":
+            if not chunk.grants or fence != chunk.fence:
+                self.violations.append(
+                    f"chunk {index}: committed under fence {fence} but the "
+                    f"current fence was {chunk.fence} — a stale "
+                    "(expired/superseded) token landed data"
+                )
+            if chunk.commit is not None:
+                self.violations.append(
+                    f"chunk {index}: committed twice (fences "
+                    f"{chunk.commit.get('fence')} and {fence})"
+                )
+            chunk.commit = record
+        else:
+            if chunk.grants and fence == chunk.fence and chunk.commit is None:
+                self.violations.append(
+                    f"chunk {index}: commit under the current fence {fence} "
+                    "was rejected — the store refused legitimate data"
+                )
+            chunk.rejects.append(record)
 
 
 @dataclass(frozen=True)

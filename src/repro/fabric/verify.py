@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.fabric.coordinator import FabricConfig, FabricResult, run_fabric
 from repro.fabric.specs import resolve_spec
+from repro.fabric.store import LeaseReplay
 
 __all__ = ["FabricVerifyReport", "verify_fabric"]
 
@@ -75,69 +75,22 @@ class FabricVerifyReport:
 
 
 def _audit_fencing(result: FabricResult) -> list[str]:
-    """Replay the event log; return every fencing-contract violation.
-
-    The replayed model: each chunk's fence is bumped by every
-    claim/takeover, and a commit is legitimate iff its fence equals the
-    fence of the *latest* grant for that chunk.  Rejections must carry
-    a genuinely superseded fence.
-    """
-    errors: list[str] = []
-    current_fence: dict[int, int] = {}
-    committed: dict[int, int] = {}
-    for event in result.events:
-        kind = event["kind"]
-        index = event["idx"]
-        fence = event["fence"]
-        if kind in ("claim", "takeover"):
-            previous = current_fence.get(index, 0)
-            if fence != previous + 1:
-                errors.append(
-                    f"chunk {index}: grant fence jumped {previous} -> {fence} "
-                    "(fences must be monotonic by exactly 1)"
-                )
-            current_fence[index] = fence
-            if index in committed:
-                errors.append(
-                    f"chunk {index}: re-granted (fence {fence}) after it "
-                    f"was already committed at fence {committed[index]}"
-                )
-        elif kind == "commit":
-            if fence != current_fence.get(index):
-                errors.append(
-                    f"chunk {index}: committed under fence {fence} but the "
-                    f"current fence was {current_fence.get(index)} — a stale "
-                    "(expired/superseded) token landed data"
-                )
-            if index in committed:
-                errors.append(
-                    f"chunk {index}: committed twice "
-                    f"(fences {committed[index]} and {fence})"
-                )
-            committed[index] = fence
-        elif kind == "fence_reject":
-            if fence == current_fence.get(index) and index not in committed:
-                errors.append(
-                    f"chunk {index}: commit under the *current* fence {fence} "
-                    "was rejected — the store refused legitimate data"
-                )
-    for index in range(result.chunks):
-        if index not in committed:
-            errors.append(f"chunk {index}: never committed")
-    return errors
+    """Every fencing-contract violation in the event log (see
+    :class:`~repro.fabric.store.LeaseReplay`), plus every chunk the
+    finished campaign never committed."""
+    replay = LeaseReplay.of_events(result.events)
+    return replay.violations + [
+        f"chunk {index}: never committed"
+        for index in replay.uncommitted(result.chunks)
+    ]
 
 
 def _audit_visibility(config: FabricConfig, result: FabricResult) -> list[str]:
     """Check that the fault plan demonstrably happened."""
     errors: list[str] = []
     plan = config.fault_plan
-    fired = {
-        (event["worker"], event["detail"])
-        for event in result.events
-        if event["kind"] == "fault"
-    }
-    fired_workers = {worker for worker, _ in fired}
-    missing = plan.faulted_workers() - fired_workers
+    fired = {event["worker"] for event in result.events if event["kind"] == "fault"}
+    missing = plan.faulted_workers() - fired
     if missing:
         errors.append(
             f"worker(s) {sorted(missing)} were scheduled for faults that "

@@ -40,11 +40,7 @@ from repro.errors import ExperimentError
 from repro.fabric.faultplan import FaultAction, FaultPlan
 from repro.fabric.specs import resolve_spec
 from repro.fabric.store import Lease, LeaseStore
-from repro.fleet.metrics import counter as metric_count
-from repro.fleet.metrics import fleet_scope
-from repro.fleet.metrics import gauge as metric_gauge
-from repro.fleet.metrics import observe as metric_observe
-from repro.fleet.tracectx import TraceContext
+from repro.fabric.tracectx import TraceContext, traced
 from repro.perf import core as perf_core
 from repro.rng import derive_seed
 from repro.telemetry import get_active
@@ -116,18 +112,7 @@ class _Heartbeat(threading.Thread):
         except Exception:  # pragma: no cover - store vanished mid-run
             return
         try:
-            last_tick = time.monotonic()
             while not self._halt.wait(self._interval):
-                # Scheduling lag: how far past the intended interval this
-                # tick fired.  A loaded host shows up here long before it
-                # shows up as an expired lease.
-                now = time.monotonic()
-                metric_observe(
-                    "heartbeat_lag_seconds",
-                    max(0.0, now - last_tick - self._interval),
-                    worker=self._worker_id,
-                )
-                last_tick = now
                 if time.time() < self.suppress_until:
                     continue
                 try:
@@ -192,17 +177,16 @@ def run_worker(config: WorkerConfig) -> int:
     my_plan = config.fault_plan.for_worker(config.worker_id)
     jitter_stream = derive_seed(0, "fabric-idle", config.worker_id) % (2**31)
 
-    # Fleet wiring: adopt the coordinator's trace (propagated through
-    # the environment) and make sure a metrics registry is ambient, so
-    # the instrumentation below lands somewhere.  Performance plane: the
-    # coordinator propagates REPRO_PERF=<hz> when sampling is on, so the
-    # worker profiles itself for its whole lifetime and writes the perf
-    # records, tagged with its id, to its own telemetry log on exit.
-    # All of it is a strict no-op when this worker runs without either.
+    # Adopt the coordinator's trace (propagated through the
+    # environment).  Performance plane: the coordinator propagates
+    # REPRO_PERF=<hz> when sampling is on, so the worker profiles itself
+    # for its whole lifetime and writes the perf records, tagged with its
+    # id, to its own telemetry log on exit.  Both are a strict no-op when
+    # this worker runs without either.
     recorder = get_active()
-    with fleet_scope(
+    with traced(
         recorder, TraceContext.from_env(f"worker:{config.worker_id}")
-    ) as own_registry, perf_core.self_profiled(
+    ), perf_core.self_profiled(
         f"fabric.worker:{config.worker_id}",
         recorder,
         tag=f"worker:{config.worker_id}",
@@ -246,8 +230,6 @@ def run_worker(config: WorkerConfig) -> int:
                     time.sleep(max(config.poll_interval, delay))
                     continue
                 idle_attempts = 0
-                metric_count("claim_total", worker=config.worker_id)
-                metric_gauge("leases_held", 1.0, worker=config.worker_id)
                 actions = my_plan.at(config.worker_id, ordinal)
                 ordinal += 1
                 if _fault(actions, "kill") is not None:
@@ -327,24 +309,9 @@ def run_worker(config: WorkerConfig) -> int:
                             time.sleep(remaining)
 
                     accepted = store.commit(lease, config.worker_id, payload)
-                    metric_gauge("leases_held", 0.0, worker=config.worker_id)
-                    metric_observe("chunk_seconds", chunk_wall, worker=config.worker_id)
                     if accepted:
                         committed += 1
-                        metric_count("commit_total", worker=config.worker_id)
-                        metric_count(
-                            "splice_bytes_total",
-                            float(len(payload)),
-                            worker=config.worker_id,
-                        )
-                        if chunk_wall > 0:
-                            metric_gauge(
-                                "slots_per_second",
-                                len(chunks[lease.index]) / chunk_wall,
-                                worker=config.worker_id,
-                            )
                     else:
-                        metric_count("fence_reject_total", worker=config.worker_id)
                         logger.warning(
                             "worker %s: commit of chunk %d rejected (stale fence %d)",
                             config.worker_id,
@@ -379,8 +346,6 @@ def run_worker(config: WorkerConfig) -> int:
                     event="worker_exit",
                     detail=f"{exit_reason}, committed={committed}",
                 )
-                if own_registry is not None:
-                    own_registry.emit(recorder, worker=config.worker_id)
             store.close()
     return 0
 

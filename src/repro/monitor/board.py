@@ -12,16 +12,19 @@ records (the coordinator log, or a lease store followed by
 :func:`repro.monitor.live.follow_fleet`).  The first such record turns on
 the board's **fleet** block: one :class:`WorkerLane` of health counters
 per worker plus campaign-wide chunk, takeover and fence-reject totals.
-A stream without them renders exactly as it would without the block.
+The lease side of both is a :class:`~repro.fabric.store.LeaseReplay`
+fed one record at a time.  A stream without them renders exactly as it
+would without the block.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Any, TextIO
 
+from repro.fabric.store import LeaseReplay, WorkerLedger
 from repro.monitor.conformance import Alert
 
 __all__ = ["StatusBoard", "BoardRenderer", "WorkerLane"]
@@ -33,33 +36,39 @@ FLEET_KINDS = frozenset({"lease", "worker", "fabric_begin", "fabric_end"})
 
 @dataclass
 class WorkerLane:
-    """Rolling health of one fabric worker, fed from merged records."""
+    """Rolling health of one fabric worker: its life from ``worker``
+    records, its leases (claims, commits, held chunk) from the board's
+    replay."""
 
     worker: str
+    ledger: WorkerLedger = field(default_factory=WorkerLedger)
     state: str = "unknown"  # unknown -> live -> exited (or killed)
-    claims: int = 0
-    commits: int = 0
-    takeovers: int = 0
-    fence_rejects: int = 0
     faults: int = 0
-    holding: int | None = None  # chunk index currently leased
     last_fault: str | None = None
     exit_detail: str | None = None
 
+    @property
+    def holding(self) -> int | None:
+        """The chunk this worker currently holds a lease on, if any."""
+        return self.ledger.holding
+
     def snapshot(self) -> dict[str, Any]:
-        return asdict(self)
+        out = asdict(self)
+        out.update(out.pop("ledger"))
+        return out
 
     def describe(self) -> str:
+        ledger = self.ledger
         parts = [
             f"{self.worker:<12.12}",
             f"{self.state:<7}",
-            f"claims {self.claims}",
-            f"commits {self.commits}",
+            f"claims {ledger.claims}",
+            f"commits {ledger.commits}",
         ]
-        if self.takeovers:
-            parts.append(f"takeovers {self.takeovers}")
-        if self.fence_rejects:
-            parts.append(f"REJECTS {self.fence_rejects}")
+        if ledger.takeovers:
+            parts.append(f"takeovers {ledger.takeovers}")
+        if ledger.fence_rejects:
+            parts.append(f"REJECTS {ledger.fence_rejects}")
         if self.holding is not None:
             parts.append(f"chunk {self.holding}")
         if self.last_fault:
@@ -91,11 +100,9 @@ class StatusBoard:
         # The fleet block: off until the stream shows a fabric campaign.
         self.fleet = False
         self.lanes: dict[str, WorkerLane] = {}
+        self.lease = LeaseReplay()
         self.chunks_total: int | None = None
-        self.chunks_committed: set[int] = set()
         self.fabric_done = False
-        self.takeovers = 0
-        self.fence_rejects = 0
 
     def update(self, record: dict[str, Any]) -> None:
         self.records += 1
@@ -176,33 +183,13 @@ class StatusBoard:
         return lane
 
     def _update_lease(self, record: dict[str, Any]) -> None:
-        event = record.get("event")
-        index = record.get("index")
-        held = index if isinstance(index, int) else None
+        self.lease.feed(record)
         lane = self._lane(record.get("worker"))
-        if lane is not None and lane.state == "unknown":
+        if lane is None:
+            return
+        lane.ledger = self.lease.workers.get(lane.worker, lane.ledger)
+        if lane.state == "unknown":
             lane.state = "live"
-        if event == "claim":
-            if lane is not None:
-                lane.claims += 1
-                lane.holding = held
-        elif event == "takeover":
-            self.takeovers += 1
-            if lane is not None:
-                lane.claims += 1
-                lane.takeovers += 1
-                lane.holding = held
-        elif event == "commit":
-            if held is not None and not isinstance(held, bool):
-                self.chunks_committed.add(held)
-            if lane is not None:
-                lane.commits += 1
-                lane.holding = None
-        elif event == "fence_reject":
-            self.fence_rejects += 1
-            if lane is not None:
-                lane.fence_rejects += 1
-                lane.holding = None
 
     def _update_worker(self, record: dict[str, Any]) -> None:
         lane = self._lane(record.get("worker"))
@@ -215,7 +202,6 @@ class StatusBoard:
         elif event == "worker_exit":
             lane.state = "exited"
             lane.exit_detail = detail if isinstance(detail, str) else None
-            lane.holding = None
         elif event == "fault":
             lane.faults += 1
             lane.last_fault = detail if isinstance(detail, str) else str(event)
@@ -265,9 +251,9 @@ class StatusBoard:
                     for worker, lane in sorted(self.lanes.items())
                 },
                 "chunks_total": self.chunks_total,
-                "chunks_committed": len(self.chunks_committed),
-                "takeovers": self.takeovers,
-                "fence_rejects": self.fence_rejects,
+                "chunks_committed": self.lease.committed(),
+                "takeovers": self.lease.takeovers,
+                "fence_rejects": self.lease.fence_rejects,
                 "fabric_done": self.fabric_done,
             }
         return out
@@ -309,9 +295,9 @@ class StatusBoard:
         if not self.fleet:
             return []
         lines = [
-            f"fleet: chunks {len(self.chunks_committed)}/{self._total()}  "
-            f"takeovers {self.takeovers}  "
-            f"fence rejects {self.fence_rejects}"
+            f"fleet: chunks {self.lease.committed()}/{self._total()}  "
+            f"takeovers {self.lease.takeovers}  "
+            f"fence rejects {self.lease.fence_rejects}"
             + ("  [done]" if self.fabric_done else "")
         ]
         for worker in sorted(self.lanes):
@@ -337,9 +323,9 @@ class StatusBoard:
                 1 for lane in self.lanes.values() if lane.state in ("live", "unknown")
             )
             parts.append(f"workers {live}/{len(self.lanes)}")
-            parts.append(f"chunks {len(self.chunks_committed)}/{self._total()}")
-            if self.fence_rejects:
-                parts.append(f"rejects {self.fence_rejects}")
+            parts.append(f"chunks {self.lease.committed()}/{self._total()}")
+            if self.lease.fence_rejects:
+                parts.append(f"rejects {self.lease.fence_rejects}")
         return "monitor: " + "  ".join(parts)
 
 

@@ -11,15 +11,15 @@ The output follows the Trace Event Format's *JSON object* flavour —
   in ``args`` — so fence rejections, takeovers, and worker kills are
   visible instants on the lane of the worker they happened to,
 * ``counter``/``gauge``/``progress`` records become counter tracks
-  (``ph: "C"``), and fleet ``metrics`` snapshots expand into one track
-  per registered metric,
+  (``ph: "C"``),
 * chunk-tagged worker records are placed on their own thread lane, so
   a parallel campaign renders as one swimlane per chunk under a single
   process, with ``M`` metadata events naming the lanes,
 * records stamped with a fabric ``worker`` id land in a **per-worker
-  process lane** (their own ``pid``), so a fleet campaign merged from
-  N per-worker telemetry logs (see :func:`merge_records`) renders as
-  one process per worker plus the coordinating process.
+  process lane** (their own ``pid``), so a fabric campaign merged from
+  its lease store's events and N per-worker telemetry logs (see
+  :func:`repro.monitor.live.fleet_records`) renders as one process per
+  worker plus the coordinating process.
 
 Timestamps are rebased to the first record so traces start at t=0; all
 values are microseconds, as the format requires.
@@ -30,12 +30,11 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 __all__ = [
     "chrome_trace",
     "chrome_trace_events",
-    "merge_records",
     "write_chrome_trace",
     "validate_chrome_trace",
 ]
@@ -181,24 +180,6 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
                 "tid": tid,
                 "args": {name: value},
             })
-        elif kind == "metrics":
-            # A fleet registry snapshot: one counter track per metric,
-            # carrying the label-summed scalar.
-            snapshot = record.get("snapshot")
-            if not isinstance(snapshot, dict):
-                continue
-            from repro.fleet.metrics import snapshot_totals
-
-            for metric, total in sorted(snapshot_totals(snapshot).items()):
-                events.append({
-                    "name": metric,
-                    "cat": "metrics",
-                    "ph": "C",
-                    "ts": rel(ts),
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {metric: total},
-                })
         elif kind in _INSTANT_KINDS:
             name = str(kind)
             if kind == "phase":
@@ -263,30 +244,6 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
             "args": {"name": label},
         })
     return metadata + events
-
-
-def merge_records(
-    streams: Mapping[str, Sequence[dict[str, Any]]]
-) -> list[dict[str, Any]]:
-    """Merge per-process telemetry streams into one ts-sorted stream.
-
-    ``streams`` maps a lane label (e.g. a fabric worker id, or ``""``
-    for the coordinator) to that process's decoded records.  Records
-    from a labelled stream that do not already carry a ``worker`` field
-    are stamped with the label, so :func:`chrome_trace_events` places
-    them on that worker's process lane.  The sort is stable on the
-    timestamp, so same-ts records keep their per-stream order.
-    """
-    merged: list[dict[str, Any]] = []
-    for label, records in streams.items():
-        for record in records:
-            if not isinstance(record, dict):
-                continue
-            if label and "worker" not in record:
-                record = dict(record, worker=label)
-            merged.append(record)
-    merged.sort(key=lambda r: ts if (ts := _ts_of(r)) is not None else 0.0)
-    return merged
 
 
 def chrome_trace(records: list[dict[str, Any]]) -> dict[str, Any]:

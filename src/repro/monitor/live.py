@@ -8,6 +8,8 @@ Two ways in:
   instead (detected by the SQLite file magic), it follows the store's
   newest campaign plus its ``<store>.<worker>.telemetry.jsonl`` worker
   logs through :func:`follow_fleet`, and the board grows worker lanes.
+  :func:`fleet_records` merges the same sources into one stream for the
+  Chrome trace.
 * :func:`attach_monitor` — in-process: subscribe a :class:`LiveMonitor`
   to the active :class:`~repro.telemetry.core.Telemetry` recorder, so
   ``--monitor`` on ``gap``/``experiment``/``chaos`` checks conformance
@@ -27,7 +29,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.errors import ExperimentError
 from repro.monitor.board import BoardRenderer, StatusBoard
@@ -45,6 +47,7 @@ __all__ = [
     "LiveMonitor",
     "monitor_log",
     "attach_monitor",
+    "fleet_records",
     "follow_fleet",
     "is_sqlite_file",
 ]
@@ -245,14 +248,11 @@ def _ingest_store(
         campaign_id = int(campaign["id"])
         total = sum(lease_store.counts(campaign_id).values())
         live.board.note_campaign(total, lease_store.all_done(campaign_id))
-        logs = sorted(
-            store_path.parent.glob(f"{store_path.name}.*.telemetry.jsonl")
-        )
         try:
             for record in follow_fleet(
                 store_path,
                 campaign["fingerprint"],
-                logs=logs,
+                logs=_worker_logs(store_path),
                 poll_interval=poll_interval,
                 idle_timeout=idle_timeout,
                 stop=stop if follow else lambda: True,
@@ -262,22 +262,50 @@ def _ingest_store(
             live.board.note_campaign(total, lease_store.all_done(campaign_id))
 
 
+def _worker_logs(store_path: Path) -> dict[str, Path]:
+    """The ``<store>.<worker>.telemetry.jsonl`` logs next to a lease
+    store, by worker id."""
+    prefix, suffix = f"{store_path.name}.", ".telemetry.jsonl"
+    return {
+        path.name[len(prefix):-len(suffix)]: path
+        for path in sorted(store_path.parent.glob(f"{prefix}*{suffix}"))
+    }
+
+
+def fleet_records(
+    store: str | os.PathLike[str], campaign: str | None = None
+) -> list[dict[str, Any]]:
+    """One fabric campaign (``campaign``, else the store's newest) as one
+    ts-ordered record stream, read once through :func:`follow_fleet`:
+    the input of its Chrome trace."""
+    store_path = Path(store)
+    return list(
+        follow_fleet(
+            store_path, campaign, logs=_worker_logs(store_path), stop=lambda: True
+        )
+    )
+
+
 def follow_fleet(
     store: str | os.PathLike[str],
-    campaign: str,
+    campaign: str | None,
     *,
-    logs: Sequence[str | os.PathLike[str]] = (),
+    logs: Mapping[str, str | os.PathLike[str]] | None = None,
     poll_interval: float = 0.2,
     idle_timeout: float | None = None,
     stop: Callable[[], bool] | None = None,
 ) -> Iterator[dict[str, Any]]:
-    """Yield one merged, ts-ordered record stream for a fabric campaign.
+    """Yield one merged, ts-ordered record stream for a fabric campaign
+    (by fingerprint; ``None`` follows the store's newest).
 
     Tails the lease store's audit log (translated through
     :func:`repro.fabric.store.store_event_record`) and every telemetry
-    log in ``logs`` concurrently.  Each poll cycle's harvest is sorted by
-    ``ts`` before yielding, so the board and the conformance checkers
-    see per-cycle causal order without waiting for the campaign to end.
+    log in ``logs`` (worker id -> path) concurrently.  A log's records
+    that carry no ``worker`` field are stamped with its worker id, so
+    the Chrome trace puts them on that worker's lane.  Each poll cycle's
+    harvest is sorted by ``ts`` before yielding, so the board and the
+    conformance checkers see per-cycle causal order without waiting for
+    the campaign to end.
 
     Ends when ``stop()`` turns true; when the store reports every chunk
     committed (after one final drain); or when no process has produced
@@ -286,7 +314,7 @@ def follow_fleet(
     from repro.fabric.store import LeaseStore, store_event_record
 
     store_path = Path(store)
-    readers = [TailReader(path) for path in logs]
+    readers = [(worker, TailReader(path)) for worker, path in (logs or {}).items()]
     lease_store: Any = None
     campaign_id: int | None = None
     after_id = 0
@@ -298,14 +326,20 @@ def follow_fleet(
         if lease_store is None and store_path.exists():
             lease_store = LeaseStore(store_path)
         if lease_store is not None and campaign_id is None:
-            row = lease_store.campaign(campaign)
+            row = (
+                lease_store.campaign(campaign)
+                if campaign is not None
+                else lease_store.newest_campaign()
+            )
             campaign_id = int(row["id"]) if row is not None else None
         if campaign_id is not None:
             for event in lease_store.events(campaign_id, after_id=after_id):
                 after_id = max(after_id, int(event["id"]))
                 batch.append(store_event_record(event))
-        for reader in readers:
-            batch.extend(reader.poll())
+        for worker, reader in readers:
+            for record in reader.poll():
+                record.setdefault("worker", worker)
+                batch.append(record)
         batch.sort(
             key=lambda r: (
                 float(ts)

@@ -123,8 +123,8 @@ def _aggregate_metrics(summary: dict[str, Any]) -> dict[str, float]:
         metrics["campaign_timeouts"] = campaigns["timeouts"]
     for name, entry in summary["spans"].items():
         metrics[f"span.{name}.total_s"] = entry["total_s"]
-    # Fleet aggregates (PR 5/7 record kinds): fabric lease audit,
-    # worker fleet size, alert/chaos volume, last registry snapshot.
+    # Fleet aggregates: fabric lease audit, worker fleet size,
+    # alert/chaos volume.
     fleet = summary.get("fleet") or {}
     if fleet.get("alerts"):
         metrics["alerts"] = fleet["alerts"]
@@ -140,8 +140,6 @@ def _aggregate_metrics(summary: dict[str, Any]) -> dict[str, float]:
         metrics["fabric.fence_rejects"] = fleet.get("fence_rejects", 0)
         for event, count in fleet["lease_events"].items():
             metrics[f"fabric.lease.{event}"] = count
-    for name, total in fleet.get("metrics_totals", {}).items():
-        metrics[f"fleet.{name}"] = total
     # Performance plane (repro.perf): sampled volume and per-span
     # attributed cost.
     perf = summary.get("perf") or {}

@@ -100,7 +100,7 @@ class Telemetry:
         # unboundedly.
         self._subscribers: tuple[Callable[[dict[str, Any]], None], ...] = ()
         self._dispatch_depth = 0
-        # Distributed trace context (repro.fleet.tracectx): when set,
+        # Distributed trace context (repro.fabric.tracectx): when set,
         # every record is stamped with trace/span/parent identity.
         # None = no stamping, no cost.
         self._trace: Any = None
@@ -155,7 +155,7 @@ class Telemetry:
         While installed, every record written — emitted locally or
         merged via :meth:`write_record` — is stamped with the context's
         ``trace``/``span``/``parent`` identity (see
-        :class:`repro.fleet.tracectx.TraceContext`; pre-stamped worker
+        :class:`repro.fabric.tracectx.TraceContext`; pre-stamped worker
         records keep their own span fields).  Returns the previous
         context.
         """

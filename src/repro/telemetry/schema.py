@@ -62,8 +62,6 @@ KINDS: dict[str, frozenset[str]] = {
     "lease": frozenset({"event", "index"}),
     # conformance monitor (repro.monitor): a theorem-bound SLO fired
     "alert": frozenset({"rule", "severity", "message"}),
-    # fleet metrics registry snapshot (repro.fleet.metrics)
-    "metrics": frozenset({"snapshot"}),
     # sampling profiler (repro.perf): folded-stack capture + per-span cost
     "perf_profile": frozenset({"samples", "hz", "dur_s", "stacks"}),
     "perf_span": frozenset({"label", "samples", "secs"}),

@@ -18,6 +18,7 @@ from typing import Any
 
 from repro.analysis.tables import Table
 from repro.errors import ExperimentError
+from repro.fabric.store import LeaseReplay
 from repro.monitor.tail import TailReader
 from repro.telemetry.schema import validate_line, validate_record
 
@@ -208,42 +209,25 @@ def summarize(records: list[dict[str, Any]]) -> dict[str, Any]:
     campaign_ends = [r for r in records if r["kind"] == "campaign_end"]
     progress = [r for r in records if r["kind"] == "progress"]
 
-    # Fleet rollup (PR 5/7 record kinds): the fabric's lease audit
-    # trail, worker lifecycle, alert and chaos volumes, plus the last
-    # metrics-registry snapshot, reduced to label-summed totals.
-    lease_events: dict[str, int] = {}
+    # Fleet rollup: the fabric's lease audit trail (replayed), worker
+    # lifecycle, alert and chaos volumes.
+    lease = LeaseReplay()
     fleet_workers: set[str] = set()
     for record in records:
-        kind = record["kind"]
-        if kind == "lease":
-            event = str(record["event"])
-            lease_events[event] = lease_events.get(event, 0) + 1
-            worker = record.get("worker")
-            if isinstance(worker, str) and worker:
-                fleet_workers.add(worker)
-        elif kind == "worker":
+        lease.feed(record)
+        if record["kind"] == "worker":
             fleet_workers.add(str(record["worker"]))
     fabric_ends = [r for r in records if r["kind"] == "fabric_end"]
-    metrics_snapshots = [r for r in records if r["kind"] == "metrics"]
-    metrics_totals: dict[str, float] = {}
-    if metrics_snapshots:
-        from repro.fleet.metrics import snapshot_totals
-
-        snapshot = metrics_snapshots[-1].get("snapshot")
-        if isinstance(snapshot, dict):
-            metrics_totals = snapshot_totals(snapshot)
     fleet = {
-        "lease_events": dict(sorted(lease_events.items())),
-        "workers": sorted(fleet_workers),
-        "takeovers": lease_events.get("takeover", 0),
-        "fence_rejects": lease_events.get("fence_reject", 0),
+        "lease_events": dict(sorted(lease.events.items())),
+        "workers": sorted(fleet_workers | set(lease.workers)),
+        "takeovers": lease.takeovers,
+        "fence_rejects": lease.fence_rejects,
         "fabric_runs": len(fabric_ends),
         "fabric_wall_s": sum(r["wall_s"] for r in fabric_ends),
         "fabric_chunks": sum(r["chunks"] for r in fabric_ends),
         "alerts": sum(1 for r in records if r["kind"] == "alert"),
         "chaos_trials": sum(1 for r in records if r["kind"] == "chaos_trial"),
-        "metrics_snapshots": len(metrics_snapshots),
-        "metrics_totals": dict(sorted(metrics_totals.items())),
     }
 
     # Performance plane (repro.perf): sampled folded-stack captures and
@@ -403,7 +387,7 @@ def summary_tables(summary: dict[str, Any]) -> list[Table]:
     fleet = summary.get("fleet") or {}
     if fleet.get("lease_events") or fleet.get("fabric_runs"):
         fleet_table = Table(
-            "Fleet (fabric lease audit + registry totals)",
+            "Fleet (fabric lease audit)",
             ["workers", "claims", "commits", "takeovers", "fence_rejects",
              "fabric_runs", "alerts", "chaos_trials"],
         )
@@ -419,15 +403,6 @@ def summary_tables(summary: dict[str, Any]) -> list[Table]:
             fleet.get("chaos_trials", 0),
         )
         tables.append(fleet_table)
-        totals = fleet.get("metrics_totals", {})
-        if totals:
-            totals_table = Table(
-                "Fleet metrics (last registry snapshot, label-summed)",
-                ["metric", "total"],
-            )
-            for name, value in sorted(totals.items()):
-                totals_table.add_row(name, value)
-            tables.append(totals_table)
 
     perf = summary.get("perf") or {}
     if perf.get("profiles"):

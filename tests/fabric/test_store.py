@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.errors import ExperimentError
-from repro.fabric.store import LeaseStore
+from repro.fabric.store import LeaseReplay, LeaseStore
 
 
 def _campaign(store, *, items=12, chunksize=3, fingerprint="f" * 64):
@@ -157,3 +157,93 @@ class TestConcurrency:
             thread.join()
         assert sorted(index for index, _ in grants) == list(range(20))
         assert len(set(grants)) == 20
+
+
+def _event(kind, worker, idx, fence):
+    return {"kind": kind, "worker": worker, "idx": idx, "fence": fence,
+            "ts": 1.0, "detail": None}
+
+
+#: One honest two-chunk run: w1's lease on chunk 1 expires, w0 takes it
+#: over, and w1's late commit is fenced out.
+CLEAN = [
+    _event("claim", "w0", 0, 1),
+    _event("claim", "w1", 1, 1),
+    _event("commit", "w0", 0, 1),
+    _event("takeover", "w0", 1, 2),
+    _event("fence_reject", "w1", 1, 1),
+    _event("commit", "w0", 1, 2),
+]
+
+
+class TestLeaseReplay:
+    """The one fencing replay, on synthetic event lists.  ``verify``'s
+    audit reads the same violations through it."""
+
+    def _verify_audit(self, events, chunks=2):
+        from repro.fabric.coordinator import FabricResult
+        from repro.fabric.verify import _audit_fencing
+
+        return _audit_fencing(FabricResult(
+            results=[], fingerprint="f" * 64, chunks=chunks, chunksize=1,
+            workers=["w0", "w1"], wall_s=0.0, takeovers=0, fence_rejects=0,
+            worker_exits={}, events=events,
+        ))
+
+    def test_clean_run_has_no_violations(self):
+        replay = LeaseReplay.of_events(CLEAN)
+        assert replay.violations == []
+        assert replay.uncommitted(2) == []
+        assert (replay.takeovers, replay.fence_rejects) == (1, 1)
+        assert replay.chunks[1].holder == "w0"
+        assert replay.chunks[1].commit["fence"] == 2
+        w0, w1 = replay.workers["w0"], replay.workers["w1"]
+        assert (w0.claims, w0.takeovers, w0.commits) == (2, 1, 2)
+        assert (w1.claims, w1.fence_rejects, w1.holding) == (1, 1, None)
+        assert self._verify_audit(CLEAN) == []
+
+    @pytest.mark.parametrize("events, fragment", [
+        (CLEAN[:4] + [_event("commit", "w1", 1, 1)],
+         "a stale (expired/superseded) token landed data"),
+        (CLEAN + [_event("commit", "w0", 1, 2)], "committed twice"),
+        (CLEAN[:1] + [_event("claim", "w1", 1, 3)] + CLEAN[2:3]
+         + [_event("commit", "w1", 1, 3)], "grant fence jumped 0 -> 3"),
+        (CLEAN[:4] + [_event("fence_reject", "w0", 1, 2)]
+         + [_event("commit", "w0", 1, 2)], "the store refused legitimate data"),
+    ], ids=["stale-fence-commit", "double-commit", "fence-jump",
+            "rejected-legitimate-commit"])
+    def test_each_fencing_violation_is_caught(self, events, fragment):
+        violations = LeaseReplay.of_events(events).violations
+        assert any(fragment in v for v in violations), violations
+        assert self._verify_audit(events) == violations
+
+    def test_regrant_after_commit_is_a_violation(self):
+        events = CLEAN + [_event("claim", "w1", 0, 2)]
+        violations = LeaseReplay.of_events(events).violations
+        assert violations == [
+            "chunk 0: re-granted (fence 2) after it was already committed "
+            "at fence 1"
+        ]
+
+    def test_uncommitted_chunks_are_reported_and_fail_verify(self):
+        events = CLEAN[:3]
+        replay = LeaseReplay.of_events(events)
+        assert replay.violations == []
+        assert replay.uncommitted(3) == [1, 2]
+        assert self._verify_audit(events, chunks=3) == [
+            "chunk 1: never committed",
+            "chunk 2: never committed",
+        ]
+
+    def test_takeover_moves_the_holder(self):
+        replay = LeaseReplay.of_events(CLEAN[:4])
+        assert replay.workers["w1"].holding is None
+        assert replay.workers["w0"].holding == 1
+        assert replay.chunks[1].holder == "w0"
+
+    def test_non_lease_records_are_ignored(self):
+        replay = LeaseReplay()
+        replay.feed({"kind": "worker", "event": "fault", "worker": "w0",
+                     "index": 0})
+        replay.feed({"kind": "run_end", "ts": 0.0})
+        assert replay.events == {} and replay.workers == {}

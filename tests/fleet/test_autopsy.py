@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.errors import ExperimentError
-from repro.fabric.store import LeaseStore
-from repro.fleet.autopsy import autopsy, land_autopsy, render_autopsy_html
+from repro.fabric.store import LeaseStore, store_event_record
+from repro.fabric.autopsy import autopsy, land_autopsy, render_autopsy_html
 
 FINGERPRINT = "feed" * 16
 
@@ -148,23 +148,40 @@ class TestJournalCheck:
         assert report.journal_check["chunks"] == 2
 
 
-class TestTelemetryCheck:
-    def test_disagreeing_metrics_snapshot_is_reported(self, tmp_path):
-        from repro.fleet.metrics import MetricsRegistry
+def drill_log(store, campaign_id, path, *, drop=None):
+    """The store's events as the coordinator forwards them into its
+    telemetry log, optionally without the first ``drop`` lease event."""
+    lines = []
+    for event in store.events(campaign_id):
+        if event["kind"] == drop:
+            drop = None
+            continue
+        lines.append(json.dumps(store_event_record(event)) + "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
 
-        store, _ = scripted_store(tmp_path)
+
+class TestTelemetryCheck:
+    def test_untouched_log_has_no_problems(self, tmp_path):
+        store, campaign_id = scripted_store(tmp_path)
+        log = drill_log(store, campaign_id, tmp_path / "telemetry.jsonl")
         store.close()
-        registry = MetricsRegistry()
-        registry.counter("fence_reject_total", worker="w1").inc(5)  # lies
-        log = tmp_path / "telemetry.jsonl"
-        log.write_text(
-            json.dumps({"kind": "metrics", "ts": 1.0,
-                        "snapshot": registry.snapshot()}) + "\n",
-            encoding="utf-8",
-        )
         report = autopsy(tmp_path / "fab.db", telemetry_log=log)
-        assert any("fence_reject_total" in p
-                   for p in report.telemetry_check["problems"])
+        assert report.telemetry_check["problems"] == []
+        assert report.telemetry_check["lease_records"] == 6
+        assert report.telemetry_check["store_events"] == 6
+
+    def test_dropped_takeover_line_is_a_problem(self, tmp_path):
+        store, campaign_id = scripted_store(tmp_path)
+        log = drill_log(store, campaign_id, tmp_path / "telemetry.jsonl",
+                        drop="takeover")
+        store.close()
+        report = autopsy(tmp_path / "fab.db", telemetry_log=log)
+        problems = report.telemetry_check["problems"]
+        assert any("takeovers" in p for p in problems), problems
+        # Chunk 1's holder differs: w1 still holds it in the log.
+        assert any(p.startswith("chunk 1:") for p in problems), problems
+        assert report.telemetry_check["lease_records"] == 5
 
 
 class TestLanding:

@@ -1,7 +1,7 @@
 """End-to-end fleet observability: a real faulted fabric run must yield
 one merged, validator-clean Chrome trace with per-worker lanes, a
-metrics registry that reconciles with the store's audit log, and a
-passing byte-stable autopsy — the PR's acceptance criteria, executed.
+telemetry log whose lease records reconcile with the store's audit log,
+and a passing byte-stable autopsy.
 """
 
 import json
@@ -10,13 +10,9 @@ import pytest
 
 from repro.fabric.coordinator import FabricConfig, run_fabric
 from repro.fabric.faultplan import FaultPlan
-from repro.fleet.autopsy import autopsy
-from repro.fleet.metrics import snapshot_totals
-from repro.monitor.chrome_trace import (
-    chrome_trace,
-    merge_records,
-    validate_chrome_trace,
-)
+from repro.fabric.autopsy import autopsy
+from repro.monitor.chrome_trace import chrome_trace, validate_chrome_trace
+from repro.monitor.live import fleet_records
 from repro.monitor.tail import read_log_records
 from repro.telemetry import Telemetry, activate
 
@@ -35,7 +31,6 @@ def drill(tmp_path_factory):
         journal=tmp_path / "fab.journal.jsonl",
         timeout=120.0,
         worker_telemetry=True,
-        prom=tmp_path / "fab.prom",
     )
     log = tmp_path / "fab.telemetry.jsonl"
     recorder = Telemetry.to_path(log)
@@ -55,7 +50,7 @@ class TestDrillOutcome:
 
     def test_trace_id_assigned_and_deterministic(self, drill):
         _, _, result, _ = drill
-        from repro.fleet.tracectx import TraceContext
+        from repro.fabric.tracectx import TraceContext
 
         assert result.trace_id == TraceContext.root(result.fingerprint).trace_id
 
@@ -75,11 +70,8 @@ class TestMergedTrace:
             assert all(r["trace"] == result.trace_id for r in stamped)
 
     def test_merged_chrome_trace_validates_with_worker_lanes(self, drill):
-        _, _, result, log = drill
-        streams = {"": read_log_records(log)}
-        for worker, worker_log in result.worker_logs.items():
-            streams[worker] = read_log_records(worker_log)
-        trace = chrome_trace(merge_records(streams))
+        tmp_path, _, result, _ = drill
+        trace = chrome_trace(fleet_records(tmp_path / "fab.db", result.fingerprint))
         assert validate_chrome_trace(trace) == []
         events = trace["traceEvents"]
         # One process lane per worker plus the coordinator's.
@@ -89,31 +81,22 @@ class TestMergedTrace:
         assert "lease:takeover" in names  # the kill left its instant behind
 
 
-class TestMetricsReconcile:
-    def test_prometheus_file_written(self, drill):
-        tmp_path, _, result, _ = drill
-        assert result.prom is not None
-        text = result.prom.read_text(encoding="utf-8")
-        assert "repro_takeover_total" in text
-        assert "repro_commit_total" in text
-
-    def test_final_snapshot_matches_the_store_audit(self, drill):
+class TestAuditReconcile:
+    def test_log_summary_matches_the_store_audit(self, drill):
         tmp_path, _, result, log = drill
         from repro.fabric.store import LeaseStore
+        from repro.telemetry.summary import read_records, summarize
 
-        snapshots = [r for r in read_log_records(log)
-                     if r.get("kind") == "metrics"]
-        assert snapshots
-        totals = snapshot_totals(snapshots[-1]["snapshot"])
+        fleet = summarize(read_records(log))["fleet"]
         with LeaseStore(tmp_path / "fab.db") as store:
             row = store.campaign(result.fingerprint)
             events = store.events(int(row["id"]))
         by_kind = {}
         for event in events:
             by_kind[event["kind"]] = by_kind.get(event["kind"], 0) + 1
-        assert totals["takeover_total"] == by_kind.get("takeover", 0)
-        assert totals["commit_total"] == by_kind.get("commit", 0)
-        assert totals["chunks_committed"] == result.chunks
+        assert fleet["takeovers"] == by_kind.get("takeover", 0) == result.takeovers
+        assert fleet["lease_events"]["commit"] == by_kind["commit"] == result.chunks
+        assert fleet["fence_rejects"] == result.fence_rejects
 
 
 class TestAutopsyAcceptance:
@@ -130,6 +113,19 @@ class TestAutopsyAcceptance:
             assert fence >= 1
         assert report.journal_check["matched"]
         assert report.telemetry_check["problems"] == []
+
+    def test_log_missing_a_takeover_fails_the_cross_check(self, drill):
+        tmp_path, _, _, log = drill
+        lines = log.read_text(encoding="utf-8").splitlines(True)
+        takeover = next(i for i, line in enumerate(lines)
+                        if '"event": "takeover"' in line)
+        copy = tmp_path / "fab.telemetry.copy.jsonl"
+        copy.write_text("".join(lines[:takeover] + lines[takeover + 1:]),
+                        encoding="utf-8")
+        report = autopsy(tmp_path / "fab.db", telemetry_log=copy)
+        assert report.telemetry_check["problems"], report.render()
+        assert autopsy(tmp_path / "fab.db",
+                       telemetry_log=log).telemetry_check["problems"] == []
 
     def test_autopsy_is_byte_stable_across_invocations(self, drill):
         tmp_path, _, _, log = drill

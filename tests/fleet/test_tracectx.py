@@ -1,6 +1,6 @@
 """Distributed trace context: derivation, propagation, stamping."""
 
-from repro.fleet.tracectx import ENV_TRACE_ID, ENV_TRACE_PARENT, TraceContext
+from repro.fabric.tracectx import ENV_TRACE_ID, ENV_TRACE_PARENT, TraceContext
 from repro.telemetry import Telemetry
 
 

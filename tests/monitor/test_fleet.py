@@ -3,6 +3,7 @@ board's worker lanes, the merged follow, and a lease store as input."""
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -105,6 +106,33 @@ class TestFleetLanes:
         assert w1["fence_rejects"] == 1
         assert w1["last_fault"] == "kill"
 
+    def test_superseded_worker_stops_holding_the_chunk(self):
+        """A takeover moves the chunk to the new holder's lane."""
+        board = StatusBoard()
+        _feed(board, [
+            {"kind": "lease", "ts": 0.1, "event": "claim", "worker": "w1",
+             "index": 1, "fence": 1},
+            {"kind": "worker", "ts": 0.2, "event": "fault", "worker": "w1",
+             "detail": "kill"},
+            {"kind": "lease", "ts": 0.3, "event": "takeover", "worker": "w0",
+             "index": 1, "fence": 2},
+            {"kind": "lease", "ts": 0.4, "event": "commit", "worker": "w0",
+             "index": 1, "fence": 2},
+        ])
+        assert board.lanes["w1"].holding is None
+        assert board.lanes["w0"].holding is None
+        assert board.snapshot()["fleet"]["workers"]["w1"]["holding"] is None
+        assert not any("chunk 1" in line for line in board.fleet_lines())
+
+    def test_unknown_lease_event_is_counted_not_folded(self):
+        board = StatusBoard()
+        board.update({"kind": "lease", "ts": 0.1, "event": "bogus",
+                      "worker": "w0", "index": 0})
+        fleet = board.snapshot()["fleet"]
+        assert fleet["workers"]["w0"]["claims"] == 0
+        assert fleet["workers"]["w0"]["state"] == "live"
+        assert board.lease.events == {"bogus": 1}
+
     def test_committed_chunks_dedupe_by_index(self):
         board = StatusBoard()
         _feed(board, [
@@ -167,7 +195,7 @@ class TestFollowFleet:
             encoding="utf-8",
         )
         records = list(
-            follow_fleet(tmp_path / "fab.db", "cafe" * 16, logs=[log],
+            follow_fleet(tmp_path / "fab.db", "cafe" * 16, logs={"w0": log},
                          poll_interval=0.01, idle_timeout=1.0)
         )
         kinds = sorted({r["kind"] for r in records})
@@ -275,13 +303,29 @@ class TestStoreInput:
         report = monitor_log(db)
         assert report.board["slots"] == 7
 
-    def test_chrome_trace_on_store_exits_2(self, tmp_path, capsys):
+    def test_chrome_trace_on_store_merges_worker_lanes(self, tmp_path, capsys):
+        from repro.monitor.chrome_trace import validate_chrome_trace
+
         db = _drill_store(tmp_path / "fab.db", chunks=1)
-        code = main(["monitor", str(db), "--chrome-trace",
-                     str(tmp_path / "t.json")])
-        assert code == 2
-        assert "fleet trace" in capsys.readouterr().err
-        assert not (tmp_path / "t.json").exists()
+        (tmp_path / "fab.db.w1.telemetry.jsonl").write_text(
+            json.dumps({"kind": "chunk", "ts": time.time() + 1.0, "index": 0,
+                        "size": 1, "wall_s": 0.25}) + "\n",
+            encoding="utf-8",
+        )
+        before = hashlib.sha256(db.read_bytes()).hexdigest()
+        out = tmp_path / "t.json"
+        assert main(["monitor", str(db), "--chrome-trace", str(out)]) == 0
+        assert hashlib.sha256(db.read_bytes()).hexdigest() == before
+        trace = json.loads(out.read_text(encoding="utf-8"))
+        assert validate_chrome_trace(trace) == []
+        events = trace["traceEvents"]
+        lanes = {e["args"]["name"]: e["pid"] for e in events
+                 if e["name"] == "process_name"}
+        assert set(lanes) == {"repro campaign", "worker w0", "worker w1"}
+        takeover = [e for e in events if e["name"] == "lease:takeover"]
+        assert [e["pid"] for e in takeover] == [lanes["worker w1"]]
+        chunk = [e for e in events if e["name"] == "chunk 0"]
+        assert [e["pid"] for e in chunk] == [lanes["worker w1"]]
 
 
 class TestGateOverNothing:

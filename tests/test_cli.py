@@ -381,28 +381,6 @@ class TestGateExitCodeContract:
         assert code == 2
         assert "obs trend" in err
 
-    def test_fleet_metrics_without_snapshots_exits_2(self, capsys, tmp_path):
-        log = tmp_path / "plain.jsonl"
-        log.write_text('{"kind": "event", "ts": 1.0, "name": "x"}\n',
-                       encoding="utf-8")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fleet", "metrics", str(log)])
-        assert excinfo.value.code == 2
-
-    def test_fleet_metrics_json_round_trips(self, capsys, tmp_path):
-        import json as json_mod
-
-        from repro.fleet.metrics import MetricsRegistry
-        from repro.telemetry import Telemetry
-
-        log = tmp_path / "metrics.jsonl"
-        registry = MetricsRegistry()
-        registry.counter("commit_total", worker="w0").inc(4)
-        with Telemetry.to_path(log) as tel:
-            registry.emit(tel)
-        assert main(["fleet", "metrics", str(log), "--json"]) == 0
-        payload = json_mod.loads(capsys.readouterr().out)
-        assert payload["commit_total"]["series"][0]["value"] == 4.0
 
 
 class TestTelemetryValidateRobustness:
@@ -468,21 +446,28 @@ class TestFleetCommands:
         store.close()
         return tmp_path / "fab.db"
 
+    #: A coordinator log written before the metrics registry was removed:
+    #: the store's two claims and commits, then a ``metrics`` snapshot.
+    LEGACY_LOG = (
+        '{"kind": "fabric_begin", "ts": 1.0, "spec": "slow-squares", '
+        '"workers": 1, "chunks": 2}\n'
+        '{"kind": "lease", "ts": 1.1, "event": "claim", "worker": "w0", '
+        '"index": 0, "fence": 1}\n'
+        '{"kind": "lease", "ts": 1.2, "event": "commit", "worker": "w0", '
+        '"index": 0, "fence": 1}\n'
+        '{"kind": "lease", "ts": 1.3, "event": "claim", "worker": "w0", '
+        '"index": 1, "fence": 1}\n'
+        '{"kind": "lease", "ts": 1.4, "event": "commit", "worker": "w0", '
+        '"index": 1, "fence": 1}\n'
+        '{"kind": "metrics", "ts": 1.5, "snapshot": {"repro_commit_total": '
+        '{"type": "counter", "help": "", "series": [{"labels": '
+        '{"worker": "w0"}, "value": 2.0}]}}}\n'
+        '{"kind": "fabric_end", "ts": 1.6, "chunks": 2, "wall_s": 0.6}\n'
+    )
+
     def _telemetry_log(self, tmp_path):
-        import json as _json
-
-        from repro.fleet.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.counter("commit_total", worker="w0").inc(2)
         log = tmp_path / "telemetry.jsonl"
-        log.write_text(
-            _json.dumps({"kind": "lease", "ts": 1.0, "event": "commit",
-                         "index": 0, "worker": "w0"}) + "\n"
-            + _json.dumps({"kind": "metrics", "ts": 2.0,
-                           "snapshot": registry.snapshot()}) + "\n",
-            encoding="utf-8",
-        )
+        log.write_text(self.LEGACY_LOG, encoding="utf-8")
         return log
 
     def test_fabric_autopsy_passes_and_writes_html(self, tmp_path, capsys):
@@ -505,30 +490,61 @@ class TestFleetCommands:
         assert payload["passed"] is True
         assert payload["attribution"] == {"0": ["w0", 1], "1": ["w0", 1]}
 
-    def test_fleet_metrics_merges_snapshots(self, tmp_path, capsys):
+    def test_legacy_metrics_records_still_read(self, tmp_path, capsys):
+        """``metrics`` records from older logs are skipped by every
+        reader and named by the validator."""
+        db = self._scripted(tmp_path)
         log = self._telemetry_log(tmp_path)
-        prom = tmp_path / "merged.prom"
-        code = main(["fleet", "metrics", str(log), "--prom", str(prom)])
-        assert code == 0
-        text = prom.read_text(encoding="utf-8")
-        assert 'repro_commit_total{worker="w0"} 2' in text
+        assert main(["telemetry", str(log), "--validate"]) == 1
+        out = capsys.readouterr().out
+        assert "line 6: unknown kind 'metrics'" in out
+        assert "INVALID (1 errors)" in out
 
-    def test_fleet_metrics_without_snapshots_errors(self, tmp_path):
-        log = tmp_path / "empty.jsonl"
-        log.write_text('{"kind": "event", "ts": 1.0, "name": "x"}\n',
-                       encoding="utf-8")
-        with pytest.raises(SystemExit):
-            main(["fleet", "metrics", str(log)])
+        assert main(["telemetry", str(log), "--json"]) == 0
+        fleet = json.loads(capsys.readouterr().out)["fleet"]
+        assert fleet["lease_events"] == {"claim": 2, "commit": 2}
+        assert "metrics_totals" not in fleet
+
+        assert main(["monitor", str(log), "--json", "--no-write-alerts"]) == 0
+        board = json.loads(capsys.readouterr().out)["board"]
+        assert board["fleet"]["chunks_committed"] == 2
+
+        obs_db = tmp_path / "obs.db"
+        assert main(["obs", "ingest", str(obs_db), str(log)]) == 0
+        capsys.readouterr()
+        from repro.obs import RunStore
+
+        with RunStore(obs_db) as store:
+            metrics = store.metrics_for(store.resolve_run("latest")["id"])
+        assert metrics["fabric.lease.commit"] == 2.0
+        assert not any(name.startswith("fleet.") for name in metrics)
+
+        assert main(["fabric", "autopsy", "--store", str(db),
+                     "--telemetry-log", str(log), "--json"]) == 0
+        check = json.loads(capsys.readouterr().out)["telemetry_check"]
+        assert check["problems"] == []
+        assert check["lease_records"] == check["store_events"] == 4
 
     def test_fleet_trace_writes_validated_chrome_trace(self, tmp_path, capsys):
-        log = self._telemetry_log(tmp_path)
+        """The fleet's merged trace, now written by ``monitor STORE
+        --chrome-trace``: store events plus the worker log next to it."""
+        import time
+
+        db = self._scripted(tmp_path)
+        (tmp_path / "fab.db.w0.telemetry.jsonl").write_text(
+            json.dumps({"kind": "chunk", "ts": time.time() + 1.0, "index": 0,
+                        "size": 1, "wall_s": 0.5}) + "\n",
+            encoding="utf-8",
+        )
         out_path = tmp_path / "trace.json"
-        code = main(["fleet", "trace", str(log), "--out", str(out_path)])
+        code = main(["monitor", str(db), "--chrome-trace", str(out_path)])
         assert code == 0
         trace = json.loads(out_path.read_text(encoding="utf-8"))
         from repro.monitor.chrome_trace import validate_chrome_trace
 
         assert validate_chrome_trace(trace) == []
+        names = {event["name"] for event in trace["traceEvents"]}
+        assert {"lease:claim", "lease:commit", "chunk 0"} <= names
 
     def test_monitor_reports_store_activity(self, tmp_path, capsys):
         db = self._scripted(tmp_path)
