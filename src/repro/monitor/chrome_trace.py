@@ -21,8 +21,9 @@ The output follows the Trace Event Format's *JSON object* flavour —
   :func:`repro.monitor.live.fleet_records`) renders as one process per
   worker plus the coordinating process.
 
-Timestamps are rebased to the first record so traces start at t=0; all
-values are microseconds, as the format requires.
+Timestamps are rebased so that traces start at t=0 with the earliest
+event, a slice that began before the first record included; all values
+are microseconds, as the format requires.
 """
 
 from __future__ import annotations
@@ -218,6 +219,14 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
             "tid": _tid_of(begin),
             "args": _args_of(begin),
         })
+
+    # Slices start before the record that reports them (a span's record
+    # is emitted when it ends), so the trace starts at the earliest
+    # slice start, not at the earliest record.
+    earliest = min((event["ts"] for event in events), default=0)
+    if earliest < 0:
+        for event in events:
+            event["ts"] -= earliest
 
     metadata: list[dict[str, Any]] = [{
         "name": "process_name",

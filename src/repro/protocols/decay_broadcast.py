@@ -128,12 +128,18 @@ class DecayBroadcastProgram(NodeProgram):
 
     def wake(self, ctx: Context) -> int | None:
         """Uninformed: when a message arrives; waiting for a phase
-        boundary: the next multiple of ``k``; mid-phase (a coin every
-        slot) or done: the next slot."""
+        boundary: the next multiple of ``k``; mid-phase with the coin
+        still going: the next slot; mid-phase once the coin stopped:
+        the phase's last slot, where it must finish the phase (until
+        then it draws nothing and only listens); done: the next slot."""
         if self.message is None:
             return None
-        if self._decay is None and self.align_phases and not self._done:
-            return ctx.slot + self.k - ctx.slot % self.k
+        decay = self._decay
+        if decay is None:
+            if self.align_phases and not self._done:
+                return ctx.slot + self.k - ctx.slot % self.k
+        elif not decay.active:
+            return self._decay_started_at + self.k - 1
         return ctx.slot + 1
 
     def result(self) -> Any:

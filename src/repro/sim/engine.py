@@ -27,9 +27,9 @@ Two slot loops
 ``Engine.__init__`` chooses the slot loop once, from its inputs:
 
 * the **lean loop** runs when the medium is exactly
-  :class:`~repro.sim.medium.RadioMedium`, the fault schedule is empty,
-  and neither a trace nor provenance is recorded — every fault-free
-  experiment run.  It polls ``is_done`` and calls ``act`` in one pass
+  :class:`~repro.sim.medium.RadioMedium` and neither a trace nor
+  provenance is recorded — every experiment and chaos run, faulted or
+  not.  It polls ``is_done`` and calls ``act`` in one pass
   over the live programs, dispatches intents on their exact type, and
   resolves a slot with one transmitter (the only case in round-robin
   and DFS) as membership in that transmitter's hearer set.  With several
@@ -39,12 +39,13 @@ Two slot loops
   intents are in, no callback can change what anyone hears, so each
   receiver is told as soon as it is resolved.  When some program
   overrides :meth:`~repro.sim.node.NodeProgram.wake` (round robin, DFS
-  and Decay do), the lean loop keeps a wake schedule instead of one
-  pass: see "Sleeping programs" below.
-* the **general loop** runs everything else: crash/recover, edge, jam
-  and link-loss faults, any medium, traces and provenance.  It resolves
-  each receiver from its list of audible transmitters, as the spec
-  does, and delivers the observations after the whole slot resolves.
+  and Decay do), or the run has faults, the lean loop keeps a wake
+  schedule instead of one pass: see "Sleeping programs" and "Faults"
+  below.
+* the **general loop** runs traces, provenance and every other medium.
+  It resolves each receiver from its list of audible transmitters, as
+  the spec does, and delivers the observations after the whole slot
+  resolves.
 
 Both loops rely on two contracts.  ``NodeProgram.is_done`` is monotone
 ("True once this node will never act again"), so done-ness is cached in
@@ -78,9 +79,36 @@ it would keep its intent and not become done in the slots it sleeps
 through, and a program that becomes done in ``act`` asks for the next
 slot.  The override is found on the instance (``getattr``), so a
 program behind an attribute-forwarding proxy still sleeps.  Programs
-that do not override ``wake`` stay awake; when none does, the lean loop
-is the single pass above, at its cost.  The general loop, the spec
-(:mod:`repro.sim.spec`) and the vectorized backend ignore ``wake``.
+that do not override ``wake`` stay awake; when none does and the run
+has no faults, the lean loop is the single pass above, at its cost.
+The general loop, the spec (:mod:`repro.sim.spec`) and the vectorized
+backend ignore ``wake``.
+
+Faults
+------
+Both loops read one compiled schedule: edge changes, crashes and
+recoveries indexed by slot, jam windows, and loss windows with their
+seed-pure erasure coins (``_losses_at``).  ``_apply_faults`` applies a
+slot's events to the graph and to the shared crash and jam state; each
+loop then updates its own bookkeeping.  Edge faults mutate the graph,
+and the hearer sets rebuild when ``graph.version`` moves.  In the lean
+loop a faulted run always keeps the wake schedule: a slot in which no
+fault event fires and no jam window is open runs the fault-free code
+after one event check, and the fault-free code pays one check per slot
+for faults (whether the run has loss windows).  A slot with an event
+runs in the general loop's order: every due program is polled, the run
+ends if none is live and no recovery is pending, the slot's faults
+apply, and only then do the due programs act.  So:
+
+* a crash drops the node from the schedule and from the listeners;
+* a recovering program acts in its recovery slot without a done-poll,
+  and rejoins its program-order place — in both loops, so per-node
+  maps come out in the same order;
+* a jammer is suspended: it is polled every slot of its window but
+  neither acts nor hears, and its noise is a transmitter that never
+  delivers (a lone jammer reads as ``SILENCE``) and is metered apart;
+* link loss filters each receiver's audible transmitters while a loss
+  window is open, listeners included.
 
 The engine never copies messages; protocols exchange immutable payloads
 by convention (all protocols in this library send tuples/strings/ints).
@@ -88,6 +116,7 @@ by convention (all protocols in this library send tuples/strings/ints).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import os
 import random
@@ -149,6 +178,17 @@ def _audible(neighborhood: frozenset[Node], messages: dict[Node, Any]) -> list[N
     if len(messages) < len(neighborhood):
         return [node for node in messages if node in neighborhood]
     return [node for node in neighborhood if node in messages]
+
+
+def _intent_type(node: Node, intent: Any) -> type:
+    """The intent type ``intent`` is an instance of: the exact-type
+    dispatch's fallback for subclasses."""
+    for kind in (Receive, Transmit, Idle):
+        if isinstance(intent, kind):
+            return kind
+    raise ProtocolError(
+        f"node {node!r} returned {intent!r}; expected Transmit/Receive/Idle"
+    )
 
 
 class _EngineContext(Context):
@@ -253,12 +293,12 @@ class Engine:
             (node, program, self._contexts[node])
             for node, program in self.programs.items()
         ]
-        # The fault schedule is snapshotted at construction and indexed
-        # by slot.
+        # The fault schedule is snapshotted at construction and compiled
+        # into per-slot data that both loops read.
         self._edge_faults_by_slot, self._crashes_by_slot = self.faults.by_slot()
         self._have_faults = not self.faults.is_empty()
-        # Transient crashes: entries pruned from the active list are
-        # parked here so recovery can restore them, program state intact.
+        # Transient crashes: live programs that crash are parked here so
+        # recovery can restore them, program state intact.
         self._crashed_entries: dict[Node, Entry] = {}
         self._awaiting_recovery: set[Node] = set()
         self._recoveries_by_slot: dict[int, list[Node]] = {}
@@ -269,6 +309,14 @@ class Engine:
         self._jam_faults = tuple(self.faults.jam_faults)
         self._jammed_now: frozenset[Node] | set[Node] = frozenset()
         self._loss_faults = tuple(self.faults.link_loss_faults)
+        # Slots at which a fault event fires: an edge change, a crash, a
+        # recovery, or a jam window's start or end.
+        events = {
+            *self._edge_faults_by_slot, *self._crashes_by_slot, *self._recoveries_by_slot
+        }
+        for jam in self._jam_faults:
+            events.update((jam.start, jam.end))
+        self._event_slots = frozenset(events)
         # Adjacency maps: per node, the frozenset it can hear (audible)
         # and the frozenset that hears it (hearers).  Rebuilt lazily
         # whenever the graph's version moves (edge faults, or any
@@ -279,11 +327,21 @@ class Engine:
         self._audible_map()
         self._lean = (
             type(self.medium) is RadioMedium
-            and not self._have_faults
             and self.trace is None
             and self._prov is None
         )
-        self._sleepy = self._lean and self._init_sleepers()
+        self._sleepy = False
+        if self._lean:
+            wakes = self._wake_overrides()
+            self._sleepy = bool(wakes) or self._have_faults
+            if self._sleepy:
+                self._init_schedule(wakes)
+        elif self._have_faults:
+            # The general loop restores a recovered program to its
+            # program-order place.
+            self._keyed = {
+                entry[0]: (index, entry) for index, entry in enumerate(self._active)
+            }
 
     # -- public API -----------------------------------------------------
 
@@ -331,7 +389,7 @@ class Engine:
                 faults=self.faults.counts() if self._have_faults else {},
             )
         lean = self._lean
-        lean_slot = self._sleepy_slot if self._sleepy else self._lean_slot
+        lean_slot = self._lean_slot_method() if lean else None
         metrics = self.metrics
         while self.slot < max_slots:
             if stop_when is not None and stop_when(self):
@@ -398,17 +456,26 @@ class Engine:
         )
 
     def step(self) -> None:
-        """Execute exactly one time-slot."""
-        if self._sleepy:
-            self._sleepy_slot()
-        elif self._lean:
-            self._lean_slot()
+        """Execute exactly one time-slot, faults included."""
+        if self._lean:
+            self._lean_slot_method()()
         else:
             self._general_slot()
         self.slot += 1
         self.metrics.slots = self.slot
 
     # -- the lean loop ----------------------------------------------------
+
+    def _lean_slot_method(self) -> Callable[[], bool]:
+        """The lean loop's slot method for this engine.
+
+        Looked up per call, never stored: a bound method kept on the
+        engine would make it a reference cycle, freed only by the cyclic
+        collector, and finished engines would pile up between collections.
+        """
+        if self._have_faults:
+            return self._fault_slot
+        return self._sleepy_slot if self._sleepy else self._lean_slot
 
     def _lean_slot(self) -> bool:
         """One fault-free slot, without advancing the clock.
@@ -439,8 +506,8 @@ class Engine:
         self._lean_resolve(messages, receivers, False)
         return True
 
-    def _init_sleepers(self) -> bool:
-        """Set up the wake schedule iff some program overrides ``wake``.
+    def _wake_overrides(self) -> dict[Node, Callable[[Context], int | None]]:
+        """The programs that override ``wake``, by node.
 
         The override is looked up on the instance, so a program wrapped
         in an attribute-forwarding proxy still sleeps.
@@ -450,8 +517,11 @@ class Engine:
             wake = getattr(program, "wake", None)
             if wake is not None and getattr(wake, "__func__", None) is not NodeProgram.wake:
                 wakes[node] = wake
-        if not wakes:
-            return False
+        return wakes
+
+    def _init_schedule(self, wakes: dict[Node, Callable[[Context], int | None]]) -> None:
+        """Set up the wake schedule; a program not in ``wakes`` is due
+        every slot."""
         self._wakes = wakes
         # (program index, entry): a bucket sorts into program order on
         # its first field alone.
@@ -464,8 +534,8 @@ class Engine:
         self._due_at: dict[Node, int] = dict.fromkeys(self._keyed, self.slot)
         # Sleepers whose last act was Receive: they hear, unasked.
         self._listening: dict[Node, tuple[int, Entry]] = {}
+        # Programs neither done nor crashed.
         self._live = len(self._keyed)
-        return True
 
     def _sleepy_slot(self) -> bool:
         """:meth:`_lean_slot` when some programs sleep: only the programs
@@ -482,6 +552,8 @@ class Engine:
             listening = self._listening
             wakes = self._wakes
             done = self._done
+            enforce = self.enforce_no_spontaneous
+            has_received = self._has_received
             awake = self._buckets.setdefault(nxt, [])
             for keyed in due:
                 entry = keyed[1]
@@ -497,16 +569,15 @@ class Engine:
                     continue
                 intent = program.act(ctx)
                 kind = type(intent)
-                if kind is not Receive and kind is not Idle:
-                    if isinstance(intent, Receive):
-                        kind = Receive
-                    elif isinstance(intent, Idle):
-                        kind = Idle
-                    else:  # a transmitter stays awake
-                        self._admit(entry, intent, messages, receivers)
-                        due_at[node] = nxt
-                        awake.append(keyed)
-                        continue
+                if kind is not Transmit and kind is not Receive and kind is not Idle:
+                    kind = _intent_type(node, intent)
+                if kind is Transmit:  # a transmitter stays awake
+                    if enforce and node not in has_received:
+                        raise self._spontaneous(node)
+                    messages[node] = intent.message
+                    due_at[node] = nxt
+                    awake.append(keyed)
+                    continue
                 wake = wakes.get(node)
                 when = nxt if wake is None else wake(ctx)
                 if when is not None and when <= nxt:
@@ -518,10 +589,106 @@ class Engine:
                     if kind is Receive:
                         listening[node] = keyed
                     self._schedule(node, when)
-        if not self._live:
+        if not self._live and not self._awaiting_recovery:
             return False
-        self._lean_resolve(messages, receivers, True)
+        if self._loss_faults:
+            self._fault_resolve(messages, receivers)
+        else:
+            self._lean_resolve(messages, receivers)
         return True
+
+    def _fault_slot(self) -> bool:
+        """A faulted run's slot: :meth:`_sleepy_slot`, unless a fault
+        event fires in it or a jam window is open."""
+        if self.slot in self._event_slots or self._jammed_now:
+            return self._event_slot()
+        return self._sleepy_slot()
+
+    def _event_slot(self) -> bool:
+        """A lean slot with fault events, in the general loop's order:
+        poll every due program, end the run if none is live and no
+        recovery is pending, apply the faults, then act."""
+        slot = self.slot
+        nxt = slot + 1
+        due_at = self._due_at
+        listening = self._listening
+        done = self._done
+        keyed_of = self._keyed
+        due: list[tuple[int, Entry]] = []
+        for keyed in sorted(self._buckets.pop(slot, ())):
+            node, program, ctx = keyed[1]
+            if due_at.get(node) != slot:
+                continue
+            ctx.slot = slot
+            listening.pop(node, None)
+            if program.is_done(ctx):
+                done.add(node)
+                del due_at[node]
+                self._live -= 1
+            else:
+                due.append(keyed)
+        if not self._live and not self._awaiting_recovery:
+            return False
+        restored, parked = self._apply_faults()
+        if restored:
+            for node, _program, _ctx in restored:
+                due_at[node] = slot
+                due.append(keyed_of[node])
+                self._live += 1
+            due.sort()
+        for node in parked:
+            due_at.pop(node, None)
+            listening.pop(node, None)
+            self._live -= 1
+        jammed = self._jammed_now
+        for node in jammed:
+            if node not in done:  # suspended: polled next slot, deaf now
+                listening.pop(node, None)
+                self._schedule(node, nxt)
+        messages: dict[Node, Any] = {}
+        receivers: list[Entry] = []
+        awake = self._buckets.setdefault(nxt, [])
+        for keyed in due:
+            if due_at.get(keyed[1][0]) == slot:  # not crashed nor jamming
+                self._act_due(keyed, nxt, messages, receivers, awake)
+        for node in jammed:
+            messages[node] = JAMMING
+        self._fault_resolve(messages, receivers)
+        return True
+
+    def _act_due(
+        self,
+        keyed: tuple[int, Entry],
+        nxt: int,
+        messages: dict[Node, Any],
+        receivers: list[Entry],
+        awake: list[tuple[int, Entry]],
+    ) -> None:
+        """Ask one due program to act and file it by its intent and its
+        ``wake``: one step of :meth:`_sleepy_slot`'s pass."""
+        entry = keyed[1]
+        node, program, ctx = entry
+        intent = program.act(ctx)
+        kind = type(intent)
+        if kind is not Transmit and kind is not Receive and kind is not Idle:
+            kind = _intent_type(node, intent)
+        if kind is Transmit:
+            if self.enforce_no_spontaneous and node not in self._has_received:
+                raise self._spontaneous(node)
+            messages[node] = intent.message
+            when: int | None = nxt
+        else:
+            wake = self._wakes.get(node)
+            when = nxt if wake is None else wake(ctx)
+        if when is not None and when <= nxt:
+            self._due_at[node] = nxt
+            awake.append(keyed)
+            if kind is Receive:
+                receivers.append(entry)
+        else:
+            if kind is Receive:
+                self._listening[node] = keyed
+            self._schedule(node, when)
 
     def _schedule(self, node: Node, when: int | None) -> None:
         """File a sleeper under the slot its ``wake`` named."""
@@ -574,7 +741,7 @@ class Engine:
         return [entry for _index, entry in hits]
 
     def _lean_resolve(
-        self, messages: dict[Node, Any], receivers: list[Entry], sleepy: bool
+        self, messages: dict[Node, Any], receivers: list[Entry], sleepy: bool = True
     ) -> None:
         """Resolve a lean-loop slot and tell each receiver what it heard.
 
@@ -677,11 +844,76 @@ class Engine:
         metrics.collisions += collisions
         metrics.deliveries += deliveries
 
+    def _fault_resolve(self, messages: dict[Node, Any], receivers: list[Entry]) -> None:
+        """:meth:`_lean_resolve` under this slot's jam noise and link loss.
+
+        With neither, it is :meth:`_lean_resolve`.  Otherwise each
+        receiver, awake or a sleeping listener, is resolved from its
+        audible transmitters as in the general loop: an erased signal
+        neither delivers nor collides, and a lone jammer is silence.
+        Erasure coins are pure functions, so a receiver stops drawing
+        them at its second surviving signal.
+        """
+        jammed = self._jammed_now  # jam noise is in messages
+        losses = self._losses_at(self.slot) if messages and self._loss_faults else ()
+        if not losses and not jammed:
+            self._lean_resolve(messages, receivers)
+            return
+        self._count_transmissions(messages)
+        audible_map = self._audible_map()
+        listening = self._listening
+        if listening:
+            hearers = self._hearers
+            reached: set[Node] = set()
+            for transmitter in messages:
+                reached.update(hearers[transmitter])
+            receivers = self._with_listeners(receivers, reached)
+        slot = self.slot
+        metrics = self.metrics
+        first_reception = metrics.first_reception
+        col_per_node = metrics.collisions_per_node
+        has_received = self._has_received
+        erased = self._erased
+        deliveries = collisions = 0
+        for receiver, program, ctx in receivers:
+            sender = None
+            signals = 0
+            for transmitter in _audible(audible_map[receiver], messages):
+                if losses and erased(losses, transmitter, receiver):
+                    continue
+                signals += 1
+                if signals == 2:
+                    break
+                sender = transmitter
+            if signals == 1 and sender not in jammed:
+                deliveries += 1
+                if receiver not in first_reception:
+                    first_reception[receiver] = slot
+                    has_received.add(receiver)
+                program.on_observe(ctx, messages[sender])
+                self._rewake(receiver, ctx)
+            else:
+                if signals == 2:
+                    collisions += 1
+                    col_per_node[receiver] = col_per_node.get(receiver, 0) + 1
+                if receiver not in listening:
+                    program.on_observe(ctx, SILENCE)
+        metrics.collisions += collisions
+        metrics.deliveries += deliveries
+
     # -- the general loop -------------------------------------------------
 
     def _general_slot(self) -> None:
-        """One slot with faults, any medium, traces and provenance."""
-        self._apply_faults()
+        """One slot with any medium, traces and provenance."""
+        if self._have_faults:
+            restored, parked = self._apply_faults()
+            if restored:
+                keyed = self._keyed
+                for entry in restored:
+                    bisect.insort(self._active, entry, key=lambda e: keyed[e[0]][0])
+            if parked:
+                crashed = self._crashed
+                self._active = [entry for entry in self._active if entry[0] not in crashed]
         messages, receivers = self._collect_intents()
         jammed = self._jammed_now
         if jammed:
@@ -691,50 +923,57 @@ class Engine:
                 messages[node] = JAMMING
         self._resolve(messages, receivers)
 
-    def _apply_faults(self) -> None:
-        if not self._have_faults:
-            return
+    def _apply_faults(self) -> tuple[list[Entry], list[Node]]:
+        """Apply this slot's faults to the graph and the crash and jam
+        state, which both loops share.
+
+        Returns ``(restored, parked)``: the entries of the programs that
+        recover this slot, and the live programs' nodes that crash in
+        it, for the calling loop to add to and drop from its own
+        bookkeeping, in that order.
+        """
         slot = self.slot
         edge_faults = self._edge_faults_by_slot.get(slot, ())
         for fault in edge_faults:
             fault.apply(self.graph)
+        crashed = self._crashed
+        done = self._done
+        parked_entries = self._crashed_entries
+        restored: list[Entry] = []
+        parked: list[Node] = []
         # Recoveries fire before same-slot crashes: a node whose outage
         # ends at slot s is up for slot s unless a new crash hits it.
         recoveries = self._recoveries_by_slot.get(slot)
         if recoveries:
             for node in recoveries:
                 self._awaiting_recovery.discard(node)
-                if node in self._crashed:
-                    self._crashed.discard(node)
-                    entry = self._crashed_entries.pop(node, None)
-                    if entry is not None and node not in self._done:
+                if node in crashed:
+                    crashed.discard(node)
+                    entry = parked_entries.pop(node, None)
+                    if entry is not None and node not in done:
                         # This slot's done-pass may already have run (the
                         # run loop's check is cached), so stamp the slot
                         # here or the program would act on a stale one.
                         entry[2].slot = slot
-                        self._active.append(entry)
+                        restored.append(entry)
         crashes = self._crashes_by_slot.get(slot)
         if crashes:
             prov = self._prov
             for crash in crashes:
-                self._crashed.add(crash.node)
+                node = crash.node
+                crashed.add(node)
                 if crash.until is not None:
-                    self._awaiting_recovery.add(crash.node)
+                    self._awaiting_recovery.add(node)
                 if prov is not None:
-                    prov.note(slot, crash.node, PROV_FAULT, (), detail="crashed")
-            crashed = self._crashed
-            still_active = []
-            for entry in self._active:
-                if entry[0] in crashed:
-                    self._crashed_entries[entry[0]] = entry
-                else:
-                    still_active.append(entry)
-            self._active = still_active
+                    prov.note(slot, node, PROV_FAULT, (), detail="crashed")
+                if node not in done and node not in parked_entries:
+                    parked_entries[node] = self._keyed[node][1]
+                    parked.append(node)
         if self._jam_faults:
             self._jammed_now = {
                 fault.node
                 for fault in self._jam_faults
-                if fault.active_at(slot) and fault.node not in self._crashed
+                if fault.active_at(slot) and fault.node not in crashed
             }
         tel = self._telemetry
         if tel is not None and (edge_faults or recoveries or crashes):
@@ -748,6 +987,7 @@ class Engine:
                 recoveries=len(recoveries) if recoveries else 0,
                 jamming=len(self._jammed_now),
             )
+        return restored, parked
 
     def _refresh_done(self) -> bool:
         """Evaluate ``is_done`` once per live node for the current slot.
@@ -896,20 +1136,22 @@ class Engine:
     ) -> None:
         """File an intent the exact-type dispatch did not: a ``Transmit``
         (checked against rule 5) or a subclass of an intent type."""
-        if isinstance(intent, Receive):
-            receivers.append(entry)
-        elif isinstance(intent, Transmit):
-            node = entry[0]
+        node = entry[0]
+        kind = type(intent)
+        if kind is not Transmit:
+            kind = _intent_type(node, intent)
+        if kind is Transmit:
             if self.enforce_no_spontaneous and node not in self._has_received:
-                raise ProtocolError(
-                    f"node {node!r} transmitted spontaneously at slot {self.slot} "
-                    "(Definition 1, rule 5; pass enforce_no_spontaneous=False to allow)"
-                )
+                raise self._spontaneous(node)
             messages[node] = intent.message
-        elif not isinstance(intent, Idle):
-            raise ProtocolError(
-                f"node {entry[0]!r} returned {intent!r}; expected Transmit/Receive/Idle"
-            )
+        elif kind is Receive:
+            receivers.append(entry)
+
+    def _spontaneous(self, node: Node) -> ProtocolError:
+        return ProtocolError(
+            f"node {node!r} transmitted spontaneously at slot {self.slot} "
+            "(Definition 1, rule 5; pass enforce_no_spontaneous=False to allow)"
+        )
 
     def _count_transmissions(self, messages: dict[Node, Any]) -> None:
         """Meter one slot's transmitters; jamming noise is metered apart."""

@@ -221,6 +221,8 @@ def summarize(records: list[dict[str, Any]]) -> dict[str, Any]:
     fleet = {
         "lease_events": dict(sorted(lease.events.items())),
         "workers": sorted(fleet_workers | set(lease.workers)),
+        # Every grant, as the autopsy and the monitor's lanes count it.
+        "claims": lease.events.get("claim", 0) + lease.takeovers,
         "takeovers": lease.takeovers,
         "fence_rejects": lease.fence_rejects,
         "fabric_runs": len(fabric_ends),
@@ -394,7 +396,7 @@ def summary_tables(summary: dict[str, Any]) -> list[Table]:
         lease_events = fleet.get("lease_events", {})
         fleet_table.add_row(
             len(fleet.get("workers", [])),
-            lease_events.get("claim", 0),
+            fleet.get("claims", 0),
             lease_events.get("commit", 0),
             fleet.get("takeovers", 0),
             fleet.get("fence_rejects", 0),

@@ -47,6 +47,19 @@ class TestExport:
         events = [e for e in chrome_trace_events(real_records()) if "ts" in e]
         assert min(e["ts"] for e in events) == 0
 
+    def test_slice_that_began_before_the_first_record_starts_the_trace(self):
+        # A span's record is emitted when the span ends: rebasing on the
+        # earliest record used to give this 2-second span ts -2000000.
+        records = [
+            {"kind": "span", "ts": 100.0, "name": "campaign", "dur_s": 2.0},
+            {"kind": "phase", "ts": 100.5, "proto": "decay", "index": 0},
+        ]
+        trace = chrome_trace(records)
+        assert validate_chrome_trace(trace) == []
+        events = {e["cat"]: e for e in trace["traceEvents"] if e["ph"] != "M"}
+        assert events["span"]["ts"] == 0 and events["span"]["dur"] == 2_000_000
+        assert events["phase"]["ts"] == 2_500_000
+
     def test_chunk_records_get_their_own_lane(self):
         records = [
             {"kind": "run_begin", "ts": 10.0, "run": "r1", "chunk": 2},

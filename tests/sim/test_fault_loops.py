@@ -1,0 +1,248 @@
+"""Faulted runs: the lean loop's wake schedule against the general loop.
+
+A run with a fault schedule takes the lean loop and keeps its wake
+schedule: a crash drops the program from it, a recovery files it as due,
+a jammer is suspended for its window, and link loss filters what each
+receiver, asleep or awake, can hear.  The general loop, forced by
+``record_trace=True``, ignores ``wake`` and calls every live program in
+every slot.  Both must give the same ``RunResult``: slots, metrics, the
+per-node maps in the same order, node results and the final graph.
+
+A recovered program rejoins at its program-order place in both loops.
+The general loop used to append it to the end of its pass instead, so a
+per-node map could list it after nodes that come later in program order;
+:func:`test_a_recovered_node_keeps_its_program_order_place` pins the
+new order.
+"""
+
+import gc
+import weakref
+from typing import Any
+
+import pytest
+
+from repro.graphs import Graph, complete, grid, random_gnp, star
+from repro.protocols.base import run_broadcast
+from repro.protocols.decay_broadcast import make_broadcast_programs, run_decay_broadcast
+from repro.protocols.dfs_broadcast import make_dfs_programs
+from repro.protocols.round_robin import make_round_robin_programs
+from repro.rng import spawn
+from repro.sim import (
+    RECEIVE,
+    Context,
+    CrashFault,
+    EdgeFault,
+    Engine,
+    FaultSchedule,
+    JamFault,
+    LinkLossFault,
+    NodeProgram,
+    Transmit,
+)
+
+TOPOLOGIES = {
+    "gnp-16": lambda: random_gnp(16, 0.25, spawn(7, "parity")),
+    "grid-4x4": lambda: grid(4, 4),
+    "complete-8": lambda: complete(8),
+    "star-9": lambda: star(9),
+}
+
+# The fault families of the vectorized parity suite, plus an edge that
+# comes back; every schedule names only nodes 0..7.
+SCHEDULES = {
+    "crash": FaultSchedule(
+        crash_faults=[
+            CrashFault(slot=3, node=1),
+            CrashFault(slot=2, node=2, until=6),
+        ]
+    ),
+    "jam": FaultSchedule(jam_faults=[JamFault(node=1, start=2, end=7)]),
+    "edge": FaultSchedule(
+        edge_faults=[
+            EdgeFault(slot=4, u=0, v=1),
+            EdgeFault(slot=9, u=0, v=1, kind="add"),
+        ]
+    ),
+    "loss": FaultSchedule(link_loss_faults=[LinkLossFault(p=0.3, start=1, end=30)]),
+    "combined": FaultSchedule(
+        crash_faults=[CrashFault(slot=5, node=2, until=9)],
+        jam_faults=[JamFault(node=3, start=3, end=8)],
+        link_loss_faults=[LinkLossFault(p=0.2, start=0)],
+    ),
+}
+
+PROTOCOLS = ["decay", "decay-unaligned", "rr", "dfs"]
+
+
+def _run(protocol, graph, faults, stop, record_trace):
+    n = graph.num_nodes()
+    if protocol.startswith("decay"):
+        return run_decay_broadcast(
+            graph, 0, seed=11, align_phases=protocol == "decay", stop=stop,
+            faults=faults, record_trace=record_trace,
+        )
+    if protocol == "dfs":
+        programs, cap = make_dfs_programs(graph, 0), 4 * n + 4
+    else:
+        programs = make_round_robin_programs(graph, 0, frame_size=n + 1, max_frames=3)
+        cap = (n + 1) * 4
+    return run_broadcast(
+        graph, programs, initiators={0}, max_slots=cap, stop=stop, faults=faults,
+        record_trace=record_trace,
+    )
+
+
+def _fingerprint(result):
+    m = result.metrics
+    return (
+        result.slots,
+        m,
+        list(m.first_reception.items()),
+        list(m.transmissions_per_node.items()),
+        list(m.collisions_per_node.items()),
+        result.node_results(),
+        sorted(map(sorted, result.graph.edges)),
+    )
+
+
+@pytest.mark.parametrize("stop", ["informed", "terminated"])
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_faulted_lean_loop_matches_general_loop(protocol, topology, schedule, stop):
+    graph = TOPOLOGIES[topology]()
+    faults = SCHEDULES[schedule]
+    lean = _run(protocol, graph, faults, stop, record_trace=False)
+    general = _run(protocol, graph, faults, stop, record_trace=True)
+    assert lean.trace is None and general.trace is not None
+    assert _fingerprint(lean) == _fingerprint(general)
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+def test_faulted_runs_take_the_sleeping_lean_loop(schedule):
+    graph = TOPOLOGIES["grid-4x4"]()
+    programs, _params = make_broadcast_programs(graph, {0})
+    engine = Engine(graph, programs, initiators={0}, faults=SCHEDULES[schedule])
+    assert engine._lean and engine._sleepy
+    traced = Engine(graph, programs, initiators={0}, faults=SCHEDULES[schedule],
+                    record_trace=True)
+    assert not traced._lean
+
+
+class Counting(NodeProgram):
+    """Wraps a program and counts its ``act`` calls; forwards ``wake``."""
+
+    def __init__(self, program: NodeProgram) -> None:
+        self.program = program
+        self.acts = 0
+        self.wake = program.wake
+
+    def act(self, ctx: Context) -> Any:
+        self.acts += 1
+        return self.program.act(ctx)
+
+    def on_observe(self, ctx: Context, heard: Any) -> None:
+        self.program.on_observe(ctx, heard)
+
+    def is_done(self, ctx: Context) -> bool:
+        return self.program.is_done(ctx)
+
+    def result(self) -> Any:
+        return self.program.result()
+
+
+def test_decay_sleeps_in_a_faulted_run():
+    """A severed cut leaves half the nodes deaf: they, and every informed
+    node whose coin has stopped, sleep instead of acting."""
+    graph = TOPOLOGIES["gnp-16"]()
+    cut = FaultSchedule(edge_faults=[EdgeFault(slot=0, u=u, v=v) for u, v in graph.edges
+                                     if (u < 8) != (v < 8)])
+
+    def acts(record_trace):
+        programs, _params = make_broadcast_programs(graph, {0})
+        wrapped = {node: Counting(p) for node, p in programs.items()}
+        result = run_broadcast(graph, wrapped, initiators={0}, max_slots=400,
+                               stop="terminated", faults=cut, record_trace=record_trace)
+        return sum(p.acts for p in wrapped.values()), _fingerprint(result)
+
+    lean_acts, lean = acts(False)
+    general_acts, general = acts(True)
+    assert lean == general
+    assert 0 < 3 * lean_acts < general_acts
+
+
+class LateBeacon(NodeProgram):
+    """Listens until ``start``, then transmits every slot."""
+
+    def __init__(self, start: int) -> None:
+        self.start = start
+
+    def act(self, ctx: Context) -> Any:
+        return Transmit("b") if ctx.slot >= self.start else RECEIVE
+
+
+class Hearer(NodeProgram):
+    def __init__(self) -> None:
+        self.heard: list[tuple[int, Any]] = []
+
+    def act(self, ctx: Context) -> Any:
+        return RECEIVE
+
+    def on_observe(self, ctx: Context, heard: Any) -> None:
+        self.heard.append((ctx.slot, heard))
+
+
+@pytest.mark.parametrize("record_trace", [False, True], ids=["lean", "general"])
+def test_a_recovered_node_keeps_its_program_order_place(record_trace):
+    # Node 1 is down for slots [0, 2); both hearers first receive at
+    # slot 3.  Appending the recovered program to the end of the pass,
+    # as the general loop used to, listed node 2 first.
+    graph = Graph(nodes=[0, 1, 2], edges=[(0, 1), (0, 2)])
+    faults = FaultSchedule(crash_faults=[CrashFault(slot=0, node=1, until=2)])
+    programs = {0: LateBeacon(3), 1: Hearer(), 2: Hearer()}
+    engine = Engine(graph, programs, initiators={0}, faults=faults,
+                    record_trace=record_trace)
+    assert engine._lean is not record_trace
+    result = engine.run(5)
+    assert list(result.metrics.first_reception.items()) == [(1, 3), (2, 3)]
+    assert programs[1].heard[0][0] == 2  # it hears from its recovery slot on
+
+
+def test_step_applies_faults_as_run_does():
+    graph = TOPOLOGIES["grid-4x4"]()
+
+    def stepped(record_trace):
+        programs, _params = make_broadcast_programs(graph, {0})
+        engine = Engine(graph, programs, seed=5, initiators={0},
+                        faults=SCHEDULES["combined"], record_trace=record_trace)
+        for _ in range(40):
+            engine.step()
+        return engine.metrics, {node: p.result() for node, p in programs.items()}
+
+    programs, _params = make_broadcast_programs(graph, {0})
+    engine = Engine(graph, programs, seed=5, initiators={0}, faults=SCHEDULES["combined"])
+    run = engine.run(40)
+    assert run.slots == 40
+    assert stepped(False) == stepped(True) == (run.metrics, run.node_results())
+
+
+@pytest.mark.parametrize("schedule", [None, "combined"])
+@pytest.mark.parametrize("record_trace", [False, True], ids=["lean", "general"])
+def test_a_finished_engine_is_freed_without_the_cyclic_collector(schedule, record_trace):
+    # A bound method stored on the engine would make it a reference
+    # cycle: every finished engine of a campaign would then stay in
+    # memory until the cyclic collector ran.
+    graph = TOPOLOGIES["grid-4x4"]()
+    programs, _params = make_broadcast_programs(graph, {0})
+    faults = SCHEDULES[schedule] if schedule else None
+    gc.disable()
+    try:
+        engine = Engine(graph, programs, initiators={0}, faults=faults,
+                        record_trace=record_trace)
+        engine.run(30)
+        engine.step()
+        gone = weakref.ref(engine)
+        del engine
+        assert gone() is None
+    finally:
+        gc.enable()

@@ -254,6 +254,73 @@ def test_sleeping_programs_keep_the_lean_loop_equal_to_spec(case):
     assert _outcome(lambda: engine_run(True)) == expected
 
 
+@st.composite
+def fault_schedules(draw, graph):
+    """A random schedule of every fault family on ``graph``'s nodes,
+    overlapping crashes and windows included."""
+    nodes = sorted(graph.nodes)
+    node = st.sampled_from(nodes)
+    slot = st.integers(0, SLOTS + 1)
+    span = st.integers(1, SLOTS)
+    pairs = [(u, v) for u in nodes for v in nodes if u != v]
+    schedule = FaultSchedule()
+    if pairs:
+        for u, v in draw(st.lists(st.sampled_from(pairs), max_size=4)):
+            kind = draw(st.sampled_from(["remove", "add"]))
+            schedule.edge_faults.append(EdgeFault(slot=draw(slot), u=u, v=v, kind=kind))
+    for _ in range(draw(st.integers(0, 3))):
+        start, until = draw(slot), draw(st.one_of(st.none(), span))
+        schedule.crash_faults.append(
+            CrashFault(slot=start, node=draw(node), until=None if until is None else start + until)
+        )
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(slot)
+        schedule.jam_faults.append(JamFault(node=draw(node), start=start, end=start + draw(span)))
+    for _ in range(draw(st.integers(0, 2))):
+        start, length = draw(slot), draw(st.one_of(st.none(), span))
+        edges = None
+        if pairs and draw(st.booleans()):
+            edges = draw(st.lists(st.sampled_from(pairs), min_size=1))
+        schedule.link_loss_faults.append(LinkLossFault(
+            p=draw(st.sampled_from([0.3, 0.7, 1.0])), start=start,
+            end=None if length is None else start + length, edges=edges,
+        ))
+    return schedule
+
+
+@st.composite
+def faulted_cases(draw):
+    graph, scripts, done_at, initiators, enforce, sleepers = draw(sleepy_cases())
+    return (graph, scripts, done_at, initiators, enforce, sleepers,
+            draw(fault_schedules(graph)), draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(faulted_cases())
+def test_faulted_lean_loop_equals_general_loop(case):
+    """Under any fault schedule, the lean loop's wake schedule gives the
+    general loop's observations, metrics and final graph."""
+    graph, scripts, done_at, initiators, enforce, sleepers, faults, seed = case
+
+    def engine_run(record_trace):
+        progs = {
+            node: Sleeper(scripts[node], done_at[node], node in initiators, sleepers[node])
+            if node in sleepers
+            else Scripted(scripts[node], done_at[node], node in initiators)
+            for node in graph.nodes
+        }
+        engine = Engine(graph, progs, seed=seed, initiators=initiators, faults=faults,
+                        enforce_no_spontaneous=enforce, record_trace=record_trace)
+        assert engine._lean is not record_trace
+        assert engine._sleepy is (not record_trace and bool(sleepers or not faults.is_empty()))
+        result = engine.run(SLOTS)
+        logs = {node: p.log for node, p in progs.items() if node not in sleepers}
+        return (result.slots, _ordered(result.metrics), _heard(progs), logs,
+                sorted(map(sorted, result.graph.edges)))
+
+    assert _outcome(lambda: engine_run(False)) == _outcome(lambda: engine_run(True))
+
+
 class Gambler(NodeProgram):
     """Picks its intents from coins drawn out of ``ctx.rng``.
 

@@ -5,11 +5,13 @@ import json
 import pytest
 
 from repro.errors import ExperimentError
+from repro.fabric.store import LeaseReplay
 from repro.telemetry.summary import (
     read_records,
     render_summary,
     summarize,
     summary_json,
+    summary_tables,
     validate_log,
 )
 
@@ -191,6 +193,7 @@ class TestFleetRollup:
             "claim": 2, "commit": 2, "fence_reject": 1, "takeover": 1,
         }
         assert fleet["workers"] == ["w0", "w1"]
+        assert fleet["claims"] == 3  # two claims and a takeover
         assert fleet["takeovers"] == 1
         assert fleet["fence_rejects"] == 1
         assert fleet["fabric_runs"] == 1
@@ -211,3 +214,13 @@ class TestFleetRollup:
         assert "Fleet (fabric lease audit)" in text
         assert "Fleet metrics" not in text
         assert "fence_rejects" in text
+
+    def test_fleet_claims_count_takeovers_like_the_worker_ledgers(self):
+        fleet = summarize(FLEET_SAMPLE)["fleet"]
+        ledgers = LeaseReplay()
+        for record in FLEET_SAMPLE:
+            ledgers.feed(record)
+        assert fleet["claims"] == sum(w.claims for w in ledgers.workers.values()) == 3
+        [table] = [t for t in summary_tables(summarize(FLEET_SAMPLE))
+                   if t.title.startswith("Fleet")]
+        assert table.rows[0][table.columns.index("claims")] == 3

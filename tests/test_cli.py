@@ -109,6 +109,27 @@ class TestChaosCommand:
             main(["chaos", "--quick", "--resume"])
 
 
+def test_numpy_backend_reproduces_reference_gap_and_chaos_outputs(capsys):
+    """``gap`` and ``chaos --json`` print the same bytes under both
+    backends; the echoed config differs by its ``backend`` field only."""
+    pytest.importorskip("numpy")
+
+    def output(*argv):
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    gap = ["gap", "--quick", "--reps", "2", "--seed", "5", "--backend"]
+    assert output(*gap, "reference") == output(*gap, "numpy")
+
+    def without_backend(text):
+        return [line for line in text.splitlines() if '"backend"' not in line]
+
+    chaos = ["chaos", "--quick", "--seed", "99", "--json", "--backend"]
+    reference, numpy = output(*chaos, "reference"), output(*chaos, "numpy")
+    assert '"backend": "numpy"' in numpy
+    assert without_backend(reference) == without_backend(numpy)
+
+
 class TestGameCommand:
     def test_foils_sweep(self, capsys):
         code = main(["game", "--strategy", "sweep", "-n", "20", "--show-set"])
