@@ -47,7 +47,6 @@ from repro.graphs.properties import is_connected, max_degree
 from repro.parallel import resilient_map
 from repro.protocols.decay_broadcast import run_decay_broadcast
 from repro.rng import seed_sequence, spawn
-from repro.sim.backends import resolve_backend
 from repro.sim.engine import RunResult
 from repro.sim.faults import (
     CrashFault,
@@ -105,33 +104,6 @@ PROTOCOLS: dict[str, Callable[[Graph, int, float, FaultSchedule], RunResult]] = 
 }
 
 
-def _run_decay_numpy(g: Graph, seed: int, epsilon: float, faults: FaultSchedule):
-    from repro.sim.vectorized import run_decay_broadcast_batch
-
-    return run_decay_broadcast_batch(g, _SOURCE, [seed], epsilon=epsilon, faults=faults)[0]
-
-
-def _run_decay_unaligned_numpy(
-    g: Graph, seed: int, epsilon: float, faults: FaultSchedule
-):
-    from repro.sim.vectorized import run_decay_broadcast_batch
-
-    return run_decay_broadcast_batch(
-        g, _SOURCE, [seed], epsilon=epsilon, faults=faults, align_phases=False
-    )[0]
-
-
-#: Vectorized counterparts (seed-identical; enforced by the parity
-#: suite).  Chaos trials each draw their own topology and schedule, so
-#: there is nothing to batch *across* trials — the vectorized runner
-#: still resolves each slot with array ops.  Protocols without an entry
-#: fall back to their reference runner.
-VECTOR_PROTOCOLS: dict[str, Callable[[Graph, int, float, FaultSchedule], Any]] = {
-    "decay": _run_decay_numpy,
-    "decay-unaligned": _run_decay_unaligned_numpy,
-}
-
-
 @dataclass(frozen=True)
 class ChaosConfig:
     """One chaos campaign, fully specified (and fully replayable).
@@ -142,10 +114,7 @@ class ChaosConfig:
     allowance added to ε when judging the liveness invariant, and
     ``control_success_max`` the ceiling the control arm must stay
     under (0.0: severing a cut must always break broadcast).
-    ``backend`` picks the engine backend per
-    :func:`repro.sim.backends.resolve_backend`; verdicts are
-    seed-identical either way, and it never enters the journal
-    fingerprint, so campaigns resume across backends.
+    Trials run on the reference engine, the one faulted simulator.
     """
 
     n: int = 48
@@ -163,7 +132,6 @@ class ChaosConfig:
     control_success_max: float = 0.0
     jobs: int | None = None
     task_timeout: float | None = None
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -293,17 +261,6 @@ def check_invariants(
 
 def _run_chaos_trial(task: tuple[str, int, ChaosConfig]) -> dict[str, Any]:
     """One seeded trial (module-level so campaigns cross process pools)."""
-    return _chaos_trial(task, "reference")
-
-
-def _run_chaos_trials_numpy(
-    tasks: list[tuple[str, int, ChaosConfig]],
-) -> list[dict[str, Any]]:
-    """Chunk runner for the numpy backend (resilient_map ``batch_fn``)."""
-    return [_chaos_trial(task, "numpy") for task in tasks]
-
-
-def _chaos_trial(task: tuple[str, int, ChaosConfig], backend: str) -> dict[str, Any]:
     arm, seed, config = task
     g = _trial_graph(seed, config.n)
     tree = spanning_tree(g, _SOURCE)
@@ -320,10 +277,7 @@ def _chaos_trial(task: tuple[str, int, ChaosConfig], backend: str) -> dict[str, 
         schedule = build_control_schedule(g, tree, seed)
     else:  # pragma: no cover - arms are fixed by run_chaos_campaign
         raise ExperimentError(f"unknown chaos arm {arm!r}")
-    runner = PROTOCOLS[config.protocol]
-    if backend == "numpy":
-        runner = VECTOR_PROTOCOLS.get(config.protocol, runner)
-    result = runner(g, seed, config.epsilon, schedule)
+    result = PROTOCOLS[config.protocol](g, seed, config.epsilon, schedule)
     success = result.broadcast_succeeded(source=_SOURCE)
     violations = check_invariants(result)
     # One structured record per trial, carrying the invariant thresholds
@@ -446,14 +400,14 @@ class ChaosReport:
 def chaos_tasks(config: ChaosConfig) -> list[tuple[str, int, ChaosConfig]]:
     """The campaign's full, ordered task list (both arms, all seeds).
 
-    Execution knobs (jobs, task_timeout, backend) do not define the
-    campaign: they are stripped from the task payloads so the journal
-    fingerprint — and thus ``--resume``, and the fabric's lease-store
-    campaign identity — is stable across worker counts and engine
-    backends.  Shared by :func:`run_chaos_campaign` and the distributed
-    fabric's ``chaos`` spec (:mod:`repro.fabric.specs`).
+    Execution knobs (jobs, task_timeout) do not define the campaign:
+    they are stripped from the task payloads so the journal fingerprint
+    — and thus ``--resume``, and the fabric's lease-store campaign
+    identity — is stable across worker counts.  Shared by
+    :func:`run_chaos_campaign` and the distributed fabric's ``chaos``
+    spec (:mod:`repro.fabric.specs`).
     """
-    trial_config = replace(config, jobs=None, task_timeout=None, backend=None)
+    trial_config = replace(config, jobs=None, task_timeout=None)
     tasks: list[tuple[str, int, ChaosConfig]] = []
     for arm in ARMS:
         for seed in seed_sequence(config.master_seed, config.reps, "chaos", arm):
@@ -485,7 +439,6 @@ def run_chaos_campaign(
         len(tasks),
         config.master_seed,
     )
-    backend = resolve_backend(config.backend)
     outcomes = resilient_map(
         _run_chaos_trial,
         tasks,
@@ -493,7 +446,6 @@ def run_chaos_campaign(
         task_timeout=config.task_timeout,
         journal=journal,
         resume=resume,
-        batch_fn=_run_chaos_trials_numpy if backend == "numpy" else None,
     )
     report = ChaosReport(config=config, outcomes=outcomes)
     logger.info(

@@ -275,7 +275,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         protocol=args.protocol,
         jobs=args.jobs,
         task_timeout=args.task_timeout,
-        backend=args.backend,
     )
     report = run_chaos_campaign(config, journal=args.journal, resume=args.resume)
     if args.json:
@@ -1015,6 +1014,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "exceeding it is presumed hung, its workers are terminated "
                  "and it is retried (default: unbounded)",
         )
+
+    def add_backend(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--backend", default=None, choices=["reference", "numpy", "auto"],
             help="engine backend for seeded runs (default: $REPRO_BACKEND "
@@ -1028,6 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.add_argument("--reps", type=int, default=10)
     p_gap.add_argument("--quick", action="store_true")
     add_jobs(p_gap)
+    add_backend(p_gap)
     add_observability(p_gap)
     p_gap.set_defaults(func=_cmd_gap)
 
@@ -1037,6 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--reps", type=int, default=10)
     p_exp.add_argument("--quick", action="store_true")
     add_jobs(p_exp)
+    add_backend(p_exp)
     add_observability(p_exp)
     p_exp.set_defaults(func=_cmd_experiment)
 

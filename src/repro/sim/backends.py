@@ -6,15 +6,18 @@ Two backends produce :class:`~repro.sim.metrics.RunMetrics`:
   (:class:`~repro.sim.engine.Engine`).  Always available; its results
   define correctness.
 * ``numpy`` — the vectorized batch backend (:mod:`repro.sim.vectorized`),
-  which advances many Monte-Carlo trials of one topology per array op.
-  Seed-for-seed identical to the reference (the parity suite enforces
-  it), roughly an order of magnitude faster on campaign workloads, and
-  only available when NumPy is installed (``pip install .[fast]``).
+  which advances many fault-free Monte-Carlo trials of one topology per
+  array op.  Seed-for-seed identical to the reference (the parity suite
+  enforces it), roughly an order of magnitude faster on campaign
+  workloads, and only available when NumPy is installed
+  (``pip install .[fast]``).
 
 ``auto`` resolves to ``numpy`` when importable and silently falls back
 to ``reference`` otherwise, so campaign code can request speed without
 adding a hard dependency.  The ``REPRO_BACKEND`` environment variable
-supplies the default when a caller passes ``None``.
+supplies the default when a caller passes ``None``.  Only fault-free
+experiments (``gap`` and ``experiment``) consult it: faulted runs,
+chaos campaigns included, always take the reference engine.
 """
 
 from __future__ import annotations

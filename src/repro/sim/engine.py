@@ -86,12 +86,15 @@ backend ignore ``wake``.
 
 Faults
 ------
-Both loops read one compiled schedule: edge changes, crashes and
-recoveries indexed by slot, jam windows, and loss windows with their
-seed-pure erasure coins (``_losses_at``).  ``_apply_faults`` applies a
-slot's events to the graph and to the shared crash and jam state; each
-loop then updates its own bookkeeping.  Edge faults mutate the graph,
-and the hearer sets rebuild when ``graph.version`` moves.  In the lean
+:mod:`repro.sim.spec` states the fault model rule by rule, and both
+loops must match it under any schedule.  Both loops read one compiled
+schedule: edge changes by slot, each node's crashes merged into outages
+(a node is down at slot ``s`` iff some crash covers ``s``), jam windows,
+and loss windows with their seed-pure erasure coins (``_losses_at``).
+``_apply_faults`` applies a slot's events to the graph and to the
+shared crash and jam state; each loop then updates its own bookkeeping.
+Edge faults mutate the graph, and the hearer sets rebuild when
+``graph.version`` moves.  In the lean
 loop a faulted run always keeps the wake schedule: a slot in which no
 fault event fires and no jam window is open runs the fault-free code
 after one event check, and the fault-free code pays one check per slot
@@ -101,9 +104,10 @@ ends if none is live and no recovery is pending, the slot's faults
 apply, and only then do the due programs act.  So:
 
 * a crash drops the node from the schedule and from the listeners;
-* a recovering program acts in its recovery slot without a done-poll,
-  and rejoins its program-order place — in both loops, so per-node
-  maps come out in the same order;
+* a recovering program is polled once in its recovery slot, by
+  ``_apply_faults``; unless it is done, it acts in that slot and
+  rejoins its program-order place — in both loops, so per-node maps
+  come out in the same order;
 * a jammer is suspended: it is polled every slot of its window but
   neither acts nor hears, and its noise is a transmitter that never
   delivers (a lone jammer reads as ``SILENCE``) and is metered apart;
@@ -118,6 +122,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 import os
 import random
 import time
@@ -128,7 +133,7 @@ from typing import Any, Callable, Hashable, Mapping
 from repro import rng as rng_mod
 from repro.errors import ProtocolError, SimulationError
 from repro.graphs.graph import DiGraph, Graph
-from repro.sim.faults import FaultSchedule, LinkLossFault
+from repro.sim.faults import CrashFault, FaultSchedule, LinkLossFault
 from repro.sim.medium import COLLISION, JAMMING, SILENCE, Medium, RadioMedium
 from repro.sim.metrics import RunMetrics
 from repro.sim.node import Context, Idle, NodeProgram, Receive, Transmit
@@ -178,6 +183,27 @@ def _audible(neighborhood: frozenset[Node], messages: dict[Node, Any]) -> list[N
     if len(messages) < len(neighborhood):
         return [node for node in messages if node in neighborhood]
     return [node for node in neighborhood if node in messages]
+
+
+def _outages(crashes: list[CrashFault]) -> list[tuple[Node, int, int | None]]:
+    """Each node's crashes merged into outages ``(node, down, up)``: the
+    node is down at slot ``s`` iff some crash covers ``s``, so it is down
+    in ``[down, up)``, or from ``down`` on when ``up`` is None."""
+    spans: dict[Node, list[tuple[int, float]]] = {}
+    for crash in crashes:
+        until = math.inf if crash.until is None else crash.until
+        spans.setdefault(crash.node, []).append((crash.slot, until))
+    outages: list[tuple[Node, int, float]] = []
+    for node, node_spans in spans.items():
+        node_spans.sort()
+        down, up = node_spans[0]
+        for start, until in node_spans[1:]:
+            if start > up:
+                outages.append((node, down, up))
+                down = start
+            up = max(up, until)
+        outages.append((node, down, up))
+    return [(node, down, None if up == math.inf else int(up)) for node, down, up in outages]
 
 
 def _intent_type(node: Node, intent: Any) -> type:
@@ -295,16 +321,20 @@ class Engine:
         ]
         # The fault schedule is snapshotted at construction and compiled
         # into per-slot data that both loops read.
-        self._edge_faults_by_slot, self._crashes_by_slot = self.faults.by_slot()
+        self._edge_faults_by_slot, _ = self.faults.by_slot()
         self._have_faults = not self.faults.is_empty()
-        # Transient crashes: live programs that crash are parked here so
-        # recovery can restore them, program state intact.
+        # Crashes, merged into outages: (node, transient) by the slot it
+        # goes down, and the node by the slot it comes back up.
+        self._crashes_by_slot: dict[int, list[tuple[Node, bool]]] = {}
+        self._recoveries_by_slot: dict[int, list[Node]] = {}
+        for node, down, up in _outages(self.faults.crash_faults):
+            self._crashes_by_slot.setdefault(down, []).append((node, up is not None))
+            if up is not None:
+                self._recoveries_by_slot.setdefault(up, []).append(node)
+        # Live programs that crash are parked here so recovery can
+        # restore them, program state intact.
         self._crashed_entries: dict[Node, Entry] = {}
         self._awaiting_recovery: set[Node] = set()
-        self._recoveries_by_slot: dict[int, list[Node]] = {}
-        for crash in self.faults.crash_faults:
-            if crash.until is not None:
-                self._recoveries_by_slot.setdefault(crash.until, []).append(crash.node)
         # Window faults: jammers (per-slot noise set) and lossy links.
         self._jam_faults = tuple(self.faults.jam_faults)
         self._jammed_now: frozenset[Node] | set[Node] = frozenset()
@@ -928,9 +958,9 @@ class Engine:
         state, which both loops share.
 
         Returns ``(restored, parked)``: the entries of the programs that
-        recover this slot, and the live programs' nodes that crash in
-        it, for the calling loop to add to and drop from its own
-        bookkeeping, in that order.
+        recover this slot and are not done, and the live programs' nodes
+        that crash in it, for the calling loop to add to and drop from
+        its own bookkeeping, in that order.
         """
         slot = self.slot
         edge_faults = self._edge_faults_by_slot.get(slot, ())
@@ -941,32 +971,33 @@ class Engine:
         parked_entries = self._crashed_entries
         restored: list[Entry] = []
         parked: list[Node] = []
-        # Recoveries fire before same-slot crashes: a node whose outage
-        # ends at slot s is up for slot s unless a new crash hits it.
+        # A node's outages never touch, so no node both recovers and
+        # crashes in one slot.
         recoveries = self._recoveries_by_slot.get(slot)
         if recoveries:
             for node in recoveries:
                 self._awaiting_recovery.discard(node)
-                if node in crashed:
-                    crashed.discard(node)
-                    entry = parked_entries.pop(node, None)
-                    if entry is not None and node not in done:
-                        # This slot's done-pass may already have run (the
-                        # run loop's check is cached), so stamp the slot
-                        # here or the program would act on a stale one.
-                        entry[2].slot = slot
+                crashed.discard(node)
+                entry = parked_entries.pop(node, None)
+                if entry is not None:
+                    # This slot's done-pass has already run, so the
+                    # recovering program is stamped and polled here.
+                    ctx = entry[2]
+                    ctx.slot = slot
+                    if entry[1].is_done(ctx):
+                        done.add(node)
+                    else:
                         restored.append(entry)
         crashes = self._crashes_by_slot.get(slot)
         if crashes:
             prov = self._prov
-            for crash in crashes:
-                node = crash.node
+            for node, transient in crashes:
                 crashed.add(node)
-                if crash.until is not None:
+                if transient:
                     self._awaiting_recovery.add(node)
                 if prov is not None:
                     prov.note(slot, node, PROV_FAULT, (), detail="crashed")
-                if node not in done and node not in parked_entries:
+                if node not in done:
                     parked_entries[node] = self._keyed[node][1]
                     parked.append(node)
         if self._jam_faults:

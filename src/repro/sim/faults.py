@@ -76,6 +76,8 @@ class CrashFault:
     integer ``until`` the fault is transient: the node is down for the
     slots ``[slot, until)`` and resumes its program — state intact, as
     if no time had passed for it — at the start of slot ``until``.
+    Crashes of one node compose as a union: the node is down at every
+    slot some crash of it covers.
     """
 
     slot: int
@@ -83,6 +85,8 @@ class CrashFault:
     until: int | None = None
 
     def __post_init__(self) -> None:
+        if self.slot < 0:
+            raise SimulationError(f"crash slot must be >= 0, got {self.slot}")
         if self.until is not None and self.until <= self.slot:
             raise SimulationError(
                 f"crash recovery slot must follow the crash: "

@@ -9,9 +9,7 @@ topology simultaneously**, one array operation per slot:
 * the slot is resolved with a single matmul — transmit-intent matrix
   ``X`` against the dense audibility matrix from
   :func:`repro.graphs.matrix.adjacency_matrix` gives every receiver's
-  audible-transmitter count, and ``delivered`` is the exactly-one mask
-  (with jammer noise subtracted to require the lone signal be
-  legitimate);
+  audible-transmitter count, and ``delivered`` is the exactly-one mask;
 * coin flips come from :class:`~repro.sim.mtstreams.MTStreams`, a bank
   of CPython-compatible Mersenne Twister streams seeded exactly like
   the reference engine's per-node ``random.Random`` instances.
@@ -19,11 +17,13 @@ topology simultaneously**, one array operation per slot:
 **Parity contract.**  For the protocols implemented here (p-persistent
 ALOHA and the paper's Decay Broadcast_scheme), the same trial seeds
 produce bit-identical :class:`~repro.sim.metrics.RunMetrics` and node
-outcomes as running each seed through the reference engine — including
-under ``CrashFault``/``JamFault``/``LinkLossFault``/``EdgeFault``
-schedules (the schedule is shared by all trials of a batch, as
-campaigns use it).  The parity suite (``tests/sim/test_vectorized_parity``)
-enforces this; the reference engine remains the definition of correct.
+outcomes as running each seed through the reference engine.  The
+parity suite (``tests/sim/test_vectorized_parity``) enforces this; the
+reference engine remains the definition of correct.
+
+The backend runs fault-free trials only.  Fault schedules run on the
+reference engine, whose fault semantics :mod:`repro.sim.spec` checks;
+a second, batched copy bought no wall time on any campaign.
 
 Two deliberate non-goals: traces and causal provenance are not
 recorded (``RunResult.trace``/``provenance`` stay ``None`` — use the
@@ -52,7 +52,6 @@ from repro.errors import ProtocolError, SimulationError
 from repro.graphs.graph import Graph
 from repro.graphs.matrix import adjacency_matrix
 from repro.perf import core as _perf_core
-from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import RunMetrics
 from repro.sim.mtstreams import MTStreams
 from repro.telemetry.core import get_active
@@ -110,14 +109,13 @@ class VectorRunResult:
 
 
 class _VectorBatch:
-    """Shared slot loop: faults, resolution, metrics, telemetry.
+    """Shared slot loop: resolution, metrics, telemetry.
 
     Subclasses supply the protocol transition (:meth:`_intents`), the
     optional protocol stop condition (:meth:`_quiescent`) and the
     per-node outcome extraction (:meth:`_outputs`).  The loop replays
     the reference engine's per-slot order exactly: stop checks (on the
-    previous slot's state), then slot-boundary faults (recoveries
-    before same-slot crashes), then intents, then resolution.
+    previous slot's state), then intents, then resolution.
     """
 
     protocol = "?"
@@ -131,14 +129,11 @@ class _VectorBatch:
         message: Any,
         max_slots: int,
         stop_informed: bool,
-        faults: FaultSchedule | None,
     ) -> None:
         if max_slots < 0:
             raise SimulationError("max_slots must be non-negative")
         if source not in graph:
             raise SimulationError(f"source {source!r} is not in the graph")
-        self._faults = faults if faults is not None else FaultSchedule()
-        self._faults.validate_for_graph(graph)
         self._g = graph.copy()
         self._seeds = [int(seed) for seed in seeds]
         self._message = message
@@ -147,12 +142,11 @@ class _VectorBatch:
 
         nodes = self._g.nodes
         self._nodes = nodes
-        self._index = {node: position for position, node in enumerate(nodes)}
         n = len(nodes)
         trials = len(self._seeds)
         self._n = n
         self._trials = trials
-        self._source_idx = self._index[source]
+        self._source_idx = nodes.index(source)
         self._source = source
 
         # Per-(trial, node) coin streams, seeded exactly like the
@@ -180,25 +174,8 @@ class _VectorBatch:
         self._tx = np.zeros(trials, dtype=np.int64)
         self._col = np.zeros(trials, dtype=np.int64)
         self._deliv = np.zeros(trials, dtype=np.int64)
-        self._jam_tx = np.zeros(trials, dtype=np.int64)
         self._tx_pn = np.zeros(shape, dtype=np.int64)
         self._col_pn = np.zeros(shape, dtype=np.int64)
-
-        # Fault state: one schedule shared by every trial, so node-level
-        # outage state is a function of the slot alone.
-        self._have_faults = not self._faults.is_empty()
-        self._edge_by_slot, self._crash_by_slot = self._faults.by_slot()
-        self._recoveries_by_slot: dict[int, list[int]] = {}
-        for crash in self._faults.crash_faults:
-            if crash.until is not None:
-                self._recoveries_by_slot.setdefault(crash.until, []).append(
-                    self._index[crash.node]
-                )
-        self._crashed = np.zeros(n, dtype=bool)
-        self._awaiting: set[int] = set()
-        self._jam_faults = tuple(self._faults.jam_faults)
-        self._jammed = np.zeros(n, dtype=bool)
-        self._loss_faults = tuple(self._faults.link_loss_faults)
 
         self._tel = None
         self._perf = None
@@ -235,7 +212,6 @@ class _VectorBatch:
         self._t0 = time.perf_counter()
         if self._tel is not None:
             edges = self._g.num_edges()
-            counts = self._faults.counts() if self._have_faults else {}
             for seed in self._seeds:
                 self._run_ids.append(
                     self._tel.open_run(
@@ -245,7 +221,7 @@ class _VectorBatch:
                         slot=0,
                         max_slots=self._max_slots,
                         initiators=1,
-                        faults=counts,
+                        faults={},
                         backend="numpy",
                     )
                 )
@@ -257,10 +233,9 @@ class _VectorBatch:
                 self._retire(live & stop, slot)
                 if not live.any():
                     break
-            self._retire(live & self._all_done_mask(), slot)
+            self._retire(live & self._done.all(axis=1), slot)
             if not live.any():
                 break
-            self._apply_faults(slot)
             if perf is not None:
                 perf.span_push("vector.intents")
             transmit, receiver = self._intents(slot)
@@ -290,89 +265,18 @@ class _VectorBatch:
             return informed
         return informed | extra
 
-    def _all_done_mask(self) -> np.ndarray:
-        if self._awaiting:
-            return np.zeros(self._trials, dtype=bool)
-        return (self._done | self._crashed).all(axis=1)
-
-    # -- faults ---------------------------------------------------------
-
-    def _apply_faults(self, slot: int) -> None:
-        if not self._have_faults:
-            return
-        edge_faults = self._edge_by_slot.get(slot, ())
-        if edge_faults:
-            for fault in edge_faults:
-                fault.apply(self._g)  # version bump invalidates the matrix
-        recoveries = self._recoveries_by_slot.get(slot)
-        if recoveries:
-            # Recoveries fire before same-slot crashes, as in the engine.
-            for node_idx in recoveries:
-                self._awaiting.discard(node_idx)
-                self._crashed[node_idx] = False
-        crashes = self._crash_by_slot.get(slot)
-        if crashes:
-            for crash in crashes:
-                node_idx = self._index[crash.node]
-                self._crashed[node_idx] = True
-                if crash.until is not None:
-                    self._awaiting.add(node_idx)
-        if self._jam_faults:
-            self._jammed[:] = False
-            for fault in self._jam_faults:
-                if fault.active_at(slot):
-                    node_idx = self._index[fault.node]
-                    if not self._crashed[node_idx]:
-                        self._jammed[node_idx] = True
-        if self._tel is not None and (edge_faults or recoveries or crashes):
-            self._tel.emit(
-                "fault",
-                slot=slot,
-                edges_cut=len(edge_faults),
-                crashes=len(crashes) if crashes else 0,
-                recoveries=len(recoveries) if recoveries else 0,
-                jamming=int(self._jammed.sum()),
-            )
-
     def _eligible(self) -> np.ndarray:
         """Nodes whose program acts this slot (per live trial)."""
-        up = ~(self._crashed | self._jammed)
-        return (~self._done & up) & self._live[:, None]
+        return ~self._done & self._live[:, None]
 
     # -- slot resolution ------------------------------------------------
 
     def _resolve(self, slot: int, transmit: np.ndarray, receiver: np.ndarray) -> None:
         self._tx += transmit.sum(axis=1)
         self._tx_pn += transmit
-        jam_any = bool(self._jammed.any())
-        if jam_any:
-            # Jam noise is metered whenever the slot has any signal at
-            # all — which, with a jammer up, is every slot.
-            self._jam_tx[self._live] += int(self._jammed.sum())
-        losses = (
-            tuple(
-                (position, fault)
-                for position, fault in enumerate(self._loss_faults)
-                if fault.active_at(slot)
-            )
-            if self._loss_faults
-            else ()
-        )
-        if losses:
-            delivered, collided = self._resolve_lossy(
-                slot, transmit, receiver, losses, jam_any
-            )
-        else:
-            hears = adjacency_matrix(self._g).hears
-            if jam_any:
-                signal = (transmit | self._jammed).astype(np.float32)
-                counts = signal @ hears
-                jam_audible = self._jammed.astype(np.float32) @ hears
-                delivered = receiver & (counts == 1.0) & (counts - jam_audible == 1.0)
-            else:
-                counts = transmit.astype(np.float32) @ hears
-                delivered = receiver & (counts == 1.0)
-            collided = receiver & (counts >= 2.0)
+        counts = transmit.astype(np.float32) @ adjacency_matrix(self._g).hears
+        delivered = receiver & (counts == 1.0)
+        collided = receiver & (counts >= 2.0)
         self._deliv += delivered.sum(axis=1)
         self._col += collided.sum(axis=1)
         self._col_pn += collided
@@ -382,60 +286,6 @@ class _VectorBatch:
         if newly_informed.any():
             self._informed |= delivered
             self._informed_at[newly_informed] = slot
-
-    def _resolve_lossy(
-        self,
-        slot: int,
-        transmit: np.ndarray,
-        receiver: np.ndarray,
-        losses: tuple,
-        jam_any: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-receiver resolution under lossy links.
-
-        Loss coins are pure functions of (trial seed, fault index, slot,
-        transmitter, receiver) — the same derivation the reference
-        engine uses — so this path is exact, just not vectorized.
-        """
-        nodes = self._nodes
-        audible_of = self._g.audible
-        jam_labels = (
-            {nodes[i] for i in np.flatnonzero(self._jammed)} if jam_any else frozenset()
-        )
-        delivered = np.zeros_like(receiver)
-        collided = np.zeros_like(receiver)
-        for trial in np.flatnonzero(self._live):
-            seed = self._seeds[trial]
-            transmitters = {nodes[i] for i in np.flatnonzero(transmit[trial])}
-            transmitters |= jam_labels
-            if not transmitters:
-                continue
-            for receiver_idx in np.flatnonzero(receiver[trial]):
-                label = nodes[receiver_idx]
-                audible = [t for t in audible_of(label) if t in transmitters]
-                if not audible:
-                    continue
-                audible = [
-                    t
-                    for t in audible
-                    if not self._erased(losses, seed, slot, t, label)
-                ]
-                if len(audible) == 1 and audible[0] not in jam_labels:
-                    delivered[trial, receiver_idx] = True
-                elif len(audible) >= 2:
-                    collided[trial, receiver_idx] = True
-        return delivered, collided
-
-    @staticmethod
-    def _erased(losses: tuple, seed: int, slot: int, transmitter: Node, receiver: Node) -> bool:
-        for position, fault in losses:
-            if fault.covers(transmitter, receiver):
-                draw = rng_mod.derive_seed(
-                    seed, "link-loss", position, slot, transmitter, receiver
-                )
-                if draw / 18446744073709551616.0 < fault.p:  # / 2**64 -> [0, 1)
-                    return True
-        return False
 
     # -- retirement and results -----------------------------------------
 
@@ -465,7 +315,7 @@ class _VectorBatch:
             transmissions=int(self._tx[trial]),
             collisions=int(self._col[trial]),
             deliveries=int(self._deliv[trial]),
-            jam_transmissions=int(self._jam_tx[trial]),
+            jam_transmissions=0,
             informed=informed,
             **extra,
         )
@@ -478,7 +328,6 @@ class _VectorBatch:
             transmissions=int(self._tx[trial]),
             collisions=int(self._col[trial]),
             deliveries=int(self._deliv[trial]),
-            jam_transmissions=int(self._jam_tx[trial]),
             first_reception={
                 nodes[j]: int(first[j]) for j in np.flatnonzero(first >= 0)
             },
@@ -514,7 +363,6 @@ class AlohaBatch(_VectorBatch):
         slots: int,
         message: Any = "m",
         active_slots: int | None = None,
-        faults: FaultSchedule | None = None,
     ) -> None:
         if not 0.0 < p <= 1.0:
             raise ProtocolError("transmission probability must be in (0, 1]")
@@ -525,7 +373,6 @@ class AlohaBatch(_VectorBatch):
             message=message,
             max_slots=slots,
             stop_informed=False,
-            faults=faults,
         )
         self._p = p
         self._active_slots = active_slots
@@ -601,7 +448,6 @@ class DecayBroadcastBatch(_VectorBatch):
         align_phases: bool = True,
         phase_multiplier: float = 2.0,
         stop: str = "informed",
-        faults: FaultSchedule | None = None,
     ) -> None:
         from repro.graphs.properties import max_degree as true_max_degree
 
@@ -627,7 +473,6 @@ class DecayBroadcastBatch(_VectorBatch):
             message=message,
             max_slots=max_slots,
             stop_informed=(stop == "informed"),
-            faults=faults,
         )
         self._k = k
         self._phases = phases
@@ -731,7 +576,6 @@ def run_aloha_batch(
     slots: int,
     message: Any = "m",
     active_slots: int | None = None,
-    faults: FaultSchedule | None = None,
     batch_size: int | None = None,
 ) -> list[VectorRunResult]:
     """Run one seeded ALOHA broadcast trial per seed, batched.
@@ -751,7 +595,6 @@ def run_aloha_batch(
                 slots=slots,
                 message=message,
                 active_slots=active_slots,
-                faults=faults,
             ).run()
         )
     return results
@@ -771,7 +614,6 @@ def run_decay_broadcast_batch(
     align_phases: bool = True,
     phase_multiplier: float = 2.0,
     stop: str = "informed",
-    faults: FaultSchedule | None = None,
     batch_size: int | None = None,
 ) -> list[VectorRunResult]:
     """Run one seeded Broadcast_scheme trial per seed, batched.
@@ -797,7 +639,6 @@ def run_decay_broadcast_batch(
                 align_phases=align_phases,
                 phase_multiplier=phase_multiplier,
                 stop=stop,
-                faults=faults,
             ).run()
         )
     return results

@@ -7,6 +7,8 @@ receiver, asleep or awake, can hear.  The general loop, forced by
 ``record_trace=True``, ignores ``wake`` and calls every live program in
 every slot.  Both must give the same ``RunResult``: slots, metrics, the
 per-node maps in the same order, node results and the final graph.
+:func:`repro.sim.spec.run`, driven as many slots as the lean loop ran,
+must give them too.
 
 A recovered program rejoins at its program-order place in both loops.
 The general loop used to append it to the end of its pass instead, so a
@@ -38,6 +40,7 @@ from repro.sim import (
     LinkLossFault,
     NodeProgram,
     Transmit,
+    spec,
 )
 
 TOPOLOGIES = {
@@ -47,8 +50,8 @@ TOPOLOGIES = {
     "star-9": lambda: star(9),
 }
 
-# The fault families of the vectorized parity suite, plus an edge that
-# comes back; every schedule names only nodes 0..7.
+# One schedule per fault family, plus all but edges combined; every
+# schedule names only nodes 0..7.
 SCHEDULES = {
     "crash": FaultSchedule(
         crash_faults=[
@@ -74,6 +77,19 @@ SCHEDULES = {
 PROTOCOLS = ["decay", "decay-unaligned", "rr", "dfs"]
 
 
+def _programs(protocol, graph):
+    """The protocol's programs and its run seed, as :func:`_run` builds them."""
+    if protocol.startswith("decay"):
+        programs, _params = make_broadcast_programs(
+            graph, {0: "m"}, align_phases=protocol == "decay"
+        )
+        return programs, 11
+    if protocol == "dfs":
+        return make_dfs_programs(graph, 0), 0
+    n = graph.num_nodes()
+    return make_round_robin_programs(graph, 0, frame_size=n + 1, max_frames=3), 0
+
+
 def _run(protocol, graph, faults, stop, record_trace):
     n = graph.num_nodes()
     if protocol.startswith("decay"):
@@ -81,28 +97,39 @@ def _run(protocol, graph, faults, stop, record_trace):
             graph, 0, seed=11, align_phases=protocol == "decay", stop=stop,
             faults=faults, record_trace=record_trace,
         )
-    if protocol == "dfs":
-        programs, cap = make_dfs_programs(graph, 0), 4 * n + 4
-    else:
-        programs = make_round_robin_programs(graph, 0, frame_size=n + 1, max_frames=3)
-        cap = (n + 1) * 4
+    programs, _seed = _programs(protocol, graph)
+    cap = 4 * n + 4 if protocol == "dfs" else (n + 1) * 4
     return run_broadcast(
         graph, programs, initiators={0}, max_slots=cap, stop=stop, faults=faults,
         record_trace=record_trace,
     )
 
 
-def _fingerprint(result):
-    m = result.metrics
+def _key(slots, m, node_results, graph):
     return (
-        result.slots,
+        slots,
         m,
         list(m.first_reception.items()),
         list(m.transmissions_per_node.items()),
         list(m.collisions_per_node.items()),
-        result.node_results(),
-        sorted(map(sorted, result.graph.edges)),
+        node_results,
+        sorted(map(sorted, graph.edges)),
     )
+
+
+def _fingerprint(result):
+    return _key(result.slots, result.metrics, result.node_results(), result.graph)
+
+
+def _spec_fingerprint(protocol, graph, faults, slots):
+    """The spec's run of ``protocol`` for ``slots`` slots: the engine's
+    stop policies are the harness's, so the spec stops where it did."""
+    programs, seed = _programs(protocol, graph)
+    metrics, _observed, final = spec.run(
+        graph, programs, slots, seed=seed, initiators={0}, faults=faults
+    )
+    results = {node: p.result() for node, p in programs.items()}
+    return _key(metrics.slots, metrics, results, final)
 
 
 @pytest.mark.parametrize("stop", ["informed", "terminated"])
@@ -116,6 +143,7 @@ def test_faulted_lean_loop_matches_general_loop(protocol, topology, schedule, st
     general = _run(protocol, graph, faults, stop, record_trace=True)
     assert lean.trace is None and general.trace is not None
     assert _fingerprint(lean) == _fingerprint(general)
+    assert _fingerprint(lean) == _spec_fingerprint(protocol, graph, faults, lean.slots)
 
 
 @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
@@ -206,6 +234,55 @@ def test_a_recovered_node_keeps_its_program_order_place(record_trace):
     result = engine.run(5)
     assert list(result.metrics.first_reception.items()) == [(1, 3), (2, 3)]
     assert programs[1].heard[0][0] == 2  # it hears from its recovery slot on
+
+
+class Clocked(NodeProgram):
+    """Listens every slot and records the slots it acts in; done from
+    ``done_at`` on."""
+
+    def __init__(self, done_at: int) -> None:
+        self.done_at = done_at
+        self.acted: list[int] = []
+
+    def act(self, ctx: Context) -> Any:
+        self.acted.append(ctx.slot)
+        return RECEIVE
+
+    def is_done(self, ctx: Context) -> bool:
+        return ctx.slot >= self.done_at
+
+
+def _acted(faults, done_at, record_trace):
+    """Each node's act slots on two nodes, by the engine and by the spec."""
+    graph = Graph(nodes=[0, 1], edges=[(0, 1)])
+    programs = {node: Clocked(done_at[node]) for node in graph.nodes}
+    engine = Engine(graph, programs, faults=faults, record_trace=record_trace)
+    assert engine._lean is not record_trace
+    engine.run(10)
+    oracle = {node: Clocked(done_at[node]) for node in graph.nodes}
+    spec.run(graph, oracle, 10, faults=faults)
+    acted = {node: p.acted for node, p in programs.items()}
+    assert acted == {node: p.acted for node, p in oracle.items()}
+    return acted
+
+
+@pytest.mark.parametrize("record_trace", [False, True], ids=["lean", "general"])
+def test_a_permanent_crash_inside_an_outage_outlasts_its_recovery(record_trace):
+    # Node 1 is down for [2, 4), and for ever from slot 3: the outage's
+    # recovery at 4 used to revive it.
+    faults = FaultSchedule(crash_faults=[CrashFault(slot=2, node=1, until=4),
+                                         CrashFault(slot=3, node=1)])
+    acted = _acted(faults, {0: 8, 1: 20}, record_trace)
+    assert acted == {0: list(range(8)), 1: [0, 1]}
+
+
+@pytest.mark.parametrize("record_trace", [False, True], ids=["lean", "general"])
+def test_a_recovering_program_is_polled_before_it_acts(record_trace):
+    # Node 1 is done from slot 3 on and down for [1, 6): it used to be
+    # asked to act in its recovery slot.
+    faults = FaultSchedule(crash_faults=[CrashFault(slot=1, node=1, until=6)])
+    acted = _acted(faults, {0: 8, 1: 3}, record_trace)
+    assert acted == {0: list(range(8)), 1: [0]}
 
 
 def test_step_applies_faults_as_run_does():

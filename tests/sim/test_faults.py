@@ -42,6 +42,10 @@ class TestCrashFaultValidation:
         with pytest.raises(SimulationError, match="must follow"):
             CrashFault(slot=3, node=1, until=1)
 
+    def test_crash_slot_must_be_non_negative(self):
+        with pytest.raises(SimulationError, match=">= 0"):
+            CrashFault(slot=-1, node=1, until=2)
+
 
 class TestJamFaultValidation:
     def test_window_queries(self):

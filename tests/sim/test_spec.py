@@ -8,8 +8,10 @@ graphs and digraphs; the spec, the lean loop (fault-free
 ``RunMetrics``.  Sleeping programs, which override ``NodeProgram.wake``
 with honest random schedules, must leave the lean loop equal to both,
 and so must programs that pick their intents from ``ctx.rng`` coins.
-A second property checks that trace, provenance and telemetry never
-change a ``RunResult``.
+Under random schedules of every fault family, overlapping crashes
+included, both loops must match the spec's fault rules on either
+medium.  A last property checks that trace, provenance and telemetry
+never change a ``RunResult``.
 """
 
 import random
@@ -117,7 +119,7 @@ def test_engine_loops_agree_with_spec(case):
 
     def spec_run():
         programs = _programs(graph, scripts, done_at, initiators)
-        metrics, observed = spec.run(
+        metrics, observed, _graph = spec.run(
             graph,
             programs,
             SLOTS,
@@ -236,7 +238,7 @@ def test_sleeping_programs_keep_the_lean_loop_equal_to_spec(case):
 
     def spec_run():
         progs = programs()
-        metrics, _observed = spec.run(
+        metrics, _observed, _graph = spec.run(
             graph, progs, SLOTS, initiators=initiators, enforce_no_spontaneous=enforce
         )
         return _ordered(metrics), _heard(progs)
@@ -292,33 +294,60 @@ def fault_schedules(draw, graph):
 def faulted_cases(draw):
     graph, scripts, done_at, initiators, enforce, sleepers = draw(sleepy_cases())
     return (graph, scripts, done_at, initiators, enforce, sleepers,
-            draw(fault_schedules(graph)), draw(st.integers(0, 2**16)))
+            draw(fault_schedules(graph)), draw(st.integers(0, 2**16)), draw(st.booleans()))
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(faulted_cases())
 def test_faulted_lean_loop_equals_general_loop(case):
-    """Under any fault schedule, the lean loop's wake schedule gives the
-    general loop's observations, metrics and final graph."""
-    graph, scripts, done_at, initiators, enforce, sleepers, faults, seed = case
+    """Under any fault schedule, on either medium, both loops give the
+    spec's slots, metrics in dict order, observations and final graph;
+    the lean loop (plain medium only) keeps its wake schedule."""
+    graph, scripts, done_at, initiators, enforce, sleepers, faults, seed, cd = case
 
-    def engine_run(record_trace):
-        progs = {
+    def programs():
+        return {
             node: Sleeper(scripts[node], done_at[node], node in initiators, sleepers[node])
             if node in sleepers
             else Scripted(scripts[node], done_at[node], node in initiators)
             for node in graph.nodes
         }
-        engine = Engine(graph, progs, seed=seed, initiators=initiators, faults=faults,
-                        enforce_no_spontaneous=enforce, record_trace=record_trace)
-        assert engine._lean is not record_trace
-        assert engine._sleepy is (not record_trace and bool(sleepers or not faults.is_empty()))
-        result = engine.run(SLOTS)
-        logs = {node: p.log for node, p in progs.items() if node not in sleepers}
-        return (result.slots, _ordered(result.metrics), _heard(progs), logs,
-                sorted(map(sorted, result.graph.edges)))
 
-    assert _outcome(lambda: engine_run(False)) == _outcome(lambda: engine_run(True))
+    def outcome(progs, metrics, final):
+        logs = {node: p.log for node, p in progs.items() if node not in sleepers}
+        return (metrics.slots, _ordered(metrics), _heard(progs), logs,
+                sorted(map(sorted, final.edges)))
+
+    def spec_run():
+        progs = programs()
+        metrics, observed, final = spec.run(
+            graph, progs, SLOTS, seed=seed, initiators=initiators, faults=faults,
+            enforce_no_spontaneous=enforce, detects_collisions=cd,
+        )
+        return outcome(progs, metrics, final), observed
+
+    def engine_run(record_trace):
+        progs = programs()
+        medium = CollisionDetectingMedium() if cd else RadioMedium()
+        engine = Engine(graph, progs, medium=medium, seed=seed, initiators=initiators,
+                        faults=faults, enforce_no_spontaneous=enforce,
+                        record_trace=record_trace)
+        lean = not record_trace and not cd
+        assert engine._lean is lean
+        assert engine._sleepy is (lean and bool(sleepers or not faults.is_empty()))
+        result = engine.run(SLOTS)
+        assert result.slots == result.metrics.slots
+        observed = [dict(r.heard) for r in result.trace] if record_trace else None
+        return outcome(progs, result.metrics, result.graph), observed
+
+    expected = _outcome(spec_run)
+    lean = _outcome(lambda: engine_run(False))
+    general = _outcome(lambda: engine_run(True))
+    if isinstance(expected, str):
+        assert lean == general == expected
+        return
+    assert lean[0] == expected[0]
+    assert general == expected
 
 
 class Gambler(NodeProgram):
@@ -413,7 +442,7 @@ def test_coin_drawing_programs_keep_both_loops_equal_to_spec(sleepy, case):
 
     def spec_run():
         progs = programs()
-        metrics, _observed = spec.run(graph, progs, SLOTS, seed=seed,
+        metrics, _observed, _graph = spec.run(graph, progs, SLOTS, seed=seed,
                                       initiators=initiators, enforce_no_spontaneous=enforce)
         return _ordered(metrics), observed(progs)
 

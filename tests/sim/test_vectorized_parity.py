@@ -1,13 +1,14 @@
 """Bit-for-bit parity of the vectorized backend with the reference engine.
 
 The backend contract (see :mod:`repro.sim.vectorized`): for the same
-(graph, seed, protocol parameters, fault schedule), the NumPy batch
-backend must produce *identical* :class:`~repro.sim.metrics.RunMetrics`,
-node results and completion slots to the reference engine — not
+(graph, seed, protocol parameters), the NumPy batch backend must
+produce *identical* :class:`~repro.sim.metrics.RunMetrics`, node
+results and completion slots to the reference engine — not
 statistically similar, identical.  These tests sweep randomized
-topologies × seeds × fault families (crash, transient crash, jam, edge
-cut, link loss, combined), so any divergence in draw ordering, fault
-timing or slot-resolution rules fails loudly on a concrete seed.
+topologies × seeds × protocol modes, so any divergence in draw ordering
+or slot-resolution rules fails loudly on a concrete seed.  The backend
+runs fault-free trials only; faulted runs are checked against
+:mod:`repro.sim.spec` instead.
 """
 
 import pytest
@@ -18,14 +19,7 @@ from repro.graphs import complete, grid, random_gnp, star
 from repro.protocols.aloha import make_aloha_programs
 from repro.protocols.decay_broadcast import run_decay_broadcast
 from repro.rng import seed_sequence, spawn
-from repro.sim import (
-    CrashFault,
-    EdgeFault,
-    Engine,
-    FaultSchedule,
-    JamFault,
-    LinkLossFault,
-)
+from repro.sim import Engine
 from repro.sim.metrics import RunMetrics
 from repro.sim.vectorized import run_aloha_batch, run_decay_broadcast_batch
 
@@ -36,24 +30,9 @@ TOPOLOGIES = {
     "star-9": lambda: star(9),
 }
 
-# Every schedule references only nodes 0..7, present in all topologies.
-SCHEDULES = {
-    "none": None,
-    "crash": FaultSchedule(
-        crash_faults=[
-            CrashFault(slot=3, node=1),
-            CrashFault(slot=2, node=2, until=6),
-        ]
-    ),
-    "jam": FaultSchedule(jam_faults=[JamFault(node=1, start=2, end=7)]),
-    "edge": FaultSchedule(edge_faults=[EdgeFault(slot=4, u=0, v=1)]),
-    "loss": FaultSchedule(link_loss_faults=[LinkLossFault(p=0.3, start=1, end=30)]),
-    "combined": FaultSchedule(
-        crash_faults=[CrashFault(slot=5, node=2, until=9)],
-        jam_faults=[JamFault(node=3, start=3, end=8)],
-        link_loss_faults=[LinkLossFault(p=0.2, start=0)],
-    ),
-}
+# The backend runs no fault schedule; "none" keeps each test's id and
+# seed tags.
+FAULT_FREE = ["none"]
 
 
 def _seeds(*tags, count=3):
@@ -71,21 +50,20 @@ def assert_metrics_equal(ref: RunMetrics, vec: RunMetrics) -> None:
     assert vec.collisions_per_node == ref.collisions_per_node
 
 
-def _reference_aloha(graph, seed, *, slots, p, active_slots=None, faults=None):
+def _reference_aloha(graph, seed, *, slots, p, active_slots=None):
     programs = make_aloha_programs(graph, 0, p=p, active_slots=active_slots)
-    engine = Engine(graph, programs, seed=seed, initiators={0}, faults=faults)
+    engine = Engine(graph, programs, seed=seed, initiators={0})
     return engine.run(slots)
 
 
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("schedule", FAULT_FREE)
 def test_aloha_parity(topology, schedule):
     graph = TOPOLOGIES[topology]()
-    faults = SCHEDULES[schedule]
     seeds = _seeds("aloha", topology, schedule)
-    batch = run_aloha_batch(graph, 0, seeds, p=0.3, slots=60, faults=faults)
+    batch = run_aloha_batch(graph, 0, seeds, p=0.3, slots=60)
     for seed, vec in zip(seeds, batch):
-        ref = _reference_aloha(graph, seed, slots=60, p=0.3, faults=faults)
+        ref = _reference_aloha(graph, seed, slots=60, p=0.3)
         assert_metrics_equal(ref.metrics, vec.metrics)
         assert vec.slots == ref.slots
         assert vec.node_results() == ref.node_results()
@@ -94,18 +72,13 @@ def test_aloha_parity(topology, schedule):
         ) == ref.broadcast_completion_slot(source=0)
 
 
-@pytest.mark.parametrize("schedule", ["none", "crash", "jam"])
+@pytest.mark.parametrize("schedule", FAULT_FREE)
 def test_aloha_parity_with_active_slots_bound(schedule):
     graph = TOPOLOGIES["gnp-16"]()
-    faults = SCHEDULES[schedule]
     seeds = _seeds("aloha-bound", schedule)
-    batch = run_aloha_batch(
-        graph, 0, seeds, p=0.3, slots=80, active_slots=20, faults=faults
-    )
+    batch = run_aloha_batch(graph, 0, seeds, p=0.3, slots=80, active_slots=20)
     for seed, vec in zip(seeds, batch):
-        ref = _reference_aloha(
-            graph, seed, slots=80, p=0.3, active_slots=20, faults=faults
-        )
+        ref = _reference_aloha(graph, seed, slots=80, p=0.3, active_slots=20)
         assert_metrics_equal(ref.metrics, vec.metrics)
         assert vec.node_results() == ref.node_results()
 
@@ -115,14 +88,13 @@ def test_aloha_parity_with_active_slots_bound(schedule):
 LONG_ALOHA = dict(p=0.3, slots=720)
 
 
-@pytest.mark.parametrize("schedule", ["none", "combined"])
+@pytest.mark.parametrize("schedule", FAULT_FREE)
 def test_aloha_parity_across_coin_blocks(schedule):
     graph = TOPOLOGIES["gnp-16"]()
-    faults = SCHEDULES[schedule]
     seeds = _seeds("aloha-long", schedule, count=4)
-    batch = run_aloha_batch(graph, 0, seeds, faults=faults, **LONG_ALOHA)
+    batch = run_aloha_batch(graph, 0, seeds, **LONG_ALOHA)
     for seed, vec in zip(seeds, batch):
-        ref = _reference_aloha(graph, seed, faults=faults, **LONG_ALOHA)
+        ref = _reference_aloha(graph, seed, **LONG_ALOHA)
         assert_metrics_equal(ref.metrics, vec.metrics)
         assert vec.node_results() == ref.node_results()
 
@@ -139,14 +111,13 @@ def test_decay_parity_on_a_grid_of_256_nodes():
 
 
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("schedule", FAULT_FREE)
 def test_decay_parity(topology, schedule):
     graph = TOPOLOGIES[topology]()
-    faults = SCHEDULES[schedule]
     seeds = _seeds("decay", topology, schedule)
-    batch = run_decay_broadcast_batch(graph, 0, seeds, faults=faults)
+    batch = run_decay_broadcast_batch(graph, 0, seeds)
     for seed, vec in zip(seeds, batch):
-        ref = run_decay_broadcast(graph, 0, seed=seed, faults=faults)
+        ref = run_decay_broadcast(graph, 0, seed=seed)
         assert_metrics_equal(ref.metrics, vec.metrics)
         assert vec.slots == ref.slots
         assert vec.node_results() == ref.node_results()
@@ -204,10 +175,9 @@ def test_batch_size_never_changes_results():
 def test_merged_campaign_metrics_match_reference():
     """RunMetrics.merge_all over a campaign is backend-independent."""
     graph = TOPOLOGIES["complete-8"]()
-    faults = SCHEDULES["combined"]
     seeds = _seeds("merge", count=5)
-    vec = run_decay_broadcast_batch(graph, 0, seeds, faults=faults)
-    ref = [run_decay_broadcast(graph, 0, seed=seed, faults=faults) for seed in seeds]
+    vec = run_decay_broadcast_batch(graph, 0, seeds)
+    ref = [run_decay_broadcast(graph, 0, seed=seed) for seed in seeds]
     merged_vec = RunMetrics.merge_all(r.metrics for r in vec)
     merged_ref = RunMetrics.merge_all(r.metrics for r in ref)
     assert_metrics_equal(merged_ref, merged_vec)
