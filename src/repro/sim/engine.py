@@ -22,32 +22,35 @@ The engine implements the execution rules of the paper's Definition 1:
 :mod:`repro.sim.spec` states the same rules as a cache-free function of
 one slot; the engine must agree with it slot for slot.
 
-Two slot loops
---------------
-``Engine.__init__`` chooses the slot loop once, from its inputs:
+One slot loop
+-------------
+``Engine.__init__`` picks the slot method once, from its inputs.  A
+fault-free run whose programs do not override
+:meth:`~repro.sim.node.NodeProgram.wake` takes the **single pass**: it
+polls ``is_done`` and calls ``act`` in one pass over the live programs,
+dispatches intents on their exact type, and resolves a slot with one
+transmitter (the only case in round-robin and DFS) as membership in
+that transmitter's hearer set.  With several transmitters it counts
+energy by scattering from the transmitters when they are no more than
+the receivers, and intersects each receiver's neighbourhood with the
+transmitters otherwise.  Once the intents are in, no callback can
+change what anyone hears, so each receiver is told as soon as it is
+resolved.
 
-* the **lean loop** runs when the medium is exactly
-  :class:`~repro.sim.medium.RadioMedium` and neither a trace nor
-  provenance is recorded — every experiment and chaos run, faulted or
-  not.  It polls ``is_done`` and calls ``act`` in one pass
-  over the live programs, dispatches intents on their exact type, and
-  resolves a slot with one transmitter (the only case in round-robin
-  and DFS) as membership in that transmitter's hearer set.  With several
-  transmitters it counts energy by scattering from the transmitters
-  when they are no more than the receivers, and intersects each
-  receiver's neighbourhood with the transmitters otherwise.  Once the
-  intents are in, no callback can change what anyone hears, so each
-  receiver is told as soon as it is resolved.  When some program
-  overrides :meth:`~repro.sim.node.NodeProgram.wake` (round robin, DFS
-  and Decay do), or the run has faults, the lean loop keeps a wake
-  schedule instead of one pass: see "Sleeping programs" and "Faults"
-  below.
-* the **general loop** runs traces, provenance and every other medium.
-  It resolves each receiver from its list of audible transmitters, as
-  the spec does, and delivers the observations after the whole slot
-  resolves.
+Every other run keeps a **wake schedule**: a run in which some program
+overrides ``wake`` (round robin, DFS and Decay do), a faulted run, and
+an *observed* run, one that records a trace or provenance or whose
+medium is not exactly :class:`~repro.sim.medium.RadioMedium`.  An
+observed run ignores ``wake``, so every live program is due every slot,
+and it resolves each receiver from its list of audible transmitters, as
+the spec does: :meth:`Engine._fault_resolve` makes the slot records,
+the provenance notes and, when the medium ``detects_collisions``,
+``COLLISION``.  An unobserved run takes that resolver only in slots
+with jam noise or link loss; there it stops drawing a receiver's
+erasure coins at its second surviving signal.  See "Sleeping programs"
+and "Faults" below.
 
-Both loops rely on two contracts.  ``NodeProgram.is_done`` is monotone
+Every slot relies on two contracts.  ``NodeProgram.is_done`` is monotone
 ("True once this node will never act again"), so done-ness is cached in
 a persistent done-set and each live program is polled at most once per
 slot (exactly once unless it sleeps).  Intents are immutable, so
@@ -59,16 +62,16 @@ Sleeping programs
 -----------------
 A program may override ``NodeProgram.wake(ctx)``: the next slot at
 which it must act even if it hears nothing, or ``None`` for "only when
-I hear a message".  The lean loop asks it after the program's ``act``
-returned ``Receive`` or ``Idle`` and after ``on_observe`` delivered it
-a message — never after a ``Transmit``, so a transmitter is due next
-slot.  A program whose answer is a later slot, or ``None``, sleeps
-until then: it is neither polled with ``is_done`` nor asked to act, and
-its ``ctx.slot`` keeps the slot it last ran in.  A sleeping receiver
-still listens — it is delivered every message, with ``ctx.slot`` set to
-that slot, and asked ``wake`` again — but it is never called with
-``SILENCE``, not even in the slot it fell asleep in.  An answer not
-after the current slot means the next one.
+I hear a message".  The wake schedule asks it after the program's
+``act`` returned ``Receive`` or ``Idle`` and after ``on_observe``
+delivered it a message — never after a ``Transmit``, so a transmitter
+is due next slot.  A program whose answer is a later slot, or ``None``,
+sleeps until then: it is neither polled with ``is_done`` nor asked to
+act, and its ``ctx.slot`` keeps the slot it last ran in.  A sleeping
+receiver still listens — it is delivered every message, with
+``ctx.slot`` set to that slot, and asked ``wake`` again — but it is
+never called with ``SILENCE``, not even in the slot it fell asleep in.
+An answer not after the current slot means the next one.
 
 The programs due in a slot are polled and act in program order, as in
 the single pass, and every receiver, awake or asleep, is resolved in
@@ -80,37 +83,40 @@ through, and a program that becomes done in ``act`` asks for the next
 slot.  The override is found on the instance (``getattr``), so a
 program behind an attribute-forwarding proxy still sleeps.  Programs
 that do not override ``wake`` stay awake; when none does and the run
-has no faults, the lean loop is the single pass above, at its cost.
-The general loop, the spec (:mod:`repro.sim.spec`) and the vectorized
-backend ignore ``wake``.
+has no faults and is not observed, the engine takes the single pass
+above, at its cost.  Observed runs, the spec (:mod:`repro.sim.spec`)
+and the vectorized backend ignore ``wake``.
 
 Faults
 ------
-:mod:`repro.sim.spec` states the fault model rule by rule, and both
-loops must match it under any schedule.  Both loops read one compiled
-schedule: edge changes by slot, each node's crashes merged into outages
-(a node is down at slot ``s`` iff some crash covers ``s``), jam windows,
-and loss windows with their seed-pure erasure coins (``_losses_at``).
-``_apply_faults`` applies a slot's events to the graph and to the
-shared crash and jam state; each loop then updates its own bookkeeping.
-Edge faults mutate the graph, and the hearer sets rebuild when
-``graph.version`` moves.  In the lean
-loop a faulted run always keeps the wake schedule: a slot in which no
-fault event fires and no jam window is open runs the fault-free code
-after one event check, and the fault-free code pays one check per slot
-for faults (whether the run has loss windows).  A slot with an event
-runs in the general loop's order: every due program is polled, the run
-ends if none is live and no recovery is pending, the slot's faults
-apply, and only then do the due programs act.  So:
+:mod:`repro.sim.spec` states the fault model rule by rule, and the
+engine must match it under any schedule, observed or not.  It reads one
+compiled schedule: edge changes by slot, each node's crashes merged
+into outages (a node is down at slot ``s`` iff some crash covers
+``s``), jam windows, and loss windows with their seed-pure erasure
+coins (``_losses_at``).  ``_apply_faults`` applies a slot's events to
+the graph and to the crash and jam state, and :meth:`Engine._event_slot`
+updates the wake schedule to match.  Edge faults mutate the graph, and
+the hearer sets rebuild when ``graph.version`` moves.  A faulted run
+always keeps the wake schedule: a slot in which no fault event fires
+and no jam window is open runs the fault-free code after one event
+check, and the fault-free code pays one check per slot for faults
+(whether the run has loss windows).  A slot with an event runs in the
+spec's order: every due program is polled, the run ends if none is
+live and no recovery is pending, the slot's faults apply, and only then
+do the due programs act.  So:
 
-* a crash drops the node from the schedule and from the listeners;
+* a crash drops the node from the schedule and from the listeners; a
+  program that is done when it crashes never comes back, so its
+  recovery does not hold the run open;
 * a recovering program is polled once in its recovery slot, by
   ``_apply_faults``; unless it is done, it acts in that slot and
-  rejoins its program-order place — in both loops, so per-node maps
-  come out in the same order;
+  rejoins its program-order place, so per-node maps come out in the
+  spec's order;
 * a jammer is suspended: it is polled every slot of its window but
   neither acts nor hears, and its noise is a transmitter that never
-  delivers (a lone jammer reads as ``SILENCE``) and is metered apart;
+  delivers (a lone jammer reads as ``SILENCE``, or ``COLLISION`` on a
+  collision-detecting medium) and is metered apart;
 * link loss filters each receiver's audible transmitters while a loss
   window is open, listeners included.
 
@@ -120,7 +126,6 @@ by convention (all protocols in this library send tuples/strings/ints).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import os
@@ -250,7 +255,7 @@ class Engine:
     effect on the run.  Mid-run topology changes always go through the
     schedule (or mutate ``engine.graph``, whose version counter
     invalidates the cached audibility map).  See the module docstring
-    for the two slot loops and the contracts they rely on.
+    for the slot loop and the contracts it relies on.
     """
 
     def __init__(
@@ -313,15 +318,13 @@ class Engine:
         # Done-set: nodes whose is_done() has returned True; the live
         # programs stay pre-bound in the active list.
         self._done: set[Node] = set()
-        self._done_slot = -1  # slot the general loop last refreshed the done-set at
-        self._all_done_cached = False
         self._active: list[Entry] = [
             (node, program, self._contexts[node])
             for node, program in self.programs.items()
         ]
         # The fault schedule is snapshotted at construction and compiled
-        # into per-slot data that both loops read.
-        self._edge_faults_by_slot, _ = self.faults.by_slot()
+        # into per-slot data.
+        self._edge_faults_by_slot = self.faults.by_slot()
         self._have_faults = not self.faults.is_empty()
         # Crashes, merged into outages: (node, transient) by the slot it
         # goes down, and the node by the slot it comes back up.
@@ -355,23 +358,19 @@ class Engine:
         self._hearers: dict[Node, frozenset[Node]] = {}
         self._audible_version = -1
         self._audible_map()
-        self._lean = (
-            type(self.medium) is RadioMedium
-            and self.trace is None
-            and self._prov is None
+        # An observed run records a trace or provenance, or runs on a
+        # medium other than RadioMedium: it ignores ``wake`` and resolves
+        # every receiver from its audible list.
+        self._observed = (
+            type(self.medium) is not RadioMedium
+            or self.trace is not None
+            or self._prov is not None
         )
-        self._sleepy = False
-        if self._lean:
-            wakes = self._wake_overrides()
-            self._sleepy = bool(wakes) or self._have_faults
-            if self._sleepy:
-                self._init_schedule(wakes)
-        elif self._have_faults:
-            # The general loop restores a recovered program to its
-            # program-order place.
-            self._keyed = {
-                entry[0]: (index, entry) for index, entry in enumerate(self._active)
-            }
+        wakes = {} if self._observed else self._wake_overrides()
+        # Whether the run keeps a wake schedule rather than one pass.
+        self._sleepy = bool(wakes) or self._have_faults or self._observed
+        if self._sleepy:
+            self._init_schedule(wakes)
 
     # -- public API -----------------------------------------------------
 
@@ -418,19 +417,13 @@ class Engine:
                 initiators=len(self.initiators),
                 faults=self.faults.counts() if self._have_faults else {},
             )
-        lean = self._lean
-        lean_slot = self._lean_slot_method() if lean else None
+        run_slot = self._slot_method()
         metrics = self.metrics
         while self.slot < max_slots:
             if stop_when is not None and stop_when(self):
                 break
-            if lean:
-                if not lean_slot():
-                    break
-            elif self._refresh_done():
+            if not run_slot():
                 break
-            else:
-                self._general_slot()
             self.slot += 1
             metrics.slots = self.slot
             if tel is not None and self.slot >= next_batch:
@@ -487,17 +480,16 @@ class Engine:
 
     def step(self) -> None:
         """Execute exactly one time-slot, faults included."""
-        if self._lean:
-            self._lean_slot_method()()
-        else:
-            self._general_slot()
+        if not self._slot_method()() and self.trace is not None:
+            # Past the end nothing acts, but a trace keeps one record per slot.
+            self.trace.append(SlotRecord(self.slot, {}, frozenset(), {}, {}, {}))
         self.slot += 1
         self.metrics.slots = self.slot
 
-    # -- the lean loop ----------------------------------------------------
+    # -- the slot loop ----------------------------------------------------
 
-    def _lean_slot_method(self) -> Callable[[], bool]:
-        """The lean loop's slot method for this engine.
+    def _slot_method(self) -> Callable[[], bool]:
+        """The slot method for this engine.
 
         Looked up per call, never stored: a bound method kept on the
         engine would make it a reference cycle, freed only by the cyclic
@@ -568,8 +560,9 @@ class Engine:
         self._live = len(self._keyed)
 
     def _sleepy_slot(self) -> bool:
-        """:meth:`_lean_slot` when some programs sleep: only the programs
-        due this slot are polled and act, in program order."""
+        """:meth:`_lean_slot` on the wake schedule: only the programs due
+        this slot are polled and act, in program order.  In an observed
+        run every live program is due every slot."""
         slot = self.slot
         messages: dict[Node, Any] = {}
         receivers: list[Entry] = []
@@ -621,7 +614,7 @@ class Engine:
                     self._schedule(node, when)
         if not self._live and not self._awaiting_recovery:
             return False
-        if self._loss_faults:
+        if self._loss_faults or self._observed:
             self._fault_resolve(messages, receivers)
         else:
             self._lean_resolve(messages, receivers)
@@ -635,9 +628,9 @@ class Engine:
         return self._sleepy_slot()
 
     def _event_slot(self) -> bool:
-        """A lean slot with fault events, in the general loop's order:
-        poll every due program, end the run if none is live and no
-        recovery is pending, apply the faults, then act."""
+        """A slot with fault events, in the spec's order: poll every due
+        program, end the run if none is live and no recovery is pending,
+        apply the faults, then act."""
         slot = self.slot
         nxt = slot + 1
         due_at = self._due_at
@@ -875,18 +868,23 @@ class Engine:
         metrics.deliveries += deliveries
 
     def _fault_resolve(self, messages: dict[Node, Any], receivers: list[Entry]) -> None:
-        """:meth:`_lean_resolve` under this slot's jam noise and link loss.
+        """Resolve each receiver from its audible transmitters, as the
+        spec does: the resolver of every slot with jam noise or link loss
+        and of every slot of an observed run; otherwise it is
+        :meth:`_lean_resolve`.
 
-        With neither, it is :meth:`_lean_resolve`.  Otherwise each
-        receiver, awake or a sleeping listener, is resolved from its
-        audible transmitters as in the general loop: an erased signal
-        neither delivers nor collides, and a lone jammer is silence.
-        Erasure coins are pure functions, so a receiver stops drawing
-        them at its second surviving signal.
+        Receivers, awake or sleeping listeners, are resolved and told in
+        program order.  An erased signal neither delivers nor collides,
+        and a lone jammer is energy without content.  Two or more signals,
+        or a lone jammer, read as ``COLLISION`` on a medium that detects
+        collisions and as ``SILENCE`` otherwise.  Erasure coins are pure
+        functions, so an unobserved receiver stops drawing them at its
+        second surviving signal.
         """
         jammed = self._jammed_now  # jam noise is in messages
         losses = self._losses_at(self.slot) if messages and self._loss_faults else ()
-        if not losses and not jammed:
+        observed = self._observed
+        if not losses and not jammed and not observed:
             self._lean_resolve(messages, receivers)
             return
         self._count_transmissions(messages)
@@ -904,63 +902,78 @@ class Engine:
         col_per_node = metrics.collisions_per_node
         has_received = self._has_received
         erased = self._erased
+        noise = COLLISION if self.medium.detects_collisions else SILENCE
+        prov = self._prov
+        trace = self.trace
+        if trace is not None:
+            heard_by: dict[Node, Any] = {}
+            delivered: dict[Node, tuple[Node, Any]] = {}
+            conflict_counts: dict[Node, int] = {}
         deliveries = collisions = 0
         for receiver, program, ctx in receivers:
-            sender = None
-            signals = 0
-            for transmitter in _audible(audible_map[receiver], messages):
-                if losses and erased(losses, transmitter, receiver):
-                    continue
-                signals += 1
-                if signals == 2:
-                    break
-                sender = transmitter
-            if signals == 1 and sender not in jammed:
+            audible = signals = _audible(audible_map[receiver], messages)
+            if losses and audible:
+                signals = []
+                for transmitter in audible:
+                    if not erased(losses, transmitter, receiver):
+                        signals.append(transmitter)
+                        if len(signals) == 2 and not observed:
+                            break
+            count = len(signals)
+            sender = signals[0] if count == 1 else None
+            clean = sender is not None and sender not in jammed
+            if clean:
                 deliveries += 1
                 if receiver not in first_reception:
                     first_reception[receiver] = slot
                     has_received.add(receiver)
-                program.on_observe(ctx, messages[sender])
-                self._rewake(receiver, ctx)
+                observation = messages[sender]
             else:
-                if signals == 2:
+                if count >= 2:
                     collisions += 1
                     col_per_node[receiver] = col_per_node.get(receiver, 0) + 1
-                if receiver not in listening:
-                    program.on_observe(ctx, SILENCE)
+                observation = noise if count else SILENCE
+            if prov is not None:
+                if clean:
+                    prov.note(slot, receiver, PROV_DELIVERED, (sender,))
+                elif count >= 2:
+                    prov.note(slot, receiver, PROV_COLLISION, tuple(signals))
+                elif count:  # lone jammer
+                    prov.note(slot, receiver, PROV_FAULT, (sender,), detail="jamming")
+                elif audible:  # every signal erased by link loss
+                    prov.note(slot, receiver, PROV_FAULT, tuple(audible), detail="link-loss")
+                else:
+                    prov.note(slot, receiver, PROV_SILENCE, ())
+            if trace is not None:
+                heard_by[receiver] = observation
+                conflict_counts[receiver] = count
+                if clean:
+                    delivered[receiver] = (sender, observation)
+            if clean:
+                program.on_observe(ctx, observation)
+                self._rewake(receiver, ctx)
+            elif receiver not in listening:
+                program.on_observe(ctx, observation)
         metrics.collisions += collisions
         metrics.deliveries += deliveries
-
-    # -- the general loop -------------------------------------------------
-
-    def _general_slot(self) -> None:
-        """One slot with any medium, traces and provenance."""
-        if self._have_faults:
-            restored, parked = self._apply_faults()
-            if restored:
-                keyed = self._keyed
-                for entry in restored:
-                    bisect.insort(self._active, entry, key=lambda e: keyed[e[0]][0])
-            if parked:
-                crashed = self._crashed
-                self._active = [entry for entry in self._active if entry[0] not in crashed]
-        messages, receivers = self._collect_intents()
-        jammed = self._jammed_now
-        if jammed:
-            # Inject undecodable noise on behalf of each live jammer;
-            # _resolve recognises these senders and never delivers them.
-            for node in jammed:
-                messages[node] = JAMMING
-        self._resolve(messages, receivers)
+        if trace is not None:
+            trace.append(SlotRecord(
+                slot=slot,
+                transmitters=messages,
+                receivers=frozenset(entry[0] for entry in receivers),
+                heard=heard_by,
+                deliveries=delivered,
+                conflict_counts=conflict_counts,
+            ))
 
     def _apply_faults(self) -> tuple[list[Entry], list[Node]]:
         """Apply this slot's faults to the graph and the crash and jam
-        state, which both loops share.
+        state.
 
         Returns ``(restored, parked)``: the entries of the programs that
         recover this slot and are not done, and the live programs' nodes
-        that crash in it, for the calling loop to add to and drop from
-        its own bookkeeping, in that order.
+        that crash in it, for :meth:`_event_slot` to add to and drop from
+        the wake schedule, in that order.
         """
         slot = self.slot
         edge_faults = self._edge_faults_by_slot.get(slot, ())
@@ -993,7 +1006,7 @@ class Engine:
             prov = self._prov
             for node, transient in crashes:
                 crashed.add(node)
-                if transient:
+                if transient and node not in done:  # a done program never returns
                     self._awaiting_recovery.add(node)
                 if prov is not None:
                     prov.note(slot, node, PROV_FAULT, (), detail="crashed")
@@ -1020,143 +1033,7 @@ class Engine:
             )
         return restored, parked
 
-    def _refresh_done(self) -> bool:
-        """Evaluate ``is_done`` once per live node for the current slot.
-
-        Updates the persistent done-set, prunes the active list, and
-        returns True iff every non-crashed node is done.  Idempotent
-        within a slot, so the run-loop's termination check and
-        :meth:`_collect_intents` share a single evaluation per node per
-        slot.
-        """
-        slot = self.slot
-        if self._done_slot == slot:
-            return self._all_done_cached
-        done = self._done
-        active: list[Entry] = []
-        for entry in self._active:
-            ctx = entry[2]
-            ctx.slot = slot
-            if entry[1].is_done(ctx):
-                done.add(entry[0])
-            else:
-                active.append(entry)
-        self._active = active
-        self._done_slot = slot
-        # A run is not over while a crashed node has a pending recovery:
-        # it will rejoin the active list and may act again.
-        self._all_done_cached = not active and not self._awaiting_recovery
-        return self._all_done_cached
-
-    def _collect_intents(self) -> tuple[dict[Node, Any], list[Entry]]:
-        """Ask every live, not-done program to act; split the intents.
-
-        Returns ``(messages, receivers)``: the map transmitter → payload
-        and the ``(node, program, context)`` entries of nodes listening
-        this slot (idlers appear in neither).
-        """
-        self._refresh_done()
-        messages: dict[Node, Any] = {}
-        receivers: list[Entry] = []
-        entries = self._active
-        jammed = self._jammed_now
-        if jammed:
-            # A jamming node's program is suspended for the slot; the
-            # noise itself is injected after intents are in.
-            entries = [entry for entry in entries if entry[0] not in jammed]
-        for entry in entries:
-            intent = entry[1].act(entry[2])
-            kind = type(intent)
-            if kind is Receive:
-                receivers.append(entry)
-            elif kind is not Idle:
-                self._admit(entry, intent, messages, receivers)
-        return messages, receivers
-
-    def _resolve(self, messages: dict[Node, Any], receivers: list[Entry]) -> None:
-        """Resolve one general-loop slot: each receiver from its audible list."""
-        if messages:
-            self._count_transmissions(messages)
-        metrics = self.metrics
-        slot = self.slot
-        jammed = self._jammed_now
-        tracing = self.trace is not None
-        audible_map = self._audible_map()
-        medium = self.medium
-        prov = self._prov
-        first_reception = metrics.first_reception
-        col_per_node = metrics.collisions_per_node
-        has_received = self._has_received
-        deliveries: dict[Node, tuple[Node, Any]] = {}
-        conflict_counts: dict[Node, int] = {}
-        heard: dict[Node, Any] = {}
-        collisions = 0
-        observations: list[Any] = []
-        losses = self._losses_at(slot) if self._loss_faults else ()
-
-        for entry in receivers:
-            receiver = entry[0]
-            audible = audible_pre_loss = _audible(audible_map[receiver], messages)
-            if losses and audible:
-                audible = [
-                    node
-                    for node in audible
-                    if not self._erased(losses, node, receiver)
-                ]
-            num_audible = len(audible)
-            sender = audible[0] if num_audible == 1 else None
-            clean = sender is not None and sender not in jammed
-            observation = medium.resolve(receiver, audible, messages)
-            if sender is not None and not clean:
-                # A lone jammer is energy without content.
-                observation = COLLISION if medium.detects_collisions else SILENCE
-            if clean:
-                metrics.deliveries += 1
-                if receiver not in first_reception:
-                    first_reception[receiver] = slot
-                    has_received.add(receiver)
-                if tracing:
-                    deliveries[receiver] = (sender, messages[sender])
-            elif num_audible >= 2:
-                collisions += 1
-                col_per_node[receiver] = col_per_node.get(receiver, 0) + 1
-            if prov is not None:
-                if clean:
-                    prov.note(slot, receiver, PROV_DELIVERED, (sender,))
-                elif num_audible >= 2:
-                    prov.note(slot, receiver, PROV_COLLISION, tuple(audible))
-                elif num_audible == 1:  # lone jammer
-                    prov.note(slot, receiver, PROV_FAULT, (sender,),
-                              detail="jamming")
-                elif audible_pre_loss:  # all receptions erased by loss faults
-                    prov.note(slot, receiver, PROV_FAULT,
-                              tuple(audible_pre_loss), detail="link-loss")
-                else:
-                    prov.note(slot, receiver, PROV_SILENCE, ())
-            observations.append(observation)
-            if tracing:
-                conflict_counts[receiver] = num_audible
-                heard[receiver] = observation
-        metrics.collisions += collisions
-
-        # Observations are delivered only after the whole slot resolves,
-        # preserving simultaneity.
-        for entry, observation in zip(receivers, observations):
-            entry[1].on_observe(entry[2], observation)
-
-        if tracing:
-            self.trace.append(
-                SlotRecord(
-                    slot=slot,
-                    transmitters=messages,
-                    receivers=frozenset(entry[0] for entry in receivers),
-                    heard=heard,
-                    deliveries=deliveries,
-                    conflict_counts=conflict_counts,
-                )
-            )
-
-    # -- shared by both loops -------------------------------------------
+    # -- intents, metering and audibility ---------------------------------
 
     def _admit(
         self,
@@ -1192,7 +1069,7 @@ class Engine:
         for node in messages:
             if node not in jammed:
                 per_node[node] = per_node.get(node, 0) + 1
-        # Every live jammer is a messages key (the general loop injects them).
+        # Every live jammer is a messages key (_event_slot injects them).
         metrics.jam_transmissions += len(jammed)
         metrics.transmissions += len(messages) - len(jammed)
 

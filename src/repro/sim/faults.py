@@ -181,25 +181,19 @@ class FaultSchedule:
     def edge_faults_at(self, slot: int) -> list[EdgeFault]:
         return [f for f in self.edge_faults if f.slot == slot]
 
-    def crashes_at(self, slot: int) -> list[CrashFault]:
-        return [f for f in self.crash_faults if f.slot == slot]
-
-    def by_slot(self) -> tuple[dict[int, list[EdgeFault]], dict[int, list[CrashFault]]]:
-        """Index the slot-event faults (one scan instead of one per slot).
+    def by_slot(self) -> dict[int, list[EdgeFault]]:
+        """Index the edge faults by slot (one scan instead of one per slot).
 
         Relative order of same-slot faults is preserved, so replaying
-        the index is equivalent to calling :meth:`edge_faults_at` /
-        :meth:`crashes_at` slot by slot.  The index is a snapshot:
-        faults added afterwards are not reflected.  Window faults
-        (jam, link loss) are not slot events and are read directly.
+        the index is equivalent to calling :meth:`edge_faults_at` slot
+        by slot.  The index is a snapshot: faults added afterwards are
+        not reflected.  Crashes and window faults (jam, link loss) are
+        read directly.
         """
         edge_index: dict[int, list[EdgeFault]] = {}
         for fault in self.edge_faults:
             edge_index.setdefault(fault.slot, []).append(fault)
-        crash_index: dict[int, list[CrashFault]] = {}
-        for fault in self.crash_faults:
-            crash_index.setdefault(fault.slot, []).append(fault)
-        return edge_index, crash_index
+        return edge_index
 
     def is_empty(self) -> bool:
         return not (

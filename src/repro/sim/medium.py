@@ -64,7 +64,13 @@ def _sentinel_lookup(name: str) -> _Sentinel:
 
 
 class Medium:
-    """Resolution policy mapping transmitting neighbours to an observation."""
+    """Resolution policy mapping transmitting neighbours to an observation.
+
+    The engine and :mod:`repro.sim.spec` apply Definition 1's rule
+    themselves and read only :attr:`detects_collisions`: a medium is
+    told apart by that flag, and :meth:`resolve` states its rule for one
+    receiver.
+    """
 
     __slots__ = ()
 
@@ -96,8 +102,8 @@ class RadioMedium(Medium):
 
     The engine inlines this exact class's resolution rule in its hot
     loop (deliver iff exactly one audible transmitter, else
-    :data:`SILENCE`); subclasses with a different :meth:`resolve` are
-    dispatched normally.
+    :data:`SILENCE`); a run on any other medium is *observed* and
+    resolves each receiver from its audible list instead.
     """
 
     __slots__ = ()

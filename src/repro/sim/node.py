@@ -12,8 +12,8 @@ cycle every time-slot:
    :meth:`NodeProgram.on_observe` with what was heard.
 
 A program that knows when its choice can next change may override
-:meth:`NodeProgram.wake`; the engine's lean loop then skips the slots
-it sleeps through (see :mod:`repro.sim.engine`).
+:meth:`NodeProgram.wake`; the engine's wake schedule then skips the
+slots it sleeps through (see :mod:`repro.sim.engine`).
 
 Programs see the world only through their :class:`Context`: their ID,
 their neighbours' IDs (the paper's "initial input"), the global slot
@@ -131,7 +131,7 @@ class NodeProgram:
         """The next slot at which this program must act even if it hears
         nothing; ``None``: only when it is delivered a message.
 
-        The engine's lean loop asks this after ``act`` returned
+        The engine's wake schedule asks this after ``act`` returned
         ``Receive`` or ``Idle``, and after ``on_observe`` delivered a
         message; it never asks after a ``Transmit``.  Unless the answer
         is the next slot, the program then *sleeps* until the slot it
@@ -147,7 +147,8 @@ class NodeProgram:
         would stay False and ``on_observe(SILENCE)`` would change
         nothing; so a program that has just become done returns the
         next slot.  The default, the next slot, keeps the program
-        awake; the general loop and the spec ignore this method.
+        awake.  Observed engine runs (trace, provenance or a medium other
+        than ``RadioMedium``) and the spec ignore this method.
         """
         return ctx.slot + 1
 

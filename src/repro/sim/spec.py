@@ -6,7 +6,9 @@ with it, under a :class:`~repro.sim.faults.FaultSchedule`.  The spec has
 no traces or telemetry; on the inputs it accepts,
 :class:`~repro.sim.engine.Engine` must produce the same observations,
 the same :class:`~repro.sim.metrics.RunMetrics` and the same final
-graph, in either of its slot loops.
+graph, whether it sleeps its programs on their ``wake`` schedule or, in
+an observed run (trace, provenance or a collision-detecting medium),
+calls every live program in every slot.
 
 The fault rules, each read off :mod:`repro.sim.faults`:
 
@@ -27,8 +29,9 @@ The fault rules, each read off :mod:`repro.sim.faults`:
   ``rng.derive_seed(seed, "link-loss", index, s, u, r) / 2**64``, with
   ``index`` the fault's place in the schedule's loss list, is below
   ``p``.  An erased signal neither delivers nor collides;
-* a run ends before slot ``s`` when no program that is up at ``s - 1``
-  is left undone and no node down at ``s - 1`` will come back up.
+* a run ends before slot ``s`` when every program is done, down for
+  good, or done before it went down: no undone program is up at
+  ``s - 1``, and no undone program down at ``s - 1`` will come back up.
 """
 
 from __future__ import annotations
@@ -180,7 +183,9 @@ def run(
         ]
         returning = [
             node for node in programs
-            if _down(crashes, node, slot - 1) and _comes_back(crashes, node, slot)
+            if node not in done
+            and _down(crashes, node, slot - 1)
+            and _comes_back(crashes, node, slot)
         ]
         if not live and not returning:
             break

@@ -18,8 +18,9 @@ topology simultaneously**, one array operation per slot:
 ALOHA and the paper's Decay Broadcast_scheme), the same trial seeds
 produce bit-identical :class:`~repro.sim.metrics.RunMetrics` and node
 outcomes as running each seed through the reference engine.  The
-parity suite (``tests/sim/test_vectorized_parity``) enforces this; the
-reference engine remains the definition of correct.
+parity suite (``tests/sim/test_vectorized_parity``) enforces this, and
+holds both batches to :mod:`repro.sim.spec`, the definition of correct,
+on random small graphs and seeds.
 
 The backend runs fault-free trials only.  Fault schedules run on the
 reference engine, whose fault semantics :mod:`repro.sim.spec` checks;

@@ -1,11 +1,12 @@
-"""Sleeping protocols: the lean loop's wake schedule changes no result.
+"""Sleeping protocols: the engine's wake schedule changes no result.
 
-Round robin, DFS and Decay override ``NodeProgram.wake``, so the lean
-loop (fault-free ``RadioMedium``, no trace) calls them only when they
-have something to do.  The general loop, forced by
-``record_trace=True``, ignores ``wake`` and calls every live program in
-every slot.  Both must give the same ``RunResult``, metrics included,
-with the per-node maps in the same order.
+Round robin, DFS and Decay override ``NodeProgram.wake``, so an
+unobserved run (``RadioMedium``, no trace or provenance) calls them only
+when they have something to do.  A traced run is observed: it ignores
+``wake`` and calls every live program in every slot.  Both must give
+the same ``RunResult``, metrics included, with the per-node maps in the
+same order.  In test names, the "lean loop" is the untraced run and
+the "general loop" the traced one.
 """
 
 import pytest
@@ -108,6 +109,6 @@ def test_proxied_programs_still_sleep(protocol):
 def test_programs_without_wake_do_not_sleep():
     g = GRAPHS["gnp"]
     engine = Engine(g, make_aloha_programs(g, 0, 0.3), initiators={0})
-    assert engine._lean and not engine._sleepy
+    assert not engine._observed and not engine._sleepy
     programs = make_dfs_programs(g, 0)
     assert Engine(g, {n: Proxy(p) for n, p in programs.items()}, initiators={0})._sleepy

@@ -4,9 +4,10 @@ The engine caches three things across slots: the audibility map (keyed
 on the graph's version counter), the done-set (relying on monotone
 ``is_done``), and the indexed fault schedule.  Each cache has a way to
 go stale; these tests pin the invalidation behaviour.  Cases that do
-not need a fault schedule run on both slot loops: as written, on the
-lean loop, and again in a ``...GeneralLoop`` class that sets
-``record_trace = True``, which forces the general loop.
+not need a fault schedule run twice: as written, untraced, and again
+in a ``...GeneralLoop`` class that sets ``record_trace = True``, which
+makes the run observed (every live program acts every slot, and every
+receiver is resolved from its audible list).
 """
 
 from dataclasses import dataclass
@@ -114,7 +115,7 @@ class TestAudibleCacheInvalidation:
         listeners = {1: Listener(), 2: Listener()}
         engine = Engine(line(3), {0: Beacon(), **listeners},
                         initiators={0}, record_trace=self.record_trace)
-        assert engine._lean is not self.record_trace
+        assert engine._observed is self.record_trace
         assert engine._audible_transmitters(1, {0: "m"}) == [0]
         engine.step()
         engine.graph.remove_edge(0, 1)
@@ -187,6 +188,8 @@ class TestDoneSetCaching:
             engine.step()
         assert engine.slot == engine.metrics.slots == 3
         assert all(p.polls_after_done == 0 for p in programs.values())
+        if self.record_trace:  # one record per stepped slot, past the end too
+            assert [record.slot for record in engine.trace] == [0, 1, 2]
 
 
 class Scripted(NodeProgram):

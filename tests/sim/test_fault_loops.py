@@ -1,18 +1,19 @@
-"""Faulted runs: the lean loop's wake schedule against the general loop.
+"""Faulted runs: the wake schedule, untraced against traced.
 
-A run with a fault schedule takes the lean loop and keeps its wake
-schedule: a crash drops the program from it, a recovery files it as due,
-a jammer is suspended for its window, and link loss filters what each
-receiver, asleep or awake, can hear.  The general loop, forced by
-``record_trace=True``, ignores ``wake`` and calls every live program in
-every slot.  Both must give the same ``RunResult``: slots, metrics, the
-per-node maps in the same order, node results and the final graph.
-:func:`repro.sim.spec.run`, driven as many slots as the lean loop ran,
-must give them too.
+A run with a fault schedule keeps the engine's wake schedule: a crash
+drops the program from it, a recovery files it as due, a jammer is
+suspended for its window, and link loss filters what each receiver,
+asleep or awake, can hear.  A traced run is observed: it ignores
+``wake``, calls every live program in every slot and resolves every
+receiver from its audible list.  Both must give the same ``RunResult``:
+slots, metrics, the per-node maps in the same order, node results and
+the final graph.  :func:`repro.sim.spec.run`, driven as many slots as
+the untraced run took, must give them too.  In test names and ids, the
+"lean loop" is the untraced run and the "general loop" the traced one.
 
-A recovered program rejoins at its program-order place in both loops.
-The general loop used to append it to the end of its pass instead, so a
-per-node map could list it after nodes that come later in program order;
+A recovered program rejoins at its program-order place.  A traced run
+used to append it to the end of its pass instead, so a per-node map
+could list it after nodes that come later in program order;
 :func:`test_a_recovered_node_keeps_its_program_order_place` pins the
 new order.
 """
@@ -151,10 +152,10 @@ def test_faulted_runs_take_the_sleeping_lean_loop(schedule):
     graph = TOPOLOGIES["grid-4x4"]()
     programs, _params = make_broadcast_programs(graph, {0})
     engine = Engine(graph, programs, initiators={0}, faults=SCHEDULES[schedule])
-    assert engine._lean and engine._sleepy
+    assert engine._sleepy and not engine._observed
     traced = Engine(graph, programs, initiators={0}, faults=SCHEDULES[schedule],
                     record_trace=True)
-    assert not traced._lean
+    assert traced._sleepy and traced._observed
 
 
 class Counting(NodeProgram):
@@ -224,13 +225,13 @@ class Hearer(NodeProgram):
 def test_a_recovered_node_keeps_its_program_order_place(record_trace):
     # Node 1 is down for slots [0, 2); both hearers first receive at
     # slot 3.  Appending the recovered program to the end of the pass,
-    # as the general loop used to, listed node 2 first.
+    # as a traced run used to, listed node 2 first.
     graph = Graph(nodes=[0, 1, 2], edges=[(0, 1), (0, 2)])
     faults = FaultSchedule(crash_faults=[CrashFault(slot=0, node=1, until=2)])
     programs = {0: LateBeacon(3), 1: Hearer(), 2: Hearer()}
     engine = Engine(graph, programs, initiators={0}, faults=faults,
                     record_trace=record_trace)
-    assert engine._lean is not record_trace
+    assert engine._observed is record_trace
     result = engine.run(5)
     assert list(result.metrics.first_reception.items()) == [(1, 3), (2, 3)]
     assert programs[1].heard[0][0] == 2  # it hears from its recovery slot on
@@ -257,7 +258,7 @@ def _acted(faults, done_at, record_trace):
     graph = Graph(nodes=[0, 1], edges=[(0, 1)])
     programs = {node: Clocked(done_at[node]) for node in graph.nodes}
     engine = Engine(graph, programs, faults=faults, record_trace=record_trace)
-    assert engine._lean is not record_trace
+    assert engine._observed is record_trace
     engine.run(10)
     oracle = {node: Clocked(done_at[node]) for node in graph.nodes}
     spec.run(graph, oracle, 10, faults=faults)
@@ -283,6 +284,20 @@ def test_a_recovering_program_is_polled_before_it_acts(record_trace):
     faults = FaultSchedule(crash_faults=[CrashFault(slot=1, node=1, until=6)])
     acted = _acted(faults, {0: 8, 1: 3}, record_trace)
     assert acted == {0: list(range(8)), 1: [0]}
+
+
+@pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
+def test_a_done_program_that_crashes_does_not_hold_the_run_open(record_trace):
+    # Node 1 is done from slot 2 on and down for [3, 40): its recovery
+    # used to keep the run going until slot 41.
+    graph = Graph(nodes=[0, 1], edges=[(0, 1)])
+    faults = FaultSchedule(crash_faults=[CrashFault(slot=3, node=1, until=40)])
+    engine = Engine(graph, {0: Clocked(4), 1: Clocked(2)}, faults=faults,
+                    record_trace=record_trace)
+    assert engine.run(100).slots == 4
+    metrics, _observed, _graph = spec.run(graph, {0: Clocked(4), 1: Clocked(2)}, 100,
+                                          faults=faults)
+    assert metrics.slots == 4
 
 
 def test_step_applies_faults_as_run_does():

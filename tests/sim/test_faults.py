@@ -106,8 +106,6 @@ class TestFaultSchedule:
         )
         assert len(schedule.edge_faults_at(2)) == 1
         assert schedule.edge_faults_at(3) == []
-        assert len(schedule.crashes_at(2)) == 1
-        assert schedule.crashes_at(0) == []
 
     def test_empty(self):
         schedule = FaultSchedule()
@@ -150,7 +148,7 @@ class TestFaultSchedule:
             EdgeFault(slot=4, u=1, v=2),
             EdgeFault(slot=2, u=2, v=3),
         ]
-        edge_index, _ = FaultSchedule(edge_faults=faults).by_slot()
+        edge_index = FaultSchedule(edge_faults=faults).by_slot()
         assert edge_index[4] == faults[:2]
         assert edge_index[2] == [faults[2]]
 

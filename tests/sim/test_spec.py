@@ -1,17 +1,20 @@
-"""Differential tests: the engine's two slot loops against the spec.
+"""Differential tests: the engine, untraced and traced, against the spec.
 
 :mod:`repro.sim.spec` resolves each slot straight from Definition 1.
 Scripted programs replay random Transmit/Receive/Idle intents on small
-graphs and digraphs; the spec, the lean loop (fault-free
-``RadioMedium``, no trace) and the general loop (forced by
-``record_trace=True``) must agree on every observation and on the
-``RunMetrics``.  Sleeping programs, which override ``NodeProgram.wake``
-with honest random schedules, must leave the lean loop equal to both,
+graphs and digraphs; the spec, an untraced run and a traced run must
+agree on every observation and on the ``RunMetrics``.  A traced run,
+like any run on a collision-detecting medium, is *observed*: it ignores
+``wake`` and resolves every receiver from its audible list, so the two
+engine runs take different paths through the one slot loop.  Sleeping
+programs, which override ``NodeProgram.wake`` with honest random
+schedules, must leave the untraced run equal to both, on either medium,
 and so must programs that pick their intents from ``ctx.rng`` coins.
 Under random schedules of every fault family, overlapping crashes
-included, both loops must match the spec's fault rules on either
-medium.  A last property checks that trace, provenance and telemetry
-never change a ``RunResult``.
+included, both runs must match the spec's fault rules on either medium.
+In test names, the "lean loop" is the untraced run and the "general
+loop" the traced one.  A last property checks that trace, provenance
+and telemetry never change a ``RunResult``.
 """
 
 import random
@@ -140,7 +143,7 @@ def test_engine_loops_agree_with_spec(case):
             enforce_no_spontaneous=enforce,
             record_trace=record_trace,
         )
-        assert engine._lean is (not record_trace and not collision_detection)
+        assert engine._observed is (record_trace or collision_detection)
         result = engine.run(SLOTS)
         observed = (
             [dict(record.heard) for record in result.trace] if record_trace else None
@@ -200,10 +203,10 @@ class Sleeper(Scripted):
 
 @st.composite
 def sleepy_cases(draw):
-    graph, scripts, done_at, initiators, enforce, _cd = draw(cases())
+    graph, scripts, done_at, initiators, enforce, cd = draw(cases())
     sleepers = {node: draw(st.integers(0, 2**16)) for node in graph.nodes
                 if draw(st.integers(0, 3))}
-    return graph, scripts, done_at, initiators, enforce, sleepers
+    return graph, scripts, done_at, initiators, enforce, sleepers, cd
 
 
 def _heard(programs):
@@ -226,7 +229,9 @@ def _ordered(metrics):
 @settings(max_examples=250, deadline=None)
 @given(sleepy_cases())
 def test_sleeping_programs_keep_the_lean_loop_equal_to_spec(case):
-    graph, scripts, done_at, initiators, enforce, sleepers = case
+    """On a collision-detecting medium the run is observed and ignores
+    ``wake``, so no sleeper sleeps through a ``COLLISION``."""
+    graph, scripts, done_at, initiators, enforce, sleepers, cd = case
 
     def programs():
         return {
@@ -239,15 +244,18 @@ def test_sleeping_programs_keep_the_lean_loop_equal_to_spec(case):
     def spec_run():
         progs = programs()
         metrics, _observed, _graph = spec.run(
-            graph, progs, SLOTS, initiators=initiators, enforce_no_spontaneous=enforce
+            graph, progs, SLOTS, initiators=initiators, enforce_no_spontaneous=enforce,
+            detects_collisions=cd,
         )
         return _ordered(metrics), _heard(progs)
 
     def engine_run(record_trace):
         progs = programs()
-        engine = Engine(graph, progs, initiators=initiators,
+        medium = CollisionDetectingMedium() if cd else RadioMedium()
+        engine = Engine(graph, progs, medium=medium, initiators=initiators,
                         enforce_no_spontaneous=enforce, record_trace=record_trace)
-        assert engine._sleepy is (not record_trace and bool(sleepers))
+        assert engine._observed is (record_trace or cd)
+        assert engine._sleepy is (record_trace or cd or bool(sleepers))
         result = engine.run(SLOTS)
         return _ordered(result.metrics), _heard(progs)
 
@@ -292,17 +300,18 @@ def fault_schedules(draw, graph):
 
 @st.composite
 def faulted_cases(draw):
-    graph, scripts, done_at, initiators, enforce, sleepers = draw(sleepy_cases())
+    graph, scripts, done_at, initiators, enforce, sleepers, cd = draw(sleepy_cases())
     return (graph, scripts, done_at, initiators, enforce, sleepers,
-            draw(fault_schedules(graph)), draw(st.integers(0, 2**16)), draw(st.booleans()))
+            draw(fault_schedules(graph)), draw(st.integers(0, 2**16)), cd)
 
 
 @settings(max_examples=300, deadline=None)
 @given(faulted_cases())
 def test_faulted_lean_loop_equals_general_loop(case):
-    """Under any fault schedule, on either medium, both loops give the
-    spec's slots, metrics in dict order, observations and final graph;
-    the lean loop (plain medium only) keeps its wake schedule."""
+    """Under any fault schedule, on either medium, the untraced and the
+    traced run give the spec's slots, metrics in dict order,
+    observations and final graph; only an unobserved run (plain medium,
+    no trace) lets its programs sleep."""
     graph, scripts, done_at, initiators, enforce, sleepers, faults, seed, cd = case
 
     def programs():
@@ -332,9 +341,9 @@ def test_faulted_lean_loop_equals_general_loop(case):
         engine = Engine(graph, progs, medium=medium, seed=seed, initiators=initiators,
                         faults=faults, enforce_no_spontaneous=enforce,
                         record_trace=record_trace)
-        lean = not record_trace and not cd
-        assert engine._lean is lean
-        assert engine._sleepy is (lean and bool(sleepers or not faults.is_empty()))
+        observed = record_trace or cd
+        assert engine._observed is observed
+        assert engine._sleepy is (observed or bool(sleepers) or not faults.is_empty())
         result = engine.run(SLOTS)
         assert result.slots == result.metrics.slots
         observed = [dict(r.heard) for r in result.trace] if record_trace else None
@@ -450,8 +459,8 @@ def test_coin_drawing_programs_keep_both_loops_equal_to_spec(sleepy, case):
         progs = programs()
         engine = Engine(graph, progs, seed=seed, initiators=initiators,
                         enforce_no_spontaneous=enforce, record_trace=record_trace)
-        assert engine._lean is not record_trace
-        assert engine._sleepy is (sleepy and not record_trace)
+        assert engine._observed is record_trace
+        assert engine._sleepy is (sleepy or record_trace)
         result = engine.run(SLOTS)
         return _ordered(result.metrics), observed(progs)
 

@@ -8,18 +8,23 @@ statistically similar, identical.  These tests sweep randomized
 topologies × seeds × protocol modes, so any divergence in draw ordering
 or slot-resolution rules fails loudly on a concrete seed.  The backend
 runs fault-free trials only; faulted runs are checked against
-:mod:`repro.sim.spec` instead.
+:mod:`repro.sim.spec` instead.  A last property holds the batches to
+the spec itself: on random small graphs and seeds, the spec driving the
+ALOHA and Decay programs each batch emulates gives the batch's metrics
+and node results.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
-from repro.graphs import complete, grid, random_gnp, star
+from repro.graphs import Graph, complete, grid, random_gnp, star
 from repro.protocols.aloha import make_aloha_programs
-from repro.protocols.decay_broadcast import run_decay_broadcast
+from repro.protocols.decay_broadcast import make_broadcast_programs, run_decay_broadcast
 from repro.rng import seed_sequence, spawn
-from repro.sim import Engine
+from repro.sim import Engine, spec
 from repro.sim.metrics import RunMetrics
 from repro.sim.vectorized import run_aloha_batch, run_decay_broadcast_batch
 
@@ -189,3 +194,37 @@ def test_vectorized_results_carry_no_trace_or_provenance():
     (result,) = run_aloha_batch(graph, 0, [11], p=0.5, slots=10)
     assert result.trace is None
     assert result.provenance is None
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(nodes=range(n), edges=draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+@pytest.mark.parametrize("protocol", ["aloha", "decay"])
+@settings(max_examples=60, deadline=None)
+@given(graph=small_graphs(), seed=st.integers(0, 2**32), data=st.data())
+def test_batched_backend_equals_spec(protocol, graph, seed, data):
+    if protocol == "aloha":
+        p = data.draw(st.sampled_from([0.2, 0.5, 0.9]))
+        slots = data.draw(st.integers(1, 40))
+        active_slots = data.draw(st.one_of(st.none(), st.integers(1, 10)))
+        (vec,) = run_aloha_batch(graph, 0, [seed], p=p, slots=slots,
+                                 active_slots=active_slots)
+        programs = make_aloha_programs(graph, 0, p, active_slots=active_slots)
+    else:
+        kwargs = dict(
+            epsilon=data.draw(st.sampled_from([0.1, 0.3])),
+            align_phases=data.draw(st.booleans()),
+        )
+        stop = data.draw(st.sampled_from(["informed", "terminated"]))
+        (vec,) = run_decay_broadcast_batch(graph, 0, [seed], stop=stop, **kwargs)
+        programs, _params = make_broadcast_programs(graph, {0: "m"}, **kwargs)
+        # The stop policy is the harness's, not Definition 1's: the spec
+        # runs as many slots as the batch did.
+        slots = vec.slots
+    metrics, _observed, _graph = spec.run(graph, programs, slots, seed=seed, initiators={0})
+    assert_metrics_equal(metrics, vec.metrics)
+    assert vec.node_results() == {node: prog.result() for node, prog in programs.items()}
