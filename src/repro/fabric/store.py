@@ -51,6 +51,7 @@ __all__ = [
     "LeaseStore",
     "DEFAULT_BUSY_TIMEOUT_MS",
     "WorkerLedger",
+    "open_wal_store",
     "store_event_record",
 ]
 
@@ -290,6 +291,36 @@ def _row_to_dict(cursor: sqlite3.Cursor, row: tuple) -> dict[str, Any]:
     return {desc[0]: value for desc, value in zip(cursor.description, row)}
 
 
+def open_wal_store(
+    path: str | os.PathLike[str], busy_timeout_ms: int
+) -> sqlite3.Connection:
+    """Connect to ``path`` (creating its directory) in WAL mode, with
+    dict rows, foreign keys and a busy timeout.
+
+    Switching to WAL takes the write lock, which SQLite refuses at once,
+    without its busy handler, while another connection holds it: the
+    switch is retried until the busy timeout runs out.  A filesystem
+    that refuses WAL keeps the prior journal mode, which still works.
+    """
+    path = Path(path)
+    if path.parent and not path.parent.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+    conn = sqlite3.connect(str(path))
+    conn.row_factory = _row_to_dict
+    conn.execute("PRAGMA foreign_keys = ON")
+    conn.execute(f"PRAGMA busy_timeout = {int(busy_timeout_ms)}")
+    deadline = time.monotonic() + busy_timeout_ms / 1000
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return conn
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                conn.close()
+                raise
+            time.sleep(0.01)
+
+
 class LeaseStore:
     """Open (creating if needed) the lease store at ``path``.
 
@@ -305,13 +336,7 @@ class LeaseStore:
         busy_timeout_ms: int = DEFAULT_BUSY_TIMEOUT_MS,
     ) -> None:
         self.path = Path(path)
-        if self.path.parent and not self.path.parent.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.conn = sqlite3.connect(str(self.path))
-        self.conn.row_factory = _row_to_dict
-        self.conn.execute("PRAGMA foreign_keys = ON")
-        self.conn.execute("PRAGMA journal_mode=WAL")
-        self.conn.execute(f"PRAGMA busy_timeout = {int(busy_timeout_ms)}")
+        self.conn = open_wal_store(self.path, busy_timeout_ms)
         self.conn.execute("PRAGMA synchronous = NORMAL")
         self._init_schema()
 

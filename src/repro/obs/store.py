@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 from pathlib import Path
 from typing import Any, Iterable
 
 from repro.errors import ExperimentError
+from repro.fabric.store import open_wal_store
 
 __all__ = ["SCHEMA_VERSION", "RunStore"]
 
@@ -92,10 +92,6 @@ CREATE TABLE IF NOT EXISTS bench (
 """
 
 
-def _row_to_dict(cursor: sqlite3.Cursor, row: tuple) -> dict[str, Any]:
-    return {desc[0]: value for desc, value in zip(cursor.description, row)}
-
-
 #: Default wait (ms) for a competing writer's transaction to finish.
 DEFAULT_BUSY_TIMEOUT_MS = 5000
 
@@ -119,15 +115,7 @@ class RunStore:
         busy_timeout_ms: int = DEFAULT_BUSY_TIMEOUT_MS,
     ) -> None:
         self.path = Path(path)
-        if self.path.parent and not self.path.parent.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.conn = sqlite3.connect(str(self.path))
-        self.conn.row_factory = _row_to_dict
-        self.conn.execute("PRAGMA foreign_keys = ON")
-        # Best-effort: some filesystems refuse WAL; sqlite then keeps
-        # the prior journal mode and everything still works, serially.
-        self.conn.execute("PRAGMA journal_mode=WAL")
-        self.conn.execute(f"PRAGMA busy_timeout = {int(busy_timeout_ms)}")
+        self.conn = open_wal_store(self.path, busy_timeout_ms)
         self._init_schema()
 
     def _init_schema(self) -> None:

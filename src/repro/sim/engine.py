@@ -479,7 +479,10 @@ class Engine:
         )
 
     def step(self) -> None:
-        """Execute exactly one time-slot, faults included."""
+        """Execute exactly one time-slot, with its faults while the run
+        is live.  Past the run's end nothing acts and no fault applies
+        (the final graph :meth:`run` and the spec give), but the clock
+        advances and a trace gets one empty record per slot."""
         if not self._slot_method()() and self.trace is not None:
             # Past the end nothing acts, but a trace keeps one record per slot.
             self.trace.append(SlotRecord(self.slot, {}, frozenset(), {}, {}, {}))

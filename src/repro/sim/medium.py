@@ -1,8 +1,8 @@
 """Radio medium semantics.
 
-The medium answers one question per receiver per slot: *what does this
-node hear, given the set of its neighbours that transmitted?*  The rule
-of the paper's model (Definition 1, rule 3):
+The medium decides what a receiver hears, given the set of its
+neighbours that transmitted.  The rule of the paper's model
+(Definition 1, rule 3):
 
 * exactly one transmitting neighbour → the message is delivered;
 * zero or more than one → nothing is delivered.
@@ -16,13 +16,14 @@ Two media are provided:
   collision is reported as the distinct token :data:`COLLISION`, so a
   receiver can tell silence from conflict.
 
+A medium carries only its :attr:`Medium.detects_collisions` flag; the
+engine and :func:`repro.sim.spec.resolve_slot` apply the rule.
+
 Sentinels rather than ``None`` are used so that protocols may legally
 broadcast ``None`` as a message payload.
 """
 
 from __future__ import annotations
-
-from typing import Any, Hashable, Mapping
 
 __all__ = [
     "SILENCE",
@@ -32,8 +33,6 @@ __all__ = [
     "RadioMedium",
     "CollisionDetectingMedium",
 ]
-
-Node = Hashable
 
 
 class _Sentinel:
@@ -64,37 +63,19 @@ def _sentinel_lookup(name: str) -> _Sentinel:
 
 
 class Medium:
-    """Resolution policy mapping transmitting neighbours to an observation.
+    """A medium is told apart by :attr:`detects_collisions` alone.
 
-    The engine and :mod:`repro.sim.spec` apply Definition 1's rule
-    themselves and read only :attr:`detects_collisions`: a medium is
-    told apart by that flag, and :meth:`resolve` states its rule for one
-    receiver.
+    The engine and :func:`repro.sim.spec.resolve_slot` apply Definition
+    1's rule 3 themselves and read only this flag: a receiver with one
+    audible transmitter gets its message; zero or several give
+    :data:`SILENCE`, or :data:`COLLISION` for several when the flag is
+    set.  :func:`~repro.sim.spec.resolve_slot` is the reference.
     """
 
     __slots__ = ()
 
     #: whether receivers can distinguish collision from silence
     detects_collisions: bool = False
-
-    def resolve(
-        self,
-        receiver: Node,
-        transmitting_neighbors: list[Node],
-        messages: Mapping[Node, Any],
-    ) -> Any:
-        """Return what ``receiver`` hears this slot.
-
-        Parameters
-        ----------
-        receiver:
-            The listening node.
-        transmitting_neighbors:
-            Its neighbours that chose ``Transmit`` this slot.
-        messages:
-            Map from transmitting node to the message it sent.
-        """
-        raise NotImplementedError
 
 
 class RadioMedium(Medium):
@@ -110,16 +91,6 @@ class RadioMedium(Medium):
 
     detects_collisions = False
 
-    def resolve(
-        self,
-        receiver: Node,
-        transmitting_neighbors: list[Node],
-        messages: Mapping[Node, Any],
-    ) -> Any:
-        if len(transmitting_neighbors) == 1:
-            return messages[transmitting_neighbors[0]]
-        return SILENCE
-
 
 class CollisionDetectingMedium(Medium):
     """Section-4 variant: collisions are observable as :data:`COLLISION`."""
@@ -127,15 +98,3 @@ class CollisionDetectingMedium(Medium):
     __slots__ = ()
 
     detects_collisions = True
-
-    def resolve(
-        self,
-        receiver: Node,
-        transmitting_neighbors: list[Node],
-        messages: Mapping[Node, Any],
-    ) -> Any:
-        if len(transmitting_neighbors) == 1:
-            return messages[transmitting_neighbors[0]]
-        if len(transmitting_neighbors) > 1:
-            return COLLISION
-        return SILENCE

@@ -1,7 +1,9 @@
 """Tests for the lease store (:mod:`repro.fabric.store`): grants,
 takeovers, heartbeats, and above all the fencing-token commit rule."""
 
+import sqlite3
 import threading
+import time
 
 import pytest
 
@@ -157,6 +159,30 @@ class TestConcurrency:
             thread.join()
         assert sorted(index for index, _ in grants) == list(range(20))
         assert len(set(grants)) == 20
+
+    def test_opens_while_another_connection_holds_the_write_lock(self, tmp_path):
+        """Switching a fresh file to WAL needs the write lock, which
+        SQLite refuses at once, without its busy handler, while another
+        connection holds it: the store must wait for it instead."""
+        path = tmp_path / "l.db"
+        holder = sqlite3.connect(str(path), check_same_thread=False)
+        holder.execute("CREATE TABLE other (x)")
+        holder.commit()
+        holder.execute("BEGIN IMMEDIATE")
+        holder.execute("INSERT INTO other VALUES (1)")
+        release = threading.Timer(0.3, holder.commit)
+        release.start()
+        try:
+            start = time.monotonic()
+            with LeaseStore(path) as store:
+                (mode,) = store.conn.execute("PRAGMA journal_mode").fetchone().values()
+            waited = time.monotonic() - start
+        finally:
+            release.join(timeout=5)
+            holder.close()
+        assert not release.is_alive()
+        assert mode == "wal"
+        assert waited >= 0.25
 
 
 def _event(kind, worker, idx, fence):

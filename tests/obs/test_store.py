@@ -199,6 +199,33 @@ class TestConcurrentIngest:
         # Both writers finished (no "database is locked" escape).
         assert set(outcomes) == {"t0", "t1"}
 
+    def test_opens_while_another_connection_holds_the_write_lock(self, tmp_path):
+        """Switching a fresh file to WAL needs the write lock, which
+        SQLite refuses at once, without its busy handler, while another
+        connection holds it: the store must wait for it instead."""
+        import threading
+        import time
+
+        path = tmp_path / "runs.db"
+        holder = sqlite3.connect(str(path), check_same_thread=False)
+        holder.execute("CREATE TABLE other (x)")
+        holder.commit()
+        holder.execute("BEGIN IMMEDIATE")
+        holder.execute("INSERT INTO other VALUES (1)")
+        release = threading.Timer(0.3, holder.commit)
+        release.start()
+        try:
+            start = time.monotonic()
+            with RunStore(path) as store:
+                (mode,) = store.conn.execute("PRAGMA journal_mode").fetchone().values()
+            waited = time.monotonic() - start
+        finally:
+            release.join(timeout=5)
+            holder.close()
+        assert not release.is_alive()
+        assert mode == "wal"
+        assert waited >= 0.25
+
     def test_concurrent_writers_across_processes(self, tmp_path):
         import subprocess
         import sys

@@ -318,6 +318,26 @@ def test_step_applies_faults_as_run_does():
     assert stepped(False) == stepped(True) == (run.metrics, run.node_results())
 
 
+@pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
+def test_step_past_the_end_applies_no_faults(record_trace):
+    # The run is over at slot 1, so the edge removal due at slot 2 never
+    # fires, stepped or run: the final graph is the spec's.
+    graph = Graph(nodes=[0, 1], edges=[(0, 1)])
+    faults = FaultSchedule(edge_faults=[EdgeFault(slot=2, u=0, v=1)])
+    engine = Engine(graph, {0: Clocked(1), 1: Clocked(1)}, faults=faults,
+                    record_trace=record_trace)
+    for _ in range(4):
+        engine.step()
+    assert engine.slot == 4
+    assert engine.graph.has_edge(0, 1)
+    run = Engine(graph, {0: Clocked(1), 1: Clocked(1)}, faults=faults,
+                 record_trace=record_trace).run(10)
+    assert run.slots == 1
+    _metrics, _observed, final = spec.run(graph, {0: Clocked(1), 1: Clocked(1)}, 10,
+                                          faults=faults)
+    assert run.graph.has_edge(0, 1) and final.has_edge(0, 1)
+
+
 @pytest.mark.parametrize("schedule", [None, "combined"])
 @pytest.mark.parametrize("record_trace", [False, True], ids=["lean", "general"])
 def test_a_finished_engine_is_freed_without_the_cyclic_collector(schedule, record_trace):

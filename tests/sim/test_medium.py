@@ -1,8 +1,22 @@
-"""Tests for the radio medium semantics (Definition 1, rule 3)."""
+"""Definition 1, rule 3, on both media, read off the reference
+:func:`repro.sim.spec.resolve_slot`; plus the media flags and the
+observation sentinels."""
 
 import pickle
 
-from repro.sim import COLLISION, SILENCE, CollisionDetectingMedium, RadioMedium
+from repro.graphs import star
+from repro.sim import COLLISION, SILENCE, CollisionDetectingMedium, RadioMedium, spec
+from repro.sim.node import Receive, Transmit
+
+
+def _hears(medium, messages):
+    """What the hub of a star hears when the leaves in ``messages``
+    send those messages and the other leaves stay idle."""
+    graph = star(2)  # hub 0, leaves 1 and 2
+    intents = {0: Receive(), **{leaf: Transmit(m) for leaf, m in messages.items()}}
+    outcome = spec.resolve_slot(graph, intents, informed={1, 2},
+                                detects_collisions=medium.detects_collisions)
+    return outcome[0][0]
 
 
 class TestRadioMedium:
@@ -10,15 +24,15 @@ class TestRadioMedium:
         self.medium = RadioMedium()
 
     def test_single_transmitter_delivers(self):
-        assert self.medium.resolve(0, [1], {1: "hello"}) == "hello"
+        assert _hears(self.medium, {1: "hello"}) == "hello"
 
     def test_no_transmitter_is_silence(self):
-        assert self.medium.resolve(0, [], {}) is SILENCE
+        assert _hears(self.medium, {}) is SILENCE
 
     def test_collision_is_silence_indistinguishable(self):
         # The paper's core assumption: conflicts are NOT detectable.
-        two = self.medium.resolve(0, [1, 2], {1: "a", 2: "b"})
-        zero = self.medium.resolve(0, [], {})
+        two = _hears(self.medium, {1: "a", 2: "b"})
+        zero = _hears(self.medium, {})
         assert two is SILENCE and zero is SILENCE
         assert two is zero
 
@@ -27,8 +41,8 @@ class TestRadioMedium:
 
     def test_none_payload_distinguishable_from_silence(self):
         # Protocols may legally send None as a message.
-        assert self.medium.resolve(0, [1], {1: None}) is None
-        assert self.medium.resolve(0, [1], {1: None}) is not SILENCE
+        assert _hears(self.medium, {1: None}) is None
+        assert _hears(self.medium, {1: None}) is not SILENCE
 
 
 class TestCollisionDetectingMedium:
@@ -36,16 +50,16 @@ class TestCollisionDetectingMedium:
         self.medium = CollisionDetectingMedium()
 
     def test_single_transmitter_delivers(self):
-        assert self.medium.resolve(0, [1], {1: "x"}) == "x"
+        assert _hears(self.medium, {1: "x"}) == "x"
 
     def test_silence(self):
-        assert self.medium.resolve(0, [], {}) is SILENCE
+        assert _hears(self.medium, {}) is SILENCE
 
     def test_collision_detected(self):
-        assert self.medium.resolve(0, [1, 2], {1: "a", 2: "b"}) is COLLISION
+        assert _hears(self.medium, {1: "a", 2: "b"}) is COLLISION
 
     def test_collision_vs_silence_distinguishable(self):
-        assert self.medium.resolve(0, [1, 2], {1: "a", 2: "b"}) is not SILENCE
+        assert _hears(self.medium, {1: "a", 2: "b"}) is not SILENCE
 
     def test_flag(self):
         assert CollisionDetectingMedium.detects_collisions is True

@@ -93,7 +93,8 @@ class TestChaosCommand:
 
     def test_journal_and_resume(self, capsys, tmp_path):
         journal = tmp_path / "campaign.jsonl"
-        code = main(["chaos", "--quick", "--seed", "99", "--journal", str(journal)])
+        code = main(["chaos", "--quick", "--seed", "99", "--journal", str(journal),
+                     "--jobs", "2"])
         assert code == 0
         assert journal.exists()
         first = capsys.readouterr().out
@@ -224,6 +225,11 @@ class TestObservabilityFlags:
         assert all("queue_s" in r for r in chunk_records)
         # Worker-side engine runs were shipped back chunk-tagged.
         assert any(r["kind"] == "run_end" and "chunk" in r for r in records)
+        kinds = {r["kind"] for r in records}
+        assert {"manifest", "campaign_begin", "campaign_end"} <= kinds
+        capsys.readouterr()
+        assert main(["telemetry", str(log)]) == 0
+        assert "Parallel chunks" in capsys.readouterr().out
 
     def test_log_level_flag(self, capsys):
         import logging
