@@ -18,7 +18,7 @@ from typing import Any
 
 from repro.errors import ExperimentError
 from repro.obs.store import RunStore
-from repro.sim.provenance import explain_entry, explain_missing
+from repro.sim.trace import explain_entry, explain_missing
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -64,10 +64,13 @@ def trend_points(
 
     ``source="runs"`` reads ingested telemetry runs; ``source="bench"``
     reads the bench trajectory (metric ``combined_slots_per_sec`` or a
-    per-topology ``<name>.slots_per_sec``).
+    per-topology ``<name>.slots_per_sec``).  A metric that no point of a
+    non-empty source carries is an :class:`ExperimentError`.
     """
     if source == "runs":
         rows = store.metric_trend(metric)
+        if not rows and store.runs():
+            raise ExperimentError(f"no ingested run carries metric {metric!r}")
         return [
             TrendPoint(
                 label=str(row["fingerprint"])[:8],
@@ -80,7 +83,8 @@ def trend_points(
         ]
     if source == "bench":
         points = []
-        for row in store.bench_points():
+        rows = store.bench_points()
+        for row in rows:
             if metric in ("combined_slots_per_sec", "slots_per_sec"):
                 value = row["combined_slots_per_sec"]
             else:
@@ -98,6 +102,8 @@ def trend_points(
                     created=row["recorded"],
                 )
             )
+        if rows and not points:
+            raise ExperimentError(f"no bench point carries metric {metric!r}")
         return points
     raise ExperimentError(f"unknown trend source {source!r} (use 'runs' or 'bench')")
 
@@ -228,7 +234,7 @@ def explain_from_store(
     """Answer "why didn't ``node`` receive in ``slot``?" from the store.
 
     Uses the same causal sentences as the live
-    :class:`~repro.sim.provenance.ProvenanceRecorder`.  A campaign log
+    :class:`~repro.sim.trace.ProvenanceRecorder`.  A campaign log
     holds many engine runs, so one (node, slot) may have several
     entries — pass ``engine_run`` (the run tag, e.g. ``r3``) to pick
     one; otherwise the first is explained and the rest are counted.

@@ -48,8 +48,7 @@ from repro.sim.node import (
     Receive,
     Transmit,
 )
-from repro.sim.provenance import ProvenanceRecorder, SlotProvenance
-from repro.sim.trace import SlotRecord, Trace
+from repro.sim.trace import ProvenanceRecorder, SlotProvenance, SlotRecord, Trace
 
 __all__ = [
     "Engine",

@@ -43,9 +43,12 @@ an *observed* run, one that records a trace or provenance or whose
 medium is not exactly :class:`~repro.sim.medium.RadioMedium`.  An
 observed run ignores ``wake``, so every live program is due every slot,
 and it resolves each receiver from its list of audible transmitters, as
-the spec does: :meth:`Engine._fault_resolve` makes the slot records,
-the provenance notes and, when the medium ``detects_collisions``,
-``COLLISION``.  An unobserved run takes that resolver only in slots
+the spec does, in :meth:`Engine._fault_resolve`, which reads noise as
+``COLLISION`` when the medium ``detects_collisions``.  A run that
+records a trace or provenance logs one entry per resolved receiver
+(audible transmitters, surviving signals, observation, fault detail)
+in one :class:`~repro.sim.trace.SlotLog`, from which both are derived.
+An unobserved run logs nothing and takes that resolver only in slots
 with jam noise or link loss; there it stops drawing a receiver's
 erasure coins at its second surviving signal.  See "Sleeping programs"
 and "Faults" below.
@@ -142,15 +145,8 @@ from repro.sim.faults import CrashFault, FaultSchedule, LinkLossFault
 from repro.sim.medium import COLLISION, JAMMING, SILENCE, Medium, RadioMedium
 from repro.sim.metrics import RunMetrics
 from repro.sim.node import Context, Idle, NodeProgram, Receive, Transmit
-from repro.sim.provenance import (
-    COLLISION as PROV_COLLISION,
-    DELIVERED as PROV_DELIVERED,
-    FAULT_SUPPRESSED as PROV_FAULT,
-    SILENCE as PROV_SILENCE,
-    ProvenanceRecorder,
-)
 from repro.perf import core as _perf
-from repro.sim.trace import SlotRecord, Trace
+from repro.sim.trace import ProvenanceRecorder, SlotLog, Trace
 from repro.telemetry.core import Telemetry, get_active
 
 __all__ = ["Engine", "RunResult"]
@@ -288,7 +284,6 @@ class Engine:
         # error: fail at construction, not silently mid-run.
         self.faults.validate_for_graph(self.graph)
         self.metrics = RunMetrics()
-        self.trace: Trace | None = Trace() if record_trace else None
         # Telemetry is snapshotted at construction, like the fault
         # schedule: None (the common case) keeps every hot-path check a
         # single attribute load.  Enabling telemetry never implies
@@ -296,15 +291,18 @@ class Engine:
         self._telemetry: Telemetry | None = (
             telemetry if telemetry is not None else get_active()
         )
-        # Causal slot provenance (see repro.sim.provenance): opt-in per
-        # engine or ambiently via REPRO_PROVENANCE=1 (checked once, at
-        # construction).  Off (the default) allocates nothing.
+        # The slot log (see repro.sim.trace) behind the trace and the
+        # provenance: provenance is opt-in per engine or ambiently via
+        # REPRO_PROVENANCE=1 (checked once, at construction).  With
+        # neither on (the default) no log is allocated.
         if not record_provenance:
             record_provenance = os.environ.get("REPRO_PROVENANCE", "") not in ("", "0")
+        self._log: SlotLog | None = None
+        if record_trace or record_provenance:
+            self._log = SlotLog(self._telemetry if record_provenance else None)
+        self.trace: Trace | None = Trace(self._log) if record_trace else None
         self._prov: ProvenanceRecorder | None = (
-            ProvenanceRecorder(telemetry=self._telemetry)
-            if record_provenance
-            else None
+            ProvenanceRecorder(self._log) if record_provenance else None
         )
         self.slot = 0
         self._crashed: set[Node] = set()
@@ -361,11 +359,7 @@ class Engine:
         # An observed run records a trace or provenance, or runs on a
         # medium other than RadioMedium: it ignores ``wake`` and resolves
         # every receiver from its audible list.
-        self._observed = (
-            type(self.medium) is not RadioMedium
-            or self.trace is not None
-            or self._prov is not None
-        )
+        self._observed = type(self.medium) is not RadioMedium or self._log is not None
         wakes = {} if self._observed else self._wake_overrides()
         # Whether the run keeps a wake schedule rather than one pass.
         self._sleepy = bool(wakes) or self._have_faults or self._observed
@@ -483,9 +477,9 @@ class Engine:
         is live.  Past the run's end nothing acts and no fault applies
         (the final graph :meth:`run` and the spec give), but the clock
         advances and a trace gets one empty record per slot."""
-        if not self._slot_method()() and self.trace is not None:
+        if not self._slot_method()() and self._log is not None:
             # Past the end nothing acts, but a trace keeps one record per slot.
-            self.trace.append(SlotRecord(self.slot, {}, frozenset(), {}, {}, {}))
+            self._log.end_slot(self.slot, {})
         self.slot += 1
         self.metrics.slots = self.slot
 
@@ -906,12 +900,7 @@ class Engine:
         has_received = self._has_received
         erased = self._erased
         noise = COLLISION if self.medium.detects_collisions else SILENCE
-        prov = self._prov
-        trace = self.trace
-        if trace is not None:
-            heard_by: dict[Node, Any] = {}
-            delivered: dict[Node, tuple[Node, Any]] = {}
-            conflict_counts: dict[Node, int] = {}
+        log = self._log
         deliveries = collisions = 0
         for receiver, program, ctx in receivers:
             audible = signals = _audible(audible_map[receiver], messages)
@@ -936,22 +925,8 @@ class Engine:
                     collisions += 1
                     col_per_node[receiver] = col_per_node.get(receiver, 0) + 1
                 observation = noise if count else SILENCE
-            if prov is not None:
-                if clean:
-                    prov.note(slot, receiver, PROV_DELIVERED, (sender,))
-                elif count >= 2:
-                    prov.note(slot, receiver, PROV_COLLISION, tuple(signals))
-                elif count:  # lone jammer
-                    prov.note(slot, receiver, PROV_FAULT, (sender,), detail="jamming")
-                elif audible:  # every signal erased by link loss
-                    prov.note(slot, receiver, PROV_FAULT, tuple(audible), detail="link-loss")
-                else:
-                    prov.note(slot, receiver, PROV_SILENCE, ())
-            if trace is not None:
-                heard_by[receiver] = observation
-                conflict_counts[receiver] = count
-                if clean:
-                    delivered[receiver] = (sender, observation)
+            if log is not None:
+                log.receive(slot, receiver, audible, signals, observation, clean)
             if clean:
                 program.on_observe(ctx, observation)
                 self._rewake(receiver, ctx)
@@ -959,15 +934,8 @@ class Engine:
                 program.on_observe(ctx, observation)
         metrics.collisions += collisions
         metrics.deliveries += deliveries
-        if trace is not None:
-            trace.append(SlotRecord(
-                slot=slot,
-                transmitters=messages,
-                receivers=frozenset(entry[0] for entry in receivers),
-                heard=heard_by,
-                deliveries=delivered,
-                conflict_counts=conflict_counts,
-            ))
+        if log is not None:
+            log.end_slot(slot, messages)
 
     def _apply_faults(self) -> tuple[list[Entry], list[Node]]:
         """Apply this slot's faults to the graph and the crash and jam
@@ -1006,13 +974,13 @@ class Engine:
                         restored.append(entry)
         crashes = self._crashes_by_slot.get(slot)
         if crashes:
-            prov = self._prov
+            log = self._log
             for node, transient in crashes:
                 crashed.add(node)
                 if transient and node not in done:  # a done program never returns
                     self._awaiting_recovery.add(node)
-                if prov is not None:
-                    prov.note(slot, node, PROV_FAULT, (), detail="crashed")
+                if log is not None:
+                    log.crash(slot, node)
                 if node not in done:
                     parked_entries[node] = self._keyed[node][1]
                     parked.append(node)

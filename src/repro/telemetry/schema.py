@@ -40,7 +40,7 @@ KINDS: dict[str, frozenset[str]] = {
     "fault": frozenset({"slot"}),
     # protocol layer
     "phase": frozenset({"proto", "node", "index", "slot"}),
-    # causal slot provenance (opt-in; see repro.sim.provenance)
+    # causal slot provenance (opt-in; see repro.sim.trace)
     "prov": frozenset({"slot", "node", "outcome"}),
     # generic metrics
     "counter": frozenset({"name", "value"}),

@@ -179,3 +179,40 @@ class TestExplainFromStore:
             run_id, _ = store.upsert_run("fp0", {"created": 1.0})
             with pytest.raises(ExperimentError, match="no provenance rows"):
                 explain_from_store(store, run_id, "v", 0)
+
+
+class TestTrendUnknownMetric:
+    """``obs trend --check`` exits 2 for a metric no point of the source
+    carries, so a typo'd gate never reads as a pass."""
+
+    def _trend(self, capsys, db, metric, *extra):
+        from repro.cli import main
+
+        code = main(["obs", "trend", str(db), "--metric", metric, "--check", *extra])
+        return code, capsys.readouterr().err
+
+    def test_runs_source(self, capsys, tmp_path):
+        db = tmp_path / "runs.db"
+        with RunStore(db) as store:
+            _seed_runs(store, [10.0, 20.0, 30.0])
+        code, err = self._trend(capsys, db, "slots_per_sek")
+        assert code == 2
+        assert "slots_per_sek" in err
+
+    def test_bench_source(self, capsys, tmp_path):
+        db = tmp_path / "runs.db"
+        with RunStore(db) as store:
+            store.add_bench_point("b0", {
+                "recorded": 0.0, "combined_slots_per_sec": 100.0,
+                "topologies": {"grid-16x16": {"slots_per_sec": 50.0}},
+            })
+        code, err = self._trend(capsys, db, "torus.slots_per_sec", "--source", "bench")
+        assert code == 2
+        assert "torus.slots_per_sec" in err
+
+    def test_known_metric_with_few_points_passes(self, capsys, tmp_path):
+        db = tmp_path / "runs.db"
+        assert self._trend(capsys, db, "slots_per_sec")[0] == 0  # no runs yet
+        with RunStore(db) as store:
+            _seed_runs(store, [10.0])
+        assert self._trend(capsys, db, "slots_per_sec")[0] == 0

@@ -2,8 +2,6 @@
 
 from typing import Any
 
-import pytest
-
 from repro.graphs import line, star
 from repro.sim import (
     Context,
@@ -13,11 +11,10 @@ from repro.sim import (
     JamFault,
     LinkLossFault,
     NodeProgram,
-    ProvenanceRecorder,
     Receive,
     Transmit,
 )
-from repro.sim.provenance import (
+from repro.sim.trace import (
     COLLISION,
     DELIVERED,
     FAULT_SUPPRESSED,
@@ -26,6 +23,7 @@ from repro.sim.provenance import (
     explain_entry,
     explain_missing,
 )
+from repro.telemetry.core import Telemetry
 
 
 class Beacon(NodeProgram):
@@ -146,33 +144,41 @@ class TestOutcomes:
 
 class TestRecorderApi:
     def test_note_and_len(self):
-        rec = ProvenanceRecorder()
-        rec.note(0, "v", DELIVERED, ("u",))
-        rec.note(1, "v", SILENCE)
-        assert len(rec) == 2
-        assert rec.get("v", 0).transmitters == ("u",)
+        # One entry per listening node per slot: 1 is delivered 0's
+        # message, 2 hears only the listening 1.
+        prov = prov_run(line(3), {0: Beacon("m"), 1: Listener(), 2: Listener()}, {0}, 2)
+        assert len(prov) == 4
+        assert prov.get(1, 0).transmitters == (0,)
+        assert prov.get(2, 1).outcome == SILENCE
+        assert prov.get(0, 0) is None  # a transmitter is not listening
 
     def test_for_node_is_slot_ordered(self):
-        rec = ProvenanceRecorder()
-        rec.note(5, "v", SILENCE)
-        rec.note(1, "v", DELIVERED, ("u",))
-        rec.note(3, "w", SILENCE)
-        slots = [e.slot for e in rec.for_node("v")]
-        assert slots == [1, 5]
+        prov = prov_run(
+            star(3), {0: Listener(), 1: Beacon("a"), 2: Listener(), 3: Listener()}, {1}, 4
+        )
+        entries = prov.for_node(2)
+        assert [e.slot for e in entries] == [0, 1, 2, 3]
+        assert {e.node for e in entries} == {2}
 
     def test_note_forwards_to_telemetry(self):
-        emitted = []
+        def prov_events(record_trace, record_provenance):
+            telemetry = Telemetry.buffered()
+            engine = Engine(
+                star(2), {0: Listener(), 1: Beacon("a"), 2: Beacon("b")},
+                initiators={1, 2}, telemetry=telemetry,
+                record_trace=record_trace, record_provenance=record_provenance,
+            )
+            engine.run(1)
+            return [
+                {key: r[key] for key in ("slot", "node", "outcome", "tx", "detail") if key in r}
+                for r in telemetry.drain() if r["kind"] == "prov"
+            ]
 
-        class FakeTelemetry:
-            def emit(self, kind, **fields):
-                emitted.append((kind, fields))
-
-        rec = ProvenanceRecorder(telemetry=FakeTelemetry())
-        rec.note(2, "v", COLLISION, ("a", "b"))
-        assert emitted == [
-            ("prov", {"slot": 2, "node": "v", "outcome": COLLISION,
-                      "tx": ["a", "b"]})
-        ]
+        [event] = prov_events(False, True)
+        assert sorted(event.pop("tx")) == [1, 2]
+        assert event == {"slot": 0, "node": 0, "outcome": COLLISION}
+        # A trace alone logs the same entries but emits no prov event.
+        assert prov_events(True, False) == []
 
 
 class TestExplain:
@@ -192,8 +198,9 @@ class TestExplain:
         assert "FAULT" in text and "jamming" in text
 
     def test_recorder_explain_missing(self):
-        rec = ProvenanceRecorder()
-        assert rec.explain("v", 9) == explain_missing("v", 9)
+        prov = prov_run(line(2), {0: Beacon("m"), 1: Listener()}, {0}, 1)
+        assert prov.explain(0, 0) == explain_missing(0, 0)  # transmitting
+        assert prov.explain(1, 9) == explain_missing(1, 9)  # never executed
 
     def test_engine_run_explains_delivery(self):
         prov = prov_run(line(2), {0: Beacon("m"), 1: Listener()}, {0}, 1)

@@ -12,6 +12,8 @@ schedules, must leave the untraced run equal to both, on either medium,
 and so must programs that pick their intents from ``ctx.rng`` coins.
 Under random schedules of every fault family, overlapping crashes
 included, both runs must match the spec's fault rules on either medium.
+The traced run records provenance too, and its slot log must hold, per
+receiver, the surviving signals and observation the spec resolved.
 In test names, the "lean loop" is the untraced run and the "general
 loop" the traced one.  A last property checks that trace, provenance
 and telemetry never change a ``RunResult``.
@@ -19,6 +21,7 @@ and telemetry never change a ``RunResult``.
 
 import random
 from typing import Any
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -311,7 +314,9 @@ def test_faulted_lean_loop_equals_general_loop(case):
     """Under any fault schedule, on either medium, the untraced and the
     traced run give the spec's slots, metrics in dict order,
     observations and final graph; only an unobserved run (plain medium,
-    no trace) lets its programs sleep."""
+    no trace) lets its programs sleep.  The traced run records
+    provenance too, and each receiver's logged surviving signals and
+    observation are what ``spec.resolve_slot`` gave that slot."""
     graph, scripts, done_at, initiators, enforce, sleepers, faults, seed, cd = case
 
     def programs():
@@ -329,25 +334,42 @@ def test_faulted_lean_loop_equals_general_loop(case):
 
     def spec_run():
         progs = programs()
-        metrics, observed, final = spec.run(
-            graph, progs, SLOTS, seed=seed, initiators=initiators, faults=faults,
-            enforce_no_spontaneous=enforce, detects_collisions=cd,
-        )
-        return outcome(progs, metrics, final), observed
+        resolved = {}
+        resolve_slot = spec.resolve_slot
+
+        def recorded(*args, **kwargs):
+            slot_outcome = resolve_slot(*args, **kwargs)
+            for node, (observation, heard) in slot_outcome.items():
+                resolved[kwargs["slot"], node] = (sorted(heard), observation)
+            return slot_outcome
+
+        with mock.patch.object(spec, "resolve_slot", wraps=recorded):
+            metrics, observed, final = spec.run(
+                graph, progs, SLOTS, seed=seed, initiators=initiators, faults=faults,
+                enforce_no_spontaneous=enforce, detects_collisions=cd,
+            )
+        return outcome(progs, metrics, final), observed, resolved
 
     def engine_run(record_trace):
         progs = programs()
         medium = CollisionDetectingMedium() if cd else RadioMedium()
         engine = Engine(graph, progs, medium=medium, seed=seed, initiators=initiators,
                         faults=faults, enforce_no_spontaneous=enforce,
-                        record_trace=record_trace)
+                        record_trace=record_trace, record_provenance=record_trace)
         observed = record_trace or cd
         assert engine._observed is observed
         assert engine._sleepy is (observed or bool(sleepers) or not faults.is_empty())
         result = engine.run(SLOTS)
         assert result.slots == result.metrics.slots
-        observed = [dict(r.heard) for r in result.trace] if record_trace else None
-        return outcome(progs, result.metrics, result.graph), observed
+        if not record_trace:
+            return outcome(progs, result.metrics, result.graph), None, None
+        resolved = {
+            (entry.slot, entry.node): (sorted(entry.signals), entry.observation)
+            for entry in result.provenance
+            if entry.detail != "crashed"
+        }
+        observed = [dict(r.heard) for r in result.trace]
+        return outcome(progs, result.metrics, result.graph), observed, resolved
 
     expected = _outcome(spec_run)
     lean = _outcome(lambda: engine_run(False))

@@ -4,7 +4,7 @@ Covers the observability contract end-to-end: the engine emits
 run/slot-batch/fault records when a recorder is active and nothing at
 all otherwise; the protocols emit phase markers (Decay phase index,
 BFS layer); and — critically — enabling telemetry never turns on
-tracing, and ``record_trace=False`` allocates no :class:`SlotRecord`.
+tracing, and ``record_trace=False`` allocates no :class:`SlotLog`.
 """
 
 import pytest
@@ -126,12 +126,12 @@ class TestEngineSpans:
 
 class TestTraceGating:
     def test_no_slot_records_without_tracing(self, monkeypatch):
-        """record_trace=False must never allocate a SlotRecord."""
+        """record_trace=False must never allocate a slot log."""
 
         def _forbidden(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("SlotRecord allocated with record_trace=False")
+            raise AssertionError("SlotLog allocated with record_trace=False")
 
-        monkeypatch.setattr(engine_mod, "SlotRecord", _forbidden)
+        monkeypatch.setattr(engine_mod, "SlotLog", _forbidden)
         engine = _engine(line(4), record_trace=False)
         result = engine.run(10)
         assert result.trace is None
@@ -142,7 +142,7 @@ class TestTraceGating:
         def _forbidden(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("telemetry implicitly enabled tracing")
 
-        monkeypatch.setattr(engine_mod, "SlotRecord", _forbidden)
+        monkeypatch.setattr(engine_mod, "SlotLog", _forbidden)
         rec = Telemetry.buffered()
         with activate(rec):
             result = run_decay_broadcast(line(5), 0, seed=1)
