@@ -123,6 +123,13 @@ def _manifest_config(args: argparse.Namespace) -> dict:
     }
 
 
+def _command_name(args: argparse.Namespace) -> str:
+    """The command as typed: ``gap``, or ``fabric worker`` for a
+    command family's subcommand."""
+    sub = getattr(args, f"{args.command}_command", None)
+    return f"{args.command} {sub}" if sub else args.command
+
+
 def _restore_env_on_close(stack: contextlib.ExitStack, name: str) -> None:
     previous = os.environ.get(name)
 
@@ -184,7 +191,8 @@ def _run_logged(args: argparse.Namespace, path: str,
         # Attach before the manifest lands so the checkers see it
         # (it selects the checker family and pins epsilon).
         _live, detach_monitor = attach_monitor(recorder)
-    recorder.write_manifest(command=args.command, seed=getattr(args, "seed", None),
+    recorder.write_manifest(command=_command_name(args),
+                            seed=getattr(args, "seed", None),
                             config=_manifest_config(args))
     with recorder, activate(recorder):
         code = args.func(args)

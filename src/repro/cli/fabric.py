@@ -1,6 +1,8 @@
 """``fabric run|worker|chaos|autopsy``: the crash-safe multi-worker
-campaign fabric.  Every worker starts as ``python -m repro fabric
-worker``, so handlers load :mod:`repro.fabric` only when they run."""
+campaign fabric.  Every worker runs the ``fabric worker`` command:
+``fabric run`` forks its workers and runs it in-process, and a worker
+started on its own runs ``python -m repro fabric worker``.  Handlers
+load :mod:`repro.fabric` only when they run."""
 
 from __future__ import annotations
 

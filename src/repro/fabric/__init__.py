@@ -20,7 +20,7 @@ Correctness under crashes rests on three mechanisms:
 
 The package is exercised the same way the simulated network is: a
 seed-driven :mod:`~repro.fabric.faultplan` kills ``-9``/stalls/
-partitions real worker subprocesses and forces stale-commit attempts,
+partitions real worker processes and forces stale-commit attempts,
 and :mod:`~repro.fabric.verify` asserts that *any* fault plan yields
 results byte-identical to the serial run with zero fencing violations.
 

@@ -3,13 +3,17 @@ splice the survivors' commits.
 
 ``run_fabric`` is what ``python -m repro fabric run`` executes: it pins
 the campaign (spec + params → fingerprint + chunk geometry) in the
-lease store, launches N worker subprocesses (``python -m repro fabric
-worker``), then supervises — draining the store's event log into
-telemetry as it goes — until every chunk is committed.  Dead workers
-are simply reaped: their leases expire and the survivors take the
-chunks over.  If *every* worker dies with chunks still open (a fault
-plan can arrange that), the coordinator degrades to running the worker
-loop in-process, so the campaign still completes.
+lease store, forks N worker processes, then supervises — draining the
+store's event log into telemetry as it goes — until every chunk is
+committed.  Each forked worker runs the ``python -m repro fabric
+worker`` command line in-process (:func:`repro.cli.main`), from the
+state a fresh interpreter would give it (see :func:`_worker_child`),
+so it skips only the interpreter start and the imports the coordinator
+has already paid for.  Dead workers are simply reaped: their leases
+expire and the survivors take the chunks over.  If *every* worker dies
+with chunks still open (a fault plan can arrange that), the coordinator
+degrades to running the worker loop in-process, so the campaign still
+completes.
 
 The splice is byte-identical to a serial run by construction: chunk
 payloads are ``base64(pickle(results))`` of deterministic functions of
@@ -28,12 +32,14 @@ from __future__ import annotations
 import logging
 import os
 import signal
-import subprocess
+import sys
 import threading
 import time
+import traceback
+import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 import repro
 from repro.campaign import CampaignJournal, decode_chunk, plan_campaign, splice
@@ -41,10 +47,10 @@ from repro.errors import ExperimentError
 from repro.fabric.faultplan import FaultPlan
 from repro.fabric.specs import FabricSpec, resolve_spec
 from repro.fabric.store import LeaseReplay, LeaseStore, store_event_record
-from repro.fabric.worker import WorkerConfig, run_worker, worker_argv
+from repro.fabric.worker import WorkerConfig, run_worker, worker_args
 from repro.fabric.tracectx import TraceContext, traced
 from repro.perf import core as perf_core
-from repro.telemetry import get_active
+from repro.telemetry import get_active, set_active
 
 __all__ = ["FabricConfig", "FabricResult", "run_fabric"]
 
@@ -111,13 +117,112 @@ def _worker_ids(count: int) -> list[str]:
     return [f"w{index}" for index in range(count)]
 
 
-def _child_env() -> dict[str, str]:
-    """Worker subprocess env with this checkout importable."""
-    env = dict(os.environ)
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_dir + (os.pathsep + existing if existing else "")
-    return env
+class _ForkedWorker:
+    """A forked worker process, with the part of ``subprocess.Popen``'s
+    interface the supervision loop uses.  ``returncode`` is ``-N`` for a
+    worker killed by signal N."""
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: int | None = None
+
+    def poll(self) -> int | None:
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self, timeout: float | None = None) -> int:
+        """Reap the worker; raise ``TimeoutError`` after ``timeout`` s."""
+        if timeout is None:
+            if self.returncode is None:
+                _, status = os.waitpid(self.pid, 0)
+                self.returncode = os.waitstatus_to_exitcode(status)
+            return self.returncode
+        deadline = time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError(f"worker pid {self.pid} still running")
+            delay = min(delay * 2, remaining, 0.05)
+            time.sleep(delay)
+        return self.returncode
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+    def _signal(self, signum: int) -> None:
+        if self.returncode is None:  # a reaped pid may belong to another process
+            try:
+                os.kill(self.pid, signum)
+            except ProcessLookupError:
+                pass
+
+
+def _fork_worker(args: list[str], env: dict[str, str], log_path: Path) -> _ForkedWorker:
+    """Fork a worker running ``python -m repro <args>`` in-process, its
+    stdout and stderr on ``log_path``.  The caller must hold no SQLite
+    connection: none may cross a fork."""
+    log_fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _worker_child(args, env, log_fd)
+    finally:
+        os.close(log_fd)
+    return _ForkedWorker(pid)
+
+
+def _worker_child(args: list[str], env: dict[str, str], log_fd: int) -> NoReturn:
+    """The forked worker: start from what an exec'd ``python -m repro``
+    starts with, run the command, and exit without ever returning into
+    the caller's frames."""
+    code = 1
+    try:
+        os.dup2(log_fd, 1)
+        os.dup2(log_fd, 2)
+        os.close(log_fd)
+        sys.stdout = open(1, "w", closefd=False)
+        sys.stderr = open(2, "w", buffering=1, errors="backslashreplace", closefd=False)
+        os.environ.clear()
+        os.environ.update(env)
+        # The run manifest records sys.argv.
+        sys.argv = [str(Path(repro.__file__).with_name("__main__.py")), *args]
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        root = logging.getLogger()
+        for handler in list(root.handlers):
+            root.removeHandler(handler)
+        root.setLevel(logging.WARNING)
+        # The coordinator's recorder and perf session came across the
+        # fork but are not this process's; their sampler thread did not.
+        set_active(None)
+        perf_core.set_active(None)
+        if tracemalloc.is_tracing():
+            tracemalloc.stop()
+        from repro.cli import main
+
+        code = main(args)
+    except SystemExit as exc:
+        if exc.code is None or isinstance(exc.code, int):
+            code = exc.code or 0
+        else:
+            print(exc.code, file=sys.stderr)
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 def _forward_events(
@@ -141,7 +246,7 @@ def _forward_events(
 
 
 def run_fabric(config: FabricConfig) -> FabricResult:
-    """Run one campaign across worker subprocesses; return the splice."""
+    """Run one campaign across forked worker processes; return the splice."""
     started = time.perf_counter()
     spec: FabricSpec = resolve_spec(config.spec, config.params)
     plan = plan_campaign(
@@ -160,14 +265,16 @@ def run_fabric(config: FabricConfig) -> FabricResult:
         )
 
     store_path = Path(config.store)
-    store = LeaseStore(store_path)
-    campaign_id = store.create_campaign(
-        fingerprint,
-        spec=config.spec,
-        params=config.params,
-        items=len(spec.items),
-        chunksize=plan.chunksize,
-    )
+    # Closed before the workers fork and reopened after: no SQLite
+    # connection may cross a fork.
+    with LeaseStore(store_path) as store:
+        campaign_id = store.create_campaign(
+            fingerprint,
+            spec=config.spec,
+            params=config.params,
+            items=len(spec.items),
+            chunksize=plan.chunksize,
+        )
 
     # One campaign = one trace, rooted at the coordinator and propagated
     # to every worker through the environment.  Inert when telemetry is
@@ -193,11 +300,10 @@ def run_fabric(config: FabricConfig) -> FabricResult:
             except ValueError:  # not the main thread
                 pass
 
-        procs: dict[str, subprocess.Popen] = {}
-        log_handles: list[Any] = []
+        procs: dict[str, _ForkedWorker] = {}
         exits: dict[str, int | None] = {}
         worker_logs: dict[str, Path] = {}
-        env = _child_env()
+        env = dict(os.environ)
         trace.to_env(env)
         # Performance plane: a session activated programmatically (not
         # via the CLI's REPRO_PERF env save/restore) still reaches the
@@ -206,6 +312,7 @@ def run_fabric(config: FabricConfig) -> FabricResult:
         perf_session = perf_core.get_active()
         if perf_session is not None:
             perf_session.to_env(env)
+        store = None
         try:
             for worker_id in worker_ids:
                 worker_config = WorkerConfig(
@@ -222,16 +329,12 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                         f"{store_path.name}.{worker_id}.telemetry.jsonl"
                     )
                     worker_logs[worker_id] = Path(worker_config.telemetry)
-                handle = store_path.with_name(
-                    f"{store_path.name}.{worker_id}.log"
-                ).open("w", encoding="utf-8")
-                log_handles.append(handle)
-                procs[worker_id] = subprocess.Popen(
-                    worker_argv(worker_config),
-                    env=env,
-                    stdout=handle,
-                    stderr=subprocess.STDOUT,
+                procs[worker_id] = _fork_worker(
+                    worker_args(worker_config),
+                    env,
+                    store_path.with_name(f"{store_path.name}.{worker_id}.log"),
                 )
+            store = LeaseStore(store_path)
             events: list[dict[str, Any]] = []
             deadline = time.monotonic() + config.timeout
             fallback_ran = False
@@ -259,7 +362,7 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                         logger.info("fabric worker %s exited with %d", worker_id, code)
                 live = [w for w, p in procs.items() if p.poll() is None]
                 if not live and not store.all_done(campaign_id):
-                    # Every subprocess is gone with work still open.  The
+                    # Every worker is gone with work still open.  The
                     # campaign must still finish: run the worker loop
                     # right here (no faults — the plan addressed the
                     # dead ones).
@@ -286,9 +389,7 @@ def run_fabric(config: FabricConfig) -> FabricResult:
             # all_done on their own) and collect exit codes.  Only a
             # worker inside its claim loop gets SIGTERM: one that has not
             # logged worker_start sees all_done at its first poll, and
-            # one that has logged worker_exit may already be in
-            # interpreter shutdown, where SIGTERM kills it (exit -15)
-            # instead of draining it.
+            # one that has logged worker_exit is already on its way out.
             _forward_events(store, campaign_id, events)
             in_loop = {e["worker"] for e in events if e["kind"] == "worker_start"}
             in_loop -= {e["worker"] for e in events if e["kind"] == "worker_exit"}
@@ -298,7 +399,7 @@ def run_fabric(config: FabricConfig) -> FabricResult:
             for worker_id, proc in procs.items():
                 try:
                     exits[worker_id] = proc.wait(timeout=10.0)
-                except subprocess.TimeoutExpired:
+                except TimeoutError:
                     proc.kill()
                     exits[worker_id] = proc.wait()
             _forward_events(store, campaign_id, events)
@@ -353,6 +454,6 @@ def run_fabric(config: FabricConfig) -> FabricResult:
             for proc in procs.values():
                 if proc.poll() is None:
                     proc.kill()
-            for handle in log_handles:
-                handle.close()
-            store.close()
+                    proc.wait()
+            if store is not None:
+                store.close()

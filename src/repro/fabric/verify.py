@@ -5,7 +5,7 @@
 1. **Serial reference** — a plain in-process loop over the spec's
    items, pickled with the same payload encoding the fabric uses;
 2. **Fabric under faults** — :func:`repro.fabric.coordinator.run_fabric`
-   with the given fault plan applied to real worker subprocesses.
+   with the given fault plan applied to real worker processes.
 
 and then audits three things:
 

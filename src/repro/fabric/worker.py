@@ -1,17 +1,20 @@
 """The fabric worker loop: claim → heartbeat → compute → fenced commit.
 
-One worker is one OS process (``python -m repro fabric worker``).  It
-rebuilds the campaign's ``(fn, items)`` from the spec registry, then
-loops: claim a chunk lease from the shared store, heartbeat from a
-background thread while computing, and commit the encoded results
-under the lease's fencing token.  Everything that can kill it —
-``kill -9``, stalls past the lease, store partitions — is survivable
-by construction: the lease expires, a peer takes the chunk over, and
-the fencing token guarantees the resurrected worker's late commit is
-rejected rather than spliced.
+One worker is one OS process running the ``fabric worker`` command:
+forked by the coordinator (``fabric run``), or started on its own as
+``python -m repro fabric worker``.  It rebuilds the campaign's ``(fn,
+items)`` from the spec registry, then loops: claim a chunk lease from
+the shared store, heartbeat from a background thread while computing,
+and commit the encoded results under the lease's fencing token.
+Everything that can kill it — ``kill -9``, stalls past the lease,
+store partitions — is survivable by construction: the lease expires, a
+peer takes the chunk over, and the fencing token guarantees the
+resurrected worker's late commit is rejected rather than spliced.
 
 Graceful drain: SIGTERM sets a flag; the worker finishes (and
 commits) the chunk in flight, then exits 0 without claiming another.
+Its waits (idle backoff, the stale-commit poll) wait on that flag, so
+a drained idle worker leaves at once.
 
 Fault-plan hooks (:mod:`repro.fabric.faultplan`) fire at deterministic
 points — addressed by the worker's *claim ordinal*, not wall time — so
@@ -227,7 +230,7 @@ def run_worker(config: WorkerConfig) -> int:
                             _IDLE_BACKOFF_BASE, idle_attempts, chunk_index=jitter_stream
                         ),
                     )
-                    time.sleep(max(config.poll_interval, delay))
+                    drain.wait(max(config.poll_interval, delay))
                     continue
                 idle_attempts = 0
                 actions = my_plan.at(config.worker_id, ordinal)
@@ -301,7 +304,7 @@ def run_worker(config: WorkerConfig) -> int:
                             current = store.chunk_state(campaign_id, lease.index)
                             if int(current["fence"]) > lease.fence:
                                 break
-                            time.sleep(config.poll_interval)
+                            drain.wait(config.poll_interval)
                     if partition is not None:
                         # No store traffic until the partition heals.
                         remaining = heartbeat.suppress_until - time.time()
@@ -350,14 +353,10 @@ def run_worker(config: WorkerConfig) -> int:
     return 0
 
 
-def worker_argv(config: WorkerConfig) -> list[str]:
-    """The ``python -m repro fabric worker`` argv for this config."""
-    import sys
-
-    argv = [
-        sys.executable,
-        "-m",
-        "repro",
+def worker_args(config: WorkerConfig) -> list[str]:
+    """The ``python -m repro`` arguments (``fabric worker ...``) that
+    run this config's worker."""
+    args = [
         "fabric",
         "worker",
         "--store",
@@ -374,8 +373,8 @@ def worker_argv(config: WorkerConfig) -> list[str]:
         str(config.stale_timeout),
     ]
     if config.telemetry is not None:
-        argv += ["--telemetry", str(config.telemetry)]
+        args += ["--telemetry", str(config.telemetry)]
     plan = config.fault_plan.for_worker(config.worker_id)
     if plan:
-        argv += ["--fault-plan-json", plan.to_json()]
-    return argv
+        args += ["--fault-plan-json", plan.to_json()]
+    return args

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Hashable, Iterator
 
+from repro.sim.medium import JAMMING
+
 __all__ = [
     "DELIVERED", "COLLISION", "SILENCE", "FAULT_SUPPRESSED", "OUTCOMES",
     "SlotProvenance", "SlotLog", "SlotRecord", "Trace", "ProvenanceRecorder",
@@ -206,15 +208,23 @@ class Trace:
     # -- convenience queries -------------------------------------------
 
     def total_transmissions(self) -> int:
-        """Total number of (node, slot) transmit events."""
-        return sum(len(rec.transmitters) for rec in self.records)
+        """Total number of (node, slot) transmit events.  Jam noise is
+        not a transmission (``RunMetrics`` meters it apart)."""
+        return sum(
+            message is not JAMMING
+            for rec in self.records
+            for message in rec.transmitters.values()
+        )
 
     def total_collisions(self) -> int:
         """Total number of (receiver, slot) conflict events."""
         return sum(len(rec.collided_receivers) for rec in self.records)
 
     def transmissions_by(self, node: Node) -> int:
-        return sum(1 for rec in self.records if node in rec.transmitters)
+        return sum(
+            1 for rec in self.records
+            if node in rec.transmitters and rec.transmitters[node] is not JAMMING
+        )
 
     def first_delivery_slot(self, node: Node) -> int | None:
         """First slot at which ``node`` was delivered a message, or None."""

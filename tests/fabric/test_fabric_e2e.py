@@ -1,4 +1,4 @@
-"""End-to-end fabric acceptance tests: real worker subprocesses, real
+"""End-to-end fabric acceptance tests: real worker processes, real
 ``kill -9``, and the byte-identity + fencing-soundness verdicts.
 
 These encode the PR's acceptance criterion directly: under a fault
@@ -95,7 +95,7 @@ class TestFallback:
         assert "coordinator" in result.workers
 
     def test_all_workers_killed_coordinator_finishes(self, tmp_path):
-        # Every subprocess is killed on its first claim; the campaign
+        # Every worker is killed on its first claim; the campaign
         # must still complete via the coordinator's in-process fallback.
         config = FabricConfig(
             spec="squares", params={"n": 12},

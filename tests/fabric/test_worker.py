@@ -1,6 +1,6 @@
 """In-process tests of the worker loop (:mod:`repro.fabric.worker`).
 
-Subprocess orchestration is covered by the e2e suite; here the loop
+Process orchestration is covered by the e2e and worker-process suites; here the loop
 runs in threads against a shared store file, which exercises claim/
 heartbeat/commit and the fault hooks without process overhead.
 """

@@ -24,6 +24,7 @@ from repro.sim import (
     Receive,
     Transmit,
 )
+from repro.sim.faults import FaultSchedule, JamFault
 
 
 class RandomActor(NodeProgram):
@@ -56,7 +57,7 @@ edge_lists = st.lists(
 )
 
 
-def run_random_system(edges, seed, slots, medium=None):
+def run_random_system(edges, seed, slots, medium=None, faults=None):
     g = Graph(nodes=range(10), edges=edges)
     programs = {node: RandomActor(0.3) for node in g.nodes}
     engine = Engine(
@@ -66,6 +67,7 @@ def run_random_system(edges, seed, slots, medium=None):
         medium=medium,
         initiators=set(g.nodes),
         record_trace=True,
+        faults=faults,
     )
     result = engine.run(slots)
     return g, programs, result
@@ -125,10 +127,21 @@ def test_runs_are_reproducible(edges, seed, slots):
         assert programs_a[node].actions == programs_b[node].actions
 
 
+#: Jam windows ``(node, start, length)``: jam noise is metered apart
+#: from transmissions, in the trace as in the metrics.
+jam_windows = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(1, 4)), max_size=3
+)
+
+
 @settings(max_examples=40, deadline=None)
-@given(edge_lists, st.integers(0, 10**6), st.integers(1, 10))
-def test_metrics_agree_with_trace(edges, seed, slots):
-    _g, _programs, result = run_random_system(edges, seed, slots)
+@given(edge_lists, st.integers(0, 10**6), st.integers(1, 10), jam_windows)
+def test_metrics_agree_with_trace(edges, seed, slots, jams):
+    faults = FaultSchedule(jam_faults=[
+        JamFault(node=node, start=start, end=start + length)
+        for node, start, length in jams
+    ])
+    _g, _programs, result = run_random_system(edges, seed, slots, faults=faults)
     trace = result.trace
     assert result.metrics.transmissions == trace.total_transmissions()
     assert result.metrics.collisions == trace.total_collisions()

@@ -14,6 +14,7 @@ from repro.sim import (
     Trace,
     Transmit,
 )
+from repro.sim.faults import FaultSchedule, JamFault
 
 
 class Beacon(NodeProgram):
@@ -97,6 +98,22 @@ class TestTraceQueries:
 
     def test_iteration(self):
         assert all(isinstance(rec, SlotRecord) for rec in self.trace)
+
+
+def test_jam_noise_is_not_a_transmission():
+    """A jammer's noise is metered apart from transmissions, in the
+    trace as in ``RunMetrics``."""
+    engine = Engine(
+        star(2), {0: Listener(), 1: Beacon(), 2: Listener()}, initiators={1},
+        faults=FaultSchedule(jam_faults=[JamFault(node=2, start=0, end=3)]),
+        record_trace=True,
+    )
+    result = engine.run(3)
+    assert result.metrics.transmissions == 3
+    assert result.metrics.jam_transmissions == 3
+    assert result.trace.total_transmissions() == 3
+    assert result.trace.transmissions_by(1) == 3
+    assert result.trace.transmissions_by(2) == 0
 
 
 def test_empty_trace():
