@@ -1,4 +1,4 @@
-"""Extension benches: leader election, multi-message pipelining, and
+"""Extension benches: leader election, the [BGI89] emulation and
 centralized-schedule quality — the features built on top of the paper's
 core per DESIGN.md §4/§5.
 """
@@ -10,7 +10,6 @@ from repro.core.schedule import greedy_layer_schedule, sequential_tree_schedule
 from repro.graphs import grid, random_gnp
 from repro.graphs.properties import diameter
 from repro.protocols.leader_election import run_leader_election
-from repro.protocols.multi_broadcast import run_multi_broadcast
 from repro.rng import spawn
 
 
@@ -48,33 +47,6 @@ def test_ext_leader_election(benchmark):
     assert all(rate >= 0.7 for rate in table.column("correct_rate"))
 
 
-def _multi_broadcast_table(config):
-    table = Table(
-        "EXT-b — multi-message broadcast: pipelined vs sequential ([BII89] shape)",
-        ["messages", "pipelined_slots", "sequential_slots", "speedup"],
-    )
-    g = grid(5, 5)
-    counts = (2, 4) if config.quick else (2, 4, 8, 16)
-    for j in counts:
-        payloads = [f"m{i}" for i in range(j)]
-        pipe = run_multi_broadcast(
-            g, 0, payloads, mode="pipelined", seed=config.master_seed
-        )
-        seq = run_multi_broadcast(
-            g, 0, payloads, mode="sequential", seed=config.master_seed
-        )
-        table.add_row(j, pipe.slots, seq.slots, seq.slots / pipe.slots)
-    return table
-
-
-def test_ext_multi_broadcast(benchmark):
-    config = bench_config(reps=5)
-    table = run_once(benchmark, _multi_broadcast_table, config)
-    emit("ext_multi_broadcast", table)
-    speedups = table.column("speedup")
-    assert speedups[-1] > speedups[0]  # pipelining pays more with more messages
-
-
 def _schedule_quality_table(config):
     table = Table(
         "EXT-c — centralized schedule length: greedy ([CW87] flavour) vs sequential",
@@ -88,47 +60,6 @@ def _schedule_quality_table(config):
         tree = sequential_tree_schedule(g, 0)
         table.add_row(n, d, len(greedy), len(tree), len(greedy) / max(1, d))
     return table
-
-
-def _routing_table(config):
-    from repro.graphs import grid as make_grid
-    from repro.protocols.routing import run_routing
-
-    table = Table(
-        "EXT-e — point-to-point routing ([BII89]): beam vs flood",
-        ["grid", "hops", "delivered_rate", "mean_beam_size", "n"],
-    )
-    sides = (5, 6) if config.quick else (5, 6, 8, 10)
-    for side in sides:
-        g = make_grid(side, side)
-        # Route along one edge of the grid (corner-to-corner would put
-        # EVERY node on a shortest path, which defeats the beam demo).
-        target = side - 1
-        delivered = 0
-        beams = []
-        for seed in config.seeds("routing", side):
-            out = run_routing(g, 0, target, seed=seed, epsilon=0.1)
-            if out["delivered"]:
-                delivered += 1
-                beams.append(out["beam_size"])
-        table.add_row(
-            f"{side}x{side}",
-            side - 1,
-            delivered / config.reps,
-            sum(beams) / len(beams) if beams else float("nan"),
-            side * side,
-        )
-    return table
-
-
-def test_ext_routing(benchmark):
-    config = bench_config(reps=10)
-    table = run_once(benchmark, _routing_table, config)
-    emit("ext_routing", table)
-    assert all(rate >= 0.8 for rate in table.column("delivered_rate"))
-    # The beam stays well below the full network (routing, not flooding).
-    for beam, n in zip(table.column("mean_beam_size"), table.column("n")):
-        assert beam < 0.8 * n
 
 
 def _emulation_table(config):

@@ -10,8 +10,8 @@ Public surface (see README for a guided tour):
 * ``repro.sim`` — the synchronous radio model (Definition 1): engine,
   media with/without collision detection, traces, faults.
 * ``repro.core`` — Decay and the paper's analytic bounds/schedules.
-* ``repro.protocols`` — the randomized Broadcast/BFS/leader-election/
-  multi-broadcast protocols and the deterministic baselines.
+* ``repro.protocols`` — the randomized Broadcast/BFS/leader-election
+  protocols and the deterministic baselines.
 * ``repro.lowerbound`` — the hitting game, the ``find_set`` adversary,
   and the protocol-to-game reduction behind Theorem 12.
 * ``repro.experiments`` — one module per reproduced result (E1–E12).

@@ -2,8 +2,8 @@
 
 README walks through the commands, and ``--help`` lists each one's
 flags.  This module holds ``main`` with its session wiring (logging,
-telemetry, ``--monitor``, ``--provenance``, ``--perf``, ``--obs-db``),
-the top-level parser and the flag groups commands share.  Each command
+telemetry, ``--monitor``, ``--provenance``, ``--perf``, ``--obs-db``)
+and its one error exit, the top-level parser and the flag groups commands share.  Each command
 family has a module here with its parsers and one handler per command.
 At module level those import only argparse, the standard library and
 this module; a handler imports its package when it runs, so a
@@ -235,17 +235,25 @@ def main(argv: list[str] | None = None) -> int:
             "event stream; use 'repro monitor <log> --follow' to watch an "
             "existing log instead)"
         )
-    with contextlib.ExitStack() as stack:
-        # --provenance rides on the ambient REPRO_PROVENANCE gate so every
-        # engine the command constructs (including in pool workers, which
-        # inherit the environment) records causal slot provenance.
-        if getattr(args, "provenance", False):
-            _restore_env_on_close(stack, "REPRO_PROVENANCE")
-            os.environ["REPRO_PROVENANCE"] = "1"
-        finish_perf = _start_perf(args, stack) if getattr(args, "perf", False) else None
-        if telemetry_path:
-            return _run_logged(args, telemetry_path, finish_perf)
-        code = args.func(args)
-        if finish_perf is not None:
-            finish_perf(None)
-        return code
+    from repro.errors import ExperimentError
+
+    try:
+        with contextlib.ExitStack() as stack:
+            # --provenance rides on the ambient REPRO_PROVENANCE gate so
+            # every engine the command constructs (including in pool
+            # workers, which inherit the environment) records causal slot
+            # provenance.
+            if getattr(args, "provenance", False):
+                _restore_env_on_close(stack, "REPRO_PROVENANCE")
+                os.environ["REPRO_PROVENANCE"] = "1"
+            finish_perf = (_start_perf(args, stack)
+                           if getattr(args, "perf", False) else None)
+            if telemetry_path:
+                return _run_logged(args, telemetry_path, finish_perf)
+            code = args.func(args)
+            if finish_perf is not None:
+                finish_perf(None)
+            return code
+    except ExperimentError as exc:
+        # The one error exit: bad input or configuration, not a bug.
+        raise SystemExit(f"{_command_name(args)}: {exc}")

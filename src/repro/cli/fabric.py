@@ -7,26 +7,9 @@ load :mod:`repro.fabric` only when they run."""
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-from typing import Callable
 
 from repro.cli import add_common, add_observability, write_trace
-
-
-def _fabric_errors(handler: Callable) -> Callable:
-    """Exit with ``fabric <command>: <error>`` on an ExperimentError."""
-
-    @functools.wraps(handler)
-    def run(args: argparse.Namespace) -> int:
-        from repro.errors import ExperimentError
-
-        try:
-            return handler(args)
-        except ExperimentError as exc:
-            raise SystemExit(f"fabric {args.fabric_command}: {exc}")
-
-    return run
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -71,7 +54,6 @@ def _fabric_config(args: argparse.Namespace, *, random_plan: bool, **extra):
     )
 
 
-@_fabric_errors
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.fabric.coordinator import run_fabric
     from repro.fabric.specs import resolve_spec
@@ -105,7 +87,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return code
 
 
-@_fabric_errors
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.fabric.faultplan import FaultPlan
     from repro.fabric.worker import WorkerConfig, run_worker
@@ -123,7 +104,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     ))
 
 
-@_fabric_errors
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.fabric.verify import verify_fabric
 
@@ -150,7 +130,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-@_fabric_errors
 def _cmd_autopsy(args: argparse.Namespace) -> int:
     from pathlib import Path
 

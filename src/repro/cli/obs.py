@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Callable
 
 from repro.cli import write_trace
@@ -12,28 +13,32 @@ from repro.cli import write_trace
 _RUN_HELP = "run id, fingerprint prefix, 'latest' or 'prev'"
 
 
-def _on_store(handler: Callable, gated: Callable = lambda args: False) -> Callable:
-    """``handler(args, store)`` run on the store at ``args.db``.  A store
-    or query error exits as ``obs <command>: <error>``, or, when
-    ``gated(args)``, prints that line to stderr and returns 2."""
+def _on_store(handler: Callable, gated: Callable = lambda args: False,
+              create: bool = False) -> Callable:
+    """``handler(args, store)`` run on the store at ``args.db``, which
+    must exist unless ``create``.  When ``gated(args)``, a store or query
+    error prints ``obs <command>: <error>`` to stderr and returns 2;
+    otherwise ``main`` exits with that line."""
 
     def run(args: argparse.Namespace) -> int:
         from repro.errors import ExperimentError
         from repro.obs import RunStore
 
         try:
+            if not create and not Path(args.db).exists():
+                raise ExperimentError(f"no run store at {args.db}")
             with RunStore(args.db) as store:
                 return handler(args, store)
         except ExperimentError as exc:
-            if gated(args):
-                # The --check exit-code contract: 0 = checked and clean,
-                # 1 = regression detected, 2 = bad invocation (unknown
-                # metric/source, invalid threshold, missing store, a run
-                # with no perf metrics) — so a CI gate can never mistake a
-                # typo for a verdict.
-                print(f"obs {args.obs_command}: {exc}", file=sys.stderr)
-                return 2
-            raise SystemExit(f"obs {args.obs_command}: {exc}")
+            if not gated(args):
+                raise
+            # The --check exit-code contract: 0 = checked and clean,
+            # 1 = regression detected, 2 = bad invocation (unknown
+            # metric/source, invalid threshold, missing store, a run
+            # with no perf metrics) — so a CI gate can never mistake a
+            # typo for a verdict.
+            print(f"obs {args.obs_command}: {exc}", file=sys.stderr)
+            return 2
 
     return run
 
@@ -251,13 +256,9 @@ def _cmd_explain(args: argparse.Namespace, store) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     # Pure log -> trace translation; no run store involved.
-    from repro.errors import ExperimentError
     from repro.monitor import read_log_records
 
-    try:
-        records = read_log_records(args.log)
-    except ExperimentError as exc:
-        raise SystemExit(f"obs export: {exc}")
+    records = read_log_records(args.log)
     trace = write_trace("obs export", records, args.chrome_trace)
     print(f"wrote {args.chrome_trace} ({len(trace['traceEvents'])} trace "
           f"events from {len(records)} records)")
@@ -277,7 +278,7 @@ def register(sub) -> None:
     p.add_argument("paths", nargs="+",
                    help="telemetry JSON-lines logs or bench records "
                         "(auto-detected; idempotent re-ingest)")
-    p.set_defaults(func=_on_store(_cmd_ingest))
+    p.set_defaults(func=_on_store(_cmd_ingest, create=True))
 
     p = obs_sub.add_parser("compare", help="A/B diff two ingested runs")
     p.add_argument("db")

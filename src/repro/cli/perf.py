@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import sys
 
 
 def report_perf(session, *, title: str, base: str | None) -> None:
@@ -68,6 +69,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
         try:
             code = main(cmd)
         except SystemExit as exc:
+            if isinstance(exc.code, str):
+                print(exc.code, file=sys.stderr)
             code = exc.code if isinstance(exc.code, int) else 1
     report_perf(session, title=f"repro {' '.join(cmd)}", base=args.out)
     return code

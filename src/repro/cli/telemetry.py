@@ -40,7 +40,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import ExperimentError
     from repro.monitor import (
         BoardRenderer,
         MonitorConfig,
@@ -62,17 +61,14 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         renderer_factory = lambda board: BoardRenderer(  # noqa: E731
             board, interval=args.interval, plain=True if args.plain else None
         )
-    try:
-        report = monitor_log(
-            args.log,
-            config=config,
-            follow=args.follow,
-            idle_timeout=args.idle_timeout,
-            renderer_factory=renderer_factory,
-            write_alerts=not args.no_write_alerts,
-        )
-    except ExperimentError as exc:
-        raise SystemExit(f"monitor: {exc}")
+    report = monitor_log(
+        args.log,
+        config=config,
+        follow=args.follow,
+        idle_timeout=args.idle_timeout,
+        renderer_factory=renderer_factory,
+        write_alerts=not args.no_write_alerts,
+    )
     if args.chrome_trace:
         read = fleet_records if is_sqlite_file(args.log) else read_log_records
         trace = write_trace("monitor", read(args.log), args.chrome_trace)

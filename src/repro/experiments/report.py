@@ -45,8 +45,6 @@ CLAIMS: dict[str, str] = {
     "e12a_three_round": "Sec. 3.5 — 3-slot spontaneous protocol on C_n",
     "e12b_c_star": "Sec. 3.5 — C*_n restores the linear bound",
     "ext_leader_election": "Extension — Decay leader election ([BGI89])",
-    "ext_multi_broadcast": "Extension — pipelined multi-message broadcast ([BII89])",
-    "ext_routing": "Extension — point-to-point routing ([BII89])",
     "ext_emulation": "Extension — single-hop-CD emulation ([BGI89])",
     "ext_schedule_quality": "Extension — centralized schedule quality ([CW87])",
 }

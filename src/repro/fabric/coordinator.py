@@ -18,7 +18,7 @@ completes.
 The splice is byte-identical to a serial run by construction: chunk
 payloads are ``base64(pickle(results))`` of deterministic functions of
 the chunk items, reassembled in index order.  With ``journal=`` the
-coordinator also writes a :class:`repro.parallel.CampaignJournal` from
+coordinator also writes a :class:`repro.campaign.CampaignJournal` from
 the committed payloads — the same bytes ``resilient_map`` would have
 journaled, so pool and fabric checkpoints are interchangeable.
 
@@ -293,13 +293,6 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                 fault_plan=config.fault_plan.spec() or None,
             )
 
-        drain = threading.Event()
-        if config.install_signal_handler:
-            try:
-                signal.signal(signal.SIGTERM, lambda *_: drain.set())
-            except ValueError:  # not the main thread
-                pass
-
         procs: dict[str, _ForkedWorker] = {}
         exits: dict[str, int | None] = {}
         worker_logs: dict[str, Path] = {}
@@ -313,6 +306,17 @@ def run_fabric(config: FabricConfig) -> FabricResult:
         if perf_session is not None:
             perf_session.to_env(env)
         store = None
+        drain = threading.Event()
+        # The drain handler lives as long as this call: the caller's
+        # SIGTERM handler is put back on return and on raise.
+        previous_sigterm: Any = None
+        if config.install_signal_handler:
+            try:
+                previous_sigterm = signal.signal(
+                    signal.SIGTERM, lambda *_: drain.set()
+                ) or signal.SIG_DFL
+            except ValueError:  # not the main thread
+                pass
         try:
             for worker_id in worker_ids:
                 worker_config = WorkerConfig(
@@ -457,3 +461,5 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                     proc.wait()
             if store is not None:
                 store.close()
+            if previous_sigterm is not None:
+                signal.signal(signal.SIGTERM, previous_sigterm)

@@ -22,6 +22,8 @@ import html
 from pathlib import Path
 from typing import Any
 
+from repro.errors import ExperimentError
+
 __all__ = [
     "parse_folded",
     "merge_folded",
@@ -136,6 +138,8 @@ def load_stacks(path: str | Path) -> dict[str, int]:
     log (merging every ``perf_profile`` record's ``stacks``)."""
     from repro.monitor.tail import read_log_records
 
+    if not Path(path).is_file():
+        raise ExperimentError(f"no folded stacks or telemetry log at {path}")
     text = Path(path).read_text(encoding="utf-8")
     if not text.lstrip().startswith("{"):
         return parse_folded(text)

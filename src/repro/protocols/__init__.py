@@ -6,8 +6,6 @@ Randomized (the paper's contribution):
 * :mod:`repro.protocols.decay_bfs` — Section 2.3's BFS.
 * :mod:`repro.protocols.leader_election` — Decay-based leader election
   (the [BGI89] application sketched in Section 2.3).
-* :mod:`repro.protocols.multi_broadcast` — pipelined multi-message
-  broadcast (the [BII89] follow-on built on Decay).
 
 Deterministic baselines (the other side of the gap):
 
@@ -39,12 +37,7 @@ from repro.protocols.decay_broadcast import (
 )
 from repro.protocols.dfs_broadcast import DFSBroadcastProgram, make_dfs_programs
 from repro.protocols.leader_election import LeaderElectionProgram, run_leader_election
-from repro.protocols.multi_broadcast import (
-    MultiBroadcastProgram,
-    run_multi_broadcast,
-)
 from repro.protocols.round_robin import RoundRobinProgram, make_round_robin_programs
-from repro.protocols.routing import RoutingProgram, run_routing
 from repro.protocols.scheduled import ScheduledProgram, make_scheduled_programs
 
 __all__ = [
@@ -69,8 +62,4 @@ __all__ = [
     "make_tree_splitting_programs",
     "LeaderElectionProgram",
     "run_leader_election",
-    "MultiBroadcastProgram",
-    "run_multi_broadcast",
-    "RoutingProgram",
-    "run_routing",
 ]

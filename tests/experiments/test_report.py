@@ -69,6 +69,15 @@ def test_claims_cover_every_bench_output():
     assert not missing, f"add CLAIMS entries for: {sorted(missing)}"
 
 
+def test_claims_and_committed_tables_agree():
+    # Each committed table has a claim, and each claim a committed table:
+    # the report neither appends an "(unmapped result)" nor drops a claim.
+    results = pathlib.Path(__file__).parents[2] / "benchmarks" / "results"
+    tables = {path.stem for path in results.glob("*.txt")}
+    assert sorted(tables - set(CLAIMS)) == [], "tables without a CLAIMS entry"
+    assert sorted(set(CLAIMS) - tables) == [], "CLAIMS entries without a table"
+
+
 def test_cli_report_command(results_dir, capsys):
     from repro.cli import main
 

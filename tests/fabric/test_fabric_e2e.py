@@ -135,3 +135,45 @@ class TestGuards:
         )
         with pytest.raises(ExperimentError, match="unknown worker"):
             run_fabric(config)
+
+
+class TestSigtermHandler:
+    """``run_fabric`` drains on SIGTERM only while it runs: the caller's
+    handler is back once it returns or raises."""
+
+    def _run(self, config):
+        """Run under a marker SIGTERM handler; return whether the marker
+        is installed afterwards, and the error raised (or None)."""
+        import signal
+
+        from repro.errors import ExperimentError
+
+        def marker(*_):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, marker)
+        error = None
+        try:
+            run_fabric(config)
+        except ExperimentError as exc:
+            error = exc
+        finally:
+            after = signal.getsignal(signal.SIGTERM)
+            signal.signal(signal.SIGTERM, previous)
+        return after is marker, error
+
+    def test_restored_on_return(self, tmp_path):
+        restored, error = self._run(FabricConfig(
+            spec="squares", params={"n": 6},
+            store=tmp_path / "f.db", workers=1, timeout=60.0,
+        ))
+        assert error is None
+        assert restored
+
+    def test_restored_on_raise(self, tmp_path):
+        restored, error = self._run(FabricConfig(
+            spec="slow-squares", params={"n": 6, "delay": 0.5},
+            store=tmp_path / "f.db", workers=1, timeout=0.0,
+        ))
+        assert "deadline" in str(error)
+        assert restored

@@ -93,15 +93,11 @@ def test_forked_workers_start_clean(tmp_path):
     none of the workers' records."""
     store = tmp_path / "fab.db"
     coordinator_log = tmp_path / "coord.jsonl"
-    previous = signal.getsignal(signal.SIGTERM)
-    try:
-        code = main([
-            "fabric", "run", "--spec", "chaos", "--param", "n=16", "--param", "reps=4",
-            "--param", "master_seed=3", "--workers", "2", "--store", str(store),
-            "--telemetry", str(coordinator_log), "--worker-telemetry",
-        ])
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+    code = main([
+        "fabric", "run", "--spec", "chaos", "--param", "n=16", "--param", "reps=4",
+        "--param", "master_seed=3", "--workers", "2", "--store", str(store),
+        "--telemetry", str(coordinator_log), "--worker-telemetry",
+    ])
     assert code == 0
     records = _records(coordinator_log)
     kinds = {record["kind"] for record in records}

@@ -212,6 +212,7 @@ class TestTrendUnknownMetric:
 
     def test_known_metric_with_few_points_passes(self, capsys, tmp_path):
         db = tmp_path / "runs.db"
+        RunStore(db).close()
         assert self._trend(capsys, db, "slots_per_sec")[0] == 0  # no runs yet
         with RunStore(db) as store:
             _seed_runs(store, [10.0])

@@ -357,9 +357,23 @@ class TestObsCommands:
         assert "INGEST FAILED" in out
 
     def test_empty_store_errors_cleanly(self, tmp_path):
+        from repro.obs import RunStore
+
         db = tmp_path / "empty.db"
-        with pytest.raises(SystemExit, match="empty"):
+        RunStore(db).close()
+        with pytest.raises(SystemExit, match="the run store is empty"):
             main(["obs", "report", str(db)])
+
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["compare", "latest", "prev"],
+        ["explain", "--node", "0", "--slot", "0"],
+    ])
+    def test_read_only_commands_refuse_a_missing_store(self, tmp_path, argv):
+        db = tmp_path / "nope.db"
+        with pytest.raises(SystemExit) as info:
+            main(["obs", argv[0], str(db), *argv[1:]])
+        assert info.value.code == f"obs {argv[0]}: no run store at {db}"
+        assert not db.exists()
 
     def test_bench_trend_from_committed_history(self, capsys, tmp_path):
         import pathlib
@@ -382,8 +396,25 @@ class TestGateExitCodeContract:
     1 = regression verdict, 2 = bad invocation.  A typo in a gate must
     never read as a pass (0) or as a regression (1)."""
 
-    def test_trend_check_bad_threshold_exits_2(self, capsys, tmp_path):
+    @staticmethod
+    def _empty_store(tmp_path):
+        from repro.obs import RunStore
+
         db = tmp_path / "runs.db"
+        RunStore(db).close()
+        return db
+
+    def test_trend_check_missing_store_exits_2(self, capsys, tmp_path):
+        db = tmp_path / "typo.db"
+        code = main(["obs", "trend", str(db), "--metric", "slots", "--check"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"obs trend: no run store at {db}\n"
+        assert captured.out == ""
+        assert not db.exists()
+
+    def test_trend_check_bad_threshold_exits_2(self, capsys, tmp_path):
+        db = self._empty_store(tmp_path)
         code = main(["obs", "trend", str(db), "--metric", "slots_per_sec",
                      "--check", "--threshold", "-1"])
         err = capsys.readouterr().err
@@ -391,18 +422,89 @@ class TestGateExitCodeContract:
         assert "obs trend" in err
 
     def test_trend_bad_baseline_exits_2(self, capsys, tmp_path):
-        db = tmp_path / "runs.db"
+        db = self._empty_store(tmp_path)
         code = main(["obs", "trend", str(db), "--metric", "slots_per_sec",
                      "--check", "--baseline-k", "0"])
         assert code == 2
 
     def test_perf_check_bad_threshold_exits_2(self, capsys, tmp_path):
-        db = tmp_path / "runs.db"
+        db = self._empty_store(tmp_path)
         code = main(["obs", "trend", str(db), "--metric", "perf.samples",
                      "--check", "--threshold", "-1"])
         err = capsys.readouterr().err
         assert code == 2
         assert "obs trend" in err
+
+
+class TestErrorExit:
+    """``main`` turns an ExperimentError (bad input or configuration)
+    into one ``<command as typed>: <error>`` exit, for every command."""
+
+    def _exit_line(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        return info.value.code
+
+    @pytest.mark.parametrize("extra", [[], ["--validate"]])
+    def test_telemetry_missing_log(self, tmp_path, extra):
+        log = tmp_path / "missing.jsonl"
+        assert self._exit_line(["telemetry", str(log), *extra]) == (
+            f"telemetry: no telemetry log at {log}")
+
+    def test_perf_flame_and_diff_missing_input(self, tmp_path):
+        missing = tmp_path / "missing.jsonl"
+        folded = tmp_path / "p.folded"
+        folded.write_text("main;hot 9\n", encoding="utf-8")
+        expected = f"no folded stacks or telemetry log at {missing}"
+        assert self._exit_line(["perf", "flame", str(missing), "--out",
+                                str(tmp_path / "x.html")]) == f"perf flame: {expected}"
+        assert self._exit_line(["perf", "diff", str(folded), str(missing)]) == (
+            f"perf diff: {expected}")
+
+    def test_config_error(self, tmp_path, capsys):
+        assert self._exit_line(["gap", "--quick", "--jobs", "-1"]) == (
+            "gap: jobs must be >= 0, got -1")
+        # perf record runs the command through main and reports its line.
+        code = main(["perf", "record", "--out", str(tmp_path / "p"),
+                     "gap", "--quick", "--jobs", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == "gap: jobs must be >= 0, got -1\n"
+
+    def test_messages_of_the_commands_that_had_their_own(self, tmp_path):
+        log = tmp_path / "nope.jsonl"
+        assert self._exit_line(["monitor", str(log)]) == (
+            f"monitor: no telemetry log at {log}")
+        assert self._exit_line(["obs", "export", str(log), "--chrome-trace",
+                                str(tmp_path / "t.json")]) == (
+            f"obs export: no telemetry log at {log}")
+        assert self._exit_line(["fabric", "run", "--spec", "nosuch",
+                                "--store", str(tmp_path / "f.db")]) == (
+            "fabric run: unknown fabric spec 'nosuch'; choose from chaos, "
+            "slow-squares, squares")
+        store = tmp_path / "nope.db"
+        assert self._exit_line(["fabric", "autopsy", "--store", str(store)]) == (
+            f"fabric autopsy: no lease store at {store}")
+
+    def test_one_line_not_a_traceback(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        missing = tmp_path / "missing.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "perf", "flame", str(missing),
+             "--out", str(tmp_path / "x.html")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"perf flame: no folded stacks or telemetry log at {missing}\n")
 
 
 
@@ -425,20 +527,14 @@ class TestTelemetryValidateRobustness:
 
 class TestFabricCommand:
     def test_run_journal_resumes_under_resilient_map(self, tmp_path, capsys):
-        import signal
-
         from repro.fabric.specs import resolve_spec
         from repro.parallel import resilient_map
 
         journal = tmp_path / "fabric-journal.jsonl"
-        previous = signal.getsignal(signal.SIGTERM)
-        try:
-            code = main(["fabric", "run", "--spec", "squares", "--param", "n=24",
-                         "--workers", "2", "--lease-ttl", "1.0",
-                         "--store", str(tmp_path / "fabric-run.db"),
-                         "--journal", str(journal)])
-        finally:
-            signal.signal(signal.SIGTERM, previous)
+        code = main(["fabric", "run", "--spec", "squares", "--param", "n=24",
+                     "--workers", "2", "--lease-ttl", "1.0",
+                     "--store", str(tmp_path / "fabric-run.db"),
+                     "--journal", str(journal)])
         assert code == 0
         assert "resumable by resilient_map" in capsys.readouterr().out
         spec = resolve_spec("squares", {"n": 24})
