@@ -132,6 +132,10 @@ def _cmd_trend(args: argparse.Namespace, store) -> int:
         print(trend_table(args.metric, points, verdict).render())
     if not args.check:
         return 0
+    if not points:
+        print(f"obs trend: --check checked nothing: no points of "
+              f"{args.metric!r} in {args.source}", file=sys.stderr)
+        return 2
     if not checkable:
         if not args.json:
             print(f"trend check: only {len(points)} point(s); "

@@ -2,10 +2,12 @@
 
 After (or mid-way through) a fabric campaign, the lease store's audit
 log is the ground truth: every claim, takeover, fenced commit and
-rejection is a row.  :func:`autopsy` replays that log through
-:class:`repro.fabric.store.LeaseReplay` into a per-chunk, per-worker
-timeline and checks the fencing contract from the *evidence* rather
-than trusting the implementation:
+rejection is a row, and so is every worker start, fault and exit.
+:func:`autopsy` replays that log through
+:class:`repro.fabric.store.LeaseReplay` into a per-chunk timeline and
+per-worker rows (the replay's ledgers: leases, faults, exit detail),
+and checks the fencing contract from the *evidence* rather than
+trusting the implementation:
 
 * every committed chunk is attributable to **exactly one** fenced
   holder — the worker whose grant held the current fencing token at
@@ -41,7 +43,6 @@ from repro.fabric.store import (
     ChunkLedger,
     LeaseReplay,
     LeaseStore,
-    WorkerLedger,
     store_event_record,
 )
 from repro.monitor.tail import TailReader
@@ -53,6 +54,10 @@ __all__ = [
     "land_autopsy",
     "render_autopsy_html",
 ]
+
+
+#: The :class:`~repro.fabric.store.WorkerLedger` fields of a worker's row.
+_WORKER_FIELDS = ("claims", "takeovers", "commits", "fence_rejects", "faults", "exit_detail")
 
 
 def _entry(record: dict[str, Any], base: float) -> dict[str, Any]:
@@ -424,24 +429,11 @@ def autopsy(
         )
         records = [store_event_record(event) for event in events]
         replay = LeaseReplay()
-        lives: dict[str, dict[str, Any]] = {}
         for record in records:
             replay.feed(record)
-            worker = record.get("worker")
-            if not isinstance(worker, str) or not worker:
-                continue
-            life = lives.setdefault(worker, {"faults": 0, "exit_detail": None})
-            if record["event"] == "fault":
-                life["faults"] += 1
-            elif record["event"] == "worker_exit":
-                life["exit_detail"] = record.get("detail")
         workers = {
-            worker: {
-                name: getattr(replay.workers.get(worker, WorkerLedger()), name)
-                for name in ("claims", "takeovers", "commits", "fence_rejects")
-            }
-            | life
-            for worker, life in lives.items()
+            worker: {name: getattr(ledger, name) for name in _WORKER_FIELDS}
+            for worker, ledger in replay.workers.items()
         }
 
         chunk_rows = lease_store.conn.execute(

@@ -226,23 +226,27 @@ def _worker_child(args: list[str], env: dict[str, str], log_fd: int) -> NoReturn
 
 
 def _forward_events(
-    store: LeaseStore, campaign_id: int, events: list[dict[str, Any]]
+    store: LeaseStore,
+    campaign_id: int,
+    events: list[dict[str, Any]],
+    replay: LeaseReplay,
 ) -> None:
-    """Drain new store events into ``events`` (ordered by id) and mirror
-    them into active telemetry."""
+    """Drain new store events into ``events`` (ordered by id) and
+    ``replay``, and mirror them into active telemetry."""
     after_id = int(events[-1]["id"]) if events else 0
     fresh = store.events(campaign_id, after_id=after_id)
     events.extend(fresh)
     recorder = get_active()
-    if recorder is None:
-        return
     for event in fresh:
         # One shared translation (the monitor's store input uses the
         # same one), so the live view and the forwarded log never drift.
         record = store_event_record(event)
-        kind = record.pop("kind")
-        record["store_ts"] = record.pop("ts")
-        recorder.emit(kind, **record)
+        replay.feed(record)
+        if recorder is not None:
+            fields = dict(record)
+            kind = fields.pop("kind")
+            fields["store_ts"] = fields.pop("ts")
+            recorder.emit(kind, **fields)
 
 
 def run_fabric(config: FabricConfig) -> FabricResult:
@@ -340,10 +344,11 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                 )
             store = LeaseStore(store_path)
             events: list[dict[str, Any]] = []
+            replay = LeaseReplay()
             deadline = time.monotonic() + config.timeout
             fallback_ran = False
             while True:
-                _forward_events(store, campaign_id, events)
+                _forward_events(store, campaign_id, events, replay)
                 if store.all_done(campaign_id):
                     break
                 if drain.is_set():
@@ -391,14 +396,14 @@ def run_fabric(config: FabricConfig) -> FabricResult:
 
             # Campaign complete: drain the stragglers (they also notice
             # all_done on their own) and collect exit codes.  Only a
-            # worker inside its claim loop gets SIGTERM: one that has not
-            # logged worker_start sees all_done at its first poll, and
-            # one that has logged worker_exit is already on its way out.
-            _forward_events(store, campaign_id, events)
-            in_loop = {e["worker"] for e in events if e["kind"] == "worker_start"}
-            in_loop -= {e["worker"] for e in events if e["kind"] == "worker_exit"}
+            # worker the replay shows live, inside its claim loop, gets
+            # SIGTERM: one that has not logged worker_start sees all_done
+            # at its first poll, one that has logged worker_exit is
+            # already on its way out, and a killed one is gone.
+            _forward_events(store, campaign_id, events, replay)
             for worker_id, proc in procs.items():
-                if worker_id in in_loop and proc.poll() is None:
+                ledger = replay.workers.get(worker_id)
+                if ledger is not None and ledger.state == "live" and proc.poll() is None:
                     proc.terminate()
             for worker_id, proc in procs.items():
                 try:
@@ -406,7 +411,7 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                 except TimeoutError:
                     proc.kill()
                     exits[worker_id] = proc.wait()
-            _forward_events(store, campaign_id, events)
+            _forward_events(store, campaign_id, events, replay)
 
             payloads = store.completed_payloads(campaign_id)
             chunk_results = {
@@ -428,7 +433,6 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                     journal.record_chunk(index, chunk_results[index])
                 journal_path = journal.path
 
-            replay = LeaseReplay.of_events(events)
             wall_s = time.perf_counter() - started
             if recorder is not None:
                 recorder.emit(

@@ -24,9 +24,10 @@ Every grant, commit, rejection, and worker lifecycle transition is
 appended to an ``events`` table, which the coordinator drains into
 telemetry (``lease``/``worker`` records, translated by
 :func:`store_event_record`).  :class:`LeaseReplay` is the one reader of
-that audit trail: the verification harness, the autopsy, the
-coordinator's counts, the monitor's worker lanes and the telemetry
-summary all read it through the replay.
+that audit trail, lease and worker records alike: the verification
+harness, the autopsy, the coordinator (its counts and which workers to
+drain), the monitor's worker lanes and the telemetry summary all read
+it through the replay.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ class ChunkLedger:
 
 @dataclass
 class WorkerLedger:
-    """One worker's lease history.  ``claims`` counts every grant,
-    takeovers included."""
+    """One worker's history: its leases (``claims`` counts every grant,
+    takeovers included) and its life from ``worker`` records."""
 
     claims: int = 0
     takeovers: int = 0
@@ -162,12 +163,22 @@ class WorkerLedger:
     fence_rejects: int = 0
     #: The chunk this worker holds a live grant on, if any.
     holding: int | None = None
+    #: ``unknown`` -> ``live`` (started, or seen leasing) -> ``exited``,
+    #: or ``killed`` by a ``kill`` fault.
+    state: str = "unknown"
+    faults: int = 0
+    last_fault: str | None = None
+    exit_detail: str | None = None
 
 
 class LeaseReplay:
-    """Fold ``lease`` records (the :func:`store_event_record` shape), one
-    at a time, into per-chunk and per-worker ledgers, and check the
-    fencing contract as they arrive.
+    """Fold ``lease`` and ``worker`` records (the :func:`store_event_record`
+    shape), one at a time, into per-chunk and per-worker ledgers, and
+    check the fencing contract as they arrive.
+
+    Every record naming a worker opens its :class:`WorkerLedger`; a
+    ``worker`` record (``worker_start``, ``worker_exit``, ``fault``)
+    moves its life, a ``lease`` record its leases.
 
     The fence model: every claim/takeover bumps its chunk's fence by
     exactly one, and a commit is legitimate iff it carries the fence of
@@ -175,7 +186,9 @@ class LeaseReplay:
     :attr:`violations`: a fence jump, a re-grant after commit, a commit
     under a stale fence, a second commit, and a rejected commit under
     the current fence.  Records of any other kind are ignored, so a
-    merged telemetry stream can be fed whole.
+    merged telemetry stream can be fed whole; fields of the wrong type
+    are skipped, not trusted, because the live monitor feeds it torn and
+    foreign streams.
     """
 
     def __init__(self) -> None:
@@ -212,16 +225,22 @@ class LeaseReplay:
         return [index for index in range(total) if index not in done]
 
     def feed(self, record: Mapping[str, Any]) -> None:
-        if record.get("kind") != "lease":
+        kind = record.get("kind")
+        if kind == "worker":
+            self._feed_life(record)
+            return
+        if kind != "lease":
             return
         event = str(record.get("event"))
         self.events[event] = self.events.get(event, 0) + 1
-        if event not in LEASE_EVENT_KINDS:
-            return
         name = record.get("worker")
         named = isinstance(name, str) and bool(name)
         # An anonymous record counts in the totals only.
         worker = self.workers.setdefault(name, WorkerLedger()) if named else WorkerLedger()
+        if worker.state == "unknown":
+            worker.state = "live"
+        if event not in LEASE_EVENT_KINDS:
+            return
         index = record.get("index")
         if isinstance(index, bool) or not isinstance(index, int) or index < 0:
             index = None
@@ -274,6 +293,25 @@ class LeaseReplay:
                     "was rejected — the store refused legitimate data"
                 )
             chunk.rejects.append(record)
+
+    def _feed_life(self, record: Mapping[str, Any]) -> None:
+        name = record.get("worker")
+        if not isinstance(name, str) or not name:
+            return
+        worker = self.workers.setdefault(name, WorkerLedger())
+        event = record.get("event")
+        detail = record.get("detail")
+        detail = detail if isinstance(detail, str) else None
+        if event == "worker_start":
+            worker.state = "live"
+        elif event == "worker_exit":
+            worker.state = "exited"
+            worker.exit_detail = detail
+        elif event == "fault":
+            worker.faults += 1
+            worker.last_fault = "fault" if detail is None else detail
+            if detail is not None and detail.startswith("kill"):
+                worker.state = "killed"
 
 
 @dataclass(frozen=True)

@@ -145,12 +145,23 @@ def run_worker(config: WorkerConfig) -> int:
     """Run one worker until the campaign is done (or drained).  Returns
     a process exit code (0 = clean)."""
     drain = threading.Event()
+    # The drain handler lives as long as this call: the caller's SIGTERM
+    # handler is put back on return and on raise.
+    previous_sigterm = None
     if config.install_signal_handler:
         try:
-            signal.signal(signal.SIGTERM, lambda *_: drain.set())
+            previous_sigterm = signal.signal(signal.SIGTERM, lambda *_: drain.set())
         except ValueError:  # not the main thread (in-process embedding)
             pass
+    try:
+        return _work(config, drain)
+    finally:
+        if previous_sigterm is not None:
+            signal.signal(signal.SIGTERM, previous_sigterm)
 
+
+def _work(config: WorkerConfig, drain: threading.Event) -> int:
+    """The body of :func:`run_worker`; ``drain`` is set on SIGTERM."""
     store = LeaseStore(config.store)
     deadline = time.monotonic() + config.campaign_wait
     campaign = store.campaign(config.campaign)
@@ -164,6 +175,7 @@ def run_worker(config: WorkerConfig) -> int:
             config.campaign[:12],
             config.store,
         )
+        store.close()
         return 2
 
     campaign_id = int(campaign["id"])
@@ -172,6 +184,7 @@ def run_worker(config: WorkerConfig) -> int:
         spec.fn, spec.items, chunksize=int(campaign["chunksize"])
     ).chunks
     if len(chunks) != int(campaign["chunks"]):
+        store.close()
         raise ExperimentError(
             f"worker {config.worker_id}: spec resolves to {len(chunks)} chunks "
             f"but the store registered {campaign['chunks']} — spec and store "

@@ -37,7 +37,6 @@ from repro.monitor.conformance import (
     FleetLeaseChecker,
     MonitorConfig,
     OmegaFloorChecker,
-    RunIndex,
     default_checkers,
 )
 from repro.monitor.live import (
@@ -63,7 +62,6 @@ __all__ = [
     "MonitorConfig",
     "MonitorReport",
     "OmegaFloorChecker",
-    "RunIndex",
     "StatusBoard",
     "TailReader",
     "attach_monitor",

@@ -1,168 +1,64 @@
 """Live TTY status board for a running campaign.
 
-:class:`StatusBoard` folds the telemetry stream into a small rolling
-snapshot (runs completed, slots/sec, collision rate, campaign progress,
-open alerts); :class:`BoardRenderer` paints it.  On a real terminal the
-board redraws in place with ANSI cursor movement; when stdout is a pipe
-(CI, ``| tee``) it degrades to plain status lines emitted at most once
-per refresh interval, so logs stay readable and diffable.
+:class:`StatusBoard` renders a :class:`~repro.telemetry.summary.LogSummary`
+fed one record at a time (runs completed, slots/sec, collision rate,
+campaign progress) plus the open alerts; :class:`BoardRenderer` paints
+it.  On a real terminal the board redraws in place with ANSI cursor
+movement; when stdout is a pipe (CI, ``| tee``) it degrades to plain
+status lines emitted at most once per refresh interval, so logs stay
+readable and diffable.
 
 A fabric campaign's stream also carries ``lease``/``worker``/``fabric_*``
 records (the coordinator log, or a lease store followed by
 :func:`repro.monitor.live.follow_fleet`).  The first such record turns on
-the board's **fleet** block: one :class:`WorkerLane` of health counters
-per worker plus campaign-wide chunk, takeover and fence-reject totals.
-The lease side of both is a :class:`~repro.fabric.store.LeaseReplay`
-fed one record at a time.  A stream without them renders exactly as it
-would without the block.
+the board's **fleet** block: one lane per worker, the worker's
+:class:`~repro.fabric.store.WorkerLedger` from the summary's
+:class:`~repro.fabric.store.LeaseReplay`, plus campaign-wide chunk,
+takeover and fence-reject totals.  A stream without them renders
+exactly as it would without the block.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import Any, TextIO
 
-from repro.fabric.store import LeaseReplay, WorkerLedger
+from repro.fabric.store import WorkerLedger
 from repro.monitor.conformance import Alert
+from repro.telemetry.summary import LogSummary
 
-__all__ = ["StatusBoard", "BoardRenderer", "WorkerLane"]
-
-#: Record kinds that describe a fabric campaign (they switch the fleet
-#: block on).
-FLEET_KINDS = frozenset({"lease", "worker", "fabric_begin", "fabric_end"})
+__all__ = ["StatusBoard", "BoardRenderer"]
 
 
-@dataclass
-class WorkerLane:
-    """Rolling health of one fabric worker: its life from ``worker``
-    records, its leases (claims, commits, held chunk) from the board's
-    replay."""
-
-    worker: str
-    ledger: WorkerLedger = field(default_factory=WorkerLedger)
-    state: str = "unknown"  # unknown -> live -> exited (or killed)
-    faults: int = 0
-    last_fault: str | None = None
-    exit_detail: str | None = None
-
-    @property
-    def holding(self) -> int | None:
-        """The chunk this worker currently holds a lease on, if any."""
-        return self.ledger.holding
-
-    def snapshot(self) -> dict[str, Any]:
-        out = asdict(self)
-        out.update(out.pop("ledger"))
-        return out
-
-    def describe(self) -> str:
-        ledger = self.ledger
-        parts = [
-            f"{self.worker:<12.12}",
-            f"{self.state:<7}",
-            f"claims {ledger.claims}",
-            f"commits {ledger.commits}",
-        ]
-        if ledger.takeovers:
-            parts.append(f"takeovers {ledger.takeovers}")
-        if ledger.fence_rejects:
-            parts.append(f"REJECTS {ledger.fence_rejects}")
-        if self.holding is not None:
-            parts.append(f"chunk {self.holding}")
-        if self.last_fault:
-            parts.append(f"fault: {self.last_fault}")
-        return "  ".join(parts)
+def _describe_lane(worker: str, ledger: WorkerLedger) -> str:
+    parts = [
+        f"{worker:<12.12}",
+        f"{ledger.state:<7}",
+        f"claims {ledger.claims}",
+        f"commits {ledger.commits}",
+    ]
+    if ledger.takeovers:
+        parts.append(f"takeovers {ledger.takeovers}")
+    if ledger.fence_rejects:
+        parts.append(f"REJECTS {ledger.fence_rejects}")
+    if ledger.holding is not None:
+        parts.append(f"chunk {ledger.holding}")
+    if ledger.last_fault:
+        parts.append(f"fault: {ledger.last_fault}")
+    return "  ".join(parts)
 
 
 class StatusBoard:
-    """Rolling aggregate of the stream, cheap enough to update per record."""
+    """The open alerts, and a render of the stream's :class:`LogSummary`
+    (fed by whoever owns the board: the live monitor's checkers)."""
 
     def __init__(self) -> None:
-        self.records = 0
-        self.runs_begun = 0
-        self.runs_ended = 0
-        self.runs_succeeded = 0
-        self.slots = 0
-        self.transmissions = 0
-        self.collisions = 0
-        self.deliveries = 0
-        self.wall_s = 0.0
-        self.faults = 0
-        self.chaos_trials = 0
+        self.summary = LogSummary()
         self.alerts: list[Alert] = []
-        self.command: str | None = None
-        self.progress_done: int | None = None
-        self.progress_total: int | None = None
-        self.last_run: str | None = None
-        self._nodes: dict[tuple[Any, Any], float] = {}
-        # The fleet block: off until the stream shows a fabric campaign.
-        self.fleet = False
-        self.lanes: dict[str, WorkerLane] = {}
-        self.lease = LeaseReplay()
-        self.chunks_total: int | None = None
-        self.fabric_done = False
-
-    def update(self, record: dict[str, Any]) -> None:
-        self.records += 1
-        kind = record.get("kind")
-        if kind in FLEET_KINDS:
-            self.fleet = True
-        if kind == "lease":
-            self._update_lease(record)
-        elif kind == "worker":
-            self._update_worker(record)
-        elif kind == "fabric_begin":
-            chunks = record.get("chunks")
-            if isinstance(chunks, int) and not isinstance(chunks, bool):
-                self.chunks_total = chunks
-        elif kind == "fabric_end":
-            self.fabric_done = True
-        elif kind == "manifest":
-            command = record.get("command")
-            if isinstance(command, str):
-                self.command = command
-        elif kind == "run_begin":
-            self.runs_begun += 1
-            nodes = record.get("nodes")
-            if isinstance(nodes, (int, float)) and not isinstance(nodes, bool):
-                self._nodes[(record.get("chunk"), record.get("run"))] = nodes
-        elif kind == "run_end":
-            self.runs_ended += 1
-            run = record.get("run")
-            if isinstance(run, str):
-                self.last_run = run
-            for field_name, attr in (
-                ("slots", "slots"),
-                ("transmissions", "transmissions"),
-                ("collisions", "collisions"),
-                ("deliveries", "deliveries"),
-                ("wall_s", "wall_s"),
-            ):
-                value = record.get(field_name)
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    setattr(self, attr, getattr(self, attr) + value)
-            nodes = self._nodes.get((record.get("chunk"), record.get("run")))
-            informed = record.get("informed")
-            if (
-                nodes is not None
-                and isinstance(informed, (int, float))
-                and not isinstance(informed, bool)
-                and informed >= nodes
-            ):
-                self.runs_succeeded += 1
-        elif kind == "fault":
-            self.faults += 1
-        elif kind == "chaos_trial":
-            self.chaos_trials += 1
-        elif kind == "progress":
-            done = record.get("done")
-            total = record.get("total")
-            if isinstance(done, (int, float)) and not isinstance(done, bool):
-                self.progress_done = int(done)
-            if isinstance(total, (int, float)) and not isinstance(total, bool):
-                self.progress_total = int(total)
+        #: ``(chunks_total, done)`` as :meth:`note_campaign` pinned them.
+        self._campaign: tuple[int, bool] | None = None
 
     def note_alert(self, alert: Alert) -> None:
         self.alerts.append(alert)
@@ -170,90 +66,77 @@ class StatusBoard:
     def note_campaign(self, chunks_total: int, done: bool) -> None:
         """Pin the campaign's size and completion (read from its lease
         store, which carries no ``fabric_begin``/``fabric_end``)."""
-        self.fleet = True
-        self.chunks_total = chunks_total
-        self.fabric_done = done
+        self._campaign = (chunks_total, done)
 
-    def _lane(self, worker: Any) -> WorkerLane | None:
-        if not isinstance(worker, str) or not worker:
-            return None
-        lane = self.lanes.get(worker)
-        if lane is None:
-            lane = self.lanes[worker] = WorkerLane(worker)
-        return lane
+    @property
+    def lanes(self) -> dict[str, WorkerLedger]:
+        """Each worker's ledger, by worker id."""
+        return self.summary.lease.workers
 
-    def _update_lease(self, record: dict[str, Any]) -> None:
-        self.lease.feed(record)
-        lane = self._lane(record.get("worker"))
-        if lane is None:
-            return
-        lane.ledger = self.lease.workers.get(lane.worker, lane.ledger)
-        if lane.state == "unknown":
-            lane.state = "live"
+    @property
+    def fleet(self) -> bool:
+        return self.summary.fleet or self._campaign is not None
 
-    def _update_worker(self, record: dict[str, Any]) -> None:
-        lane = self._lane(record.get("worker"))
-        if lane is None:
-            return
-        event = record.get("event")
-        detail = record.get("detail")
-        if event == "worker_start":
-            lane.state = "live"
-        elif event == "worker_exit":
-            lane.state = "exited"
-            lane.exit_detail = detail if isinstance(detail, str) else None
-        elif event == "fault":
-            lane.faults += 1
-            lane.last_fault = detail if isinstance(detail, str) else str(event)
-            if isinstance(detail, str) and detail.startswith("kill"):
-                lane.state = "killed"
+    @property
+    def chunks_total(self) -> int | None:
+        if self._campaign is not None:
+            return self._campaign[0]
+        return self.summary.chunks_total
+
+    @property
+    def fabric_done(self) -> bool:
+        if self._campaign is not None:
+            return self._campaign[1]
+        return self.summary.count("fabric_end") > 0
 
     @property
     def slots_per_sec(self) -> float:
-        return self.slots / self.wall_s if self.wall_s > 0 else 0.0
+        runs = self.summary.runs
+        return runs["slots"] / runs["wall_s"] if runs["wall_s"] > 0 else 0.0
 
     @property
     def collision_rate(self) -> float:
-        return self.collisions / self.transmissions if self.transmissions else 0.0
+        runs = self.summary.runs
+        return runs["collisions"] / runs["transmissions"] if runs["transmissions"] else 0.0
 
     @property
     def success_rate(self) -> float | None:
-        if not self.runs_ended:
-            return None
-        return self.runs_succeeded / self.runs_ended
+        ended = self.summary.count("run_end")
+        return self.summary.runs_succeeded / ended if ended else None
 
     def snapshot(self) -> dict[str, Any]:
         """Machine-readable board state (the ``--json`` report embeds it)."""
+        s = self.summary
         out: dict[str, Any] = {
-            "records": self.records,
-            "command": self.command,
+            "records": s.records,
+            "command": s.command,
             "runs": {
-                "begun": self.runs_begun,
-                "ended": self.runs_ended,
-                "succeeded": self.runs_succeeded,
+                "begun": s.count("run_begin"),
+                "ended": s.count("run_end"),
+                "succeeded": s.runs_succeeded,
             },
-            "slots": self.slots,
+            "slots": s.runs["slots"],
             "slots_per_sec": self.slots_per_sec,
             "collision_rate": self.collision_rate,
-            "deliveries": self.deliveries,
-            "faults": self.faults,
-            "chaos_trials": self.chaos_trials,
+            "deliveries": s.runs["deliveries"],
+            "faults": s.count("fault"),
+            "chaos_trials": s.count("chaos_trial"),
             "progress": {
-                "done": self.progress_done,
-                "total": self.progress_total,
+                "done": s.progress_done,
+                "total": s.progress_total,
             },
             "alerts": [alert.record_fields() for alert in self.alerts],
         }
         if self.fleet:
             out["fleet"] = {
                 "workers": {
-                    worker: lane.snapshot()
-                    for worker, lane in sorted(self.lanes.items())
+                    worker: {"worker": worker, **asdict(ledger)}
+                    for worker, ledger in sorted(self.lanes.items())
                 },
                 "chunks_total": self.chunks_total,
-                "chunks_committed": self.lease.committed(),
-                "takeovers": self.lease.takeovers,
-                "fence_rejects": self.lease.fence_rejects,
+                "chunks_committed": s.lease.committed(),
+                "takeovers": s.lease.takeovers,
+                "fence_rejects": s.lease.fence_rejects,
                 "fabric_done": self.fabric_done,
             }
         return out
@@ -262,24 +145,25 @@ class StatusBoard:
 
     def lines(self) -> list[str]:
         """The board as fixed-order text lines (both render modes use it)."""
+        s = self.summary
         header = "repro monitor"
-        if self.command:
-            header += f" — {self.command}"
-        parts = [f"runs {self.runs_ended}/{self.runs_begun}"]
+        if s.command:
+            header += f" — {s.command}"
+        parts = [f"runs {s.count('run_end')}/{s.count('run_begin')}"]
         rate = self.success_rate
         if rate is not None:
             parts.append(f"success {rate:.0%}")
-        if self.progress_total:
-            done = self.progress_done or 0
-            parts.append(f"progress {done}/{self.progress_total}")
-        if self.chaos_trials:
-            parts.append(f"chaos trials {self.chaos_trials}")
+        if s.progress_total:
+            done = s.progress_done or 0
+            parts.append(f"progress {done}/{s.progress_total}")
+        if s.count("chaos_trial"):
+            parts.append(f"chaos trials {s.count('chaos_trial')}")
         run_line = "  ".join(parts)
         engine_line = (
-            f"slots {self.slots}  "
+            f"slots {s.runs['slots']}  "
             f"slots/sec {self.slots_per_sec:,.0f}  "
             f"collision rate {self.collision_rate:.1%}  "
-            f"faults {self.faults}"
+            f"faults {s.count('fault')}"
         )
         if self.alerts:
             alert_line = f"ALERTS OPEN: {len(self.alerts)}"
@@ -294,14 +178,15 @@ class StatusBoard:
         """The fleet block: campaign totals, then one line per worker."""
         if not self.fleet:
             return []
+        lease = self.summary.lease
         lines = [
-            f"fleet: chunks {self.lease.committed()}/{self._total()}  "
-            f"takeovers {self.lease.takeovers}  "
-            f"fence rejects {self.lease.fence_rejects}"
+            f"fleet: chunks {lease.committed()}/{self._total()}  "
+            f"takeovers {lease.takeovers}  "
+            f"fence rejects {lease.fence_rejects}"
             + ("  [done]" if self.fabric_done else "")
         ]
-        for worker in sorted(self.lanes):
-            lines.append("  " + self.lanes[worker].describe())
+        for worker, ledger in sorted(self.lanes.items()):
+            lines.append("  " + _describe_lane(worker, ledger))
         return lines
 
     def _total(self) -> int | str:
@@ -309,23 +194,24 @@ class StatusBoard:
 
     def status_line(self) -> str:
         """One-line form for the plain (non-TTY) renderer."""
-        parts = [f"records {self.records}", f"runs {self.runs_ended}"]
+        s = self.summary
+        parts = [f"records {s.records}", f"runs {s.count('run_end')}"]
         rate = self.success_rate
         if rate is not None:
             parts.append(f"success {rate:.0%}")
         parts.append(f"slots/sec {self.slots_per_sec:,.0f}")
         parts.append(f"collisions {self.collision_rate:.1%}")
-        if self.chaos_trials:
-            parts.append(f"chaos {self.chaos_trials}")
+        if s.count("chaos_trial"):
+            parts.append(f"chaos {s.count('chaos_trial')}")
         parts.append(f"alerts {len(self.alerts)}")
         if self.fleet:
             live = sum(
                 1 for lane in self.lanes.values() if lane.state in ("live", "unknown")
             )
             parts.append(f"workers {live}/{len(self.lanes)}")
-            parts.append(f"chunks {self.lease.committed()}/{self._total()}")
-            if self.lease.fence_rejects:
-                parts.append(f"rejects {self.lease.fence_rejects}")
+            parts.append(f"chunks {s.lease.committed()}/{self._total()}")
+            if s.lease.fence_rejects:
+                parts.append(f"rejects {s.lease.fence_rejects}")
         return "monitor: " + "  ".join(parts)
 
 

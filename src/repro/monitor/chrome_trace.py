@@ -33,6 +33,8 @@ import os
 from pathlib import Path
 from typing import Any
 
+from repro.telemetry.summary import number
+
 __all__ = [
     "chrome_trace",
     "chrome_trace_events",
@@ -50,10 +52,8 @@ _COUNTER_KINDS = {"counter", "gauge", "progress"}
 
 
 def _ts_of(record: dict[str, Any]) -> float | None:
-    ts = record.get("ts")
-    if isinstance(ts, bool) or not isinstance(ts, (int, float)):
-        return None
-    return float(ts)
+    ts = number(record, "ts")
+    return None if ts is None else float(ts)
 
 
 def _tid_of(record: dict[str, Any]) -> int:
@@ -85,7 +85,7 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
     # appearance (deterministic for a ts-sorted merged stream).
     worker_pids: dict[str, int] = {}
     # run_begin records indexed so run_end can close the slice; keyed the
-    # same way the conformance RunIndex keys runs: (chunk, run).
+    # same way the telemetry summary keys run_begin records: (chunk, run).
     open_runs: dict[tuple[Any, Any], dict[str, Any]] = {}
 
     def rel(ts: float) -> int:
@@ -110,8 +110,8 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
         tid = _tid_of(record)
         lanes.add((pid, tid))
         if kind == "span":
-            dur = record.get("dur_s")
-            if isinstance(dur, bool) or not isinstance(dur, (int, float)):
+            dur = number(record, "dur_s")
+            if dur is None:
                 continue
             # A span record is emitted when the block *ends*.
             events.append({
@@ -129,9 +129,8 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
         elif kind == "run_end":
             begin = open_runs.pop((record.get("chunk"), record.get("run")), None)
             begin_ts = _ts_of(begin) if begin is not None else None
-            wall = record.get("wall_s")
-            if begin_ts is None and isinstance(wall, (int, float)) \
-                    and not isinstance(wall, bool):
+            wall = number(record, "wall_s")
+            if begin_ts is None and wall is not None:
                 begin_ts = ts - wall
             if begin_ts is None:
                 begin_ts = ts
@@ -151,8 +150,8 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
                 "args": args,
             })
         elif kind == "chunk":
-            wall = record.get("wall_s")
-            if isinstance(wall, bool) or not isinstance(wall, (int, float)):
+            wall = number(record, "wall_s")
+            if wall is None:
                 continue
             # Chunk reports are shipped when the chunk finishes.
             events.append({
@@ -167,10 +166,10 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
             })
         elif kind in _COUNTER_KINDS:
             if kind == "progress":
-                name, value = "progress", record.get("done")
+                name, value = "progress", number(record, "done")
             else:
-                name, value = str(record.get("name", kind)), record.get("value")
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                name, value = str(record.get("name", kind)), number(record, "value")
+            if value is None:
                 continue
             events.append({
                 "name": name,

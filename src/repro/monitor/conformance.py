@@ -57,11 +57,11 @@ from typing import Any, Callable, Iterable
 
 from repro.analysis.theory import chernoff_binomial_upper_tail, hoeffding_lower_tail
 from repro.core.bounds import theorem4_slot_bound
+from repro.telemetry.summary import LogSummary, number
 
 __all__ = [
     "Alert",
     "MonitorConfig",
-    "RunIndex",
     "ConformanceChecker",
     "DecaySuccessChecker",
     "BroadcastBudgetChecker",
@@ -133,40 +133,9 @@ class MonitorConfig:
         """Resolve epsilon from a run manifest's config when not overridden."""
         if overrides.get("epsilon") is None and manifest:
             config = manifest.get("config")
-            if isinstance(config, dict):
-                epsilon = config.get("epsilon")
-                if isinstance(epsilon, (int, float)) and not isinstance(epsilon, bool):
-                    overrides["epsilon"] = float(epsilon)
+            if isinstance(config, dict) and number(config, "epsilon") is not None:
+                overrides["epsilon"] = float(config["epsilon"])
         return cls(**{k: v for k, v in overrides.items() if v is not None})
-
-
-class RunIndex:
-    """``run_begin`` context, keyed so campaign logs resolve correctly.
-
-    Pool workers ship their records back chunk-tagged, so the engine-run
-    tag ``r1`` repeats across chunks; ``(chunk, run)`` is unique.
-    """
-
-    def __init__(self) -> None:
-        self._begins: dict[tuple[Any, Any], dict[str, Any]] = {}
-
-    @staticmethod
-    def key(record: dict[str, Any]) -> tuple[Any, Any]:
-        return (record.get("chunk"), record.get("run"))
-
-    def note(self, record: dict[str, Any]) -> None:
-        if record.get("kind") == "run_begin":
-            self._begins[self.key(record)] = record
-
-    def begin_for(self, record: dict[str, Any]) -> dict[str, Any] | None:
-        return self._begins.get(self.key(record))
-
-
-def _num(record: dict[str, Any], field_name: str) -> float | None:
-    value = record.get(field_name)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    return value
 
 
 class ConformanceChecker:
@@ -182,7 +151,7 @@ class ConformanceChecker:
     def __init__(self, config: MonitorConfig | None = None) -> None:
         self.config = config or MonitorConfig()
 
-    def feed(self, record: dict[str, Any], runs: RunIndex) -> list[Alert]:
+    def feed(self, record: dict[str, Any], runs: LogSummary) -> list[Alert]:
         raise NotImplementedError
 
     def finish(self) -> list[Alert]:
@@ -238,14 +207,14 @@ class DecaySuccessChecker(_BernoulliSLO):
     theorem = "1"
     chaos_incompatible = True
 
-    def feed(self, record: dict[str, Any], runs: RunIndex) -> list[Alert]:
+    def feed(self, record: dict[str, Any], runs: LogSummary) -> list[Alert]:
         if record.get("kind") != "run_end":
             return []
         begin = runs.begin_for(record)
         if begin is None:
             return []
-        nodes = _num(begin, "nodes")
-        informed = _num(record, "informed")
+        nodes = number(begin, "nodes")
+        informed = number(record, "informed")
         if nodes is None or informed is None:
             return []
         return self.observe(informed >= nodes, record.get("run"))
@@ -274,18 +243,18 @@ class BroadcastBudgetChecker(_BernoulliSLO):
             max_degree = max(1, nodes - 1)
         return theorem4_slot_bound(nodes, diameter, max_degree, self.config.eps)
 
-    def feed(self, record: dict[str, Any], runs: RunIndex) -> list[Alert]:
+    def feed(self, record: dict[str, Any], runs: LogSummary) -> list[Alert]:
         if record.get("kind") != "run_end":
             return []
         begin = runs.begin_for(record)
         if begin is None:
             return []
-        nodes = _num(begin, "nodes")
-        informed = _num(record, "informed")
+        nodes = number(begin, "nodes")
+        informed = number(record, "informed")
         if nodes is None or informed is None:
             return []
         success = informed >= nodes
-        completion = _num(record, "last_reception_slot")
+        completion = number(record, "last_reception_slot")
         if success and completion is not None:
             conform = completion <= self.budget_for(int(nodes))
         else:
@@ -319,15 +288,15 @@ class OmegaFloorChecker(ConformanceChecker):
         super().__init__(config)
         self.fired_count = 0
 
-    def feed(self, record: dict[str, Any], runs: RunIndex) -> list[Alert]:
+    def feed(self, record: dict[str, Any], runs: LogSummary) -> list[Alert]:
         if record.get("kind") != "run_end" or self.fired_count >= self._MAX_ALERTS:
             return []
         begin = runs.begin_for(record)
         if begin is None:
             return []
-        nodes = _num(begin, "nodes")
-        informed = _num(record, "informed")
-        completion = _num(record, "last_reception_slot")
+        nodes = number(begin, "nodes")
+        informed = number(record, "informed")
+        completion = number(record, "last_reception_slot")
         if nodes is None or informed is None or completion is None:
             return []
         if informed < nodes or nodes < 4:
@@ -365,15 +334,15 @@ class AccountingChecker(ConformanceChecker):
         super().__init__(config)
         self.fired_count = 0
 
-    def feed(self, record: dict[str, Any], runs: RunIndex) -> list[Alert]:
+    def feed(self, record: dict[str, Any], runs: LogSummary) -> list[Alert]:
         if record.get("kind") != "run_end" or self.fired_count >= self._MAX_ALERTS:
             return []
         begin = runs.begin_for(record)
         if begin is None:
             return []
-        informed = _num(record, "informed")
-        deliveries = _num(record, "deliveries")
-        initiators = _num(begin, "initiators")
+        informed = number(record, "informed")
+        deliveries = number(record, "deliveries")
+        initiators = number(begin, "initiators")
         if informed is None or deliveries is None or initiators is None:
             return []
         newly_informed = informed - initiators
@@ -415,11 +384,11 @@ class ChaosInvariantChecker(ConformanceChecker):
         self.control_successes = 0
         self.control_fired = False
 
-    def feed(self, record: dict[str, Any], runs: RunIndex) -> list[Alert]:
+    def feed(self, record: dict[str, Any], runs: LogSummary) -> list[Alert]:
         if record.get("kind") != "chaos_trial":
             return []
         alerts: list[Alert] = []
-        violations = _num(record, "violations") or 0
+        violations = number(record, "violations") or 0
         if violations > 0 and self.safety_alerts < self._MAX_SAFETY_ALERTS:
             self.safety_alerts += 1
             alerts.append(
@@ -452,8 +421,8 @@ class ChaosInvariantChecker(ConformanceChecker):
             self.proviso_successes += 1
         if self.liveness_fired or self.proviso_trials < self.config.min_runs:
             return []
-        epsilon = _num(record, "epsilon")
-        slack = _num(record, "mc_slack")
+        epsilon = number(record, "epsilon")
+        slack = number(record, "mc_slack")
         threshold = max(
             0.0,
             1.0
@@ -491,7 +460,7 @@ class ChaosInvariantChecker(ConformanceChecker):
             self.control_successes += 1
         if self.control_fired or not self.control_successes:
             return []
-        allowed = _num(record, "control_success_max") or 0.0
+        allowed = number(record, "control_success_max") or 0.0
         if allowed <= 0.0:
             fire = True  # a single success already violates the ceiling
             tail = 0.0
@@ -541,7 +510,7 @@ class FleetLeaseChecker(ConformanceChecker):
         super().__init__(config)
         self.takeovers = 0
 
-    def feed(self, record: dict[str, Any], runs: RunIndex) -> list[Alert]:
+    def feed(self, record: dict[str, Any], runs: LogSummary) -> list[Alert]:
         if record.get("kind") != "lease" or record.get("event") != "takeover":
             return []
         self.takeovers += 1
@@ -562,16 +531,23 @@ class FleetLeaseChecker(ConformanceChecker):
 
 
 class ConformanceMonitor:
-    """Feed a telemetry stream through a set of checkers."""
+    """Feed a telemetry stream through a set of checkers.
+
+    Every record also goes to ``summary``, the stream's
+    :class:`~repro.telemetry.summary.LogSummary` (a fresh one unless
+    given): the checkers find each run's ``run_begin`` through it, and
+    the live monitor's board renders it.
+    """
 
     def __init__(
         self,
         checkers: Iterable[ConformanceChecker],
         *,
+        summary: LogSummary | None = None,
         on_alert: Callable[[Alert], None] | None = None,
     ) -> None:
         self.checkers = list(checkers)
-        self.runs = RunIndex()
+        self.summary = summary if summary is not None else LogSummary()
         self.alerts: list[Alert] = []
         self.records_seen = 0
         self._on_alert = on_alert
@@ -579,11 +555,11 @@ class ConformanceMonitor:
 
     def feed(self, record: dict[str, Any]) -> list[Alert]:
         """Process one record; returns (and publishes) any fired alerts."""
+        self.summary.feed(record)
         kind = record.get("kind")
         if kind == "alert":
             return []  # never re-check alerts (ours or a prior monitor's)
         self.records_seen += 1
-        self.runs.note(record)
         if kind == "chaos_trial" and not self._chaos_mode:
             self._chaos_mode = True
             self.checkers = [
@@ -593,7 +569,7 @@ class ConformanceMonitor:
             ]
         fired: list[Alert] = []
         for checker in self.checkers:
-            fired.extend(checker.feed(record, self.runs))
+            fired.extend(checker.feed(record, self.summary))
         self._publish(fired)
         return fired
 

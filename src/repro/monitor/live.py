@@ -41,6 +41,7 @@ from repro.monitor.conformance import (
 )
 from repro.monitor.tail import TailReader, follow_records, read_log_records
 from repro.telemetry.core import Telemetry
+from repro.telemetry.summary import number
 
 __all__ = [
     "MonitorReport",
@@ -99,7 +100,7 @@ class LiveMonitor:
         # manifest may retune the checkers before the first run lands.
         self._config_pinned = config.epsilon is not None
         self.monitor = ConformanceMonitor(
-            default_checkers(config), on_alert=self._on_alert
+            default_checkers(config), summary=self.board.summary, on_alert=self._on_alert
         )
 
     def _on_alert(self, alert: Alert) -> None:
@@ -126,9 +127,9 @@ class LiveMonitor:
                 self.config = config
                 self.monitor = ConformanceMonitor(
                     default_checkers(config, manifest=record),
+                    summary=self.board.summary,
                     on_alert=self._on_alert,
                 )
-        self.board.update(record)
         self.monitor.feed(record)
         if self.renderer is not None:
             self.renderer.refresh()
@@ -340,14 +341,7 @@ def follow_fleet(
             for record in reader.poll():
                 record.setdefault("worker", worker)
                 batch.append(record)
-        batch.sort(
-            key=lambda r: (
-                float(ts)
-                if isinstance(ts := r.get("ts"), (int, float))
-                and not isinstance(ts, bool)
-                else 0.0
-            )
-        )
+        batch.sort(key=lambda r: number(r, "ts", 0.0))
         return batch
 
     try:

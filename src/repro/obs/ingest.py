@@ -3,8 +3,8 @@
 Two source shapes are understood, auto-detected per file:
 
 * **Telemetry JSON-lines logs** written by ``--telemetry`` (plus their
-  ``<log>.manifest.json`` sidecar when present).  The log is rolled up
-  with the PR-3 summarizer; the aggregates, the ``slot_batch`` /
+  ``<log>.manifest.json`` sidecar when present).  The log is folded
+  once by :class:`repro.telemetry.summary.LogSummary`; the aggregates, the ``slot_batch`` /
   ``progress`` time series, the phase tables, and any ``prov``
   (causal provenance) events land in the store under one run row.
 * **Bench records** — ``BENCH_engine.json`` (one measurement object)
@@ -28,7 +28,7 @@ from typing import Any
 
 from repro.errors import ExperimentError
 from repro.obs.store import RunStore
-from repro.telemetry.summary import read_records, summarize
+from repro.telemetry.summary import LogSummary, read_records
 
 __all__ = [
     "IngestResult",
@@ -167,19 +167,19 @@ def ingest_log(store: RunStore, path: str | os.PathLike[str]) -> IngestResult:
     """Ingest one telemetry JSON-lines log as a run row (idempotent)."""
     log = Path(path)
     records = read_records(log)  # tolerant: skips torn/invalid lines
+    folded = LogSummary.of(records)
     manifest = _sidecar_manifest(log)
     if manifest is None:
-        manifests = [r for r in records if r.get("kind") == "manifest"]
-        manifest = manifests[0] if manifests else None
+        manifest = folded.manifests[0] if folded.manifests else None
     fingerprint = fingerprint_of(manifest, log)
 
-    summary = summarize(records)
+    summary = folded.to_dict()
     metrics = _aggregate_metrics(summary)
 
     # Per-run node totals come from run_begin records (the engine stamps
     # each run's topology size); they turn raw collision counts into the
     # per-node rate the paper's Lemma 2 accounting cares about.
-    nodes_total = sum(r.get("nodes", 0) for r in records if r.get("kind") == "run_begin")
+    nodes_total = folded.nodes_total
     if nodes_total:
         metrics["nodes_total"] = nodes_total
         metrics["collisions_per_node"] = metrics["collisions"] / nodes_total

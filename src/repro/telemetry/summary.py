@@ -1,8 +1,10 @@
 """Aggregate a telemetry event log into tables or JSON.
 
-``python -m repro telemetry <log>`` renders the output of
-:func:`summarize`; tests and the CI smoke job use :func:`validate_log`
-to hold emitted logs to the schema contract.
+:class:`LogSummary` is the one fold of the stream: ``python -m repro
+telemetry <log>`` renders :func:`summarize` (the fold of a whole log),
+``obs ingest`` stores it, and the live monitor's board and conformance
+checkers read the same fold record by record.  Tests and CI use
+:func:`validate_log` to hold emitted logs to the schema contract.
 
 The summarizer is deliberately tolerant: unknown kinds and extra
 fields are ignored, so logs from newer emitters still summarize (the
@@ -14,15 +16,16 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from repro.analysis.tables import Table
 from repro.errors import ExperimentError
 from repro.fabric.store import LeaseReplay
-from repro.monitor.tail import TailReader
 from repro.telemetry.schema import validate_line, validate_record
 
 __all__ = [
+    "LogSummary",
+    "number",
     "read_records",
     "validate_log",
     "summarize",
@@ -45,6 +48,9 @@ def read_records(
     its line number; otherwise invalid lines are skipped (a torn line
     from a killed campaign is normal).
     """
+    # Imported here: repro.monitor's board imports this module.
+    from repro.monitor.tail import TailReader
+
     log = Path(path)
     if not log.exists():
         raise ExperimentError(f"no telemetry log at {log}")
@@ -93,6 +99,25 @@ def validate_log(path: str | os.PathLike[str]) -> list[str]:
 
 # -- aggregation ----------------------------------------------------------
 
+#: Record kinds that describe a fabric campaign.
+FLEET_KINDS = frozenset({"lease", "worker", "fabric_begin", "fabric_end"})
+
+#: Kinds a log holds few of: kept whole and rolled up by ``to_dict``.
+_KEPT = ("chunk", "counter", "gauge", "span", "campaign_end", "fabric_end",
+         "perf_profile", "perf_span")
+
+#: ``run_end`` fields summed into the run totals.
+_RUN_TOTALS = ("slots", "transmissions", "collisions", "deliveries",
+               "jam_transmissions", "wall_s")
+
+
+def number(record: dict[str, Any], name: str, default: Any = None) -> Any:
+    """``record[name]`` if it is a number (not a bool), else ``default``."""
+    value = record.get(name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return default
+    return value
+
 
 def _stats(values: list[float]) -> dict[str, float]:
     return {
@@ -103,190 +128,255 @@ def _stats(values: list[float]) -> dict[str, float]:
     }
 
 
-def summarize(records: list[dict[str, Any]]) -> dict[str, Any]:
-    """Roll an event stream up into one machine-readable summary."""
-    from repro.sim.metrics import RunMetrics
+class LogSummary:
+    """A telemetry stream folded one record at a time.
 
-    manifests = [r for r in records if r["kind"] == "manifest"]
-    run_ends = [r for r in records if r["kind"] == "run_end"]
-    total = RunMetrics.merge_all(
-        RunMetrics(
-            slots=r["slots"],
-            transmissions=r["transmissions"],
-            collisions=r["collisions"],
-            deliveries=r["deliveries"],
-            jam_transmissions=r.get("jam_transmissions", 0),
-        )
-        for r in run_ends
-    )
-    wall = sum(r["wall_s"] for r in run_ends)
-    runs = {
-        "count": len(run_ends),
-        "slots": total.slots,
-        "transmissions": total.transmissions,
-        "collisions": total.collisions,
-        "deliveries": total.deliveries,
-        "jam_transmissions": total.jam_transmissions,
-        "wall_s": wall,
-        "slots_per_sec": (total.slots / wall) if wall > 0 else 0.0,
-    }
+    The one fold of the stream: :func:`summarize` feeds it a whole log,
+    and the live monitor feeds it each record as it arrives; its board
+    reads the run and fleet counters, its conformance checkers the
+    run-begin index (:meth:`begin_for`).  ``lease`` and ``worker``
+    records go to a :class:`~repro.fabric.store.LeaseReplay`.  The
+    counters skip a field of the wrong type instead of trusting it,
+    because the live monitor tails torn and foreign streams
+    (``telemetry --validate`` is the schema check).  Records of the
+    kinds a log holds few of are kept and rolled up by :meth:`to_dict`.
+    """
 
-    # Phase markers, grouped by protocol layer and phase index.  The
-    # slot of each marker is the phase's *last* slot; ``start_slot``
-    # (when the emitter provides it) gives slots-per-phase directly.
-    phases: dict[str, dict[int, dict[str, Any]]] = {}
-    for record in records:
-        if record["kind"] != "phase":
-            continue
-        proto = str(record["proto"])
-        index = int(record["index"])
-        bucket = phases.setdefault(proto, {}).setdefault(
-            index, {"count": 0, "slots": [], "lengths": []}
+    def __init__(self) -> None:
+        self.records = 0
+        #: Records seen, by kind.
+        self.kinds: dict[Any, int] = {}
+        self.manifests: list[dict[str, Any]] = []
+        #: The latest manifest's command.
+        self.command: str | None = None
+        #: ``run_begin`` records by ``(chunk, run)``: pool workers ship
+        #: their records back chunk-tagged, so ``run`` alone repeats.
+        self.begins: dict[tuple[Any, Any], dict[str, Any]] = {}
+        self.nodes_total: Any = 0
+        #: ``run_end`` totals of :data:`_RUN_TOTALS`.
+        self.runs: dict[str, Any] = dict.fromkeys(_RUN_TOTALS, 0)
+        #: Runs whose ``informed`` reached their ``run_begin``'s ``nodes``.
+        self.runs_succeeded = 0
+        self.last_progress: dict[str, Any] | None = None
+        self.progress_done: int | None = None
+        self.progress_total: int | None = None
+        self.phases: dict[str, dict[int, dict[str, Any]]] = {}
+        self.kept: dict[str, list[dict[str, Any]]] = {kind: [] for kind in _KEPT}
+        self.lease = LeaseReplay()
+        #: The latest ``fabric_begin``'s chunk count.
+        self.chunks_total: int | None = None
+
+    @classmethod
+    def of(cls, records: Iterable[dict[str, Any]]) -> "LogSummary":
+        summary = cls()
+        for record in records:
+            summary.feed(record)
+        return summary
+
+    def count(self, kind: str) -> int:
+        """How many records of ``kind`` the stream held."""
+        return self.kinds.get(kind, 0)
+
+    @property
+    def fleet(self) -> bool:
+        """Whether the stream describes a fabric campaign."""
+        return any(self.kinds.get(kind) for kind in FLEET_KINDS)
+
+    def begin_for(self, record: dict[str, Any]) -> dict[str, Any] | None:
+        """The ``run_begin`` of the run ``record`` belongs to."""
+        return self.begins.get((record.get("chunk"), record.get("run")))
+
+    def feed(self, record: dict[str, Any]) -> None:
+        self.records += 1
+        kind = record.get("kind")
+        self.kinds[kind] = self.kinds.get(kind, 0) + 1
+        if kind in self.kept:
+            self.kept[kind].append(record)
+        elif kind == "phase":
+            self._phase(record)
+        elif kind == "run_end":
+            self._run_end(record)
+        elif kind == "run_begin":
+            self.begins[(record.get("chunk"), record.get("run"))] = record
+            self.nodes_total += number(record, "nodes", 0)
+        elif kind in ("lease", "worker"):
+            self.lease.feed(record)
+        elif kind == "progress":
+            self.last_progress = record
+            done, total = number(record, "done"), number(record, "total")
+            if done is not None:
+                self.progress_done = int(done)
+            if total is not None:
+                self.progress_total = int(total)
+        elif kind == "manifest":
+            self.manifests.append(record)
+            if isinstance(record.get("command"), str):
+                self.command = record["command"]
+        elif kind == "fabric_begin" and isinstance(number(record, "chunks"), int):
+            self.chunks_total = record["chunks"]
+
+    def _run_end(self, record: dict[str, Any]) -> None:
+        for name in _RUN_TOTALS:
+            self.runs[name] += number(record, name, 0)
+        begin = self.begin_for(record)
+        nodes = None if begin is None else number(begin, "nodes")
+        informed = number(record, "informed")
+        if nodes is not None and informed is not None and informed >= nodes:
+            self.runs_succeeded += 1
+
+    def _phase(self, record: dict[str, Any]) -> None:
+        # Grouped by protocol layer and phase index.  The slot of each
+        # marker is the phase's *last* slot; ``start_slot`` (when the
+        # emitter provides it) gives slots-per-phase directly.
+        index, slot = number(record, "index"), number(record, "slot")
+        if index is None or slot is None:
+            return
+        bucket = self.phases.setdefault(str(record.get("proto")), {}).setdefault(
+            int(index), {"count": 0, "slots": [], "lengths": []}
         )
         bucket["count"] += 1
-        bucket["slots"].append(record["slot"])
-        if "start_slot" in record:
-            bucket["lengths"].append(record["slot"] - record["start_slot"] + 1)
-    phase_summary: dict[str, list[dict[str, Any]]] = {}
-    for proto, buckets in sorted(phases.items()):
-        rows = []
-        for index in sorted(buckets):
-            bucket = buckets[index]
-            row: dict[str, Any] = {"index": index, "count": bucket["count"]}
-            row.update(
-                {f"slot_{k}": v for k, v in _stats(bucket["slots"]).items() if k != "count"}
+        bucket["slots"].append(slot)
+        start = number(record, "start_slot")
+        if start is not None:
+            bucket["lengths"].append(slot - start + 1)
+
+    def to_dict(self) -> dict[str, Any]:
+        """The machine-readable summary (what :func:`summarize` returns)."""
+        kept = self.kept
+        runs = self.runs
+        wall = runs["wall_s"]
+        phase_summary: dict[str, list[dict[str, Any]]] = {}
+        for proto, buckets in sorted(self.phases.items()):
+            rows = []
+            for index in sorted(buckets):
+                bucket = buckets[index]
+                row: dict[str, Any] = {"index": index, "count": bucket["count"]}
+                row.update(
+                    {f"slot_{k}": v for k, v in _stats(bucket["slots"]).items() if k != "count"}
+                )
+                if bucket["lengths"]:
+                    row["mean_length"] = sum(bucket["lengths"]) / len(bucket["lengths"])
+                rows.append(row)
+            phase_summary[proto] = rows
+
+        chunks = kept["chunk"]
+        chunk_summary: dict[str, Any] = {"count": len(chunks)}
+        if chunks:
+            chunk_summary.update(
+                {
+                    "items": sum(c["size"] for c in chunks),
+                    "wall_s": _stats([c["wall_s"] for c in chunks]),
+                    "retries": sum(c.get("retries", 0) for c in chunks),
+                    "timeouts": sum(c.get("timeouts", 0) for c in chunks),
+                    "workers": len({c["pid"] for c in chunks if "pid" in c}),
+                }
             )
-            if bucket["lengths"]:
-                row["mean_length"] = sum(bucket["lengths"]) / len(bucket["lengths"])
-            rows.append(row)
-        phase_summary[proto] = rows
+            queue_waits = [c["queue_s"] for c in chunks if "queue_s" in c]
+            if queue_waits:
+                chunk_summary["queue_s"] = _stats(queue_waits)
 
-    chunks = [r for r in records if r["kind"] == "chunk"]
-    chunk_summary: dict[str, Any] = {"count": len(chunks)}
-    if chunks:
-        chunk_summary.update(
-            {
-                "items": sum(c["size"] for c in chunks),
-                "wall_s": _stats([c["wall_s"] for c in chunks]),
-                "retries": sum(c.get("retries", 0) for c in chunks),
-                "timeouts": sum(c.get("timeouts", 0) for c in chunks),
-                "workers": len({c["pid"] for c in chunks if "pid" in c}),
-            }
-        )
-        queue_waits = [c["queue_s"] for c in chunks if "queue_s" in c]
-        if queue_waits:
-            chunk_summary["queue_s"] = _stats(queue_waits)
+        counters: dict[str, dict[str, float]] = {}
+        for record in kept["counter"]:
+            entry = counters.setdefault(str(record["name"]), {"events": 0, "total": 0})
+            entry["events"] += 1
+            entry["total"] += record["value"]
+        gauges: dict[str, dict[str, float]] = {}
+        for record in kept["gauge"]:
+            value = record["value"]
+            entry = gauges.setdefault(
+                str(record["name"]), {"events": 0, "last": value, "min": value, "max": value}
+            )
+            entry["events"] += 1
+            entry["last"] = value
+            entry["min"] = min(entry["min"], value)
+            entry["max"] = max(entry["max"], value)
+        spans: dict[str, dict[str, float]] = {}
+        for record in kept["span"]:
+            entry = spans.setdefault(str(record["name"]), {"count": 0, "total_s": 0.0})
+            entry["count"] += 1
+            entry["total_s"] += record["dur_s"]
 
-    counters: dict[str, dict[str, float]] = {}
-    for record in records:
-        if record["kind"] != "counter":
-            continue
-        entry = counters.setdefault(str(record["name"]), {"events": 0, "total": 0})
-        entry["events"] += 1
-        entry["total"] += record["value"]
-    gauges: dict[str, dict[str, float]] = {}
-    for record in records:
-        if record["kind"] != "gauge":
-            continue
-        name = str(record["name"])
-        value = record["value"]
-        entry = gauges.setdefault(
-            name, {"events": 0, "last": value, "min": value, "max": value}
-        )
-        entry["events"] += 1
-        entry["last"] = value
-        entry["min"] = min(entry["min"], value)
-        entry["max"] = max(entry["max"], value)
+        # Fleet rollup: the fabric's lease audit trail and worker lives
+        # (replayed), alert and chaos volumes.
+        lease = self.lease
+        fabric_ends = kept["fabric_end"]
+        fleet = {
+            "lease_events": dict(sorted(lease.events.items())),
+            "workers": sorted(lease.workers),
+            # Every grant, as the replay's worker ledgers count it.
+            "claims": lease.events.get("claim", 0) + lease.takeovers,
+            "takeovers": lease.takeovers,
+            "fence_rejects": lease.fence_rejects,
+            "fabric_runs": len(fabric_ends),
+            "fabric_wall_s": sum(r["wall_s"] for r in fabric_ends),
+            "fabric_chunks": sum(r["chunks"] for r in fabric_ends),
+            "alerts": self.count("alert"),
+            "chaos_trials": self.count("chaos_trial"),
+        }
 
-    spans: dict[str, dict[str, float]] = {}
-    for record in records:
-        if record["kind"] != "span":
-            continue
-        entry = spans.setdefault(str(record["name"]), {"count": 0, "total_s": 0.0})
-        entry["count"] += 1
-        entry["total_s"] += record["dur_s"]
+        # Performance plane (repro.perf): sampled folded-stack captures and
+        # span-attributed cost, merged across the log (worker captures ship
+        # back as extra perf_profile/perf_span records and sum here).
+        perf_profiles = kept["perf_profile"]
+        perf_stacks: dict[str, int] = {}
+        for record in perf_profiles:
+            stacks = record.get("stacks")
+            if not isinstance(stacks, dict):
+                continue
+            for stack, count in stacks.items():
+                if isinstance(count, (int, float)) and count > 0:
+                    perf_stacks[str(stack)] = perf_stacks.get(str(stack), 0) + int(count)
+        perf_spans: dict[str, dict[str, float]] = {}
+        for record in kept["perf_span"]:
+            entry = perf_spans.setdefault(
+                str(record["label"]),
+                {"count": 0, "secs": 0.0, "samples": 0, "mem_peak_kb": 0.0,
+                 "mem_net_kb": 0.0},
+            )
+            entry["count"] += record.get("count", 1)
+            entry["secs"] += record["secs"]
+            entry["samples"] += record["samples"]
+            entry["mem_peak_kb"] = max(entry["mem_peak_kb"], record.get("mem_peak_kb", 0.0))
+            entry["mem_net_kb"] += record.get("mem_net_kb", 0.0)
+        perf = {
+            "profiles": len(perf_profiles),
+            "samples": sum(r["samples"] for r in perf_profiles),
+            "sample_wall_s": sum(r["dur_s"] for r in perf_profiles),
+            "hz": perf_profiles[-1]["hz"] if perf_profiles else None,
+            "stacks": dict(sorted(perf_stacks.items())),
+            "spans": dict(sorted(perf_spans.items())),
+        }
 
-    campaign_ends = [r for r in records if r["kind"] == "campaign_end"]
-    progress = [r for r in records if r["kind"] == "progress"]
+        campaign_ends = kept["campaign_end"]
+        return {
+            "records": self.records,
+            "manifests": self.manifests,
+            "runs": {
+                "count": self.count("run_end"),
+                **runs,
+                "slots_per_sec": (runs["slots"] / wall) if wall > 0 else 0.0,
+            },
+            "phases": phase_summary,
+            "chunks": chunk_summary,
+            "faults": self.count("fault"),
+            "counters": counters,
+            "gauges": gauges,
+            "spans": spans,
+            "campaigns": {
+                "count": len(campaign_ends),
+                "wall_s": sum(c["wall_s"] for c in campaign_ends),
+                "retries": sum(c.get("retries", 0) for c in campaign_ends),
+                "timeouts": sum(c.get("timeouts", 0) for c in campaign_ends),
+            },
+            "fleet": fleet,
+            "perf": perf,
+            "last_progress": self.last_progress,
+        }
 
-    # Fleet rollup: the fabric's lease audit trail (replayed), worker
-    # lifecycle, alert and chaos volumes.
-    lease = LeaseReplay()
-    fleet_workers: set[str] = set()
-    for record in records:
-        lease.feed(record)
-        if record["kind"] == "worker":
-            fleet_workers.add(str(record["worker"]))
-    fabric_ends = [r for r in records if r["kind"] == "fabric_end"]
-    fleet = {
-        "lease_events": dict(sorted(lease.events.items())),
-        "workers": sorted(fleet_workers | set(lease.workers)),
-        # Every grant, as the autopsy and the monitor's lanes count it.
-        "claims": lease.events.get("claim", 0) + lease.takeovers,
-        "takeovers": lease.takeovers,
-        "fence_rejects": lease.fence_rejects,
-        "fabric_runs": len(fabric_ends),
-        "fabric_wall_s": sum(r["wall_s"] for r in fabric_ends),
-        "fabric_chunks": sum(r["chunks"] for r in fabric_ends),
-        "alerts": sum(1 for r in records if r["kind"] == "alert"),
-        "chaos_trials": sum(1 for r in records if r["kind"] == "chaos_trial"),
-    }
 
-    # Performance plane (repro.perf): sampled folded-stack captures and
-    # span-attributed cost, merged across the log (worker captures ship
-    # back as extra perf_profile/perf_span records and sum here).
-    perf_profiles = [r for r in records if r["kind"] == "perf_profile"]
-    perf_stacks: dict[str, int] = {}
-    for record in perf_profiles:
-        stacks = record.get("stacks")
-        if not isinstance(stacks, dict):
-            continue
-        for stack, count in stacks.items():
-            if isinstance(count, (int, float)) and count > 0:
-                perf_stacks[str(stack)] = perf_stacks.get(str(stack), 0) + int(count)
-    perf_spans: dict[str, dict[str, float]] = {}
-    for record in records:
-        if record["kind"] != "perf_span":
-            continue
-        entry = perf_spans.setdefault(
-            str(record["label"]),
-            {"count": 0, "secs": 0.0, "samples": 0, "mem_peak_kb": 0.0,
-             "mem_net_kb": 0.0},
-        )
-        entry["count"] += record.get("count", 1)
-        entry["secs"] += record["secs"]
-        entry["samples"] += record["samples"]
-        entry["mem_peak_kb"] = max(entry["mem_peak_kb"], record.get("mem_peak_kb", 0.0))
-        entry["mem_net_kb"] += record.get("mem_net_kb", 0.0)
-    perf = {
-        "profiles": len(perf_profiles),
-        "samples": sum(r["samples"] for r in perf_profiles),
-        "sample_wall_s": sum(r["dur_s"] for r in perf_profiles),
-        "hz": perf_profiles[-1]["hz"] if perf_profiles else None,
-        "stacks": dict(sorted(perf_stacks.items())),
-        "spans": dict(sorted(perf_spans.items())),
-    }
-
-    return {
-        "records": len(records),
-        "manifests": manifests,
-        "runs": runs,
-        "phases": phase_summary,
-        "chunks": chunk_summary,
-        "faults": sum(1 for r in records if r["kind"] == "fault"),
-        "counters": counters,
-        "gauges": gauges,
-        "spans": spans,
-        "campaigns": {
-            "count": len(campaign_ends),
-            "wall_s": sum(c["wall_s"] for c in campaign_ends),
-            "retries": sum(c.get("retries", 0) for c in campaign_ends),
-            "timeouts": sum(c.get("timeouts", 0) for c in campaign_ends),
-        },
-        "fleet": fleet,
-        "perf": perf,
-        "last_progress": progress[-1] if progress else None,
-    }
+def summarize(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """Roll an event stream up into one machine-readable summary."""
+    return LogSummary.of(records).to_dict()
 
 
 # -- rendering ------------------------------------------------------------

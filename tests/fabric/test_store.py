@@ -267,9 +267,15 @@ class TestLeaseReplay:
         assert replay.workers["w0"].holding == 1
         assert replay.chunks[1].holder == "w0"
 
-    def test_non_lease_records_are_ignored(self):
+    def test_worker_records_fold_life_not_leases(self):
         replay = LeaseReplay()
         replay.feed({"kind": "worker", "event": "fault", "worker": "w0",
-                     "index": 0})
+                     "index": 0, "detail": "kill"})
+        replay.feed({"kind": "worker", "event": "worker_exit", "worker": "w1",
+                     "detail": "done, committed=0"})
         replay.feed({"kind": "run_end", "ts": 0.0})
-        assert replay.events == {} and replay.workers == {}
+        assert replay.events == {} and replay.chunks == {}
+        w0, w1 = replay.workers["w0"], replay.workers["w1"]
+        assert (w0.claims, w0.faults, w0.last_fault, w0.state) == (0, 1, "kill", "killed")
+        assert (w1.state, w1.exit_detail) == ("exited", "done, committed=0")
+        assert sorted(replay.workers) == ["w0", "w1"]

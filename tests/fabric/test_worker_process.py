@@ -147,3 +147,18 @@ def test_sigkilled_forked_worker_reads_minus_nine(tmp_path):
     proc.kill()
     assert proc.wait(timeout=10.0) == -signal.SIGKILL
     assert proc.poll() == -signal.SIGKILL
+
+
+def test_in_process_worker_puts_the_sigterm_handler_back(tmp_path, monkeypatch):
+    """`fabric worker` run in-process leaves the caller's SIGTERM handler
+    as it found it, here on the early return for a missing campaign."""
+    import functools
+
+    monkeypatch.setattr(worker_module, "WorkerConfig", functools.partial(
+        worker_module.WorkerConfig, campaign_wait=0.05))
+    before = signal.getsignal(signal.SIGTERM)
+    code = main(["fabric", "worker", "--store", str(tmp_path / "s.db"),
+                 "--campaign", "abc", "--worker-id", "w0",
+                 "--poll-interval", "0.01"])
+    assert code == 2
+    assert signal.getsignal(signal.SIGTERM) == before

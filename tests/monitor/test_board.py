@@ -8,7 +8,7 @@ from repro.monitor.conformance import Alert
 
 def feed_board(board, records):
     for record in records:
-        board.update(record)
+        board.summary.feed(record)
     return board
 
 
@@ -31,14 +31,15 @@ def sample_records():
 class TestStatusBoard:
     def test_aggregates_stream(self):
         board = feed_board(StatusBoard(), sample_records())
-        assert board.command == "experiment"
-        assert board.runs_begun == 2 and board.runs_ended == 2
-        assert board.runs_succeeded == 1  # r2 informed 3 < 8 nodes
-        assert board.slots == 200
+        summary = board.summary  # the board renders the stream's one fold
+        assert summary.command == "experiment"
+        assert summary.count("run_begin") == 2 and summary.count("run_end") == 2
+        assert summary.runs_succeeded == 1  # r2 informed 3 < 8 nodes
+        assert summary.runs["slots"] == 200
         assert board.slots_per_sec == 200.0
         assert board.collision_rate == 40 / 90
-        assert board.progress_done == 2 and board.progress_total == 10
-        assert board.faults == 1
+        assert summary.progress_done == 2 and summary.progress_total == 10
+        assert summary.count("fault") == 1
 
     def test_snapshot_is_json_shaped(self):
         board = feed_board(StatusBoard(), sample_records())

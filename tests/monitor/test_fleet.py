@@ -63,7 +63,7 @@ class TestStoreEventRecord:
 
 def _feed(board, records):
     for record in records:
-        board.update(record)
+        board.summary.feed(record)
 
 
 class TestFleetLanes:
@@ -126,12 +126,12 @@ class TestFleetLanes:
 
     def test_unknown_lease_event_is_counted_not_folded(self):
         board = StatusBoard()
-        board.update({"kind": "lease", "ts": 0.1, "event": "bogus",
+        board.summary.feed({"kind": "lease", "ts": 0.1, "event": "bogus",
                       "worker": "w0", "index": 0})
         fleet = board.snapshot()["fleet"]
         assert fleet["workers"]["w0"]["claims"] == 0
         assert fleet["workers"]["w0"]["state"] == "live"
-        assert board.lease.events == {"bogus": 1}
+        assert board.summary.lease.events == {"bogus": 1}
 
     def test_committed_chunks_dedupe_by_index(self):
         board = StatusBoard()
@@ -163,8 +163,8 @@ class TestFleetLanes:
         # The merged stream also carries ordinary run/slot records; the
         # base board behaviour must be untouched by the fleet overlay.
         board = StatusBoard()
-        board.update({"kind": "fabric_begin", "ts": 0.0, "chunks": 1})
-        board.update({"kind": "run_end", "ts": 1.0, "slots": 10,
+        board.summary.feed({"kind": "fabric_begin", "ts": 0.0, "chunks": 1})
+        board.summary.feed({"kind": "run_end", "ts": 1.0, "slots": 10,
                       "transmissions": 4, "collisions": 1, "delivered": True})
         assert board.snapshot()["fleet"]["workers"] == {}
 
@@ -212,7 +212,7 @@ class TestFollowFleet:
         board = StatusBoard()
         for record in follow_fleet(tmp_path / "fab.db", "cafe" * 16,
                                    poll_interval=0.01, idle_timeout=1.0):
-            board.update(record)
+            board.summary.feed(record)
         fleet = board.snapshot()["fleet"]
         assert fleet["chunks_committed"] == 2
         assert fleet["workers"]["w0"]["state"] == "exited"

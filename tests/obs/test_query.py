@@ -213,7 +213,11 @@ class TestTrendUnknownMetric:
     def test_known_metric_with_few_points_passes(self, capsys, tmp_path):
         db = tmp_path / "runs.db"
         RunStore(db).close()
-        assert self._trend(capsys, db, "slots_per_sec")[0] == 0  # no runs yet
+        # No runs yet: zero points checked nothing, as `monitor --gate`
+        # over an empty log.
+        code, err = self._trend(capsys, db, "slots_per_sec")
+        assert code == 2
+        assert "checked nothing" in err
         with RunStore(db) as store:
             _seed_runs(store, [10.0])
         assert self._trend(capsys, db, "slots_per_sec")[0] == 0
