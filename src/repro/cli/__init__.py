@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from typing import Callable
@@ -88,7 +89,10 @@ def write_trace(command: str, records: list, path) -> dict:
     return trace
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, built once per process: it holds no parse
+    state, and a forked fabric worker reuses its coordinator's."""
     from repro.cli import chaos, fabric, obs, paper, perf, telemetry
 
     parser = argparse.ArgumentParser(

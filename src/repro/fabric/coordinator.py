@@ -8,8 +8,13 @@ store's event log into telemetry as it goes — until every chunk is
 committed.  Each forked worker runs the ``python -m repro fabric
 worker`` command line in-process (:func:`repro.cli.main`), from the
 state a fresh interpreter would give it (see :func:`_worker_child`),
-so it skips only the interpreter start and the imports the coordinator
-has already paid for.  Dead workers are simply reaped: their leases
+so it skips the interpreter start and the imports the coordinator has
+already paid for; before the first fork the coordinator also builds
+what every worker's start-up would rebuild (:func:`_warm_fork`).  Each
+worker holds the write end of an exit pipe, so the coordinator sleeps
+in ``select`` until a worker exits (on any path, SIGKILL included),
+SIGTERM drains it, or ``poll_interval`` passes for the next round of
+event forwarding.  Dead workers are simply reaped: their leases
 expire and the survivors take the chunks over.  If *every* worker dies
 with chunks still open (a fault plan can arrange that), the coordinator
 degrades to running the worker loop in-process, so the campaign still
@@ -29,17 +34,18 @@ partial splice.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
+import select
 import signal
 import sys
-import threading
 import time
 import traceback
 import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import Any, Iterable, NoReturn
 
 import repro
 from repro.campaign import CampaignJournal, decode_chunk, plan_campaign, splice
@@ -47,10 +53,17 @@ from repro.errors import ExperimentError
 from repro.fabric.faultplan import FaultPlan
 from repro.fabric.specs import FabricSpec, resolve_spec
 from repro.fabric.store import LeaseReplay, LeaseStore, store_event_record
-from repro.fabric.worker import WorkerConfig, run_worker, worker_args
+from repro.fabric.worker import (
+    Drain,
+    WorkerConfig,
+    drain_on_sigterm,
+    run_worker,
+    worker_args,
+)
 from repro.fabric.tracectx import TraceContext, traced
 from repro.perf import core as perf_core
 from repro.telemetry import get_active, set_active
+from repro.telemetry.core import host_facts
 
 __all__ = ["FabricConfig", "FabricResult", "run_fabric"]
 
@@ -120,17 +133,23 @@ def _worker_ids(count: int) -> list[str]:
 class _ForkedWorker:
     """A forked worker process, with the part of ``subprocess.Popen``'s
     interface the supervision loop uses.  ``returncode`` is ``-N`` for a
-    worker killed by signal N."""
+    worker killed by signal N.
 
-    def __init__(self, pid: int) -> None:
+    ``exit_fd`` is the read end of the worker's exit pipe: it turns
+    readable (end of file) when the worker exits, and is closed (and
+    set to ``None``) once the worker is reaped or the pipe has closed.
+    """
+
+    def __init__(self, pid: int, exit_fd: int) -> None:
         self.pid = pid
+        self.exit_fd: int | None = exit_fd
         self.returncode: int | None = None
 
     def poll(self) -> int | None:
         if self.returncode is None:
             pid, status = os.waitpid(self.pid, os.WNOHANG)
             if pid:
-                self.returncode = os.waitstatus_to_exitcode(status)
+                self._reaped(status)
         return self.returncode
 
     def wait(self, timeout: float | None = None) -> int:
@@ -138,7 +157,7 @@ class _ForkedWorker:
         if timeout is None:
             if self.returncode is None:
                 _, status = os.waitpid(self.pid, 0)
-                self.returncode = os.waitstatus_to_exitcode(status)
+                self._reaped(status)
             return self.returncode
         deadline = time.monotonic() + timeout
         delay = 0.0005
@@ -146,9 +165,24 @@ class _ForkedWorker:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError(f"worker pid {self.pid} still running")
+            if self.exit_fd is not None:
+                if select.select([self.exit_fd], [], [], remaining)[0]:
+                    # The worker is exiting; it becomes reapable a moment
+                    # after its pipe closes, so poll the rest of the way.
+                    self._close_exit_fd()
+                continue
             delay = min(delay * 2, remaining, 0.05)
             time.sleep(delay)
         return self.returncode
+
+    def _reaped(self, status: int) -> None:
+        self.returncode = os.waitstatus_to_exitcode(status)
+        self._close_exit_fd()
+
+    def _close_exit_fd(self) -> None:
+        if self.exit_fd is not None:
+            os.close(self.exit_fd)
+            self.exit_fd = None
 
     def terminate(self) -> None:
         self._signal(signal.SIGTERM)
@@ -164,26 +198,45 @@ class _ForkedWorker:
                 pass
 
 
+def _warm_fork() -> None:
+    """Build, once per coordinator process and before it forks, what
+    every worker's start-up would otherwise rebuild: the CLI parser and
+    the manifest's host facts (both cached)."""
+    from repro.cli import build_parser
+
+    build_parser()
+    host_facts()
+
+
 def _fork_worker(args: list[str], env: dict[str, str], log_path: Path) -> _ForkedWorker:
     """Fork a worker running ``python -m repro <args>`` in-process, its
     stdout and stderr on ``log_path``.  The caller must hold no SQLite
     connection: none may cross a fork."""
     log_fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    exit_fd, exit_write_fd = os.pipe()
     sys.stdout.flush()
     sys.stderr.flush()
+    # SIGTERM stays blocked until the child has put back the default
+    # handler: the coordinator's own would set the coordinator's drain,
+    # whose pipe the child shares.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     try:
         pid = os.fork()
         if pid == 0:
-            _worker_child(args, env, log_fd)
+            _worker_child(args, env, log_fd, mask)  # holds exit_write_fd until it exits
     finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.close(log_fd)
-    return _ForkedWorker(pid)
+        os.close(exit_write_fd)
+    return _ForkedWorker(pid, exit_fd)
 
 
-def _worker_child(args: list[str], env: dict[str, str], log_fd: int) -> NoReturn:
+def _worker_child(
+    args: list[str], env: dict[str, str], log_fd: int, mask: Iterable[int]
+) -> NoReturn:
     """The forked worker: start from what an exec'd ``python -m repro``
-    starts with, run the command, and exit without ever returning into
-    the caller's frames."""
+    starts with (signal mask ``mask``), run the command, and exit
+    without ever returning into the caller's frames."""
     code = 1
     try:
         os.dup2(log_fd, 1)
@@ -197,6 +250,7 @@ def _worker_child(args: list[str], env: dict[str, str], log_fd: int) -> NoReturn
         sys.argv = [str(Path(repro.__file__).with_name("__main__.py")), *args]
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.default_int_handler)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         root = logging.getLogger()
         for handler in list(root.handlers):
             root.removeHandler(handler)
@@ -223,6 +277,17 @@ def _worker_child(args: list[str], env: dict[str, str], log_fd: int) -> NoReturn
             sys.stderr.flush()
         finally:
             os._exit(code)
+
+
+def _await_exit(procs: Iterable[_ForkedWorker], drain: Drain, timeout: float) -> None:
+    """Sleep until a worker exits, ``drain`` is set, or ``timeout``
+    seconds pass; reap the workers that exited."""
+    watched = {proc.exit_fd: proc for proc in procs if proc.exit_fd is not None}
+    ready = select.select([drain.fileno(), *watched], [], [], timeout)[0]
+    for fd in ready:
+        if fd in watched:
+            with contextlib.suppress(TimeoutError):
+                watched[fd].wait(timeout)
 
 
 def _forward_events(
@@ -285,7 +350,11 @@ def run_fabric(config: FabricConfig) -> FabricResult:
     # off.
     recorder = get_active()
     trace = TraceContext.root(fingerprint)
-    with traced(recorder, trace):
+    # The drain handler lives as long as this call: the caller's SIGTERM
+    # handler is put back on return and on raise.
+    with traced(recorder, trace), drain_on_sigterm(
+        config.install_signal_handler
+    ) as drain:
         if recorder is not None:
             recorder.emit(
                 "fabric_begin",
@@ -310,18 +379,9 @@ def run_fabric(config: FabricConfig) -> FabricResult:
         if perf_session is not None:
             perf_session.to_env(env)
         store = None
-        drain = threading.Event()
-        # The drain handler lives as long as this call: the caller's
-        # SIGTERM handler is put back on return and on raise.
-        previous_sigterm: Any = None
-        if config.install_signal_handler:
-            try:
-                previous_sigterm = signal.signal(
-                    signal.SIGTERM, lambda *_: drain.set()
-                ) or signal.SIG_DFL
-            except ValueError:  # not the main thread
-                pass
         try:
+            if worker_ids:
+                _warm_fork()
             for worker_id in worker_ids:
                 worker_config = WorkerConfig(
                     store=store_path,
@@ -392,7 +452,7 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                         )
                     )
                     continue
-                time.sleep(config.poll_interval)
+                _await_exit(procs.values(), drain, config.poll_interval)
 
             # Campaign complete: drain the stragglers (they also notice
             # all_done on their own) and collect exit codes.  Only a
@@ -465,5 +525,3 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                     proc.wait()
             if store is not None:
                 store.close()
-            if previous_sigterm is not None:
-                signal.signal(signal.SIGTERM, previous_sigterm)

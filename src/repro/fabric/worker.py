@@ -14,7 +14,8 @@ resurrected worker's late commit is rejected rather than spliced.
 Graceful drain: SIGTERM sets a flag; the worker finishes (and
 commits) the chunk in flight, then exits 0 without claiming another.
 Its waits (idle backoff, the stale-commit poll) wait on that flag, so
-a drained idle worker leaves at once.
+a drained idle worker leaves at once.  The flag is a :class:`Drain`
+self-pipe, which a signal handler can set at any bytecode.
 
 Fault-plan hooks (:mod:`repro.fabric.faultplan`) fire at deterministic
 points — addressed by the worker's *claim ordinal*, not wall time — so
@@ -30,13 +31,16 @@ chaos runs are replayable:
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
+import select
 import signal
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Iterator
 
 from repro.campaign import backoff_delay, encode_chunk, plan_campaign, run_chunk
 from repro.errors import ExperimentError
@@ -48,7 +52,7 @@ from repro.perf import core as perf_core
 from repro.rng import derive_seed
 from repro.telemetry import get_active
 
-__all__ = ["WorkerConfig", "run_worker"]
+__all__ = ["Drain", "WorkerConfig", "drain_on_sigterm", "run_worker"]
 
 logger = logging.getLogger("repro.fabric.worker")
 
@@ -141,26 +145,73 @@ def _fault(actions: list[FaultAction], kind: str) -> FaultAction | None:
     return None
 
 
-def run_worker(config: WorkerConfig) -> int:
-    """Run one worker until the campaign is done (or drained).  Returns
-    a process exit code (0 = clean)."""
-    drain = threading.Event()
-    # The drain handler lives as long as this call: the caller's SIGTERM
-    # handler is put back on return and on raise.
-    previous_sigterm = None
-    if config.install_signal_handler:
+class Drain:
+    """The SIGTERM drain flag, safe to set from a signal handler.
+
+    A Python signal handler runs on the main thread between bytecodes,
+    also while that thread is inside ``threading.Event.wait`` holding
+    the Event's non-reentrant lock, so ``Event.set`` from the handler
+    can block forever.  Here :meth:`set` only writes one byte to a pipe,
+    and :meth:`is_set` and :meth:`wait` select on its read end, which
+    :meth:`fileno` hands to a caller's own ``select``.  The byte is
+    never read: once set, the flag stays set.
+    """
+
+    def __init__(self) -> None:
+        self._read, self._write = os.pipe()
+        os.set_blocking(self._write, False)
+
+    def fileno(self) -> int:
+        return self._read
+
+    def set(self) -> None:
         try:
-            previous_sigterm = signal.signal(signal.SIGTERM, lambda *_: drain.set())
+            os.write(self._write, b"\0")
+        except BlockingIOError:  # pipe full: set many times over
+            pass
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until set or ``timeout`` seconds pass; True iff set."""
+        return bool(select.select([self._read], [], [], timeout)[0])
+
+    def is_set(self) -> bool:
+        return self.wait(0)
+
+    def close(self) -> None:
+        os.close(self._read)
+        os.close(self._write)
+
+
+@contextlib.contextmanager
+def drain_on_sigterm(install: bool) -> Iterator[Drain]:
+    """A :class:`Drain` that SIGTERM sets while the block runs (if
+    ``install`` and on the main thread).  The caller's SIGTERM handler
+    is put back on exit, and the drain's pipe closed."""
+    drain = Drain()
+    previous: Any = None
+    if install:
+        try:
+            previous = signal.signal(
+                signal.SIGTERM, lambda *_: drain.set()
+            ) or signal.SIG_DFL
         except ValueError:  # not the main thread (in-process embedding)
             pass
     try:
-        return _work(config, drain)
+        yield drain
     finally:
-        if previous_sigterm is not None:
-            signal.signal(signal.SIGTERM, previous_sigterm)
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
+        drain.close()
 
 
-def _work(config: WorkerConfig, drain: threading.Event) -> int:
+def run_worker(config: WorkerConfig) -> int:
+    """Run one worker until the campaign is done (or drained).  Returns
+    a process exit code (0 = clean)."""
+    with drain_on_sigterm(config.install_signal_handler) as drain:
+        return _work(config, drain)
+
+
+def _work(config: WorkerConfig, drain: Drain) -> int:
     """The body of :func:`run_worker`; ``drain`` is set on SIGTERM."""
     store = LeaseStore(config.store)
     deadline = time.monotonic() + config.campaign_wait

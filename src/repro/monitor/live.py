@@ -303,7 +303,9 @@ def follow_fleet(
     :func:`repro.fabric.store.store_event_record`) and every telemetry
     log in ``logs`` (worker id -> path) concurrently.  A log's records
     that carry no ``worker`` field are stamped with its worker id, so
-    the Chrome trace puts them on that worker's lane.  Each poll cycle's
+    the Chrome trace puts them on that worker's lane.  A log's own
+    ``worker`` records are skipped: each repeats a store row (the
+    worker's start or exit).  Each poll cycle's
     harvest is sorted by ``ts`` before yielding, so the board and the
     conformance checkers see per-cycle causal order without waiting for
     the campaign to end.
@@ -339,6 +341,8 @@ def follow_fleet(
                 batch.append(store_event_record(event))
         for worker, reader in readers:
             for record in reader.poll():
+                if record.get("kind") == "worker":
+                    continue
                 record.setdefault("worker", worker)
                 batch.append(record)
         batch.sort(key=lambda r: number(r, "ts", 0.0))

@@ -8,8 +8,11 @@ Design constraints (see the module docs in ``repro/telemetry/__init__.py``):
   (:func:`get_active` / the fast helpers below), so the PR-1 hot-path
   numbers survive with telemetry off.
 * **Streamed, append-only.**  Every record is one JSON line, flushed
-  as it is written, so a crashed campaign leaves a readable log and
-  ``tail -f`` works while a campaign runs.
+  as it is written, so a crashed (even SIGKILLed) campaign leaves a
+  readable log and ``tail -f`` works while a campaign runs.  Each line
+  is exactly ``json.dumps(record, default=repr)``; a recorder builds
+  the C encoder behind that call once (:func:`_line_encoder`) instead
+  of once per record.
 * **Fork-safe.**  A recorder remembers the PID that created it and
   silently drops records emitted from forked children — worker
   processes instead buffer into their own in-memory recorder and ship
@@ -29,6 +32,7 @@ Design constraints (see the module docs in ``repro/telemetry/__init__.py``):
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import logging
@@ -37,8 +41,9 @@ import platform
 import sys
 import threading
 import time
+import types
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, Callable, Iterator, Mapping, TextIO
 
 from repro._version import __version__
 from repro.perf import core as _perf_core
@@ -110,9 +115,7 @@ class Telemetry:
         # tear the log.  Reentrant because a subscriber may emit back
         # into this recorder (the monitor writing `alert` records).
         self._write_lock = threading.RLock()
-        # json.dumps(record, default=repr) builds a new encoder per call
-        # (default= is not the default); one per recorder, same bytes.
-        self._encode = json.JSONEncoder(default=repr).encode
+        self._encode = _line_encoder()
 
     # -- constructors ---------------------------------------------------
 
@@ -257,9 +260,7 @@ class Telemetry:
             "schema": SCHEMA,
             "version": SCHEMA_VERSION,
             "created": time.time(),
-            "host": platform.node() or "unknown",
-            "platform": platform.platform(),
-            "python": sys.version.split()[0],
+            **host_facts(),
             "package_version": __version__,
             "git_sha": git_sha(),
             "pid": self._pid,
@@ -412,7 +413,8 @@ def activate(recorder: Telemetry) -> Iterator[Telemetry]:
 def phase(proto: str, *, node: Any, index: int, slot: int, **fields: Any) -> None:
     recorder = _ACTIVE
     if recorder is not None:
-        recorder.phase(proto, node=node, index=index, slot=slot, **fields)
+        # Telemetry.phase inlined: most records of a Decay campaign are these.
+        recorder.emit("phase", proto=proto, node=node, index=index, slot=slot, **fields)
 
 
 def counter(name: str, value: int | float = 1, **fields: Any) -> None:
@@ -433,7 +435,54 @@ def event(kind: str, **fields: Any) -> None:
         recorder.emit(kind, **fields)
 
 
+# -- encoding -------------------------------------------------------------
+
+
+def _line_encoder() -> Callable[[Any], str]:
+    """``json.dumps(value, default=repr)`` with its C encoder built once.
+
+    ``json.dumps`` builds a fresh encoder on every call when given
+    ``default=``; this builds it once, with the arguments
+    ``JSONEncoder(default=repr)`` passes, so the text is the same.  The
+    caller serializes calls (the encoder's circular-reference markers
+    are shared).  A failed encode leaves stale markers behind, so they
+    are cleared before the error propagates.
+    """
+    spec = json.JSONEncoder(default=repr)
+    make_encoder = json.encoder.c_make_encoder
+    if make_encoder is None:  # no C accelerator in this interpreter
+        return spec.encode
+    markers: dict[int, Any] = {}
+    encode = make_encoder(
+        markers, spec.default, json.encoder.encode_basestring_ascii, spec.indent,
+        spec.key_separator, spec.item_separator, spec.sort_keys, spec.skipkeys,
+        spec.allow_nan,
+    )
+
+    def line(value: Any) -> str:
+        try:
+            return "".join(encode(value, 0))
+        except BaseException:
+            markers.clear()
+            raise
+
+    return line
+
+
 # -- manifest ingredients -------------------------------------------------
+
+
+@functools.cache
+def host_facts() -> Mapping[str, str]:
+    """The manifest's host, platform and interpreter.  They hold for the
+    life of the process and of its forks, so they are computed once
+    (``platform.platform()`` alone costs milliseconds); read-only, as
+    every caller shares them."""
+    return types.MappingProxyType({
+        "host": platform.node() or "unknown",
+        "platform": platform.platform(),
+        "python": sys.version.split()[0],
+    })
 
 
 def config_fingerprint(config: dict[str, Any]) -> str:

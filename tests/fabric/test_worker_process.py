@@ -63,6 +63,66 @@ def test_drained_idle_worker_exits_at_once(tmp_path):
     assert exit_event["detail"].startswith("drained, ")
 
 
+def _sigterm_inside_the_drain_wait():
+    """A ``sys.settrace`` hook: on the worker loop's first wait on its
+    drain, raise SIGTERM from inside that wait, at its second line (a
+    ``threading.Event`` holds its lock there) or, if it has one line,
+    as it returns."""
+    lines = 0
+
+    def inside(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        if lines == 2 or event == "return":
+            lines = -1  # sent: trace no further
+            os.kill(os.getpid(), signal.SIGTERM)
+            return None
+        return inside
+
+    def hook(frame, event, arg):
+        if lines < 0 or event != "call" or frame.f_code.co_name != "wait":
+            return None
+        if frame.f_back is None or frame.f_back.f_code.co_name != "_work":
+            return None
+        return inside
+
+    return hook
+
+
+def test_sigterm_inside_the_drain_wait_drains_the_worker(tmp_path):
+    """The SIGTERM handler runs on the main thread between any two
+    bytecodes, here inside the idle worker's own wait on the drain; it
+    must still drain the worker, not block on a lock its thread holds."""
+    path = tmp_path / "l.db"
+    fingerprint, cid = _register(path, n=3, chunksize=3)
+    with LeaseStore(path) as store:
+        assert store.claim(cid, "peer", ttl=60.0) is not None
+    config = WorkerConfig(
+        store=path, campaign=fingerprint, worker_id="idle", poll_interval=0.05
+    )
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            sys.settrace(_sigterm_inside_the_drain_wait())
+            code = worker_module.run_worker(config)
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        reaped, status = os.waitpid(pid, os.WNOHANG)
+        if reaped:
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise AssertionError("the worker hung in its SIGTERM handler")
+    assert os.waitstatus_to_exitcode(status) == 0
+    (exit_event,) = _wait_for_event(path, cid, "worker_exit")
+    assert exit_event["detail"].startswith("drained, ")
+
+
 def test_cli_worker_process_runs_a_registered_campaign(tmp_path):
     """``python -m repro fabric worker`` stays a working entry point of
     its own, in a fresh interpreter."""

@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.fabric.autopsy import autopsy
 from repro.fabric.coordinator import FabricConfig, run_fabric
 from repro.fabric.faultplan import FaultPlan
+from repro.fabric.store import LeaseStore
 from repro.monitor import monitor_log
 from repro.telemetry import Telemetry, activate
 from repro.telemetry.summary import LogSummary, read_records, summarize
@@ -59,6 +60,20 @@ def test_worker_rows_agree(drill):
     )
     for name in ("takeovers", "fence_rejects"):
         assert fleet[name] == sum(row[name] for row in post_mortem.values())
+
+
+def test_monitor_counts_each_worker_life_once(drill):
+    """A worker log's own start and exit records repeat store rows; the
+    monitor feeds the store's rows and the rest of each log, once."""
+    store, _log, result = drill
+    with LeaseStore(store) as lease_store:
+        campaign = lease_store.campaign(result.fingerprint)
+        events = lease_store.events(int(campaign["id"]))
+    logged = [record for path in result.worker_logs.values()
+              for record in read_records(path)]
+    repeats = [record for record in logged if record["kind"] == "worker"]
+    assert repeats
+    assert monitor_log(store).records == len(events) + len(logged) - len(repeats)
 
 
 def test_run_totals_agree_on_a_chaos_log(tmp_path, capsys):

@@ -109,11 +109,13 @@ class TestFileRecorder:
         record = json.loads(log.read_text())
         assert record["payload"].startswith("<object object")
 
-    def test_lines_are_json_dumps_with_repr_fallback(self):
+    def test_lines_are_json_dumps_with_repr_fallback(self, monkeypatch):
         records = [
             {"kind": "phase", "payload": object(), "value": float("nan")},
             {"kind": "event", "name": "zürich → 東京", "nested": (1, ("a", [2.5, None]))},
             {"kind": "gauge", "inf": float("-inf"), "set": {3}},
+            {"kind": "counter", "by": {7: "int", True: "bool", None: 0, 2.5: "float"}},
+            {"kind": "event", "deep": {"a": {"b": {3: [{"c": {}}]}}}, "empty": []},
         ]
         stream = io.StringIO()
         rec = Telemetry(stream)
@@ -121,6 +123,39 @@ class TestFileRecorder:
             rec.write_record(record)
         assert stream.getvalue() == "".join(
             json.dumps(record, default=repr) + "\n" for record in records
+        )
+
+        # The phase fast helper writes what Telemetry.phase writes.
+        monkeypatch.setattr(core.time, "time", lambda: 12.5)
+        stream = io.StringIO()
+        rec = Telemetry(stream)
+        with activate(rec):
+            phase("decay", node=(1, 2), index=3, slot=4, informed=True)
+        rec.phase("decay", node=(1, 2), index=3, slot=4, informed=True)
+        helper_line, method_line = stream.getvalue().splitlines(keepends=True)
+        assert helper_line == method_line == json.dumps({
+            "kind": "phase", "ts": 12.5, "proto": "decay", "node": (1, 2),
+            "index": 3, "slot": 4, "informed": True,
+        }) + "\n"
+
+        # A circular record raises as json.dumps does, and writes nothing.
+        stream = io.StringIO()
+        rec = Telemetry(stream)
+        circular = {"kind": "event"}
+        circular["self"] = circular
+        with pytest.raises(ValueError, match="Circular reference"):
+            rec.write_record(circular)
+        # An encode that fails inside nested dicts leaves no trace: the
+        # same objects encode again once the bad key is gone.
+        record = {"kind": "event", "outer": {"inner": {(1, 2): "tuple key"}}}
+        with pytest.raises(TypeError):
+            rec.write_record(record)
+        del record["outer"]["inner"][(1, 2)]
+        del circular["self"]
+        for good in (record, circular, *records):
+            rec.write_record(good)
+        assert stream.getvalue() == "".join(
+            json.dumps(good, default=repr) + "\n" for good in (record, circular, *records)
         )
 
     def test_manifest_record_and_sidecar(self, tmp_path):
