@@ -5,11 +5,15 @@ The output follows the Trace Event Format's *JSON object* flavour —
 ``chrome://tracing`` and https://ui.perfetto.dev open directly:
 
 * ``span`` records and ``run_begin``/``run_end`` pairs become complete
-  slices (``ph: "X"`` with microsecond ``ts``/``dur``),
+  slices (``ph: "X"`` with microsecond ``ts``/``dur``); a run's slice
+  carries its folded Decay phase markers (``run_end``'s ``phases``
+  rows) in ``args``,
 * ``phase``, ``fault``, ``chaos_trial``, ``alert``, ``lease`` and
   ``worker`` records become instants (``ph: "i"``) with their payload
   in ``args`` — so fence rejections, takeovers, and worker kills are
-  visible instants on the lane of the worker they happened to,
+  visible instants on the lane of the worker they happened to (a
+  ``phase`` record is a marker written outside a run, or one from a
+  log written before markers were folded per run),
 * ``counter``/``gauge``/``progress`` records become counter tracks
   (``ph: "C"``),
 * chunk-tagged worker records are placed on their own thread lane, so
@@ -33,6 +37,7 @@ import os
 from pathlib import Path
 from typing import Any
 
+from repro.telemetry.schema import PHASE_ROW_FIELDS
 from repro.telemetry.summary import number
 
 __all__ = [
@@ -135,6 +140,11 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
             if begin_ts is None:
                 begin_ts = ts
             args = _args_of(record)
+            if isinstance(record.get("phases"), list):
+                args["phases"] = [
+                    dict(zip(PHASE_ROW_FIELDS, row)) for row in record["phases"]
+                    if isinstance(row, list)
+                ]
             if begin is not None:
                 args.update({
                     k: v for k, v in _args_of(begin).items() if k not in args

@@ -413,35 +413,44 @@ class Engine:
             )
         run_slot = self._slot_method()
         metrics = self.metrics
-        while self.slot < max_slots:
-            if stop_when is not None and stop_when(self):
-                break
-            if not run_slot():
-                break
-            self.slot += 1
-            metrics.slots = self.slot
-            if tel is not None and self.slot >= next_batch:
-                now = time.perf_counter()
-                dur = now - batch_t0
-                batch_slots = self.slot - batch_slot0
-                rate = batch_slots / dur if dur > 0 else 0.0
-                tel.emit(
-                    "slot_batch",
-                    slot=self.slot,
-                    slots=batch_slots,
-                    dur_s=dur,
-                    slots_per_sec=round(rate, 1),
-                )
-                tel.gauge("slots_per_sec", round(rate, 1), slot=self.slot)
-                batch_t0, batch_slot0 = now, self.slot
-                next_batch = self.slot + tel.slot_batch
-                if perf is not None:
-                    perf.span_pop()
-                    perf.span_push("engine.slot_batch")
-        if perf is not None:
+        try:
+            while self.slot < max_slots:
+                if stop_when is not None and stop_when(self):
+                    break
+                if not run_slot():
+                    break
+                self.slot += 1
+                metrics.slots = self.slot
+                if tel is not None and self.slot >= next_batch:
+                    now = time.perf_counter()
+                    dur = now - batch_t0
+                    batch_slots = self.slot - batch_slot0
+                    rate = batch_slots / dur if dur > 0 else 0.0
+                    tel.emit(
+                        "slot_batch",
+                        slot=self.slot,
+                        slots=batch_slots,
+                        dur_s=dur,
+                        slots_per_sec=round(rate, 1),
+                    )
+                    tel.gauge("slots_per_sec", round(rate, 1), slot=self.slot)
+                    batch_t0, batch_slot0 = now, self.slot
+                    next_batch = self.slot + tel.slot_batch
+                    if perf is not None:
+                        perf.span_pop()
+                        perf.span_push("engine.slot_batch")
+        except BaseException:
+            # A run that raises writes no run_end (the monitor would
+            # judge it a failed run); its scope must not tag the
+            # records that follow.
             if tel is not None:
-                perf.span_pop()  # engine.slot_batch
-            perf.span_pop()  # engine.run
+                tel.discard_run()
+            raise
+        finally:
+            if perf is not None:
+                if tel is not None:
+                    perf.span_pop()  # engine.slot_batch
+                perf.span_pop()  # engine.run
         if tel is not None:
             wall = time.perf_counter() - run_t0
             slots_run = self.slot - start_slot

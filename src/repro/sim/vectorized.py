@@ -28,11 +28,12 @@ a second, batched copy bought no wall time on any campaign.
 
 Two deliberate non-goals: traces and causal provenance are not
 recorded (``RunResult.trace``/``provenance`` stay ``None`` — use the
-reference backend to debug a single run), and per-node ``phase``
-telemetry markers are not emitted (they would dominate the batch's
-runtime); per-trial ``run_begin``/``run_end`` telemetry *is* emitted,
-with the same fields as the reference engine, so the live conformance
-monitor judges batched campaigns identically.
+reference backend to debug a single run), and Decay's phase markers
+are not folded into the trials' ``run_end`` records, so the batched
+logs have no phase tables.  Per-trial ``run_begin``/``run_end``
+telemetry *is* emitted, with the same run totals as the reference
+engine, so the live conformance monitor judges batched campaigns
+identically.
 
 This module imports NumPy at module load; gate imports through
 :mod:`repro.sim.backends`.

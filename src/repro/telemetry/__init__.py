@@ -8,10 +8,14 @@ is a hierarchical event/metric recorder that four layers feed:
 * the **engine** emits ``run_begin``/``run_end`` spans, periodic
   ``slot_batch`` throughput records (a live slots-per-second gauge),
   and ``fault`` activation events;
-* the **protocols** emit ``phase`` markers — the Decay call index of
+* the **protocols** emit phase markers — the Decay call index of
   Broadcast (Theorem 1/4 granularity) and the BFS layer — so
   time-per-phase histograms can be checked against
-  :mod:`repro.core.bounds`;
+  :mod:`repro.core.bounds`.  The recorder folds an engine run's
+  markers per ``(proto, index)`` into integer counts, sums and
+  extremes and writes them once, as the ``phases`` rows of the run's
+  ``run_end``; a marker with no run open is its own ``phase``
+  record;
 * the **parallel pool** emits per-chunk worker records (wall time,
   queue wait, retries, timeouts), merges events buffered inside
   workers back into the parent stream, and heartbeats campaign

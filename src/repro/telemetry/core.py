@@ -13,6 +13,15 @@ Design constraints (see the module docs in ``repro/telemetry/__init__.py``):
   is exactly ``json.dumps(record, default=repr)``; a recorder builds
   the C encoder behind that call once (:func:`_line_encoder`) instead
   of once per record.
+* **Phase markers folded per run.**  While a run is open
+  (:meth:`~Telemetry.begin_run` to :meth:`~Telemetry.end_run`), a
+  Decay phase marker adds to an integer accumulator keyed by
+  ``(proto, index)``, and ``end_run`` writes the fold once, as the
+  ``phases`` rows of ``run_end`` (one array per ``(proto, index)``,
+  columns :data:`repro.telemetry.schema.PHASE_ROW_FIELDS`).  A marker
+  with no run open is written as its own ``phase`` record.  A run that
+  raises is closed by :meth:`~Telemetry.discard_run`: no ``run_end``,
+  and its pending fold is dropped.
 * **Fork-safe.**  A recorder remembers the PID that created it and
   silently drops records emitted from forked children — worker
   processes instead buffer into their own in-memory recorder and ship
@@ -97,6 +106,10 @@ class Telemetry:
         self._pid = os.getpid()
         self._run_seq = 0
         self._current_run: str | None = None
+        # The open run's phase fold, (proto, index) -> [count, slot_min,
+        # slot_max, slot_sum, length_count, length_sum]; None while no
+        # engine-managed run is open.
+        self._phases: dict[tuple[Any, Any], list[Any]] | None = None
         self._closed = False
         # Subscriber bus: an immutable tuple so dispatch never races a
         # subscribe/unsubscribe, and the no-subscriber fast path is one
@@ -292,14 +305,29 @@ class Telemetry:
             self._run_seq += 1
             run_id = f"r{self._run_seq}"
         self._current_run = run_id
+        self._phases = {}
         self.emit("run_begin", run=run_id, **fields)
         return run_id
 
     def end_run(self, **fields: Any) -> None:
-        """Close the current run scope."""
+        """Close the current run scope; its phase fold, if any marker
+        was folded, rides on ``run_end`` as ``phases``."""
         run_id = self._current_run or f"r{self._run_seq}"
-        self.emit("run_end", run=run_id, **fields)
+        try:
+            if self._phases:
+                fields["phases"] = [
+                    [proto, index, *acc] for (proto, index), acc in self._phases.items()
+                ]
+            self.emit("run_end", run=run_id, **fields)
+        finally:
+            self.discard_run()
+
+    def discard_run(self) -> None:
+        """Close the current run scope without a ``run_end`` (the run
+        raised): later records carry no run id, and the markers folded
+        so far are dropped, as the run adds nothing to the totals."""
         self._current_run = None
+        self._phases = None
 
     def open_run(self, **fields: Any) -> str:
         """Allocate a run id and emit its ``run_begin`` without making
@@ -332,8 +360,29 @@ class Telemetry:
         self.emit("gauge", name=name, value=value, **fields)
 
     def phase(self, proto: str, *, node: Any, index: int, slot: int, **fields: Any) -> None:
-        """A protocol phase marker (Decay call, Broadcast phase, BFS layer)."""
-        self.emit("phase", proto=proto, node=node, index=index, slot=slot, **fields)
+        """A protocol phase marker (Decay call, Broadcast phase, BFS layer).
+
+        Folded into the open run (see
+        :data:`repro.telemetry.schema.PHASE_ROW_FIELDS`), or written as
+        a ``phase`` record when no run is open.
+        """
+        fold = self._phases
+        if fold is None:
+            self.emit("phase", proto=proto, node=node, index=index, slot=slot, **fields)
+            return
+        acc = fold.get((proto, index))
+        if acc is None:
+            fold[(proto, index)] = acc = [0, slot, slot, 0, 0, 0]
+        acc[0] += 1
+        if slot < acc[1]:
+            acc[1] = slot
+        if slot > acc[2]:
+            acc[2] = slot
+        acc[3] += slot
+        start = fields.get("start_slot")
+        if start is not None:
+            acc[4] += 1
+            acc[5] += slot - start + 1
 
     @contextlib.contextmanager
     def span(self, name: str, **fields: Any) -> Iterator[None]:
@@ -413,8 +462,7 @@ def activate(recorder: Telemetry) -> Iterator[Telemetry]:
 def phase(proto: str, *, node: Any, index: int, slot: int, **fields: Any) -> None:
     recorder = _ACTIVE
     if recorder is not None:
-        # Telemetry.phase inlined: most records of a Decay campaign are these.
-        recorder.emit("phase", proto=proto, node=node, index=index, slot=slot, **fields)
+        recorder.phase(proto, node=node, index=index, slot=slot, **fields)
 
 
 def counter(name: str, value: int | float = 1, **fields: Any) -> None:

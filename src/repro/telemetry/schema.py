@@ -6,6 +6,11 @@ run scope additionally carry ``run``.  The per-kind required fields
 below are the *contract* the summarizer, the tests, and the CI smoke
 job validate emitted logs against; emitters may add extra fields
 freely (the schema is open — only missing fields are errors).
+
+Decay's phase markers come in two forms: a run's markers folded into
+the ``phases`` rows of its ``run_end`` (:data:`PHASE_ROW_FIELDS`), and
+one ``phase`` record per marker, for markers emitted with no run open
+and in logs written before the fold.
 """
 
 from __future__ import annotations
@@ -14,9 +19,11 @@ import json
 from typing import Any, Iterable
 
 __all__ = [
+    "PHASE_ROW_FIELDS",
     "SCHEMA",
     "SCHEMA_VERSION",
     "KINDS",
+    "is_number",
     "validate_record",
     "validate_line",
     "validate_log_lines",
@@ -24,6 +31,14 @@ __all__ = [
 
 SCHEMA = "repro-telemetry/1"
 SCHEMA_VERSION = 1
+
+#: Columns of one row of ``run_end``'s ``phases``, a list of arrays:
+#: the markers of one ``(proto, index)`` in the run, as a count, the
+#: min, max and sum of their slots, and the count and sum of their
+#: lengths (``slot - start_slot + 1``, for markers that carry
+#: ``start_slot``).  Every column but ``proto`` is a number.
+PHASE_ROW_FIELDS = ("proto", "index", "count", "slot_min", "slot_max",
+                    "slot_sum", "length_count", "length_sum")
 
 #: kind -> fields that must be present (beyond ``kind`` and ``ts``).
 KINDS: dict[str, frozenset[str]] = {
@@ -130,9 +145,28 @@ def validate_record(record: Any) -> list[str]:
             errors.append(f"{kind}: missing field(s) {sorted(missing)}")
     for field in _NUMERIC & record.keys():
         value = record[field]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not is_number(value):
             errors.append(f"field {field!r} must be a number, got {value!r}")
+    if "phases" in record and kind == "run_end":
+        errors.extend(_phase_row_errors(record["phases"]))
     return errors
+
+
+def is_number(value: Any) -> bool:
+    """Whether ``value`` is an int or float (a bool is not a number)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _phase_row_errors(rows: Any) -> list[str]:
+    if not isinstance(rows, list):
+        return [f"field 'phases' must be a list, got {rows!r}"]
+    return [
+        f"phases[{number}] must be [{', '.join(PHASE_ROW_FIELDS)}] with numbers "
+        f"after proto, got {row!r}"
+        for number, row in enumerate(rows)
+        if not (isinstance(row, list) and len(row) == len(PHASE_ROW_FIELDS)
+                and all(map(is_number, row[1:])))
+    ]
 
 
 def validate_line(line: str) -> list[str]:

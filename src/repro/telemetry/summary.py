@@ -21,7 +21,7 @@ from typing import Any, Iterable
 from repro.analysis.tables import Table
 from repro.errors import ExperimentError
 from repro.fabric.store import LeaseReplay
-from repro.telemetry.schema import validate_line, validate_record
+from repro.telemetry.schema import PHASE_ROW_FIELDS, is_number, validate_line, validate_record
 
 __all__ = [
     "LogSummary",
@@ -114,9 +114,7 @@ _RUN_TOTALS = ("slots", "transmissions", "collisions", "deliveries",
 def number(record: dict[str, Any], name: str, default: Any = None) -> Any:
     """``record[name]`` if it is a number (not a bool), else ``default``."""
     value = record.get(name)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return default
-    return value
+    return value if is_number(value) else default
 
 
 def _stats(values: list[float]) -> dict[str, float]:
@@ -160,7 +158,10 @@ class LogSummary:
         self.last_progress: dict[str, Any] | None = None
         self.progress_done: int | None = None
         self.progress_total: int | None = None
-        self.phases: dict[str, dict[int, dict[str, Any]]] = {}
+        #: Phase markers by proto and index: [count, slot_min, slot_max,
+        #: slot_sum, length_count, length_sum], folded from ``phase``
+        #: records and from ``run_end``'s ``phases`` rows alike.
+        self.phases: dict[str, dict[int, list[Any]]] = {}
         self.kept: dict[str, list[dict[str, Any]]] = {kind: [] for kind in _KEPT}
         self.lease = LeaseReplay()
         #: The latest ``fabric_begin``'s chunk count.
@@ -216,6 +217,12 @@ class LogSummary:
             self.chunks_total = record["chunks"]
 
     def _run_end(self, record: dict[str, Any]) -> None:
+        rows = record.get("phases")
+        if isinstance(rows, list):
+            for row in rows:
+                if (isinstance(row, list) and len(row) == len(PHASE_ROW_FIELDS)
+                        and all(map(is_number, row[1:])) and row[2] > 0):
+                    self._fold_phases(*row)
         for name in _RUN_TOTALS:
             self.runs[name] += number(record, name, 0)
         begin = self.begin_for(record)
@@ -225,20 +232,30 @@ class LogSummary:
             self.runs_succeeded += 1
 
     def _phase(self, record: dict[str, Any]) -> None:
-        # Grouped by protocol layer and phase index.  The slot of each
-        # marker is the phase's *last* slot; ``start_slot`` (when the
-        # emitter provides it) gives slots-per-phase directly.
+        # One marker, as a row of count 1.  Its slot is the phase's
+        # *last* slot; ``start_slot`` (when the emitter provides it)
+        # gives slots-per-phase directly.
         index, slot = number(record, "index"), number(record, "slot")
         if index is None or slot is None:
             return
-        bucket = self.phases.setdefault(str(record.get("proto")), {}).setdefault(
-            int(index), {"count": 0, "slots": [], "lengths": []}
-        )
-        bucket["count"] += 1
-        bucket["slots"].append(slot)
         start = number(record, "start_slot")
-        if start is not None:
-            bucket["lengths"].append(slot - start + 1)
+        self._fold_phases(record.get("proto"), index, 1, slot, slot, slot,
+                          *((0, 0) if start is None else (1, slot - start + 1)))
+
+    def _fold_phases(self, proto: Any, index: Any, count: Any, low: Any, high: Any,
+                     total: Any, lengths: Any, length_sum: Any) -> None:
+        # Grouped by protocol layer and phase index.
+        buckets = self.phases.setdefault(str(proto), {})
+        bucket = buckets.get(int(index))
+        if bucket is None:
+            buckets[int(index)] = [count, low, high, total, lengths, length_sum]
+            return
+        bucket[0] += count
+        bucket[1] = min(bucket[1], low)
+        bucket[2] = max(bucket[2], high)
+        bucket[3] += total
+        bucket[4] += lengths
+        bucket[5] += length_sum
 
     def to_dict(self) -> dict[str, Any]:
         """The machine-readable summary (what :func:`summarize` returns)."""
@@ -249,13 +266,11 @@ class LogSummary:
         for proto, buckets in sorted(self.phases.items()):
             rows = []
             for index in sorted(buckets):
-                bucket = buckets[index]
-                row: dict[str, Any] = {"index": index, "count": bucket["count"]}
-                row.update(
-                    {f"slot_{k}": v for k, v in _stats(bucket["slots"]).items() if k != "count"}
-                )
-                if bucket["lengths"]:
-                    row["mean_length"] = sum(bucket["lengths"]) / len(bucket["lengths"])
+                count, low, high, total, lengths, length_sum = buckets[index]
+                row: dict[str, Any] = {"index": index, "count": count, "slot_min": low,
+                                       "slot_mean": total / count, "slot_max": high}
+                if lengths:
+                    row["mean_length"] = length_sum / lengths
                 rows.append(row)
             phase_summary[proto] = rows
 

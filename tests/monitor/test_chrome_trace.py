@@ -31,7 +31,7 @@ class TestExport:
         assert reloaded["displayTimeUnit"] == "ms"
         assert reloaded["traceEvents"] == trace["traceEvents"]
 
-    def test_contains_run_slice_phase_instants_and_counters(self):
+    def test_contains_run_slice_with_phase_fold_and_counters(self):
         events = chrome_trace_events(real_records())
         phases = {e["ph"] for e in events}
         assert {"M", "X", "i", "C"} <= phases
@@ -39,7 +39,11 @@ class TestExport:
         assert len(runs) == 1 and runs[0]["ph"] == "X" and runs[0]["dur"] >= 1
         spans = [e for e in events if e.get("cat") == "span"]
         assert any(e["name"] == "campaign" for e in spans)
-        assert any(e.get("cat") == "phase" for e in events)  # decay phase markers
+        # Decay's phase markers are folded into the run, not instants.
+        assert not any(e.get("cat") == "phase" for e in events)
+        rows = runs[0]["args"]["phases"]
+        assert rows and {row["proto"] for row in rows} == {"decay-broadcast"}
+        assert sum(row["count"] for row in rows) >= 8  # every node's phase 0 at least
         counters = [e for e in events if e["ph"] == "C"]
         assert any(e["name"] == "reps_done" for e in counters)
 

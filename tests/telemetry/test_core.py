@@ -215,6 +215,35 @@ class TestAmbientRegistry:
         assert [r["kind"] for r in records] == ["phase", "gauge"]
         assert all(not validate_record(r) for r in records)
 
+    def test_markers_fold_per_open_run(self):
+        rec = Telemetry.buffered()
+        with activate(rec):
+            rec.begin_run(nodes=2, edges=1, seed=0)
+            phase("decay", node=0, index=0, slot=9, start_slot=8)
+            rec.phase("decay", node=1, index=0, slot=5, start_slot=2)
+            phase("layer", node=1, index=2, slot=7)
+            phase("decay", node=1, index=0, slot=11)
+            rec.end_run(slots=12, wall_s=0.0, transmissions=0, collisions=0,
+                        deliveries=0)
+            # No run open: each marker is its own record again.
+            phase("decay", node=0, index=1, slot=3)
+        begin, end, marker = rec.drain()
+        # Columns: proto, index, count, slot min/max/sum, length count/sum.
+        assert end["phases"] == [["decay", 0, 3, 5, 11, 25, 2, 6],
+                                 ["layer", 2, 1, 7, 7, 7, 0, 0]]
+        assert not validate_record(end)
+        assert marker["kind"] == "phase" and "run" not in marker
+
+    def test_discarded_run_drops_its_fold(self):
+        rec = Telemetry.buffered()
+        rec.begin_run(nodes=1, edges=0, seed=0)
+        rec.phase("decay", node=0, index=0, slot=9)
+        rec.discard_run()
+        assert rec.current_run is None
+        rec.begin_run(nodes=1, edges=0, seed=0)
+        rec.end_run(slots=1, wall_s=0.0, transmissions=0, collisions=0, deliveries=0)
+        assert [r.get("phases") for r in rec.drain()] == [None, None, None]
+
     def test_disabled_gate_is_one_global_load(self):
         # The documented no-op contract: the helper reads the module
         # global once and returns; no recorder machinery is touched.

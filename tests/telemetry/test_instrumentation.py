@@ -12,6 +12,7 @@ import pytest
 import repro.sim.engine as engine_mod
 from repro.graphs import generators, line, star
 from repro.protocols import run_bfs, run_decay_broadcast
+from repro.protocols.decay_broadcast import make_broadcast_programs
 from repro.sim import (
     Context,
     EdgeFault,
@@ -21,8 +22,9 @@ from repro.sim import (
     Receive,
     Transmit,
 )
-from repro.telemetry.core import Telemetry, activate, set_active
-from repro.telemetry.schema import validate_record
+from repro.telemetry.core import Telemetry, activate, phase, set_active
+from repro.telemetry.schema import PHASE_ROW_FIELDS, validate_record
+from repro.telemetry.summary import summarize
 
 
 @pytest.fixture(autouse=True)
@@ -109,6 +111,37 @@ class TestEngineSpans:
         assert faults[0]["edges_cut"] == 1
         assert not validate_record(faults[0])
 
+    def test_run_that_raises_leaves_no_open_scope(self):
+        # A program raises mid-run: no run_end is written (the monitor
+        # would judge it a failed run), later records carry no run id,
+        # a later marker outside any run is written, not folded into the
+        # dead run, and its markers never reach a later run's rows.
+        class Faulty(NodeProgram):
+            def act(self, ctx: Context):
+                phase("probe", node=ctx.node, index=0, slot=ctx.slot)
+                if ctx.slot == 20:
+                    raise RuntimeError("program fault")
+                return Transmit("b") if ctx.node == 0 else Receive()
+
+        rec = Telemetry.buffered()
+        graph = line(3)
+        engine = Engine(graph, {node: Faulty() for node in graph.nodes},
+                        initiators={0}, telemetry=rec)
+        with activate(rec), pytest.raises(RuntimeError, match="program fault"):
+            engine.run(100)
+        assert rec.current_run is None
+        rec.emit("chaos_trial", arm="decay", seed=1, success=False)
+        rec.phase("probe", node=1, index=0, slot=3)
+        rec.begin_run(nodes=1, edges=0, seed=0)
+        rec.phase("probe", node=0, index=0, slot=7)
+        rec.end_run(slots=8, wall_s=0.0, transmissions=0, collisions=0, deliveries=0)
+        records = rec.drain()
+        assert [r["kind"] for r in records] == [
+            "run_begin", "chaos_trial", "phase", "run_begin", "run_end"]
+        assert "run" not in records[1] and "run" not in records[2]
+        assert records[-1]["run"] == "r2"
+        assert records[-1]["phases"] == [["probe", 0, 1, 7, 7, 7, 0, 0]]
+
     def test_collisions_per_node_mirrors_total(self):
         # Star center hears every leaf: collisions are inevitable.
         rec = Telemetry.buffered()
@@ -167,33 +200,67 @@ class TestProtocolPhaseMarkers:
         rec = Telemetry.buffered()
         with activate(rec):
             result = run_decay_broadcast(generators.ring(8), 0, seed=3)
-        markers = [r for r in rec.drain() if r["kind"] == "phase"]
-        assert markers, "no phase markers emitted"
-        assert {m["proto"] for m in markers} == {"decay-broadcast"}
+        records = rec.drain()
+        assert not [r for r in records if r["kind"] == "phase"]
+        end = next(r for r in records if r["kind"] == "run_end")
+        assert not validate_record(end)
+        rows = [dict(zip(PHASE_ROW_FIELDS, row)) for row in end["phases"]]
+        assert rows, "no phase markers folded"
+        assert {row["proto"] for row in rows} == {"decay-broadcast"}
         k = next(iter(result.programs.values())).k
-        for marker in markers:
-            assert not validate_record(marker)
+        for row in rows:
             # Aligned phases: each Decay spans exactly k slots.
-            assert marker["slot"] - marker["start_slot"] + 1 == k
-            assert marker["k"] == k
+            assert row["length_count"] == row["count"]
+            assert row["length_sum"] == k * row["count"]
+            assert row["slot_min"] <= row["slot_sum"] / row["count"] <= row["slot_max"]
         # The source starts at phase index 0 in slot k-1.
-        indices = sorted({m["index"] for m in markers})
+        indices = sorted(row["index"] for row in rows)
         assert indices[0] == 0
+        assert len(indices) == len(set(indices))
 
     def test_bfs_markers_cover_decays_and_layers(self):
         rec = Telemetry.buffered()
         with activate(rec):
             result = run_bfs(generators.grid(3, 3), 0, seed=2)
-        records = rec.drain()
-        decays = [r for r in records if r["kind"] == "phase" and r["proto"] == "decay-bfs"]
-        layers = [r for r in records if r["kind"] == "phase" and r["proto"] == "bfs-layer"]
+        (end,) = [r for r in rec.drain() if r["kind"] == "run_end"]
+        assert not validate_record(end)
+        rows = [dict(zip(PHASE_ROW_FIELDS, row)) for row in end["phases"]]
+        decays = [row for row in rows if row["proto"] == "decay-bfs"]
+        layers = [row for row in rows if row["proto"] == "bfs-layer"]
         assert decays and layers
-        assert all(not validate_record(r) for r in decays + layers)
+        # Layer markers carry no start_slot, so no length is folded.
+        assert all(row["length_count"] == row["length_sum"] == 0 for row in layers)
         labels = result.node_results()
         # One bfs-layer marker per node that labelled itself (non-root).
         labelled = [n for n, d in labels.items() if d is not None and n != 0]
-        assert len(layers) == len(labelled)
-        assert {m["index"] for m in layers} == {labels[n] for n in labelled}
+        assert sum(row["count"] for row in layers) == len(labelled)
+        assert {row["index"] for row in layers} == {labels[n] for n in labelled}
+
+    def test_markers_outside_a_run_are_records_and_fold_the_same(self):
+        # Engine.step opens no run, so its markers are written one by
+        # one; Engine.run folds the same markers into run_end.  The
+        # summary reads both forms into the same rows.
+        def engine():
+            graph = generators.ring(12)
+            programs, _ = make_broadcast_programs(graph, {0})
+            return Engine(graph, programs, seed=3, initiators=frozenset({0}))
+
+        folded, stepped = Telemetry.buffered(), Telemetry.buffered()
+        with activate(folded):
+            slots = engine().run(10_000).slots
+        with activate(stepped):
+            stepping = engine()
+            stepping.run(0)  # on_start only
+            for _ in range(slots):
+                stepping.step()
+        folded_records, stepped_records = folded.drain(), stepped.drain()
+        markers = [r for r in stepped_records if r["kind"] == "phase"]
+        assert markers and all(not validate_record(r) for r in markers)
+        assert not [r for r in folded_records if r["kind"] == "phase"]
+        assert not any("phases" in r for r in stepped_records if r["kind"] == "run_end")
+        rows = summarize(folded_records)["phases"]
+        assert rows["decay-broadcast"]
+        assert rows == summarize(stepped_records)["phases"]
 
     def test_markers_silent_without_recorder(self):
         result = run_decay_broadcast(generators.ring(6), 0, seed=3)

@@ -17,6 +17,20 @@ class TestValidateRecord:
             {"kind": "phase", "ts": 1.0, "proto": "decay", "node": 0, "index": 0, "slot": 5}
         )
 
+    def test_run_end_phase_rows(self):
+        end = {"kind": "run_end", "ts": 1.0, "run": "r1", "slots": 9, "wall_s": 0.1,
+               "transmissions": 1, "collisions": 0, "deliveries": 1}
+        row = ["decay", 0, 2, 3, 5, 8, 2, 8]
+        assert not validate_record({**end, "phases": [row]})
+        assert validate_record({**end, "phases": {"decay": row}})
+        errors = validate_record({**end, "phases": [row, row[:-1], [*row[:5], "8", *row[6:]],
+                                                    [*row[:2], True, *row[3:]]]})
+        assert [error.split(" must ")[0] for error in errors] == [
+            "phases[1]", "phases[2]", "phases[3]"]
+        # A phase record's own extra `phases` field is not a row list.
+        assert not validate_record({"kind": "phase", "ts": 1.0, "proto": "decay",
+                                    "node": 0, "index": 0, "slot": 5, "phases": 4})
+
     def test_extra_fields_are_allowed(self):
         record = {"kind": "counter", "ts": 1.0, "name": "x", "value": 1, "anything": "goes"}
         assert not validate_record(record)

@@ -115,6 +115,25 @@ class TestSummarize:
         assert rows[0]["mean_length"] == pytest.approx(8.0)
         assert summary["phases"]["bfs-layer"][0]["count"] == 1
 
+    def test_folded_rows_merge_with_marker_records(self):
+        # The same markers as SAMPLE's, folded into run_end rows, plus
+        # one more run's row: both forms land in one accumulator.
+        rows = [["decay-broadcast", 0, 2, 7, 9, 16, 2, 16], ["bfs-layer", 1, 1, 9, 9, 9, 0, 0]]
+        folded = [{**r, "phases": rows} if r["kind"] == "run_end" and r["run"] == "r1"
+                  else r for r in SAMPLE if r["kind"] != "phase"]
+        assert summarize(folded)["phases"] == summarize(SAMPLE)["phases"]
+        # Rows of another run merge in; malformed and empty rows are skipped.
+        extra = {"kind": "run_end", "ts": 1.0, "run": "r3", "slots": 1, "wall_s": 0.0,
+                 "transmissions": 0, "collisions": 0, "deliveries": 0, "phases": [
+                     ["decay-broadcast", 0, 2, 3, 13, 16, 1, 4],
+                     ["decay-broadcast", 1, 0, 3, 3, 0, 0, 0],
+                     ["decay-broadcast", 2, "2", 3, 3, 6, 0, 0],
+                     ["decay-broadcast", 3, 1, 3],
+                 ]}
+        rows = summarize(SAMPLE + [extra])["phases"]["decay-broadcast"]
+        assert rows == [{"index": 0, "count": 4, "slot_min": 3, "slot_mean": 8.0,
+                         "slot_max": 13, "mean_length": 20 / 3}]
+
     def test_chunks_aggregated(self):
         summary = summarize(SAMPLE)
         chunks = summary["chunks"]

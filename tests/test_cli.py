@@ -157,8 +157,11 @@ class TestObservabilityFlags:
         assert validate_log(log) == []
         records = read_records(log)
         kinds = {r["kind"] for r in records}
-        assert {"manifest", "run_begin", "run_end", "phase"} <= kinds
-        protos = {r["proto"] for r in records if r["kind"] == "phase"}
+        assert {"manifest", "run_begin", "run_end"} <= kinds
+        # Decay's phase markers are folded into their run's run_end.
+        assert "phase" not in kinds
+        protos = {row[0] for r in records if r["kind"] == "run_end"
+                  for row in r.get("phases", ())}
         assert "decay-broadcast" in protos
         manifest = json.loads((tmp_path / "gap.jsonl.manifest.json").read_text())
         assert manifest["command"] == "gap"
