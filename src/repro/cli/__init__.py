@@ -16,13 +16,19 @@ import argparse
 import contextlib
 import functools
 import os
+import select
 import sys
 from typing import Callable
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "EXIT_BROKEN_PIPE"]
 
 # repro.perf's ENV_VAR, inlined so the no---perf path never imports it.
 _PERF_ENV = "REPRO_PERF"
+
+#: ``main``'s status when standard output's reader has gone away
+#: (``repro ... | head -1``): 128 + SIGPIPE, as a shell reports a
+#: command that SIGPIPE ended.  Nothing is printed.
+EXIT_BROKEN_PIPE = 141
 
 
 def add_common(p: argparse.ArgumentParser) -> None:
@@ -253,11 +259,34 @@ def main(argv: list[str] | None = None) -> int:
             finish_perf = (_start_perf(args, stack)
                            if getattr(args, "perf", False) else None)
             if telemetry_path:
-                return _run_logged(args, telemetry_path, finish_perf)
-            code = args.func(args)
-            if finish_perf is not None:
-                finish_perf(None)
-            return code
+                code = _run_logged(args, telemetry_path, finish_perf)
+            else:
+                code = args.func(args)
+                if finish_perf is not None:
+                    finish_perf(None)
+        # A reader that went away (``repro ... | head -1``) shows here,
+        # not in the interpreter's last flush.
+        sys.stdout.flush()
+        return code
     except ExperimentError as exc:
         # The one error exit: bad input or configuration, not a bug.
         raise SystemExit(f"{_command_name(args)}: {exc}")
+    except BrokenPipeError:
+        if not _stdout_reader_gone():
+            raise
+        # The interpreter flushes stdout once more at exit; let that
+        # write go nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+
+
+def _stdout_reader_gone() -> bool:
+    """Whether standard output is a pipe whose reading end is closed."""
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+        return any(events & select.POLLERR for _fd, events in poller.poll(0))
+    except (AttributeError, OSError, ValueError):
+        return False

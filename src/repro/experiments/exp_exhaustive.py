@@ -1,12 +1,13 @@
 """E4d — Theorem 12 verified exhaustively on the real engine.
 
 Unlike E4 (which works in the abstract game model), this experiment
-enumerates *every* hidden set ``S`` at small ``n`` and runs the
-library's deterministic protocols on the actual radio engine over every
-``G_S ∈ C_n``, reporting the exact worst case — no sampling, no
-reduction.  Theorem 12 predicts worst ≥ n/8 slots; the randomized
-column shows Decay's mean over seeds on the deterministic protocols'
-worst instances.
+takes the library's deterministic protocols' exact worst case over
+*every* hidden set ``S`` on the actual radio engine — no sampling, no
+reduction — from one run per protocol along an adversary's line
+(:func:`repro.lowerbound.bruteforce.adversarial_cn_worst_case`; the
+tests hold it to the enumeration of all ``2^n − 1`` sets).  Theorem 12
+predicts worst ≥ n/8 slots; the randomized column shows Decay's mean
+over seeds on the deterministic protocols' worst instances.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from repro.analysis.stats import mean
 from repro.analysis.tables import Table
 from repro.experiments.runner import ExperimentConfig
 from repro.graphs.generators import c_n
-from repro.lowerbound.bruteforce import exhaustive_cn_worst_case
+from repro.lowerbound.bruteforce import adversarial_cn_worst_case
 from repro.protocols.decay_broadcast import run_decay_broadcast
 from repro.protocols.dfs_broadcast import make_dfs_programs
 from repro.protocols.round_robin import make_round_robin_programs
@@ -29,7 +30,7 @@ def run_exhaustive_table(
     sizes: tuple[int, ...] = (6, 8, 10, 12),
     epsilon: float = 0.1,
 ) -> Table:
-    """Exhaustive worst cases over all ``2^n − 1`` hidden sets."""
+    """Exact worst cases over all ``2^n − 1`` hidden sets."""
     config = config or ExperimentConfig(reps=10)
     if config.quick:
         sizes = sizes[:2]
@@ -54,7 +55,7 @@ def run_exhaustive_table(
     }
     for name, factory in protocols.items():
         for n in sizes:
-            wc = exhaustive_cn_worst_case(factory, n)
+            wc = adversarial_cn_worst_case(factory, n)
             g = c_n(n, wc.worst_set)
             rand = []
             for seed in config.seeds("exhaustive", name, n):

@@ -6,9 +6,10 @@ On the paper's lower-bound family ``C_n`` (diameter 3), we measure:
   (mean / p90 over seeds and over random hidden sets ``S``) — the
   paper predicts ``O(log n · log(n/ε))`` = polylogarithmic;
 * two **deterministic** protocols' worst-case completion slots over
-  sampled hidden sets ``S`` — round-robin TDMA and DFS token traversal
+  **every** hidden set ``S`` — round-robin TDMA and DFS token traversal
   — the paper proves *any* deterministic protocol needs ``≥ n/8`` and
-  these take Θ(n).
+  these take Θ(n).  Each is exact, from one engine run along an
+  adversary's line (:func:`repro.lowerbound.bruteforce.adversarial_cn_worst_case`).
 
 The table reports the raw numbers plus the gap ratio; the companion
 fit summary classifies growth (randomized ≈ a + b·log²n, deterministic
@@ -26,9 +27,7 @@ from repro.analysis.tables import Table
 from repro.analysis.theory import fit_linear
 from repro.experiments.runner import ExperimentConfig
 from repro.graphs.generators import c_n
-from repro.graphs.graph import Graph
 from repro.parallel import resilient_map
-from repro.protocols.base import run_broadcast
 from repro.protocols.decay_broadcast import run_decay_broadcast
 from repro.protocols.dfs_broadcast import make_dfs_programs
 from repro.protocols.round_robin import make_round_robin_programs
@@ -42,8 +41,9 @@ QUICK_SIZES = (8, 16, 32, 64)
 
 
 def sample_hidden_sets(n: int, count: int, seed: int) -> list[frozenset[int]]:
-    """Hidden sets to evaluate protocols on: adversarial-ish extremes
-    (a far-away singleton, the second half, everything) plus random."""
+    """Hidden sets for the randomized arm: adversarial-ish extremes (a
+    far-away singleton, the second half, everything) plus random.  The
+    deterministic worst cases are exact over every set and use none."""
     rng = spawn(seed, "gap-hidden", n)
     samples = [
         frozenset({n}),
@@ -89,27 +89,6 @@ def _rand_run_batch(
     return slots
 
 
-def _deterministic_worst_case(
-    make_programs,
-    n: int,
-    hidden_sets: list[frozenset[int]],
-    max_slots: int,
-) -> int:
-    """Worst completion slot of a deterministic protocol over hidden sets."""
-    worst = 0
-    for s in hidden_sets:
-        g: Graph = c_n(n, s)
-        programs = make_programs(g)
-        result = run_broadcast(
-            g, programs, initiators={0}, max_slots=max_slots, stop="informed"
-        )
-        slot = result.broadcast_completion_slot(source=0)
-        if slot is None:
-            slot = max_slots  # did not finish within the budget
-        worst = max(worst, slot)
-    return worst
-
-
 def run_gap_table(
     config: ExperimentConfig | None = None,
     *,
@@ -118,6 +97,10 @@ def run_gap_table(
     hidden_set_count: int = 8,
 ) -> Table:
     """The headline exponential-gap table on the ``C_n`` family."""
+    # Imported here, not with the module: the search pulls in the whole
+    # lowerbound package, and a gap table needs it only once it runs.
+    from repro.lowerbound.bruteforce import adversarial_cn_worst_case
+
     config = config or ExperimentConfig(reps=15)
     if config.quick:
         sizes = QUICK_SIZES
@@ -152,18 +135,14 @@ def run_gap_table(
         )
         rand_slots: list[float] = [slot for slot in slots if slot is not None]
         frame = n + 2  # IDs 0..n+1
-        rr_worst = _deterministic_worst_case(
+        rr_worst = adversarial_cn_worst_case(
             lambda g: make_round_robin_programs(g, 0, frame_size=frame),
             n,
-            hidden_sets,
             max_slots=frame * 8,
-        )
-        dfs_worst = _deterministic_worst_case(
-            lambda g: make_dfs_programs(g, 0),
-            n,
-            hidden_sets,
-            max_slots=4 * (n + 2),
-        )
+        ).worst_slots
+        dfs_worst = adversarial_cn_worst_case(
+            lambda g: make_dfs_programs(g, 0), n, max_slots=4 * (n + 2)
+        ).worst_slots
         rand_mean = mean(rand_slots) if rand_slots else float("nan")
         rand_p90 = quantile(rand_slots, 0.9) if rand_slots else float("nan")
         table.add_row(

@@ -254,6 +254,11 @@ class Engine:
     for the slot loop and the contracts it relies on.
     """
 
+    #: The context class built for each node at construction, with
+    #: ``(node, neighbour set, seed)``.  A subclass may build its own,
+    #: e.g. one that decides what a node's neighbour set reads as.
+    _context_type: type[Context] = _EngineContext
+
     def __init__(
         self,
         graph: Graph,
@@ -309,8 +314,9 @@ class Engine:
         # Initiators plus every node delivered a message so far.
         self._has_received: set[Node] = set(self.initiators)
         neighbors = self.graph.neighbors
+        context_type = self._context_type
         self._contexts: dict[Node, Context] = {
-            node: _EngineContext(node, neighbors(node), seed) for node in self.graph.nodes
+            node: context_type(node, neighbors(node), seed) for node in self.graph.nodes
         }
         self._started = False
         # Done-set: nodes whose is_done() has returned True; the live

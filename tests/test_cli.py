@@ -509,6 +509,33 @@ class TestErrorExit:
         assert proc.stderr == (
             f"perf flame: no folded stacks or telemetry log at {missing}\n")
 
+    def test_reader_that_goes_away_is_not_a_traceback(self):
+        # ``repro gap --quick | head -1`` with the reader gone before the
+        # table is written: a quiet exit with EXIT_BROKEN_PIPE.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.cli import EXIT_BROKEN_PIPE
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "gap", "--quick", "--seed", "5"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        try:
+            _out, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert "Traceback" not in err.decode()
+        assert "BrokenPipeError" not in err.decode()
+        assert proc.returncode == EXIT_BROKEN_PIPE == 141
+
 
 
 class TestTelemetryValidateRobustness:
