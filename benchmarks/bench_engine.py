@@ -18,16 +18,6 @@ been recorded on different hardware; the check is a floor against
 gross regressions — e.g. telemetry instrumentation leaking into the
 disabled hot path — not a tight perf gate.
 
-``--bus-check`` is the subscriber-bus variant of the same guard: with
-telemetry *disabled* (the default in these benchmarks), the monitor's
-subscriber bus must cost nothing — the dispatch hook lives behind the
-recorder-active check, so the disabled hot path is byte-identical to
-the pre-bus engine.  The check measures exactly as ``--check`` does
-(asserting parity with the committed baseline) and additionally
-reports the marginal cost of an attached no-op subscriber when
-telemetry *is* on, so the overhead of in-process monitoring stays
-visible in the history (appended with ``variant: bus-no-subscriber``).
-
 ``--perf-overhead`` is the :mod:`repro.perf` variant: the engine with
 no ambient session must match the bare hot path (that leg *is* the
 bare hot path — one global load plus a ``None`` check), and an active
@@ -270,16 +260,13 @@ def check_against_baseline(
     path: str | os.PathLike | None = None,
     *,
     tolerance: float | None = None,
-    payload: dict | None = None,
     backend: str = "reference",
 ) -> tuple[bool, str]:
     """Measure now and compare against the committed baseline.
 
     Returns ``(ok, message)``; ``ok`` is False when combined slots/sec
     dropped more than ``tolerance`` (fraction, default
-    ``REPRO_BENCH_TOLERANCE`` or 0.35) below the baseline.  Pass a
-    ``payload`` from :func:`measure_slots_per_sec` to compare an
-    existing measurement instead of taking a fresh one.  Each backend
+    ``REPRO_BENCH_TOLERANCE`` or 0.35) below the baseline.  Each backend
     checks against its *own* baseline series: ``reference`` against the
     top-level keys, the vectorized backends against their entry under
     ``baseline["backends"]`` — comparing a batched measurement against
@@ -330,9 +317,7 @@ def check_against_baseline(
                 f"by running without --check"
             )
     base = baseline["combined_slots_per_sec"]
-    current = (
-        payload if payload is not None else measure_slots_per_sec(backend=backend)
-    )
+    current = measure_slots_per_sec(backend=backend)
     now = current["combined_slots_per_sec"]
     floor = base * (1.0 - tolerance)
     ok = now >= floor
@@ -342,59 +327,6 @@ def check_against_baseline(
         f"{'OK' if ok else 'REGRESSION'}"
     )
     return ok, message
-
-
-def measure_subscriber_overhead(*, slots: int | None = None, rounds: int | None = None) -> dict:
-    """Marginal cost of the monitor's subscriber bus, measured directly.
-
-    Three legs on the grid topology, best-of-``rounds`` each:
-
-    * ``disabled`` — no recorder active (the default engine hot path);
-    * ``telemetry`` — a buffered recorder active, no subscriber;
-    * ``subscribed`` — the same recorder with one no-op subscriber.
-
-    ``subscribed`` vs ``telemetry`` is the bus's dispatch cost when
-    monitoring is on; ``telemetry`` vs ``disabled`` is the recorder
-    cost that existed before the bus.  The disabled leg never executes
-    bus code at all — that is what ``--bus-check`` holds to the
-    committed baseline.
-    """
-    from repro.telemetry.core import Telemetry, activate
-
-    scale = os.environ.get("REPRO_BENCH_SCALE", "quick")
-    if slots is None:
-        slots = 500 if scale == "full" else 200
-    if rounds is None:
-        rounds = 5 if scale == "full" else 3
-    graph = grid(16, 16)
-
-    def leg_disabled() -> float:
-        return min(_run(graph, slots) for _ in range(rounds))
-
-    def leg_with_recorder(subscriber) -> float:
-        best = float("inf")
-        for _ in range(rounds):
-            recorder = Telemetry.buffered()
-            if subscriber is not None:
-                recorder.subscribe(subscriber)
-            with recorder, activate(recorder):
-                best = min(best, _run(graph, slots))
-        return best
-
-    disabled = leg_disabled()
-    telemetry = leg_with_recorder(None)
-    subscribed = leg_with_recorder(lambda record: None)
-    result = {
-        "slots_per_run": slots,
-        "rounds": rounds,
-        "disabled_slots_per_sec": round(slots / disabled, 1),
-        "telemetry_slots_per_sec": round(slots / telemetry, 1),
-        "subscribed_slots_per_sec": round(slots / subscribed, 1),
-    }
-    result["bus_overhead_pct"] = (
-        round((subscribed - telemetry) / telemetry * 100.0, 2) if telemetry else 0.0
-    )
-    return result
 
 
 #: Allowed sampling-profiler overhead, percent (``--perf-overhead``).
@@ -546,14 +478,6 @@ if __name__ == "__main__":
              "$REPRO_BENCH_TOLERANCE (default 0.35)",
     )
     parser.add_argument(
-        "--bus-check", action="store_true",
-        help="assert the subscriber bus costs nothing when no recorder is "
-             "active (parity with the committed baseline, same tolerance "
-             "as --check) and report the marginal cost of an attached "
-             "no-op subscriber; the measurement is appended to the bench "
-             "history with variant=bus-no-subscriber",
-    )
-    parser.add_argument(
         "--perf-overhead", action="store_true",
         help="measure the marginal cost of an active sampling-profiler "
              "session (repro.perf) and exit 1 if the sampler-only leg "
@@ -627,17 +551,5 @@ if __name__ == "__main__":
         payload = measure_slots_per_sec(backend=args.backend, batch=args.batch)
         print(json.dumps(payload, indent=2, sort_keys=True))
         raise SystemExit(0)
-    if args.bus_check:
-        current = measure_slots_per_sec()
-        ok, message = check_against_baseline(args.json, payload=current)
-        print(f"bus parity (telemetry disabled, dispatch never reached): {message}")
-        overhead = measure_subscriber_overhead()
-        print(json.dumps(overhead, indent=2, sort_keys=True))
-        record = dict(current)
-        record["variant"] = "bus-no-subscriber"
-        record["subscriber_overhead"] = overhead
-        if os.environ.get("REPRO_BENCH_HISTORY", "unset") != "":
-            append_bench_history(record)
-        raise SystemExit(0 if ok else 1)
     report = write_bench_json(args.json)
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -49,10 +49,10 @@ def add_observability(p: argparse.ArgumentParser) -> None:
                    help="auto-ingest the --telemetry log into this run-store "
                         "database when the command finishes (see 'obs ingest')")
     p.add_argument("--monitor", action="store_true",
-                   help="attach the live conformance monitor to the telemetry stream "
-                        "(requires --telemetry): the paper's bounds are checked as "
-                        "the campaign runs and violations land in the log as 'alert' "
-                        "events (see 'monitor' for the out-of-process version)")
+                   help="run the conformance monitor over the telemetry log when "
+                        "the command finishes (requires --telemetry): the paper's "
+                        "bounds are checked and violations are appended to the log "
+                        "as 'alert' events (the same pass as 'monitor PATH')")
     p.add_argument("--perf", action="store_true",
                    help="run under the sampling profiler (repro.perf): wall-clock "
                         "stacks plus traced memory per span land in the telemetry "
@@ -189,27 +189,23 @@ def _start_perf(args: argparse.Namespace, stack: contextlib.ExitStack) -> Callab
 
 def _run_logged(args: argparse.Namespace, path: str,
                 finish_perf: Callable | None) -> int:
-    """Run the command with its ``--telemetry`` log open, then report the
-    ``--monitor`` verdict and ingest the log into ``--obs-db``."""
+    """Run the command with its ``--telemetry`` log open, then run the
+    ``--monitor`` pass over the closed log (its alerts are appended to
+    it) and ingest the log into ``--obs-db``."""
     from repro.telemetry import Telemetry, activate
 
     recorder = Telemetry.to_path(path)
-    detach_monitor = None
-    if getattr(args, "monitor", False):
-        from repro.monitor import attach_monitor
-
-        # Attach before the manifest lands so the checkers see it
-        # (it selects the checker family and pins epsilon).
-        _live, detach_monitor = attach_monitor(recorder)
     recorder.write_manifest(command=_command_name(args),
                             seed=getattr(args, "seed", None),
                             config=_manifest_config(args))
     with recorder, activate(recorder):
         code = args.func(args)
-        monitor_report = detach_monitor() if detach_monitor is not None else None
         if finish_perf is not None:
             finish_perf(recorder)
-    if monitor_report is not None:
+    if getattr(args, "monitor", False):
+        from repro.monitor import monitor_log
+
+        monitor_report = monitor_log(path)
         if monitor_report.alerts:
             print(f"\n[monitor] {len(monitor_report.alerts)} "
                   f"conformance alert(s) fired:")
@@ -241,9 +237,8 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit("--obs-db requires --telemetry (the log is what is ingested)")
     if getattr(args, "monitor", False) and not telemetry_path:
         raise SystemExit(
-            "--monitor requires --telemetry (the monitor subscribes to the "
-            "event stream; use 'repro monitor <log> --follow' to watch an "
-            "existing log instead)"
+            "--monitor requires --telemetry (the monitor reads the log; use "
+            "'repro monitor <log> --follow' to watch an existing log instead)"
         )
     from repro.errors import ExperimentError
 

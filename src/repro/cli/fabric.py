@@ -75,8 +75,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         code = 0 if ok else 1
     if result.journal is not None:
         print(f"journal: {result.journal} (resumable by resilient_map)")
-    if result.trace_id is not None and (args.telemetry or args.chrome_trace):
-        print(f"trace: {result.trace_id}")
     if args.chrome_trace:
         from repro.monitor.live import fleet_records
 
@@ -209,8 +207,8 @@ def register(sub) -> None:
                         "process lane per worker (implies --worker-telemetry)")
     p.add_argument("--worker-telemetry", action="store_true",
                    help="give each worker its own telemetry log at "
-                        "<store>.<worker>.telemetry.jsonl, stamped with the campaign "
-                        "trace (automatic with --telemetry or --chrome-trace)")
+                        "<store>.<worker>.telemetry.jsonl (automatic with "
+                        "--telemetry or --chrome-trace)")
     add_observability(p)
     p.set_defaults(func=_cmd_run)
 
@@ -227,8 +225,7 @@ def register(sub) -> None:
     p.add_argument("--fault-plan-json", default=None,
                    help="serialized per-worker fault sub-plan (coordinator internal)")
     p.add_argument("--telemetry", default=None, metavar="PATH",
-                   help="stream this worker's events to PATH; the coordinator's trace "
-                        "context (inherited via the environment) stamps every record")
+                   help="stream this worker's events to PATH")
     p.set_defaults(func=_cmd_worker)
 
     p = fab_sub.add_parser("chaos",

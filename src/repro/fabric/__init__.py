@@ -24,9 +24,11 @@ partitions real worker processes and forces stale-commit attempts,
 and :mod:`~repro.fabric.verify` asserts that *any* fault plan yields
 results byte-identical to the serial run with zero fencing violations.
 
-Observability: :mod:`~repro.fabric.tracectx` gives a campaign one trace
-across its processes; :mod:`~repro.fabric.autopsy` reconstructs a
-campaign from the store's audit log; ``monitor <store>`` is its live view.
+Observability: each worker can write its own telemetry log, and
+``fabric run --chrome-trace`` merges those logs with the store's events
+into one trace with a lane per worker; :mod:`~repro.fabric.autopsy`
+reconstructs a campaign from the store's audit log; ``monitor <store>``
+is its live view.
 
 Front ends: ``python -m repro fabric run|worker|chaos|autopsy``.
 """

@@ -60,7 +60,6 @@ from repro.fabric.worker import (
     run_worker,
     worker_args,
 )
-from repro.fabric.tracectx import TraceContext, traced
 from repro.perf import core as perf_core
 from repro.telemetry import get_active, set_active
 from repro.telemetry.core import host_facts
@@ -90,9 +89,8 @@ class FabricConfig:
     timeout: float = 300.0
     install_signal_handler: bool = True
     #: Give each worker its own telemetry log
-    #: (``<store>.<worker>.telemetry.jsonl``), stamped with the
-    #: campaign's trace context — the worker lanes of the merged
-    #: Chrome trace.
+    #: (``<store>.<worker>.telemetry.jsonl``): the worker lanes of the
+    #: merged Chrome trace.
     worker_telemetry: bool = False
 
     def __post_init__(self) -> None:
@@ -115,7 +113,6 @@ class FabricResult:
     worker_exits: dict[str, int | None]
     events: list[dict[str, Any]]
     journal: Path | None = None
-    trace_id: str | None = None
     worker_logs: dict[str, Path] = field(default_factory=dict)
 
     def summary(self) -> str:
@@ -345,16 +342,10 @@ def run_fabric(config: FabricConfig) -> FabricResult:
             chunksize=plan.chunksize,
         )
 
-    # One campaign = one trace, rooted at the coordinator and propagated
-    # to every worker through the environment.  Inert when telemetry is
-    # off.
     recorder = get_active()
-    trace = TraceContext.root(fingerprint)
     # The drain handler lives as long as this call: the caller's SIGTERM
     # handler is put back on return and on raise.
-    with traced(recorder, trace), drain_on_sigterm(
-        config.install_signal_handler
-    ) as drain:
+    with drain_on_sigterm(config.install_signal_handler) as drain:
         if recorder is not None:
             recorder.emit(
                 "fabric_begin",
@@ -370,7 +361,6 @@ def run_fabric(config: FabricConfig) -> FabricResult:
         exits: dict[str, int | None] = {}
         worker_logs: dict[str, Path] = {}
         env = dict(os.environ)
-        trace.to_env(env)
         # Performance plane: a session activated programmatically (not
         # via the CLI's REPRO_PERF env save/restore) still reaches the
         # workers — each samples itself and ships perf records via its
@@ -515,7 +505,6 @@ def run_fabric(config: FabricConfig) -> FabricResult:
                 worker_exits=exits,
                 events=events,
                 journal=journal_path,
-                trace_id=trace.trace_id,
                 worker_logs=worker_logs,
             )
         finally:

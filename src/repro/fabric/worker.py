@@ -47,7 +47,6 @@ from repro.errors import ExperimentError
 from repro.fabric.faultplan import FaultAction, FaultPlan
 from repro.fabric.specs import resolve_spec
 from repro.fabric.store import Lease, LeaseStore
-from repro.fabric.tracectx import TraceContext, traced
 from repro.perf import core as perf_core
 from repro.rng import derive_seed
 from repro.telemetry import get_active
@@ -244,16 +243,13 @@ def _work(config: WorkerConfig, drain: Drain) -> int:
     my_plan = config.fault_plan.for_worker(config.worker_id)
     jitter_stream = derive_seed(0, "fabric-idle", config.worker_id) % (2**31)
 
-    # Adopt the coordinator's trace (propagated through the
-    # environment).  Performance plane: the coordinator propagates
-    # REPRO_PERF=<hz> when sampling is on, so the worker profiles itself
-    # for its whole lifetime and writes the perf records, tagged with its
-    # id, to its own telemetry log on exit.  Both are a strict no-op when
-    # this worker runs without either.
+    # Performance plane: the coordinator propagates REPRO_PERF=<hz> when
+    # sampling is on, so the worker profiles itself for its whole
+    # lifetime and writes the perf records, tagged with its id, to its
+    # own telemetry log on exit.  A strict no-op when this worker runs
+    # without it.
     recorder = get_active()
-    with traced(
-        recorder, TraceContext.from_env(f"worker:{config.worker_id}")
-    ), perf_core.self_profiled(
+    with perf_core.self_profiled(
         f"fabric.worker:{config.worker_id}",
         recorder,
         tag=f"worker:{config.worker_id}",

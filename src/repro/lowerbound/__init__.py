@@ -12,44 +12,3 @@ adversary, yielding the ``Ω(n)`` time bound (Theorem 12).
 * :mod:`repro.lowerbound.reduction` — abstract broadcast protocols on
   ``C_n`` and their compilation into explorer strategies (Lemma 7).
 """
-
-from repro.lowerbound.adversary import find_set, foil_strategy
-from repro.lowerbound.hitting_game import (
-    Answer,
-    HittingGame,
-    Referee,
-    play_game,
-)
-from repro.lowerbound.reduction import (
-    AbstractBroadcastProtocol,
-    RoundRobinAbstractProtocol,
-    BinarySplitAbstractProtocol,
-    explorer_from_protocol,
-    run_abstract_protocol,
-)
-from repro.lowerbound.strategies import (
-    BinarySplittingStrategy,
-    DoublingStrategy,
-    ExplorerStrategy,
-    RandomStrategy,
-    SingletonSweepStrategy,
-)
-
-__all__ = [
-    "Answer",
-    "Referee",
-    "HittingGame",
-    "play_game",
-    "find_set",
-    "foil_strategy",
-    "ExplorerStrategy",
-    "SingletonSweepStrategy",
-    "BinarySplittingStrategy",
-    "DoublingStrategy",
-    "RandomStrategy",
-    "AbstractBroadcastProtocol",
-    "RoundRobinAbstractProtocol",
-    "BinarySplitAbstractProtocol",
-    "explorer_from_protocol",
-    "run_abstract_protocol",
-]

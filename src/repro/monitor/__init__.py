@@ -1,8 +1,8 @@
 """Live conformance monitoring: the paper's bounds as streaming SLOs.
 
-``repro.monitor`` watches a campaign's telemetry — in-process through
-the recorder's subscriber bus, or out-of-process by tail-following the
-JSON-lines log — and holds what it sees to the theory:
+``repro.monitor`` reads a campaign's JSON-lines telemetry log — once
+the campaign is done, or tail-following it while it runs — and holds
+what it sees to the theory:
 
 * :mod:`repro.monitor.conformance` — streaming checkers for the
   Theorem 1 Decay success guarantee, the Theorem 4 completion budget,
@@ -42,7 +42,6 @@ from repro.monitor.conformance import (
 from repro.monitor.live import (
     LiveMonitor,
     MonitorReport,
-    attach_monitor,
     follow_fleet,
     monitor_log,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "OmegaFloorChecker",
     "StatusBoard",
     "TailReader",
-    "attach_monitor",
     "chrome_trace",
     "chrome_trace_events",
     "default_checkers",

@@ -4,17 +4,18 @@ The output follows the Trace Event Format's *JSON object* flavour —
 ``{"traceEvents": [...], "displayTimeUnit": "ms"}`` — which both
 ``chrome://tracing`` and https://ui.perfetto.dev open directly:
 
-* ``span`` records and ``run_begin``/``run_end`` pairs become complete
-  slices (``ph: "X"`` with microsecond ``ts``/``dur``); a run's slice
-  carries its folded Decay phase markers (``run_end``'s ``phases``
-  rows) in ``args``,
+* ``run_begin``/``run_end`` pairs and ``chunk`` records become
+  complete slices (``ph: "X"`` with microsecond ``ts``/``dur``); a
+  run's slice carries its folded Decay phase markers (``run_end``'s
+  ``phases`` rows) in ``args``,
 * ``phase``, ``fault``, ``chaos_trial``, ``alert``, ``lease`` and
   ``worker`` records become instants (``ph: "i"``) with their payload
   in ``args`` — so fence rejections, takeovers, and worker kills are
   visible instants on the lane of the worker they happened to (a
   ``phase`` record is a marker written outside a run, or one from a
   log written before markers were folded per run),
-* ``counter``/``gauge``/``progress`` records become counter tracks
+* ``progress`` records (campaign items done) and ``slot_batch``
+  records (the engine's ``slots_per_sec``) become counter tracks
   (``ph: "C"``),
 * chunk-tagged worker records are placed on their own thread lane, so
   a parallel campaign renders as one swimlane per chunk under a single
@@ -53,7 +54,9 @@ _MAIN_TID = 0
 _INSTANT_KINDS = {"phase", "fault", "chaos_trial", "alert", "campaign_begin",
                   "campaign_end", "manifest", "lease", "worker",
                   "fabric_begin", "fabric_end"}
-_COUNTER_KINDS = {"counter", "gauge", "progress"}
+#: Counter kinds -> (track name, field read as the track's value).
+_COUNTER_KINDS = {"progress": ("progress", "done"),
+                  "slot_batch": ("slots_per_sec", "slots_per_sec")}
 
 
 def _ts_of(record: dict[str, Any]) -> float | None:
@@ -114,22 +117,7 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
         pid = pid_of(record)
         tid = _tid_of(record)
         lanes.add((pid, tid))
-        if kind == "span":
-            dur = number(record, "dur_s")
-            if dur is None:
-                continue
-            # A span record is emitted when the block *ends*.
-            events.append({
-                "name": str(record.get("name", "span")),
-                "cat": "span",
-                "ph": "X",
-                "ts": rel(ts - dur),
-                "dur": max(1, _micros(dur)),
-                "pid": pid,
-                "tid": tid,
-                "args": _args_of(record),
-            })
-        elif kind == "run_begin":
+        if kind == "run_begin":
             open_runs[(record.get("chunk"), record.get("run"))] = record
         elif kind == "run_end":
             begin = open_runs.pop((record.get("chunk"), record.get("run")), None)
@@ -175,10 +163,8 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
                 "args": _args_of(record),
             })
         elif kind in _COUNTER_KINDS:
-            if kind == "progress":
-                name, value = "progress", number(record, "done")
-            else:
-                name, value = str(record.get("name", kind)), number(record, "value")
+            name, field = _COUNTER_KINDS[kind]
+            value = number(record, field)
             if value is None:
                 continue
             events.append({
@@ -229,7 +215,7 @@ def chrome_trace_events(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
             "args": _args_of(begin),
         })
 
-    # Slices start before the record that reports them (a span's record
+    # Slices start before the record that reports them (a chunk's record
     # is emitted when it ends), so the trace starts at the earliest
     # slice start, not at the earliest record.
     earliest = min((event["ts"] for event in events), default=0)

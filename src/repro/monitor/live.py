@@ -1,19 +1,14 @@
 """Wire the tail reader, conformance checkers, and status board together.
 
-Two ways in:
-
-* :func:`monitor_log` — out-of-process: read (or ``--follow``) a
-  JSON-lines telemetry log and stream it through the checkers.  This is
-  what ``python -m repro monitor`` runs.  Given a fabric lease store
-  instead (detected by the SQLite file magic), it follows the store's
-  newest campaign plus its ``<store>.<worker>.telemetry.jsonl`` worker
-  logs through :func:`follow_fleet`, and the board grows worker lanes.
-  :func:`fleet_records` merges the same sources into one stream for the
-  Chrome trace.
-* :func:`attach_monitor` — in-process: subscribe a :class:`LiveMonitor`
-  to the active :class:`~repro.telemetry.core.Telemetry` recorder, so
-  ``--monitor`` on ``gap``/``experiment``/``chaos`` checks conformance
-  *while the campaign runs* with zero extra file I/O.
+:func:`monitor_log` reads a JSON-lines telemetry log, or follows it
+while it is written, and streams it through the checkers.  ``python -m repro monitor``
+runs it, and so does the ``--monitor`` campaign flag, on the closed
+log once the command has finished.  Given a fabric lease store instead
+(detected by the SQLite file magic), it follows the store's newest
+campaign plus its ``<store>.<worker>.telemetry.jsonl`` worker logs
+through :func:`follow_fleet`, and the board grows worker lanes.
+:func:`fleet_records` merges the same sources into one stream for the
+Chrome trace.
 
 Fired alerts are appended to a monitored log as schema-valid ``alert``
 records (tagged ``source="monitor"`` with a monotone ``seq``), so they
@@ -39,15 +34,13 @@ from repro.monitor.conformance import (
     MonitorConfig,
     default_checkers,
 )
-from repro.monitor.tail import TailReader, follow_records, read_log_records
-from repro.telemetry.core import Telemetry
+from repro.monitor.tail import TailReader, follow_records, iter_log_records
 from repro.telemetry.summary import number
 
 __all__ = [
     "MonitorReport",
     "LiveMonitor",
     "monitor_log",
-    "attach_monitor",
     "fleet_records",
     "follow_fleet",
     "is_sqlite_file",
@@ -209,7 +202,7 @@ def monitor_log(
                     idle_timeout=idle_timeout, stop=stop,
                 )
             else:
-                records = read_log_records(log)
+                records = iter_log_records(log)
             for record in records:
                 live.ingest(record)
     except KeyboardInterrupt:
@@ -371,34 +364,3 @@ def follow_fleet(
         if lease_store is not None:
             lease_store.close()
 
-
-def attach_monitor(
-    telemetry: Telemetry,
-    *,
-    config: MonitorConfig | None = None,
-    renderer_factory: Callable[[StatusBoard], BoardRenderer] | None = None,
-) -> tuple[LiveMonitor, Callable[[], MonitorReport]]:
-    """Subscribe a monitor to a live recorder (the ``--monitor`` flag).
-
-    Fired alerts are emitted straight back into the same telemetry
-    stream (``emit("alert", ...)``), giving the log an in-band record of
-    every violation; the conformance monitor never re-checks ``alert``
-    records, so the loop terminates.  Returns the monitor and a
-    ``detach`` callable that unsubscribes and returns the final report.
-    """
-    seq = {"n": 0}
-
-    def emit(alert: Alert) -> None:
-        seq["n"] += 1
-        telemetry.emit("alert", source="monitor", seq=seq["n"], **alert.record_fields())
-
-    live = LiveMonitor(
-        config or MonitorConfig(), renderer_factory=renderer_factory, emit_alert=emit
-    )
-    unsubscribe = telemetry.subscribe(live.ingest)
-
-    def detach() -> MonitorReport:
-        unsubscribe()
-        return live.finish()
-
-    return live, detach

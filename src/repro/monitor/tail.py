@@ -10,8 +10,9 @@ final line is *pending*, never an error.
 
 Two front ends:
 
-* :func:`read_log_records` — one-shot read of everything complete in
-  the file right now (the non-``--follow`` monitor path).
+* :func:`iter_log_records` — one pass over everything complete in the
+  file right now, a chunk at a time (the non-``--follow`` monitor
+  path); :func:`read_log_records` is its list.
 * :func:`follow_records` — a generator that keeps polling and yields
   records as the writer appends them (the ``--follow`` path), with an
   optional idle timeout and stop predicate so CI runs terminate.
@@ -27,7 +28,11 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import ExperimentError
 
-__all__ = ["TailReader", "read_log_records", "follow_records"]
+__all__ = ["TailReader", "iter_log_records", "read_log_records", "follow_records"]
+
+#: Bytes :func:`iter_log_records` reads per poll: a pass over a large
+#: log holds one chunk's records at a time, not the whole file's.
+CHUNK_BYTES = 1 << 20
 
 
 class TailReader:
@@ -68,8 +73,11 @@ class TailReader:
         self.lineno = 0
         self._buffer = b""
 
-    def poll_numbered(self) -> list[tuple[int, Any]]:
+    def poll_numbered(self, max_bytes: int = -1) -> list[tuple[int, Any]]:
         """Every line completed since the last poll, as ``(lineno, value)``.
+
+        At most ``max_bytes`` new bytes are read (all of them when
+        negative); a line they end inside stays buffered.
 
         ``value`` is the decoded JSON (of any type), or the
         :class:`json.JSONDecodeError` when the line is not JSON; blank
@@ -104,7 +112,7 @@ class TailReader:
             return []
         with self.path.open("rb") as stream:
             stream.seek(self.offset)
-            chunk = stream.read()
+            chunk = stream.read(max_bytes)
         self.offset += len(chunk)
         data = self._buffer + chunk
         lines = data.split(b"\n")
@@ -124,10 +132,10 @@ class TailReader:
             values.append((self.lineno, value))
         return values
 
-    def poll(self) -> list[dict[str, Any]]:
+    def poll(self, max_bytes: int = -1) -> list[dict[str, Any]]:
         """Decode every record completed since the last poll."""
         records: list[dict[str, Any]] = []
-        for _lineno, value in self.poll_numbered():
+        for _lineno, value in self.poll_numbered(max_bytes):
             if isinstance(value, dict):
                 records.append(value)
             else:
@@ -135,12 +143,26 @@ class TailReader:
         return records
 
 
-def read_log_records(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
-    """Everything complete in the log right now (torn tail ignored)."""
+def iter_log_records(path: str | os.PathLike[str]) -> Iterator[dict[str, Any]]:
+    """Every record complete in the log when the pass starts, read
+    :data:`CHUNK_BYTES` at a time (torn tail ignored).  Lines appended
+    during the pass, such as the alerts a monitor pass writes to the
+    log it reads, are not read."""
     log = Path(path)
     if not log.exists():
         raise ExperimentError(f"no telemetry log at {log}")
-    return TailReader(log).poll()
+    reader = TailReader(log)
+    end = log.stat().st_size
+    while reader.offset < end:
+        offset = reader.offset
+        yield from reader.poll(min(CHUNK_BYTES, end - offset))
+        if reader.offset == offset:  # the file went away or shrank
+            return
+
+
+def read_log_records(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
+    """Everything complete in the log right now (torn tail ignored)."""
+    return list(iter_log_records(path))
 
 
 def follow_records(

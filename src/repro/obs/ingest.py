@@ -121,8 +121,6 @@ def _aggregate_metrics(summary: dict[str, Any]) -> dict[str, float]:
         metrics["campaign_wall_s"] = campaigns["wall_s"]
         metrics["campaign_retries"] = campaigns["retries"]
         metrics["campaign_timeouts"] = campaigns["timeouts"]
-    for name, entry in summary["spans"].items():
-        metrics[f"span.{name}.total_s"] = entry["total_s"]
     # Fleet aggregates: fabric lease audit, worker fleet size,
     # alert/chaos volume.
     fleet = summary.get("fleet") or {}

@@ -15,8 +15,7 @@ Three pieces, all stdlib-only:
   session is active every helper is one module-global load plus a
   ``None`` check, so the engine hot-path numbers survive untouched
   (``bench_engine.py --check`` guards this).  Samples and memory peaks
-  are **attributed to spans**: :func:`perf_span` (or
-  ``Telemetry.span``, which forwards automatically) labels the running
+  are **attributed to spans**: :func:`perf_span` labels the running
   thread, and every sample taken while the label is live is credited
   to it — per engine slot-batch, Decay phase, vectorized kernel, pool
   chunk, and fabric worker.

@@ -18,11 +18,8 @@ A session owns:
   attributed by the sampler, and peak/net traced memory — keyed by the
   labels pushed with :func:`perf_span` / :meth:`PerfSession.span_push`.
 
-``Telemetry.span`` forwards its block into :func:`span_push` /
-:func:`span_pop` (see :mod:`repro.telemetry.core`), so existing
-telemetry spans become perf attribution points for free; the engine,
-the vectorized kernels, the pool, and the fabric add their own labels
-directly.
+The engine, the vectorized kernels, the pool, and the fabric push
+their own labels.
 """
 
 from __future__ import annotations

@@ -439,7 +439,6 @@ class Engine:
                         dur_s=dur,
                         slots_per_sec=round(rate, 1),
                     )
-                    tel.gauge("slots_per_sec", round(rate, 1), slot=self.slot)
                     batch_t0, batch_slot0 = now, self.slot
                     next_batch = self.slot + tel.slot_batch
                     if perf is not None:

@@ -3,11 +3,11 @@
 The paper's claims are *time* claims (Theorem 1's O(log n) conflict
 resolution, Theorem 4's O((D + log n/ε)·log n) broadcast), so the
 measurement substrate matters as much as the protocols.  This package
-is a hierarchical event/metric recorder that four layers feed:
+is an event recorder that four layers feed:
 
-* the **engine** emits ``run_begin``/``run_end`` spans, periodic
-  ``slot_batch`` throughput records (a live slots-per-second gauge),
-  and ``fault`` activation events;
+* the **engine** emits ``run_begin``/``run_end`` records, periodic
+  ``slot_batch`` throughput records (slots per second over each batch
+  of slots), and ``fault`` activation events;
 * the **protocols** emit phase markers — the Decay call index of
   Broadcast (Theorem 1/4 granularity) and the BFS layer — so
   time-per-phase histograms can be checked against
@@ -39,18 +39,17 @@ activating a recorder::
         recorder.write_manifest(seed=7, config={"n": 64})
         run_decay_broadcast(graph, source=0, seed=7)
 
-Every record is one JSON line, flushed as written; the log is
-summarized with ``python -m repro telemetry events.jsonl`` and
-validated against :mod:`repro.telemetry.schema`.
+Every record is one JSON line, written once, to the log file or the
+in-memory buffer, and flushed as written; the log is summarized with
+``python -m repro telemetry events.jsonl`` and validated against
+:mod:`repro.telemetry.schema`.
 """
 
 from repro.telemetry.core import (
     Telemetry,
     activate,
     config_fingerprint,
-    counter,
     event,
-    gauge,
     get_active,
     git_sha,
     phase,
@@ -64,8 +63,6 @@ __all__ = [
     "set_active",
     "get_active",
     "phase",
-    "counter",
-    "gauge",
     "event",
     "config_fingerprint",
     "git_sha",

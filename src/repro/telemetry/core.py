@@ -7,12 +7,15 @@ Design constraints (see the module docs in ``repro/telemetry/__init__.py``):
   active.  The gate is one module-global load plus a ``None`` check
   (:func:`get_active` / the fast helpers below), so the PR-1 hot-path
   numbers survive with telemetry off.
-* **Streamed, append-only.**  Every record is one JSON line, flushed
-  as it is written, so a crashed (even SIGKILLed) campaign leaves a
-  readable log and ``tail -f`` works while a campaign runs.  Each line
-  is exactly ``json.dumps(record, default=repr)``; a recorder builds
-  the C encoder behind that call once (:func:`_line_encoder`) instead
-  of once per record.
+* **Streamed, append-only.**  Every record is one JSON line, written
+  once under a plain lock and flushed as it is written, so a crashed
+  (even SIGKILLed) campaign leaves a readable log and ``tail -f`` works
+  while a campaign runs.  The log is opened for append after it is
+  truncated, so each line lands at the end of the file even when
+  another writer (``monitor LOG --follow`` adding its alerts) appends
+  to it meanwhile.  Each line is exactly ``json.dumps(record,
+  default=repr)``; a recorder builds the C encoder behind that call
+  once (:func:`_line_encoder`) instead of once per record.
 * **Phase markers folded per run.**  While a run is open
   (:meth:`~Telemetry.begin_run` to :meth:`~Telemetry.end_run`), a
   Decay phase marker adds to an integer accumulator keyed by
@@ -27,15 +30,6 @@ Design constraints (see the module docs in ``repro/telemetry/__init__.py``):
   processes instead buffer into their own in-memory recorder and ship
   records back to the parent (see :mod:`repro.parallel`), which merges
   them into the stream with :meth:`Telemetry.write_record`.
-* **Subscriber bus.**  In-process consumers (the live conformance
-  monitor, the status board — see :mod:`repro.monitor`) can
-  :meth:`~Telemetry.subscribe` a callback and observe every record as
-  it is written, including worker records merged via
-  :meth:`~Telemetry.write_record`.  With no subscriber attached the
-  cost is one falsy-tuple check per record, and with telemetry
-  disabled nothing changes at all — the strict no-op guarantee above
-  is untouched (the bench harness guards this:
-  ``benchmarks/bench_engine.py --bus-check``).
 """
 
 from __future__ import annotations
@@ -44,7 +38,6 @@ import contextlib
 import functools
 import hashlib
 import json
-import logging
 import os
 import platform
 import sys
@@ -55,7 +48,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, TextIO
 
 from repro._version import __version__
-from repro.perf import core as _perf_core
 from repro.telemetry.schema import SCHEMA, SCHEMA_VERSION
 
 __all__ = [
@@ -64,8 +56,6 @@ __all__ = [
     "set_active",
     "activate",
     "phase",
-    "counter",
-    "gauge",
     "event",
     "config_fingerprint",
     "git_sha",
@@ -80,7 +70,7 @@ _ACTIVE: "Telemetry | None" = None
 
 
 class Telemetry:
-    """A hierarchical event/metric recorder writing JSON-lines records.
+    """An event recorder writing JSON-lines records.
 
     Construct with :meth:`to_path` (file-backed, streaming) or
     :meth:`buffered` (in-memory, used by pool workers whose records are
@@ -111,23 +101,10 @@ class Telemetry:
         # engine-managed run is open.
         self._phases: dict[tuple[Any, Any], list[Any]] | None = None
         self._closed = False
-        # Subscriber bus: an immutable tuple so dispatch never races a
-        # subscribe/unsubscribe, and the no-subscriber fast path is one
-        # falsy check.  Depth-guarded so a subscriber that emits records
-        # of its own (the monitor writing `alert` events) cannot recurse
-        # unboundedly.
-        self._subscribers: tuple[Callable[[dict[str, Any]], None], ...] = ()
-        self._dispatch_depth = 0
-        # Distributed trace context (repro.fabric.tracectx): when set,
-        # every record is stamped with trace/span/parent identity.
-        # None = no stamping, no cost.
-        self._trace: Any = None
-        # Serializes writes + subscriber dispatch: worker ship-back can
-        # merge records from multiple threads (resilient_map callbacks,
-        # fabric event forwarding), and interleaved JSON lines would
-        # tear the log.  Reentrant because a subscriber may emit back
-        # into this recorder (the monitor writing `alert` records).
-        self._write_lock = threading.RLock()
+        # Serializes writes: worker ship-back can merge records from
+        # multiple threads (resilient_map callbacks, fabric event
+        # forwarding), and interleaved JSON lines would tear the log.
+        self._write_lock = threading.Lock()
         self._encode = _line_encoder()
 
     # -- constructors ---------------------------------------------------
@@ -136,10 +113,17 @@ class Telemetry:
     def to_path(
         cls, path: str | os.PathLike[str], *, slot_batch: int = DEFAULT_SLOT_BATCH
     ) -> "Telemetry":
-        """A recorder streaming to ``path`` (parents created, truncated)."""
+        """A recorder streaming to ``path`` (parents created, truncated).
+
+        The file is truncated, then opened for append: every record
+        lands at the end of the file in one write, so lines another
+        process appends meanwhile (``monitor LOG --follow`` writing its
+        alerts) are neither overwritten nor torn.
+        """
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        stream = target.open("w", encoding="utf-8")
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND
+        stream = open(os.open(target, flags, 0o666), "a", encoding="utf-8")
         recorder = cls(stream, path=target, slot_batch=slot_batch)
         recorder._owns_stream = True
         return recorder
@@ -159,25 +143,6 @@ class Telemetry:
     def current_run(self) -> str | None:
         """The run id events are being attributed to (engine-managed)."""
         return self._current_run
-
-    @property
-    def trace(self) -> Any:
-        """The installed trace context, or ``None`` (no stamping)."""
-        return self._trace
-
-    def set_trace(self, context: Any) -> Any:
-        """Install (or clear, with ``None``) a distributed trace context.
-
-        While installed, every record written — emitted locally or
-        merged via :meth:`write_record` — is stamped with the context's
-        ``trace``/``span``/``parent`` identity (see
-        :class:`repro.fabric.tracectx.TraceContext`; pre-stamped worker
-        records keep their own span fields).  Returns the previous
-        context.
-        """
-        previous = self._trace
-        self._trace = context
-        return previous
 
     # -- low-level emission ---------------------------------------------
 
@@ -202,8 +167,6 @@ class Telemetry:
         self._write(record)
 
     def _write(self, record: dict[str, Any]) -> None:
-        if self._trace is not None:
-            self._trace.stamp(record)
         with self._write_lock:
             if self._records is not None:
                 self._records.append(record)
@@ -211,47 +174,6 @@ class Telemetry:
                 assert self._stream is not None
                 self._stream.write(self._encode(record) + "\n")
                 self._stream.flush()
-            if self._subscribers:
-                self._dispatch(record)
-
-    # -- subscriber bus -------------------------------------------------
-
-    def subscribe(
-        self, callback: Callable[[dict[str, Any]], None]
-    ) -> Callable[[], None]:
-        """Observe every record written to this recorder.
-
-        ``callback(record)`` runs synchronously after each record is
-        written (streamed or buffered), including pre-formed worker
-        records merged via :meth:`write_record`.  Exceptions raised by
-        a subscriber are logged and swallowed — a broken consumer must
-        never corrupt the recording.  Returns an unsubscribe callable.
-        """
-        self._subscribers = (*self._subscribers, callback)
-        return lambda: self.unsubscribe(callback)
-
-    def unsubscribe(self, callback: Callable[[dict[str, Any]], None]) -> None:
-        """Detach a subscriber (no-op when it is not attached)."""
-        self._subscribers = tuple(
-            existing for existing in self._subscribers if existing is not callback
-        )
-
-    def _dispatch(self, record: dict[str, Any]) -> None:
-        if self._dispatch_depth >= 4:  # runaway subscriber-emission guard
-            return
-        self._dispatch_depth += 1
-        try:
-            for callback in self._subscribers:
-                try:
-                    callback(record)
-                except Exception:  # noqa: BLE001 - isolate consumers
-                    logging.getLogger("repro.telemetry").exception(
-                        "telemetry subscriber %r failed; record dropped "
-                        "for that subscriber only",
-                        callback,
-                    )
-        finally:
-            self._dispatch_depth -= 1
 
     # -- manifest -------------------------------------------------------
 
@@ -351,13 +273,7 @@ class Telemetry:
         """Emit ``run_end`` for a run opened with :meth:`open_run`."""
         self.emit("run_end", run=run_id, **fields)
 
-    # -- metrics --------------------------------------------------------
-
-    def counter(self, name: str, value: int | float = 1, **fields: Any) -> None:
-        self.emit("counter", name=name, value=value, **fields)
-
-    def gauge(self, name: str, value: int | float, **fields: Any) -> None:
-        self.emit("gauge", name=name, value=value, **fields)
+    # -- phase markers --------------------------------------------------
 
     def phase(self, proto: str, *, node: Any, index: int, slot: int, **fields: Any) -> None:
         """A protocol phase marker (Decay call, Broadcast phase, BFS layer).
@@ -383,27 +299,6 @@ class Telemetry:
         if start is not None:
             acc[4] += 1
             acc[5] += slot - start + 1
-
-    @contextlib.contextmanager
-    def span(self, name: str, **fields: Any) -> Iterator[None]:
-        """Time a block; emits one ``span`` record with its duration.
-
-        When a perf session is active (:mod:`repro.perf`), the block is
-        also pushed as a perf span, so sampled wall time and traced
-        memory are attributed to ``name`` — telemetry spans double as
-        perf attribution points.  With perf off this is one global load
-        plus a ``None`` check.
-        """
-        perf_session = _perf_core.get_active()
-        if perf_session is not None:
-            perf_session.span_push(name)
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            if perf_session is not None:
-                perf_session.span_pop()
-            self.emit("span", name=name, dur_s=time.perf_counter() - start, **fields)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -463,18 +358,6 @@ def phase(proto: str, *, node: Any, index: int, slot: int, **fields: Any) -> Non
     recorder = _ACTIVE
     if recorder is not None:
         recorder.phase(proto, node=node, index=index, slot=slot, **fields)
-
-
-def counter(name: str, value: int | float = 1, **fields: Any) -> None:
-    recorder = _ACTIVE
-    if recorder is not None:
-        recorder.counter(name, value, **fields)
-
-
-def gauge(name: str, value: int | float, **fields: Any) -> None:
-    recorder = _ACTIVE
-    if recorder is not None:
-        recorder.gauge(name, value, **fields)
 
 
 def event(kind: str, **fields: Any) -> None:

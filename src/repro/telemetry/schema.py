@@ -11,6 +11,11 @@ Decay's phase markers come in two forms: a run's markers folded into
 the ``phases`` rows of its ``run_end`` (:data:`PHASE_ROW_FIELDS`), and
 one ``phase`` record per marker, for markers emitted with no run open
 and in logs written before the fold.
+
+Kinds no emitter writes any more are not in :data:`KINDS`: a log that
+holds them (``counter``, ``gauge`` and ``span`` records, or the
+``profile`` records of older perf captures) fails validation on those
+lines, and the tolerant readers skip them.
 """
 
 from __future__ import annotations
@@ -57,10 +62,6 @@ KINDS: dict[str, frozenset[str]] = {
     "phase": frozenset({"proto", "node", "index", "slot"}),
     # causal slot provenance (opt-in; see repro.sim.trace)
     "prov": frozenset({"slot", "node", "outcome"}),
-    # generic metrics
-    "counter": frozenset({"name", "value"}),
-    "gauge": frozenset({"name", "value"}),
-    "span": frozenset({"name", "dur_s"}),
     # parallel-pool layer
     "campaign_begin": frozenset({"items", "chunks", "chunksize", "jobs"}),
     "campaign_end": frozenset({"wall_s", "chunks"}),

@@ -103,8 +103,7 @@ def validate_log(path: str | os.PathLike[str]) -> list[str]:
 FLEET_KINDS = frozenset({"lease", "worker", "fabric_begin", "fabric_end"})
 
 #: Kinds a log holds few of: kept whole and rolled up by ``to_dict``.
-_KEPT = ("chunk", "counter", "gauge", "span", "campaign_end", "fabric_end",
-         "perf_profile", "perf_span")
+_KEPT = ("chunk", "campaign_end", "fabric_end", "perf_profile", "perf_span")
 
 #: ``run_end`` fields summed into the run totals.
 _RUN_TOTALS = ("slots", "transmissions", "collisions", "deliveries",
@@ -290,27 +289,6 @@ class LogSummary:
             if queue_waits:
                 chunk_summary["queue_s"] = _stats(queue_waits)
 
-        counters: dict[str, dict[str, float]] = {}
-        for record in kept["counter"]:
-            entry = counters.setdefault(str(record["name"]), {"events": 0, "total": 0})
-            entry["events"] += 1
-            entry["total"] += record["value"]
-        gauges: dict[str, dict[str, float]] = {}
-        for record in kept["gauge"]:
-            value = record["value"]
-            entry = gauges.setdefault(
-                str(record["name"]), {"events": 0, "last": value, "min": value, "max": value}
-            )
-            entry["events"] += 1
-            entry["last"] = value
-            entry["min"] = min(entry["min"], value)
-            entry["max"] = max(entry["max"], value)
-        spans: dict[str, dict[str, float]] = {}
-        for record in kept["span"]:
-            entry = spans.setdefault(str(record["name"]), {"count": 0, "total_s": 0.0})
-            entry["count"] += 1
-            entry["total_s"] += record["dur_s"]
-
         # Fleet rollup: the fabric's lease audit trail and worker lives
         # (replayed), alert and chaos volumes.
         lease = self.lease
@@ -374,9 +352,6 @@ class LogSummary:
             "phases": phase_summary,
             "chunks": chunk_summary,
             "faults": self.count("fault"),
-            "counters": counters,
-            "gauges": gauges,
-            "spans": spans,
             "campaigns": {
                 "count": len(campaign_ends),
                 "wall_s": sum(c["wall_s"] for c in campaign_ends),
@@ -474,22 +449,6 @@ def summary_tables(summary: dict[str, Any]) -> list[Table]:
             chunks.get("timeouts", 0),
         )
         tables.append(chunk_table)
-
-    if summary["counters"] or summary["gauges"]:
-        metric_table = Table(
-            "Counters and gauges", ["metric", "kind", "events", "total_or_last"]
-        )
-        for name, entry in sorted(summary["counters"].items()):
-            metric_table.add_row(name, "counter", entry["events"], entry["total"])
-        for name, entry in sorted(summary["gauges"].items()):
-            metric_table.add_row(name, "gauge", entry["events"], entry["last"])
-        tables.append(metric_table)
-
-    if summary["spans"]:
-        span_table = Table("Spans", ["name", "count", "total_s"])
-        for name, entry in sorted(summary["spans"].items()):
-            span_table.add_row(name, entry["count"], entry["total_s"])
-        tables.append(span_table)
 
     fleet = summary.get("fleet") or {}
     if fleet.get("lease_events") or fleet.get("fabric_runs"):

@@ -48,26 +48,17 @@ class TestDrillOutcome:
         assert -9 in result.worker_exits.values()
         assert [r * r for r in range(8)] == list(result.results)
 
-    def test_trace_id_assigned_and_deterministic(self, drill):
-        _, _, result, _ = drill
-        from repro.fabric.tracectx import TraceContext
-
-        assert result.trace_id == TraceContext.root(result.fingerprint).trace_id
-
 
 class TestMergedTrace:
-    def test_worker_logs_exist_and_share_the_trace(self, drill):
+    def test_worker_logs_exist_and_carry_no_trace_ids(self, drill):
         _, _, result, log = drill
         assert set(result.worker_logs) == {"w0", "w1"}
-        coordinator_records = read_log_records(log)
-        traced = [r for r in coordinator_records if "trace" in r]
-        assert traced and all(r["trace"] == result.trace_id for r in traced)
-        for worker, worker_log in result.worker_logs.items():
-            records = read_log_records(worker_log)
-            stamped = [r for r in records if "trace" in r]
-            # The context crossed the process boundary via the env.
-            assert stamped, f"{worker} wrote no trace-stamped records"
-            assert all(r["trace"] == result.trace_id for r in stamped)
+        logs = {"coordinator": log, **result.worker_logs}
+        for name, path in logs.items():
+            records = read_log_records(path)
+            assert records, f"{name} wrote no records"
+            # Lanes key on worker and chunk; no record carries trace ids.
+            assert not any({"trace", "span", "parent"} & r.keys() for r in records)
 
     def test_merged_chrome_trace_validates_with_worker_lanes(self, drill):
         tmp_path, _, result, _ = drill

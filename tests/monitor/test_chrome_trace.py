@@ -14,12 +14,11 @@ from repro.telemetry import Telemetry, activate
 
 
 def real_records():
-    recorder = Telemetry.buffered()
+    recorder = Telemetry.buffered(slot_batch=4)
     recorder.write_manifest(command="experiment", seed=0, config={"n": 8})
     with recorder, activate(recorder):
-        with recorder.span("campaign"):
-            run_decay_broadcast(generators.line(8), 0, seed=1, epsilon=0.1)
-        recorder.counter("reps_done", 1)
+        run_decay_broadcast(generators.line(8), 0, seed=1, epsilon=0.1)
+        recorder.emit("progress", done=1, total=1, elapsed_s=0.0)
     return recorder.drain()
 
 
@@ -32,36 +31,40 @@ class TestExport:
         assert reloaded["traceEvents"] == trace["traceEvents"]
 
     def test_contains_run_slice_with_phase_fold_and_counters(self):
-        events = chrome_trace_events(real_records())
+        records = real_records()
+        events = chrome_trace_events(records)
         phases = {e["ph"] for e in events}
         assert {"M", "X", "i", "C"} <= phases
         runs = [e for e in events if e.get("cat") == "run"]
         assert len(runs) == 1 and runs[0]["ph"] == "X" and runs[0]["dur"] >= 1
-        spans = [e for e in events if e.get("cat") == "span"]
-        assert any(e["name"] == "campaign" for e in spans)
         # Decay's phase markers are folded into the run, not instants.
         assert not any(e.get("cat") == "phase" for e in events)
         rows = runs[0]["args"]["phases"]
         assert rows and {row["proto"] for row in rows} == {"decay-broadcast"}
         assert sum(row["count"] for row in rows) >= 8  # every node's phase 0 at least
         counters = [e for e in events if e["ph"] == "C"]
-        assert any(e["name"] == "reps_done" for e in counters)
+        assert {e["name"] for e in counters} == {"progress", "slots_per_sec"}
+        # The engine's rate track is drawn from its slot_batch records.
+        batches = [r for r in records if r["kind"] == "slot_batch"]
+        rates = [e for e in counters if e["name"] == "slots_per_sec"]
+        assert len(rates) == len(batches) > 0
+        assert all(e["cat"] == "slot_batch" for e in rates)
 
     def test_timestamps_rebased_to_zero(self):
         events = [e for e in chrome_trace_events(real_records()) if "ts" in e]
         assert min(e["ts"] for e in events) == 0
 
     def test_slice_that_began_before_the_first_record_starts_the_trace(self):
-        # A span's record is emitted when the span ends: rebasing on the
-        # earliest record used to give this 2-second span ts -2000000.
+        # A chunk's record is emitted when the chunk ends: rebasing on the
+        # earliest record used to give this 2-second chunk ts -2000000.
         records = [
-            {"kind": "span", "ts": 100.0, "name": "campaign", "dur_s": 2.0},
+            {"kind": "chunk", "ts": 100.0, "index": 0, "size": 1, "wall_s": 2.0},
             {"kind": "phase", "ts": 100.5, "proto": "decay", "index": 0},
         ]
         trace = chrome_trace(records)
         assert validate_chrome_trace(trace) == []
         events = {e["cat"]: e for e in trace["traceEvents"] if e["ph"] != "M"}
-        assert events["span"]["ts"] == 0 and events["span"]["dur"] == 2_000_000
+        assert events["chunk"]["ts"] == 0 and events["chunk"]["dur"] == 2_000_000
         assert events["phase"]["ts"] == 2_500_000
 
     def test_chunk_records_get_their_own_lane(self):

@@ -1,12 +1,13 @@
-"""End-to-end monitoring: monitor_log, attach_monitor, and the CLI."""
+"""End-to-end monitoring: monitor_log, the --monitor flag, and the CLI."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _run_logged, main
 from repro.graphs import generators
-from repro.monitor import MonitorConfig, attach_monitor, monitor_log
+from repro.monitor import Alert, MonitorConfig, monitor_log
 from repro.monitor.tail import read_log_records
 from repro.protocols import run_decay_broadcast
 from repro.sim.faults import FaultSchedule, JamFault
@@ -65,22 +66,46 @@ class TestMonitorLog:
 
 
 class TestAttachMonitor:
-    def test_in_process_monitoring_of_a_jammed_campaign(self, tmp_path):
-        log = tmp_path / "live.jsonl"
-        recorder = Telemetry.to_path(log)
-        _live, detach = attach_monitor(recorder, config=MonitorConfig())
-        recorder.write_manifest(command="experiment", seed=0,
-                                config={"epsilon": 0.1})
-        with recorder, activate(recorder):
+    """The ``--monitor`` flag: a command's telemetry log is monitored
+    once the command is done, and the verdict printed."""
+
+    @staticmethod
+    def monitored_jammed_campaign(log, capsys):
+        def jammed_campaign(args):
             for rep in range(10):
                 run_decay_broadcast(generators.line(8), 0, seed=rep,
                                     epsilon=0.1, faults=JAM_ALL)
-            report = detach()
-        assert {a.rule for a in report.alerts} >= {"theorem1-decay"}
-        # Alerts were emitted in-band into the same stream.
+            return 0
+
+        args = argparse.Namespace(command="experiment", func=jammed_campaign,
+                                  seed=0, epsilon=0.1, monitor=True)
+        assert _run_logged(args, str(log), None) == 0
+        return capsys.readouterr().out
+
+    def test_in_process_monitoring_of_a_jammed_campaign(self, tmp_path, capsys):
+        log = tmp_path / "live.jsonl"
+        out = self.monitored_jammed_campaign(log, capsys)
+        # The alerts were appended to the log the campaign wrote.
         alerts_in_log = [r for r in read_log_records(log) if r["kind"] == "alert"]
-        assert len(alerts_in_log) == len(report.alerts)
+        assert {r["rule"] for r in alerts_in_log} >= {"theorem1-decay"}
+        assert [r["seq"] for r in alerts_in_log] == list(range(1, len(alerts_in_log) + 1))
+        assert (f"[monitor] {len(alerts_in_log)} conformance alert(s) fired:"
+                in out)
         assert validate_log(log) == []
+
+    def test_flag_alerts_equal_those_of_monitor_log(self, tmp_path, capsys):
+        log = tmp_path / "live.jsonl"
+        out = self.monitored_jammed_campaign(log, capsys)
+        assert main(["monitor", str(log), "--json", "--no-write-alerts"]) == 0
+        alerts = json.loads(capsys.readouterr().out)["alerts"]
+        assert alerts
+        appended = [{key: r[key] for key in alert}
+                    for alert, r in zip(alerts, (r for r in read_log_records(log)
+                                                 if r["kind"] == "alert"))]
+        assert appended == alerts
+        printed = [line.split("! ", 1)[1] for line in out.splitlines()
+                   if line.startswith("[monitor]   ! ")]
+        assert printed == [Alert(**alert).describe() for alert in alerts]
 
 
 class TestMonitorCLI:

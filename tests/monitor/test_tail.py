@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.errors import ExperimentError
+from repro.monitor import tail
 from repro.monitor.tail import TailReader, follow_records, read_log_records
 from repro.telemetry.summary import read_records, validate_log
 
@@ -100,6 +101,22 @@ class TestOneShot:
     def test_read_log_records_missing_file_raises(self, tmp_path):
         with pytest.raises(ExperimentError):
             read_log_records(tmp_path / "nope.jsonl")
+
+    def test_iter_log_records_reads_a_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # A 10-byte chunk splits every line: each is decoded once whole.
+        monkeypatch.setattr(tail, "CHUNK_BYTES", 10)
+        log = write_lines(
+            tmp_path / "log.jsonl",
+            [{"kind": "event", "n": n} for n in range(5)],
+            torn_tail='{"kind": "event", "n"',
+        )
+        seen = []
+        for record in tail.iter_log_records(log):
+            seen.append(record["n"])
+            # Appended during the pass (a monitor's own alert): not read.
+            with log.open("a", encoding="utf-8") as stream:
+                stream.write('{"kind": "alert"}\n')
+        assert seen == [0, 1, 2, 3, 4]
 
 
 class TestBatchReadersTolerateTruncation:

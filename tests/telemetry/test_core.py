@@ -11,9 +11,7 @@ from repro.telemetry.core import (
     Telemetry,
     activate,
     config_fingerprint,
-    counter,
     event,
-    gauge,
     get_active,
     git_sha,
     phase,
@@ -33,51 +31,41 @@ def _no_ambient_recorder():
 class TestBufferedRecorder:
     def test_emit_and_drain(self):
         rec = Telemetry.buffered()
-        rec.emit("gauge", name="x", value=1)
+        rec.emit("event", name="x", value=1)
         records = rec.drain()
         assert len(records) == 1
-        assert records[0]["kind"] == "gauge"
+        assert records[0]["kind"] == "event"
         assert "ts" in records[0]
         assert rec.drain() == []
 
     def test_run_scope_tags_records(self):
         rec = Telemetry.buffered()
         run_id = rec.begin_run(nodes=4, edges=3, seed=0)
-        rec.counter("ticks")
+        rec.emit("event", name="ticks")
         rec.end_run(slots=1, wall_s=0.0, transmissions=0, collisions=0, deliveries=0)
-        rec.counter("after")
+        rec.emit("event", name="after")
         begin, tick, end, after = rec.drain()
         assert run_id == "r1"
         assert begin["run"] == tick["run"] == end["run"] == "r1"
         assert "run" not in after
         assert rec.begin_run(nodes=1, edges=0, seed=0) == "r2"
 
-    def test_span_records_duration(self):
-        rec = Telemetry.buffered()
-        with rec.span("setup", detail="x"):
-            pass
-        (record,) = rec.drain()
-        assert record["kind"] == "span"
-        assert record["name"] == "setup"
-        assert record["dur_s"] >= 0.0
-        assert not validate_record(record)
-
     def test_write_record_merges_preformed(self):
         rec = Telemetry.buffered()
-        rec.write_record({"kind": "counter", "ts": 1.0, "name": "n", "value": 2})
+        rec.write_record({"kind": "event", "ts": 1.0, "name": "n", "value": 2})
         assert rec.drain()[0]["value"] == 2
 
     def test_fork_guard_drops_foreign_pid(self):
         rec = Telemetry.buffered()
         rec._pid = os.getpid() + 1  # simulate a forked child's inherited recorder
-        rec.emit("counter", name="x", value=1)
-        rec.write_record({"kind": "counter", "ts": 0.0, "name": "x", "value": 1})
+        rec.emit("event", name="x", value=1)
+        rec.write_record({"kind": "event", "ts": 0.0, "name": "x", "value": 1})
         assert rec.drain() == []
 
     def test_closed_recorder_is_silent(self):
         rec = Telemetry.buffered()
         rec.close()
-        rec.emit("counter", name="x", value=1)
+        rec.emit("event", name="x", value=1)
         assert rec.drain() == []
 
     def test_slot_batch_validated(self):
@@ -89,23 +77,42 @@ class TestFileRecorder:
     def test_streams_json_lines(self, tmp_path):
         log = tmp_path / "events.jsonl"
         with Telemetry.to_path(log) as rec:
-            rec.counter("a", 1)
-            rec.gauge("b", 2.5)
+            rec.emit("event", name="a", value=1)
+            rec.emit("fault", slot=2)
         lines = log.read_text().splitlines()
-        assert [json.loads(line)["kind"] for line in lines] == ["counter", "gauge"]
+        assert [json.loads(line)["kind"] for line in lines] == ["event", "fault"]
 
     def test_flushes_as_it_goes(self, tmp_path):
         log = tmp_path / "events.jsonl"
         rec = Telemetry.to_path(log)
-        rec.counter("a", 1)
+        rec.emit("event", name="a", value=1)
         # Readable before close: a killed campaign leaves a usable log.
         assert json.loads(log.read_text().splitlines()[0])["name"] == "a"
         rec.close()
 
+    def test_lines_appended_by_another_writer_survive(self, tmp_path):
+        # `monitor LOG --follow` appends its alerts to a log a campaign
+        # is still writing: the recorder's next record must land after
+        # the alert, not on top of it.
+        from repro.monitor.conformance import Alert
+        from repro.monitor.live import _AlertWriter
+
+        log = tmp_path / "events.jsonl"
+        append_alert = _AlertWriter(log)
+        with Telemetry.to_path(log) as rec:
+            rec.emit("progress", done=1, total=2, elapsed_s=0.1)
+            append_alert(Alert(rule="theorem1-decay", severity="critical",
+                               message="jammed"))
+            rec.emit("progress", done=2, total=2, elapsed_s=0.2)
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [r["kind"] for r in records] == ["progress", "alert", "progress"]
+        assert records[1]["message"] == "jammed"
+        assert all(not validate_record(r) for r in records)
+
     def test_unserializable_values_fall_back_to_repr(self, tmp_path):
         log = tmp_path / "events.jsonl"
         with Telemetry.to_path(log) as rec:
-            rec.emit("counter", name="x", value=1, payload=object())
+            rec.emit("event", name="x", value=1, payload=object())
         record = json.loads(log.read_text())
         assert record["payload"].startswith("<object object")
 
@@ -113,8 +120,8 @@ class TestFileRecorder:
         records = [
             {"kind": "phase", "payload": object(), "value": float("nan")},
             {"kind": "event", "name": "zürich → 東京", "nested": (1, ("a", [2.5, None]))},
-            {"kind": "gauge", "inf": float("-inf"), "set": {3}},
-            {"kind": "counter", "by": {7: "int", True: "bool", None: 0, 2.5: "float"}},
+            {"kind": "event", "inf": float("-inf"), "set": {3}},
+            {"kind": "event", "by": {7: "int", True: "bool", None: 0, 2.5: "float"}},
             {"kind": "event", "deep": {"a": {"b": {3: [{"c": {}}]}}}, "empty": []},
         ]
         stream = io.StringIO()
@@ -177,12 +184,68 @@ class TestFileRecorder:
         assert json.loads(sidecar.read_text())["seed"] == 7
 
 
+class TestConcurrentShipBack:
+    """Fabric event forwarding, resilient_map callbacks and heartbeat
+    threads all write through one recorder from different threads."""
+
+    def _hammer(self, tel, threads=4, per_thread=200):
+        import threading
+
+        def ship(worker):
+            for n in range(per_thread):
+                tel.write_record(
+                    {"kind": "event", "ts": float(n), "name": "chunk",
+                     "worker": worker, "n": n}
+                )
+
+        pool = [
+            threading.Thread(target=ship, args=(f"w{i}",))
+            for i in range(threads)
+        ]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join()
+        return threads * per_thread
+
+    def test_streamed_log_lines_never_tear(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        tel = Telemetry.to_path(log)
+        with tel:
+            expected = self._hammer(tel)
+        lines = log.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == expected
+        decoded = [json.loads(line) for line in lines]  # every line whole
+        # No record lost, none duplicated, per-worker order preserved.
+        for worker in ("w0", "w1", "w2", "w3"):
+            ours = [r["n"] for r in decoded if r["worker"] == worker]
+            assert ours == list(range(200))
+
+    def test_run_seq_tags_are_unique_across_threads(self):
+        import threading
+
+        with Telemetry.buffered() as tel:
+            ids: list[str] = []
+            lock = threading.Lock()
+
+            def open_many():
+                mine = [tel.open_run(nodes=1) for _ in range(100)]
+                with lock:
+                    ids.extend(mine)
+
+            pool = [threading.Thread(target=open_many) for _ in range(4)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join()
+        assert len(ids) == 400
+        assert len(set(ids)) == 400  # no thread ever minted a duplicate
+
+
 class TestAmbientRegistry:
     def test_helpers_are_noops_when_disabled(self):
         # Must not raise, must not require a recorder.
         phase("decay", node=0, index=0, slot=0)
-        counter("x")
-        gauge("y", 1.0)
         event("fault", slot=3)
         assert get_active() is None
 
@@ -192,7 +255,7 @@ class TestAmbientRegistry:
         with activate(outer):
             assert get_active() is outer
             with activate(inner):
-                counter("x")
+                event("event", name="x")
                 assert get_active() is inner
             assert get_active() is outer
         assert get_active() is None
@@ -210,9 +273,9 @@ class TestAmbientRegistry:
         rec = Telemetry.buffered()
         with activate(rec):
             phase("decay-broadcast", node=3, index=1, slot=9, start_slot=8)
-            gauge("slots_per_sec", 100.0)
+            event("fault", slot=9)
         records = rec.drain()
-        assert [r["kind"] for r in records] == ["phase", "gauge"]
+        assert [r["kind"] for r in records] == ["phase", "fault"]
         assert all(not validate_record(r) for r in records)
 
     def test_markers_fold_per_open_run(self):
@@ -248,7 +311,7 @@ class TestAmbientRegistry:
         # The documented no-op contract: the helper reads the module
         # global once and returns; no recorder machinery is touched.
         assert core._ACTIVE is None
-        counter("never-recorded", 10**6)
+        event("event", name="never-recorded", value=10**6)
 
 
 class TestManifestIngredients:

@@ -75,13 +75,13 @@ class TestEngineSpans:
         engine.run(30)
         records = rec.drain()
         batches = [r for r in records if r["kind"] == "slot_batch"]
-        gauges = [r for r in records if r["kind"] == "gauge"]
         assert len(batches) == 3  # slots 8, 16, 24
         assert [b["slot"] for b in batches] == [8, 16, 24]
         assert all(b["slots"] == 8 for b in batches)
         assert all(b["run"] == "r1" for b in batches)
-        assert len(gauges) == len(batches)
-        assert all(g["name"] == "slots_per_sec" for g in gauges)
+        assert all(b["slots_per_sec"] >= 0 for b in batches)
+        assert [r["kind"] for r in records] == [
+            "run_begin", "slot_batch", "slot_batch", "slot_batch", "run_end"]
         assert all(not validate_record(r) for r in records)
 
     def test_explicit_recorder_beats_ambient(self):

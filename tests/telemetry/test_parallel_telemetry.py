@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.parallel import resilient_map
-from repro.telemetry.core import Telemetry, activate, counter, set_active
+from repro.telemetry.core import Telemetry, activate, event, set_active
 from repro.telemetry.schema import validate_record
 
 
@@ -29,7 +29,7 @@ def _square(x):
 def _square_counting(x):
     # Emits through the ambient recorder: in a pool worker this is the
     # buffered per-chunk recorder installed by _run_chunk_timed.
-    counter("work", 1, item=x)
+    event("work", item=x)
     return x * x
 
 
@@ -100,10 +100,10 @@ class TestPoolCampaign:
             out = resilient_map(_square_counting, ITEMS, jobs=2, chunksize=4)
         assert out == EXPECTED
         records = rec.drain()
-        counters = [r for r in records if r["kind"] == "counter"]
-        assert len(counters) == 12  # one per item, emitted inside workers
-        assert {c["chunk"] for c in counters} == {0, 1, 2}
-        assert sorted(c["item"] for c in counters) == ITEMS
+        work = [r for r in records if r["kind"] == "work"]
+        assert len(work) == 12  # one per item, emitted inside workers
+        assert {w["chunk"] for w in work} == {0, 1, 2}
+        assert sorted(w["item"] for w in work) == ITEMS
 
     def test_results_identical_with_and_without_telemetry(self):
         plain = resilient_map(_square, ITEMS, jobs=2, chunksize=4)

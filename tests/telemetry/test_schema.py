@@ -32,7 +32,7 @@ class TestValidateRecord:
                                     "node": 0, "index": 0, "slot": 5, "phases": 4})
 
     def test_extra_fields_are_allowed(self):
-        record = {"kind": "counter", "ts": 1.0, "name": "x", "value": 1, "anything": "goes"}
+        record = {"kind": "fault", "ts": 1.0, "slot": 1, "anything": "goes"}
         assert not validate_record(record)
 
     def test_missing_kind_and_ts(self):

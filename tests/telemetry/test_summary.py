@@ -21,7 +21,7 @@ def _write_log(path, records, *, torn_tail=False):
         for record in records:
             stream.write(json.dumps(record) + "\n")
         if torn_tail:
-            stream.write('{"kind": "counter", "ts"')
+            stream.write('{"kind": "progress", "ts"')
 
 
 SAMPLE = [
@@ -44,11 +44,6 @@ SAMPLE = [
     {"kind": "chunk", "ts": 1.0, "index": 1, "size": 5, "wall_s": 0.4,
      "queue_s": 0.3, "pid": 12, "retries": 0, "timeouts": 2},
     {"kind": "fault", "ts": 1.0, "slot": 3, "edges_cut": 2},
-    {"kind": "counter", "ts": 1.0, "name": "ticks", "value": 2},
-    {"kind": "counter", "ts": 1.0, "name": "ticks", "value": 3},
-    {"kind": "gauge", "ts": 1.0, "name": "slots_per_sec", "value": 100.0},
-    {"kind": "gauge", "ts": 1.0, "name": "slots_per_sec", "value": 50.0},
-    {"kind": "span", "ts": 1.0, "name": "setup", "dur_s": 0.25},
     {"kind": "campaign_end", "ts": 1.0, "wall_s": 1.5, "chunks": 2,
      "retries": 1, "timeouts": 2},
     {"kind": "progress", "ts": 1.0, "done": 2, "total": 2, "elapsed_s": 1.5},
@@ -77,10 +72,27 @@ class TestReadRecords:
 
     def test_strict_still_raises_on_interior_corruption(self, tmp_path):
         log = tmp_path / "log.jsonl"
-        log.write_text('not json\n{"kind": "counter", "ts": 1.0, '
-                       '"name": "x", "value": 1}\n', encoding="utf-8")
+        log.write_text('not json\n{"kind": "progress", "ts": 1.0, "done": 1, '
+                       '"total": 1, "elapsed_s": 0.1}\n', encoding="utf-8")
         with pytest.raises(ExperimentError):
             read_records(log, strict=True)
+
+    def test_legacy_metric_kinds_are_skipped_and_flagged(self, tmp_path):
+        # Older logs hold counter/gauge/span records; no emitter writes
+        # them now.
+        log = tmp_path / "log.jsonl"
+        legacy = [
+            {"kind": "gauge", "ts": 1.0, "name": "slots_per_sec", "value": 50.0},
+            {"kind": "counter", "ts": 1.0, "name": "ticks", "value": 2},
+            {"kind": "span", "ts": 1.0, "name": "setup", "dur_s": 0.25},
+        ]
+        _write_log(log, SAMPLE + legacy)
+        assert read_records(log) == SAMPLE
+        errors = validate_log(log)
+        assert [error.split(": ", 1)[1] for error in errors] == [
+            "unknown kind 'gauge'", "unknown kind 'counter'", "unknown kind 'span'"]
+        summary = summarize(read_records(log))
+        assert not {"counters", "gauges", "spans"} & summary.keys()
 
     def test_missing_log_raises(self, tmp_path):
         with pytest.raises(ExperimentError):
@@ -146,10 +158,6 @@ class TestSummarize:
 
     def test_metrics_and_campaigns(self):
         summary = summarize(SAMPLE)
-        assert summary["counters"]["ticks"]["total"] == 5
-        assert summary["gauges"]["slots_per_sec"]["last"] == 50.0
-        assert summary["gauges"]["slots_per_sec"]["max"] == 100.0
-        assert summary["spans"]["setup"]["count"] == 1
         assert summary["campaigns"]["count"] == 1
         assert summary["campaigns"]["timeouts"] == 2
         assert summary["last_progress"]["done"] == 2
@@ -170,7 +178,6 @@ class TestRendering:
         assert "Engine runs (merged RunMetrics)" in text
         assert "decay-broadcast" in text
         assert "Parallel chunks" in text
-        assert "Spans" in text
 
     def test_render_empty_log(self):
         assert "Telemetry log overview" in render_summary(summarize([]))

@@ -542,11 +542,11 @@ class TestTelemetryValidateRobustness:
     def test_reports_all_bad_lines_with_numbers(self, capsys, tmp_path):
         log = tmp_path / "mixed.jsonl"
         with log.open("wb") as stream:
-            stream.write(b'{"kind": "gauge", "ts": 1.0, "name": "x", "value": 1}\n')
+            stream.write(b'{"kind": "fault", "ts": 1.0, "slot": 1}\n')
             stream.write(b"not json\n")
             stream.write(b'{"kind": "bogus", "ts": 2.0}\n')
             stream.write(b"\xff\xfe broken\n")
-            stream.write(b'{"kind": "gauge", "ts": 3.0, "name": "y", "value": 2}\n')
+            stream.write(b'{"kind": "fault", "ts": 3.0, "slot": 2}\n')
         code = main(["telemetry", str(log), "--validate"])
         out = capsys.readouterr().out
         assert code == 1
